@@ -65,7 +65,6 @@ class IterationTrace:
     poisson_residuals: list = field(default_factory=list)
     status: str = "running"
     bound: float = 0.0
-    higher_norm_sup: float = 0.0
 
     @property
     def iterations(self):
@@ -137,9 +136,6 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)
-        trace.higher_norm_sup = max(
-            trace.higher_norm_sup, holder_norm(v_new, 3, cfg.alpha).value
-        )
         if trace.increments and len(trace.increments) >= 2:
             prev = trace.increments[-2]
             if prev > 0.0:

@@ -5,7 +5,8 @@ Cartesian lattice of spacing h = 2/(N-1).  For n = 1 the nodes are the N
 points of [-1, 1]; for n = 2 they are the lattice points inside the closed
 unit disk (rows and columns are contiguous segments by convexity).  All
 derivatives are 2nd-order stencils assembled once into cached sparse
-matrices; Hoelder seminorms are grid maxima over a fixed pair set.
+matrices.  Hoelder seminorms are exact: the maximum of
+|v(x)-v(y)| / |x-y|^alpha over all pairs of distinct nodes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
-_EXACT_PAIR_LIMIT_1D = 401
-_EXACT_PAIR_LIMIT_2D = 65
-_SUBSAMPLE_PAIRS = 10**6
-_PAIR_CHUNK = 256
+_SWEEP_BLOCK = 1 << 15  # lattice slots differenced per block of the lag sweep
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +70,11 @@ class HolderNorm:
     m: int
     alpha: float
     value: float
-    seminorm_pairs_used: int
 
 
 def sym_indices(dim):
     """Lex-ordered (i, j) pairs with i <= j for symmetric tensors."""
     return [(i, j) for i in range(dim) for j in range(i, dim)]
-
-
-def sym_component(dim, i, j):
-    """Position of (i, j) (unordered) in the lex component layout."""
-    i, j = min(i, j), max(i, j)
-    return sym_indices(dim).index((i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +153,12 @@ class Grid:
     support_radii : (float, float)
         (R1, R2) with 0 < R1 < R2 < 1: inner radius that carries metric
         increments and outer radius that bounds perturbation supports.
-    pair_seed : int
-        Seed for the deterministic Hoelder pair subsample used on grids too
-        large for exact all-pairs seminorms.
+
+    Hoelder seminorms (``quotient_max``) are exact maxima over all pairs of
+    distinct nodes, at every resolution.
     """
 
-    def __init__(self, dim, resolution, support_radii=(0.5, 0.75), pair_seed=0):
+    def __init__(self, dim, resolution, support_radii=(0.5, 0.75)):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got dim={dim}")
         if int(resolution) != resolution or resolution < 17:
@@ -180,13 +172,11 @@ class Grid:
         self.resolution = int(resolution)
         self.spacing = 2.0 / (self.resolution - 1)
         self.support_radii = (r1, r2)
-        self.pair_seed = int(pair_seed)
 
         self._build_nodes()
         self._deriv_cache = {}
         self._axis_ops = {}
-        self._pair_cache = None
-        self._dpow_cache = {}
+        self._lag_cache = None
 
     # -- construction ------------------------------------------------------
 
@@ -308,63 +298,65 @@ class Grid:
         self._deriv_cache[s] = op
         return op
 
-    # -- Hoelder pair machinery ---------------------------------------------
+    # -- Hoelder seminorm ---------------------------------------------------
 
-    @property
-    def pair_mode(self):
-        limit = _EXACT_PAIR_LIMIT_1D if self.dim == 1 else _EXACT_PAIR_LIMIT_2D
-        return "exact" if self.resolution <= limit else "subsample"
+    def _lags(self):
+        """Lattice offsets of the seminorm sweep, shortest first.
 
-    def _subsample(self):
-        if self._pair_cache is None:
-            rng = np.random.default_rng(self.pair_seed)
-            n = self.num_nodes
-            ii = np.empty(0, dtype=np.int64)
-            jj = np.empty(0, dtype=np.int64)
-            while ii.size < _SUBSAMPLE_PAIRS:
-                a = rng.integers(0, n, _SUBSAMPLE_PAIRS)
-                b = rng.integers(0, n, _SUBSAMPLE_PAIRS)
-                keep = a != b
-                ii = np.concatenate([ii, a[keep]])
-                jj = np.concatenate([jj, b[keep]])
-            ii, jj = ii[:_SUBSAMPLE_PAIRS], jj[:_SUBSAMPLE_PAIRS]
-            d = np.sqrt(((self.coords[ii] - self.coords[jj]) ** 2).sum(axis=1))
-            self._pair_cache = (ii, jj, d)
-        return self._pair_cache
-
-    def _dist_pow(self, alpha):
-        key = round(float(alpha), 12)
-        if key not in self._dpow_cache:
-            ii, jj, d = self._subsample()
-            self._dpow_cache[key] = d**alpha
-        return self._dpow_cache[key]
+        Returns (size, slots, shifts, dist).  Node values go into the slots
+        of a NaN-padded flat lattice of length size, in which the lattice
+        offset of a node pair is a constant index shift; the padding holds
+        every shifted slot that leaves the ball, so no shift wraps onto
+        another node.  Each pair of nodes is reached by exactly one shift,
+        of length dist.
+        """
+        if self._lag_cache is None:
+            N = self.resolution
+            if self.dim == 1:
+                slots = np.arange(N)
+                shifts = np.arange(1, N)
+                dist2 = shifts**2
+            else:
+                width = 2 * N - 1
+                slots = self.lattice_index[:, 1] * width + self.lattice_index[:, 0]
+                slots -= slots[0]
+                dj, di = np.meshgrid(np.arange(N), np.arange(1 - N, N), indexing="ij")
+                dist2 = di * di + dj * dj
+                # one offset of each +-pair, none longer than the diameter
+                keep = ((dj > 0) | (di > 0)) & (dist2 <= (N - 1) ** 2)
+                order = np.argsort(dist2[keep], kind="stable")
+                shifts = (dj * width + di)[keep][order]
+                dist2 = dist2[keep][order]
+            size = slots[-1] + 1 + shifts.max()
+            self._lag_cache = (size, slots, shifts, self.spacing * np.sqrt(dist2))
+        return self._lag_cache
 
     def quotient_max(self, vals, alpha):
-        """max over the pair set of |v(x)-v(y)| / |x-y|^alpha."""
-        if self.pair_mode == "subsample":
-            ii, jj, _ = self._subsample()
-            dp = self._dist_pow(alpha)
-            return float(np.max(np.abs(vals[ii] - vals[jj]) / dp))
-        best = 0.0
-        X, n = self.coords, self.num_nodes
-        col = np.arange(n)
-        for i0 in range(0, n - 1, _PAIR_CHUNK):
-            i1 = min(i0 + _PAIR_CHUNK, n)
-            diff = X[i0:i1, None, :] - X[None, :, :]
-            d = np.sqrt((diff**2).sum(axis=-1))
-            dv = np.abs(vals[i0:i1, None] - vals[None, :])
-            upper = np.arange(i0, i1)[:, None] < col[None, :]
-            np.power(d, alpha, out=d, where=upper)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(upper, dv / d, 0.0)
-            best = max(best, float(np.nanmax(ratio)))
-        return best
+        """Exact max over all node pairs of |v(x)-v(y)| / |x-y|^alpha.
 
-    @property
-    def pairs_used(self):
-        if self.pair_mode == "subsample":
-            return _SUBSAMPLE_PAIRS
-        return self.num_nodes * (self.num_nodes - 1) // 2
+        Sweeps the lattice offsets shortest first, a block of offsets at a
+        time, with one d^alpha per offset.  Stops once no longer offset can
+        beat the running maximum: (max v - min v) / d^alpha <= best.
+        """
+        size, slots, shifts, dist = self._lags()
+        osc = float(np.max(vals) - np.min(vals))
+        padded = np.full(size, np.nan)
+        padded[slots] = vals
+        span = slots[-1] + 1
+        # row s of `moved` is the node lattice moved by shift s
+        moved = sliding_window_view(padded, span)
+        step = max(1, _SWEEP_BLOCK // span)
+        best = 0.0
+        for k in range(0, len(shifts), step):
+            dpow = dist[k:k + step] ** alpha
+            if osc / dpow[0] <= best:
+                break
+            diff = moved[shifts[k:k + step]]
+            diff -= padded[:span]
+            np.abs(diff, out=diff)
+            # NaN marks a slot off the ball; fmax skips it
+            best = float(np.fmax.reduce(np.fmax.reduce(diff, axis=1) / dpow, initial=best))
+        return best
 
     # -- misc ----------------------------------------------------------------
 
@@ -382,23 +374,14 @@ class Grid:
     def scalar(self, values):
         return ScalarField(self, np.asarray(values, dtype=float))
 
-    def zeros_vec(self, q):
-        return VecField(self, np.zeros((self.num_nodes, q)))
 
-
-def make_grid(dim, resolution, support_radii=(0.5, 0.75), pair_seed=0):
+def make_grid(dim, resolution, support_radii=(0.5, 0.75)):
     """Build a chart grid; see Grid for the field semantics."""
-    return Grid(dim, resolution, support_radii, pair_seed)
+    return Grid(dim, resolution, support_radii)
 
 
 # ---------------------------------------------------------------------------
 # derivative / laplacian / norms
-
-
-def _apply_op(op, values):
-    if values.ndim == 1:
-        return op @ values
-    return op @ values
 
 
 def derivative(fld, s):
@@ -409,8 +392,7 @@ def derivative(fld, s):
     truncation level near boundaries).
     """
     op = fld.grid.derivative_matrix(s)
-    out = _apply_op(op, fld.values)
-    return type(fld)(fld.grid, out)
+    return type(fld)(fld.grid, op @ fld.values)
 
 
 def laplacian(fld):
@@ -420,7 +402,7 @@ def laplacian(fld):
         return derivative(fld, (2,))
     a = g.derivative_matrix((2, 0))
     b = g.derivative_matrix((0, 2))
-    return type(fld)(g, _apply_op(a, fld.values) + _apply_op(b, fld.values))
+    return type(fld)(g, a @ fld.values + b @ fld.values)
 
 
 def _c0alpha(grid, vals, alpha):
@@ -437,8 +419,8 @@ def holder_norm(fld, m, alpha):
     """Discrete C^{m,alpha} norm: C^{0,alpha} part plus all |s| = m parts.
 
     Vector and tensor fields are measured as the sum of their component
-    norms.  The seminorm maximum runs over the grid's pair set (exact
-    all-pairs on small grids, the deterministic seeded subsample otherwise).
+    norms.  Each seminorm is the exact maximum over all pairs of distinct
+    nodes (Grid.quotient_max).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder_norm configuration error: alpha must be in (0,1), got alpha={alpha}")
@@ -454,7 +436,7 @@ def holder_norm(fld, m, alpha):
             for s in _multi_indices(g.dim, m):
                 dv = g.derivative_matrix(s) @ comp
                 total += _c0alpha(g, dv, alpha)
-    return HolderNorm(int(m), float(alpha), float(total), g.pairs_used)
+    return HolderNorm(int(m), float(alpha), float(total))
 
 
 def monitor_recurrence(a0, C, sequence):

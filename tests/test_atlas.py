@@ -4,7 +4,8 @@ The partition of unity and the metric decomposition have exact algebraic
 oracles (normalized bumps sum to 1 by construction; the chart pullback is
 a scalar halfwidth^2 factor).  The glue pipeline is checked on calibrated
 circle scenarios (frozen residual/horizon values), a torus smoke run, a
-forced-halving run, and degenerate inputs (zero embedding, short horizon).
+refined torus run at twice its scale, a forced-halving run, and degenerate
+inputs (zero embedding, short horizon).
 The pullback oracle is validated separately on the exact base embeddings
 and a deliberately mis-scaled one with a closed-form residual.
 """
@@ -380,6 +381,25 @@ def test_glue_torus_smoke():
     res = solution_residuals(sol)
     assert res[0] <= 1e-4      # coarse-mesh stencil baseline
     assert max(res) <= 5e-3    # measured 1.1e-3
+    for margins in sol.stage_margins:
+        for margin, eps in margins:
+            assert margin > eps
+
+
+def test_glue_torus_refined():
+    # twice the smoke scale in chart resolution and mesh.  Final residual
+    # measured 1.06e-3 at 25/48, 1.43e-4 here and 1.50e-4 at 97/192: the
+    # decay stops past this scale, so the bound sits just above it
+    atlas = build_atlas("torus", 4)
+    fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
+                                horizon=0.25, samples=1)
+    sol = glue_solve(torus_embedding, fam, atlas, chart_resolution=49,
+                     mesh=96, config=IterationConfig(tol=1e-7))
+    assert sol.horizon_used == 0.25
+    assert np.all(sol.F[0] == torus_embedding(sol.mesh_points))
+    res = solution_residuals(sol)
+    assert res[0] <= 5e-6      # measured 2.4e-6
+    assert max(res) <= 2e-4    # measured 1.43e-4
     for margins in sol.stage_margins:
         for margin, eps in margins:
             assert margin > eps
