@@ -14,16 +14,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .embeddings import CircleChart, TorusChart
-from .family import HorizonCollapse
-from .fixedpoint import (
-    IterationConfig,
-    SmallnessViolation,
-    StalledIteration,
-    solve_fixed_point,
-)
+from .embeddings import circle_embedding, torus_embedding  # noqa: F401  (public here too)
+from .family import adaptive_horizon
+from .fixedpoint import IterationConfig, solve_fixed_point
 from .frame import NotFreeError, build_frame, freeness_threshold
-from .grid import Grid, SymTensorField, VecField, make_grid
-from .operators import Cutoff, smoothstep
+from .grid import SymTensorField, VecField, make_grid
+from .operators import Cutoff, radial_window
 from .verify import periodic_derivative
 
 
@@ -42,20 +38,6 @@ class StageFailure(RuntimeError):
 def _wrap(delta):
     """Wrap angles to (-pi, pi]."""
     return np.mod(np.asarray(delta) + np.pi, TWO_PI) - np.pi
-
-
-def circle_embedding(points):
-    th = np.asarray(points, dtype=float).reshape(-1)
-    return np.column_stack([np.cos(th), np.sin(th)])
-
-
-def torus_embedding(points):
-    pts = np.asarray(points, dtype=float)
-    u, v = pts[:, 0], pts[:, 1]
-    s = u + v
-    return np.column_stack(
-        [np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.cos(s), np.sin(s)]
-    )
 
 
 @dataclass
@@ -96,13 +78,7 @@ class Atlas:
     def bump(self, k, points):
         """Chart-k partition bump: 1 inside psi_flat, 0 outside psi_supp."""
         r = self._chart_radius(self.charts[k], points)
-        s = (r - self.psi_flat) / (self.psi_supp - self.psi_flat)
-        # the high-degree step polynomial can overshoot 1 by ~1 ulp near
-        # its upper knot, which would leak sign into the weights
-        vals = np.clip(1.0 - smoothstep(s, self.degree), 0.0, 1.0)
-        vals[r <= self.psi_flat] = 1.0
-        vals[r >= self.psi_supp] = 0.0
-        return vals
+        return radial_window(r, self.psi_flat, self.psi_supp, self.degree)
 
     def partition(self, points):
         """psi_k(points) for all charts, rows summing to 1 (up to roundoff)."""
@@ -309,18 +285,26 @@ class GlobalSolution:
 
     def write_csv(self, path):
         """Rows: stage, t, mesh angles, embedding components."""
-        d = self.mesh_points.shape[1]
-        coord_names = ["theta", "phi"][:d]
-        comp_names = [f"F{j + 1}" for j in range(self.q)]
-        with open(path, "w") as fh:
-            fh.write(",".join(["stage", "t"] + coord_names + comp_names) + "\n")
-            for stage, F in enumerate(self.F_stages):
-                for k, t in enumerate(self.t_grid):
-                    for p in range(self.mesh_points.shape[0]):
-                        row = [str(stage), repr(float(t))]
-                        row += [repr(float(c)) for c in self.mesh_points[p]]
-                        row += [repr(float(c)) for c in F[k, p]]
-                        fh.write(",".join(row) + "\n")
+        coord_names = ("theta", "phi")[: self.mesh_points.shape[1]]
+        write_embedding_csv(path, self.mesh_points, self.F_stages, self.t_grid, coord_names)
+
+
+def write_embedding_csv(path, coords, stages, t_values, coord_names):
+    """Write embedding paths in the exchange schema stage,t,<coords>,F1..Fq.
+
+    coords is (npts, d); stages[s][k] is the (npts, q) embedding of stage s
+    at time t_values[k].  Every float is written as its repr (the shortest
+    string that round-trips), one (stage, t) block at a time.
+    """
+    q = np.shape(stages[0][0])[1]
+    header = ["stage", "t", *coord_names] + [f"F{j + 1}" for j in range(q)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for stage, per_t in enumerate(stages):
+            for t, vals in zip(t_values, per_t):
+                row = f"{stage},{float(t)!r}," + ",".join(["%r"] * (len(header) - 2)) + "\n"
+                block = np.column_stack([coords, vals]).tolist()
+                fh.writelines(row % tuple(values) for values in block)
 
 
 def _chart_mesh_mask(chart, mesh_points, radius):
@@ -331,7 +315,7 @@ def _chart_mesh_mask(chart, mesh_points, radius):
 
 def glue_solve(F0, family: ManifoldFamily, atlas: Atlas, chart_resolution=801,
                mesh=2048, config: IterationConfig = None,
-               cutoff_radii=(0.85, 0.985), dt_min=1e-3, max_halvings=20) -> GlobalSolution:
+               cutoff_radii=(0.85, 0.985), dt_min=1e-3) -> GlobalSolution:
     """Sequential chart-by-chart gluing of a global metric family.
 
     F0: callable mapping manifold angle points (npts, d) -> (npts, q).
@@ -352,69 +336,59 @@ def glue_solve(F0, family: ManifoldFamily, atlas: Atlas, chart_resolution=801,
     a2 = cut.values**2
     increments = decompose_metric(atlas, family)
     atlas.partition(pts)  # raises early if the mesh is not covered
-    K = family.samples
-    horizon = float(family.horizon)
 
-    for _ in range(max_halvings):
-        ts = np.linspace(0.0, horizon, K + 1)
-        F_prev = np.repeat(F0_mesh[None, :, :], K + 1, axis=0)
+    def run_pass(ts):
+        F_prev = np.repeat(F0_mesh[None, :, :], len(ts), axis=0)
         F_stages = [F_prev]
         stage_traces, stage_margins = [], []
-        try:
-            for i, inc in enumerate(increments, start=1):
-                ch = inc.chart
-                inside, chart_xy = _chart_mesh_mask(ch, pts, cutoff_radii[1])
-                F_new = F_prev.copy()
-                traces_i, margins_i = [], []
-                for k, t in enumerate(ts):
-                    if i == 1:
-                        chart_vals = np.asarray(
-                            F0(ch.to_manifold(g_chart.coords)), dtype=float
-                        )
-                    elif d == 1:
-                        chart_vals = _interp_circle(
-                            th, F_prev[k],
-                            ch.to_manifold(g_chart.coords)[:, 0],
-                        )
-                    else:
-                        grid_vals = F_prev[k].reshape(mesh, mesh, q)
-                        chart_vals = _interp_torus(
-                            th, grid_vals, ch.to_manifold(g_chart.coords)
-                        )
-                    try:
-                        frame = build_frame(VecField(g_chart, chart_vals))
-                    except NotFreeError as exc:
-                        raise StageFailure(
-                            f"stage {i} lost freeness at t={t}: {exc}", stage=i, t=t
-                        ) from exc
-                    f = SymTensorField(g_chart, inc.evaluator(g_chart.coords, t))
-                    v, trace = solve_fixed_point(frame, cut, f, config)
-                    u_chart = a2[:, None] * v.values
-                    if np.any(u_chart):
-                        u_mesh = _transport_update(
-                            g_chart, u_chart, chart_xy[inside], d, cutoff_radii[1]
-                        )
-                        F_new[k][inside] += u_mesh
-                    traces_i.append(trace)
-                    margins_i.append(
-                        (frame.freeness_margin, freeness_threshold(frame))
+        for i, inc in enumerate(increments, start=1):
+            ch = inc.chart
+            inside, chart_xy = _chart_mesh_mask(ch, pts, cutoff_radii[1])
+            F_new = F_prev.copy()
+            traces_i, margins_i = [], []
+            for k, t in enumerate(ts):
+                if i == 1:
+                    chart_vals = np.asarray(
+                        F0(ch.to_manifold(g_chart.coords)), dtype=float
                     )
-                stage_traces.append(traces_i)
-                stage_margins.append(margins_i)
-                F_prev = F_new
-                F_stages.append(F_prev)
-        except (SmallnessViolation, StalledIteration):
-            horizon *= 0.5
-            if horizon < dt_min * K:
-                raise HorizonCollapse(
-                    f"glue horizon collapsed below {dt_min}*{K}", horizon=horizon
-                ) from None
-            continue
+                elif d == 1:
+                    chart_vals = _interp_circle(
+                        th, F_prev[k],
+                        ch.to_manifold(g_chart.coords)[:, 0],
+                    )
+                else:
+                    grid_vals = F_prev[k].reshape(mesh, mesh, q)
+                    chart_vals = _interp_torus(
+                        th, grid_vals, ch.to_manifold(g_chart.coords)
+                    )
+                try:
+                    frame = build_frame(VecField(g_chart, chart_vals))
+                except NotFreeError as exc:
+                    raise StageFailure(
+                        f"stage {i} lost freeness at t={t}: {exc}", stage=i, t=t
+                    ) from exc
+                f = SymTensorField(g_chart, inc.evaluator(g_chart.coords, t))
+                v, trace = solve_fixed_point(frame, cut, f, config)
+                u_chart = a2[:, None] * v.values
+                if np.any(u_chart):
+                    u_mesh = _transport_update(
+                        g_chart, u_chart, chart_xy[inside], d, cutoff_radii[1]
+                    )
+                    F_new[k][inside] += u_mesh
+                traces_i.append(trace)
+                margins_i.append(
+                    (frame.freeness_margin, freeness_threshold(frame))
+                )
+            stage_traces.append(traces_i)
+            stage_margins.append(margins_i)
+            F_prev = F_new
+            F_stages.append(F_prev)
         return GlobalSolution(
             atlas, family, ts, pts, mesh, F_stages, stage_traces, stage_margins,
-            horizon, chart_resolution, q,
+            float(ts[-1]), chart_resolution, q,
         )
-    raise HorizonCollapse("maximum glue horizon halvings exhausted", horizon=horizon)
+
+    return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
 
 
 def _transport_update(g_chart, u_chart, chart_pts, d, support):

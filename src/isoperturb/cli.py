@@ -22,22 +22,23 @@ from .atlas import (
     StageFailure,
     build_atlas,
     build_manifold_family,
-    circle_embedding,
     glue_solve,
     solution_residuals,
-    torus_embedding,
+    write_embedding_csv,
 )
 from .config import (
     ScenarioError,
     Scenario,
+    check_resolution,
     load_family_table,
     load_scenario,
     scenario_hash,
 )
-from .embeddings import CircleChart, ParabolaChart, TorusChart
+from .embeddings import CircleChart, ParabolaChart, TorusChart, circle_embedding, torus_embedding
 from .family import (
     HorizonCollapse,
     build_family,
+    chart_window,
     solve_family,
     time_regularity_probe,
 )
@@ -118,21 +119,6 @@ def _write_trace_csv(path, trace):
             for s in series:
                 row.append(repr(float(s[i])) if i < len(s) else "")
             fh.write(",".join(row) + "\n")
-
-
-def _write_embedding_csv(path, coords, stages_values, t_values, coord_names):
-    """Rows (stage, t, coords..., F components...), atlas exchange schema."""
-    q = stages_values[0][0].shape[1]
-    comp_names = [f"F{j + 1}" for j in range(q)]
-    with open(path, "w") as fh:
-        fh.write(",".join(["stage", "t"] + list(coord_names) + comp_names) + "\n")
-        for stage, per_t in enumerate(stages_values):
-            for t, vals in zip(t_values, per_t):
-                for p in range(coords.shape[0]):
-                    row = [str(stage), repr(float(t))]
-                    row += [repr(float(c)) for c in np.atleast_1d(coords[p])]
-                    row += [repr(float(c)) for c in vals[p]]
-                    fh.write(",".join(row) + "\n")
 
 
 class RunReport:
@@ -218,7 +204,7 @@ def _run_solve_local(scenario, report):
     _write_trace_csv(os.path.join(report.out_dir, "traces", "iteration.csv"), trace)
     frame = build_frame(chart, g)
     F = frame.F0.values + u.values
-    _write_embedding_csv(
+    write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "local.csv"),
         g.coords, [[frame.F0.values], [F]], [0.0],
         ("x", "y")[: g.dim],
@@ -243,11 +229,7 @@ def _run_solve_family(scenario, report):
         bump_power=scenario.family.bump_power,
     )
     cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else None
-    window = None
-    if scenario.window:
-        from .family import chart_window
-
-        window = chart_window(g, *scenario.window)
+    window = chart_window(g, *(scenario.window or ()))
     cfg = _iteration_config(scenario)
     try:
         sol = solve_family(chart, fam, window=window, cutoff=cut, config=cfg)
@@ -264,7 +246,7 @@ def _run_solve_family(scenario, report):
     frame = sol.frame
     stages = [[frame.F0.values for _ in sol.t_grid],
               [frame.F0.values + u.values for u in sol.us]]
-    _write_embedding_csv(
+    write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "family.csv"),
         g.coords, stages, list(sol.t_grid), ("x", "y")[: g.dim],
     )
@@ -469,10 +451,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             scenario.seed = args.seed
         if args.resolution is not None:
-            if not (9 <= args.resolution <= 20001):
-                raise ScenarioError("--resolution must be in [9, 20001]",
-                                    field="--resolution")
-            scenario.resolution = args.resolution
+            scenario.resolution = check_resolution(args.resolution, "--resolution")
         if scenario.command == "solve-global" and scenario.family.name == "table":
             _table_family(scenario)  # path/shape validation before any artifact
     except ScenarioError as exc:

@@ -14,6 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
+from .family import WINDOW_FLAT, WINDOW_SUPPORT
+from .grid import MIN_RESOLUTION
+
 
 COMMANDS = ("check-free", "solve-local", "solve-family", "solve-global",
             "verify-appendix")
@@ -21,6 +24,7 @@ CHART_NAMES = ("parabola", "circle", "torus")
 MANIFOLDS = ("circle", "torus")
 CHART_FAMILIES = ("constant", "uniform-scale", "bump-breathing", "circle-breathing")
 GLOBAL_FAMILIES = ("constant", "uniform-scale", "circle-breathing", "table")
+MAX_RESOLUTION = 20001
 
 
 class ScenarioError(ValueError):
@@ -91,9 +95,17 @@ def _as_radii(value, fieldname):
              f"must be a [flat, support] pair, got {value!r}", fieldname)
     lo = _as_number(value[0], fieldname + "[0]")
     hi = _as_number(value[1], fieldname + "[1]")
-    _require(0.0 < lo < hi <= 1.0, f"needs 0 < flat < support <= 1, got {value!r}",
+    _require(0.0 < lo < hi < 1.0, f"needs 0 < flat < support < 1, got {value!r}",
              fieldname)
     return [lo, hi]
+
+
+def check_resolution(value, fieldname):
+    """Grid nodes per axis: an integer in [MIN_RESOLUTION, MAX_RESOLUTION]."""
+    value = _as_int(value, fieldname)
+    _require(MIN_RESOLUTION <= value <= MAX_RESOLUTION,
+             f"must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {value}", fieldname)
+    return value
 
 
 _SCENARIO_KEYS = {
@@ -161,8 +173,7 @@ def parse_scenario(raw) -> Scenario:
         sc.seed = _as_int(raw["seed"], "seed")
         _require(sc.seed >= 0, "must be non-negative", "seed")
     if "resolution" in raw:
-        sc.resolution = _as_int(raw["resolution"], "resolution")
-        _require(9 <= sc.resolution <= 20001, "must be in [9, 20001]", "resolution")
+        sc.resolution = check_resolution(raw["resolution"], "resolution")
     if "alpha" in raw:
         sc.alpha = _as_number(raw["alpha"], "alpha")
         _require(0.0 < sc.alpha < 1.0, "must be in (0, 1)", "alpha")
@@ -196,6 +207,9 @@ def parse_scenario(raw) -> Scenario:
         sc.cutoff = _as_radii(raw["cutoff"], "cutoff")
     if "window" in raw and raw["window"] is not None:
         sc.window = _as_radii(raw["window"], "window")
+        _require(WINDOW_FLAT <= sc.window[0] and sc.window[1] <= WINDOW_SUPPORT,
+                 f"must lie within [{WINDOW_FLAT}, {WINDOW_SUPPORT}], got {raw['window']!r}",
+                 "window")
     if "iteration_tol" in raw:
         sc.iteration_tol = _as_number(raw["iteration_tol"], "iteration_tol")
         _require(sc.iteration_tol > 0.0, "must be positive", "iteration_tol")

@@ -18,6 +18,22 @@ import numpy as np
 from .grid import Grid, SymTensorField, VecField
 
 
+def circle_embedding(points):
+    """Unit circle: angles theta -> (cos theta, sin theta)."""
+    th = np.asarray(points, dtype=float).reshape(-1)
+    return np.column_stack([np.cos(th), np.sin(th)])
+
+
+def torus_embedding(points):
+    """Hexagonal flat torus into R^6: angles (u, v) -> phases of u, v and u+v."""
+    pts = np.asarray(points, dtype=float)
+    u, v = pts[:, 0], pts[:, 1]
+    s = u + v
+    return np.column_stack(
+        [np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.cos(s), np.sin(s)]
+    )
+
+
 class ParabolaChart:
     """Plane curve (x, x^2); simplest free start for interval problems."""
 
@@ -59,8 +75,7 @@ class CircleChart:
         return self.center + self.halfwidth * x
 
     def evaluate(self, grid: Grid) -> VecField:
-        th = self.angles(grid)
-        return VecField(grid, np.column_stack([np.cos(th), np.sin(th)]))
+        return VecField(grid, circle_embedding(self.angles(grid)))
 
     def d1(self, grid: Grid, axis=0):
         th = self.angles(grid)
@@ -103,10 +118,7 @@ class TorusChart:
         return u, v
 
     def evaluate(self, grid: Grid) -> VecField:
-        u, v = self.angles(grid)
-        s = u + v
-        cols = [np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.cos(s), np.sin(s)]
-        return VecField(grid, np.column_stack(cols))
+        return VecField(grid, torus_embedding(np.column_stack(self.angles(grid))))
 
     def d1(self, grid: Grid, axis=0):
         u, v = self.angles(grid)

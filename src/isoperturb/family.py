@@ -23,9 +23,15 @@ from .fixedpoint import (
     solve_fixed_point,
 )
 from .frame import ImmersionFrame, apply_frame, build_frame
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, sym_indices
-from .operators import Cutoff, smoothstep
+from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, radial_bump, sym_indices
+from .operators import Cutoff, radial_window
 from .verify import isometry_residual
+
+
+# a window is exactly 1 on B_WINDOW_FLAT and 0 outside B_WINDOW_SUPPORT;
+# scenario validation reads the same limits
+WINDOW_FLAT, WINDOW_SUPPORT = 0.5, 0.75
+MAX_HALVINGS = 20
 
 
 class HorizonCollapse(RuntimeError):
@@ -34,6 +40,26 @@ class HorizonCollapse(RuntimeError):
     def __init__(self, message, horizon=0.0):
         super().__init__(message)
         self.horizon = float(horizon)
+
+
+def adaptive_horizon(run_pass, horizon, samples, dt_min):
+    """Run run_pass(ts) over samples + 1 uniform times on [0, horizon].
+
+    Each SmallnessViolation or StalledIteration halves the horizon (same
+    sample count) and restarts the pass.  Raises HorizonCollapse once the
+    horizon drops below dt_min * samples, or after MAX_HALVINGS passes.
+    """
+    horizon = float(horizon)
+    for _ in range(MAX_HALVINGS):
+        try:
+            return run_pass(np.linspace(0.0, horizon, samples + 1))
+        except (SmallnessViolation, StalledIteration):
+            horizon *= 0.5
+            if horizon < dt_min * samples:
+                raise HorizonCollapse(
+                    f"horizon collapsed below {dt_min}*{samples}", horizon=horizon
+                ) from None
+    raise HorizonCollapse("maximum horizon halvings exhausted", horizon=horizon)
 
 
 @dataclass
@@ -109,8 +135,7 @@ def build_family(name, grid: Grid, base=None, horizon=1.0, samples=8, beta=0.05,
         def evaluator(coords, t):
             return (1.0 + beta * t) * base_vals
     elif name == "bump-breathing":
-        r2 = (grid.coords**2).sum(axis=1)
-        prof = np.clip(1.0 - r2 / bump_radius**2, 0.0, None) ** bump_power
+        prof = radial_bump(grid, bump_radius, bump_power)
 
         def evaluator(coords, t):
             out = base_vals.copy()
@@ -132,34 +157,27 @@ def build_family(name, grid: Grid, base=None, horizon=1.0, samples=8, beta=0.05,
             "uniform-scale, bump-breathing or circle-breathing"
         )
 
-    t_grid = np.linspace(0.0, horizon, samples + 1)
-    margin = min(_eig_min(np.asarray(evaluator(grid.coords, float(t)), dtype=float)
-                          if np.asarray(evaluator(grid.coords, float(t))).ndim == 2
-                          else np.asarray(evaluator(grid.coords, float(t)))[:, None], grid.dim)
-                 for t in t_grid)
+    fam = MetricFamily(grid, evaluator, np.linspace(0.0, horizon, samples + 1), 0.0, name)
+    margin = min(_eig_min(fam.sample(t).values, grid.dim) for t in fam.t_grid)
     if margin <= 0.0:
         raise ValueError(
             f"build_family: family loses positive definiteness (margin {margin:.3e})"
         )
-    return MetricFamily(grid, evaluator, t_grid, margin, name)
+    fam.positivity_margin = margin
+    return fam
 
 
-def chart_window(grid: Grid, flat=0.5, support=0.75, degree=9) -> ScalarField:
+def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT, degree=9) -> ScalarField:
     """Pinned chart window: identically 1 on B_flat, 0 outside B_support."""
-    r = grid.radius()
-    s = (r - flat) / (support - flat)
-    vals = 1.0 - smoothstep(s, degree)
-    vals[r <= flat] = 1.0
-    vals[r >= support] = 0.0
-    return ScalarField(grid, vals)
+    return ScalarField(grid, radial_window(grid.radius(), flat, support, degree))
 
 
 def _window_field(window, grid):
     w = window.a if isinstance(window, Cutoff) else window
     r = grid.radius()
-    if np.any(w.values[r <= 0.5] != 1.0):
+    if np.any(w.values[r <= WINDOW_FLAT] != 1.0):
         raise ValueError("windowed_increment: window must be exactly 1 on the half ball")
-    if np.any(w.values[r >= 0.75] != 0.0):
+    if np.any(w.values[r >= WINDOW_SUPPORT] != 0.0):
         raise ValueError("windowed_increment: window support must stay inside radius 3/4")
     return w
 
@@ -174,7 +192,7 @@ def windowed_increment(window, family: MetricFamily, t) -> SymTensorField:
 
 
 def solve_family(source, family: MetricFamily, window=None, cutoff=None,
-                 config: IterationConfig = None, dt_min=1e-3, max_halvings=20) -> FamilySolution:
+                 config: IterationConfig = None, dt_min=1e-3) -> FamilySolution:
     """Per-sample independent fixed-point solves with adaptive horizon.
 
     Returns a FamilySolution whose residuals come from the fourth-order
@@ -189,34 +207,23 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
     # each sample's solve enforces that support condition exactly, so a
     # cutoff narrower than the window is fine for families concentrated
     # deeper inside the chart (and converges much faster there).
-    K = len(family.t_grid) - 1
-    horizon = float(family.t_grid[-1])
-    for _ in range(max_halvings):
-        ts = np.linspace(0.0, horizon, K + 1)
+    a2 = cut.values**2
+
+    def run_pass(ts):
         us, traces, residuals, targets = [], [], [], []
-        try:
-            for t in ts:
-                f = windowed_increment(w, family, t)
-                v, trace = solve_fixed_point(frame, cut, f, config)
-                a2 = cut.values**2
-                u = VecField(g, a2[:, None] * v.values)
-                F = VecField(g, frame.F0.values + u.values)
-                res, _ = isometry_residual(F, frame.F0, f)
-                us.append(u)
-                traces.append(trace)
-                residuals.append(res)
-                targets.append(f)
-        except (SmallnessViolation, StalledIteration):
-            horizon *= 0.5
-            if horizon < dt_min * K:
-                raise HorizonCollapse(
-                    f"horizon collapsed below {dt_min}*{K} while chasing the "
-                    "smallness condition",
-                    horizon=horizon,
-                ) from None
-            continue
-        return FamilySolution(ts, us, traces, residuals, horizon, frame, w, targets)
-    raise HorizonCollapse("maximum horizon halvings exhausted", horizon=horizon)
+        for t in ts:
+            f = windowed_increment(w, family, t)
+            v, trace = solve_fixed_point(frame, cut, f, config)
+            u = VecField(g, a2[:, None] * v.values)
+            F = VecField(g, frame.F0.values + u.values)
+            res, _ = isometry_residual(F, frame.F0, f)
+            us.append(u)
+            traces.append(trace)
+            residuals.append(res)
+            targets.append(f)
+        return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame, w, targets)
+
+    return adaptive_horizon(run_pass, family.t_grid[-1], len(family.t_grid) - 1, dt_min)
 
 
 def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame import ImmersionFrame, apply_frame
-from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, sym_indices
+from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump, sym_indices
 from .operators import Cutoff, normal_correction, quadratic_load, tangential_correction
 from .poisson import solve_dirichlet
 from .verify import isometry_residual
@@ -219,8 +219,7 @@ def bump_perturbation(grid, amplitude, radius=None, power=4):
     """Compactly supported bump tensor: first component amp*(1-(r/R)^2)^power."""
     if radius is None:
         radius = grid.support_radii[0]
-    r2 = (grid.coords**2).sum(axis=1)
-    prof = amplitude * np.clip(1.0 - r2 / radius**2, 0.0, None) ** power
+    prof = amplitude * radial_bump(grid, radius, power)
     comps = grid.dim * (grid.dim + 1) // 2
     vals = np.zeros((grid.num_nodes, comps))
     vals[:, 0] = prof
@@ -239,11 +238,6 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     frame = source if isinstance(source, ImmersionFrame) else build_frame(source, g)
     cut = cutoff or Cutoff(g)
     r = g.radius()
-    inside = r <= cut.flat_radius + 1e-12
-    if np.any(np.abs(f.values[~inside]) > 0.0):
-        raise ValueError(
-            f"local_perturb: f must be supported in the flat ball r <= {cut.flat_radius}"
-        )
     v, trace = solve_fixed_point(frame, cut, f, config)
     a2 = cut.values**2
     u = VecField(g, a2[:, None] * v.values)

@@ -141,6 +141,10 @@ def _segment_triplets(ids, h, order):
 # grid
 
 
+# fewest nodes per axis a Grid accepts; scenario validation reads it too
+MIN_RESOLUTION = 17
+
+
 class Grid:
     """Uniform chart lattice with cached derivative operators.
 
@@ -149,7 +153,7 @@ class Grid:
     dim : int
         Chart dimension, 1 or 2.
     resolution : int
-        Nodes per axis N (spacing h = 2/(N-1)); N >= 17.
+        Nodes per axis N (spacing h = 2/(N-1)); N >= MIN_RESOLUTION.
     support_radii : (float, float)
         (R1, R2) with 0 < R1 < R2 < 1: inner radius that carries metric
         increments and outer radius that bounds perturbation supports.
@@ -161,8 +165,8 @@ class Grid:
     def __init__(self, dim, resolution, support_radii=(0.5, 0.75)):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got dim={dim}")
-        if int(resolution) != resolution or resolution < 17:
-            raise ValueError(f"resolution must be an integer >= 17, got resolution={resolution}")
+        if int(resolution) != resolution or resolution < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got resolution={resolution}")
         r1, r2 = float(support_radii[0]), float(support_radii[1])
         if not (0.0 < r1 < r2 < 1.0):
             raise ValueError(
@@ -373,6 +377,12 @@ class Grid:
 
     def scalar(self, values):
         return ScalarField(self, np.asarray(values, dtype=float))
+
+
+def radial_bump(grid, radius, power):
+    """Compactly supported profile (1 - r^2/radius^2)_+^power at the nodes."""
+    r2 = (grid.coords**2).sum(axis=1)
+    return np.clip(1.0 - r2 / radius**2, 0.0, None) ** power
 
 
 def make_grid(dim, resolution, support_radii=(0.5, 0.75)):

@@ -42,6 +42,17 @@ def smoothstep(t, degree=9):
     return t**6 * (462.0 + t * (-1980.0 + t * (3465.0 + t * (-3080.0 + t * (1386.0 - t * 252.0)))))
 
 
+def radial_window(r, flat, support, degree):
+    """Pinned window: 1 for r <= flat, 0 for r >= support, clipped 1 - smoothstep between."""
+    s = (r - flat) / (support - flat)
+    # the high-degree step polynomial can overshoot 1 by ~1 ulp near its
+    # upper knot, which would leak sign into partition weights
+    vals = np.clip(1.0 - smoothstep(s, degree), 0.0, 1.0)
+    vals[r <= flat] = 1.0
+    vals[r >= support] = 0.0
+    return vals
+
+
 def smoothstep_slope(t, degree=9):
     """Closed-form derivative of `smoothstep` (zero outside (0,1))."""
     if degree not in _PROFILE_DEGREES:
@@ -90,12 +101,9 @@ class Cutoff:
         self.support_radius = float(support_radius)
         self.degree = int(degree)
         r = grid.radius()
+        self.a = ScalarField(grid, radial_window(r, self.flat_radius, self.support_radius, degree))
         width = self.support_radius - self.flat_radius
         s = (r - self.flat_radius) / width
-        vals = 1.0 - smoothstep(s, degree)
-        vals[r <= self.flat_radius] = 1.0
-        vals[r >= self.support_radius] = 0.0
-        self.a = ScalarField(grid, vals)
         # analytic radial gradient: da/dx_i = -S'(s)/width * x_i/r
         slope = -smoothstep_slope(s, degree) / width
         safe_r = np.where(r > 0.0, r, 1.0)

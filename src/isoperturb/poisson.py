@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
-from .grid import Grid, ScalarField, holder_norm
+from .grid import Grid, ScalarField, holder_norm, radial_bump
 
 _MIN_ARM = 1e-6
 
@@ -161,8 +161,7 @@ def solve_dirichlet(f: ScalarField) -> DirichletSolution:
 
 
 def _supported_sample(grid, rng, radius):
-    r2 = (grid.coords**2).sum(axis=1)
-    prof = np.clip(1.0 - r2 / radius**2, 0.0, None) ** 4
+    prof = radial_bump(grid, radius, 4)
     x = grid.coords[:, 0]
     c = rng.uniform(-1.0, 1.0, 3)
     if grid.dim == 1:

@@ -30,6 +30,7 @@ from isoperturb.atlas import (
     pullback_residual,
     solution_residuals,
     torus_embedding,
+    write_embedding_csv,
 )
 from isoperturb.family import HorizonCollapse
 from isoperturb.fixedpoint import IterationConfig
@@ -364,6 +365,40 @@ def test_glue_csv_export(breathing_glue, tmp_path):
     assert float(last[1]) == sol.t_grid[-1]
     assert float(last[-2]) == sol.F[-1][-1, 0]
     assert float(last[-1]) == sol.F[-1][-1, 1]
+
+
+def _per_row_repr_csv(path, coords, stages, t_values, coord_names):
+    # reference: one row at a time, one repr(float) per value
+    q = stages[0][0].shape[1]
+    with open(path, "w") as fh:
+        fh.write(",".join(["stage", "t", *coord_names]
+                          + [f"F{j + 1}" for j in range(q)]) + "\n")
+        for stage, per_t in enumerate(stages):
+            for t, vals in zip(t_values, per_t):
+                for p in range(coords.shape[0]):
+                    row = [str(stage), repr(float(t))]
+                    row += [repr(float(c)) for c in coords[p]]
+                    row += [repr(float(c)) for c in vals[p]]
+                    fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (2, 6)])
+def test_embedding_csv_bytes_match_per_row_repr(tmp_path, d, q):
+    rng = np.random.default_rng(d)
+    special = np.array([-0.0, 1e-300, 1.5e16, 0.1, 1.0 / 3.0, -2.5e-7, 1e22])
+    coords = rng.uniform(-np.pi, np.pi, (9, d))
+    coords[:7, 0] = special
+    t_values = np.array([0.0, 0.1, 0.25, 0.5])
+    base = rng.uniform(-2.0, 2.0, (4, 9, q))
+    base[:, :7, -1] = special
+    moved = [base[k] + rng.normal(0.0, 1e-3, (9, q)) for k in range(4)]
+    names = ("theta", "phi")[:d]
+    write_embedding_csv(tmp_path / "shared.csv", coords, [base, moved], t_values, names)
+    _per_row_repr_csv(tmp_path / "reference.csv", coords, [base, moved], t_values, names)
+    got = (tmp_path / "shared.csv").read_text()
+    assert got == (tmp_path / "reference.csv").read_text()
+    assert got.startswith("stage,t," + ",".join(names) + ",F1,")
+    assert "\n0,0.1,-0.0," in got and ",1e-300," in got and ",1.5e+16," in got
 
 
 # ------------------------------------------------------------- glue: torus

@@ -211,6 +211,23 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,doc,extra,fieldname", [
+    ("solve-local", "resolution: 12\n", [], "resolution"),
+    ("check-free", "", ["--resolution", "12"], "--resolution"),
+    ("solve-local", "cutoff: [0.5, 1.0]\n", [], "cutoff"),
+    ("solve-family", "window: [0.3, 0.9]\n", [], "window"),
+])
+def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
+                                                  extra, fieldname):
+    # each input used to pass validation and then die in a constructor
+    cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet", *extra])
+    assert code == 2
+    assert f"[{fieldname}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = _cfg(tmp_path, LOCAL_FAST_CFG)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -74,6 +74,7 @@ def test_missing_file_is_a_scenario_error():
     ("name: x\ncommand: fly\n", "command"),
     ("name: x\ncommand: solve-local\nresolution: 10.5\n", "resolution"),
     ("name: x\ncommand: solve-local\nresolution: 3\n", "resolution"),
+    ("name: x\ncommand: solve-local\nresolution: 12\n", "resolution"),
     ("name: x\ncommand: solve-local\nalpha: 1.5\n", "alpha"),
     ("name: x\ncommand: solve-local\nchart: sphere\n", "chart"),
     ("name: x\ncommand: solve-global\nmanifold: plane\n", "manifold"),
@@ -81,6 +82,8 @@ def test_missing_file_is_a_scenario_error():
     ("name: x\ncommand: solve-local\nseed: -1\n", "seed"),
     ("name: x\ncommand: solve-local\ncutoff: [0.9, 0.5]\n", "cutoff"),
     ("name: x\ncommand: solve-local\ncutoff: [0.5]\n", "cutoff"),
+    ("name: x\ncommand: solve-local\ncutoff: [0.5, 1.0]\n", "cutoff"),
+    ("name: x\ncommand: solve-family\nwindow: [0.3, 0.9]\n", "window"),
     ("name: x\ncommand: solve-local\niteration_tol: 0.0\n", "iteration_tol"),
     ("name: x\ncommand: solve-local\nbogus_key: 1\n", "<document>"),
     ("name: x\ncommand: solve-family\nfamily: {name: warp}\n", "family.name"),

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from isoperturb.embeddings import CircleChart, ParabolaChart
 from isoperturb.family import (
+    MAX_HALVINGS,
     FamilySolution,
     HorizonCollapse,
+    adaptive_horizon,
     build_family,
     chart_window,
     solve_family,
@@ -22,7 +24,7 @@ from isoperturb.family import (
     time_regularity_probe,
     windowed_increment,
 )
-from isoperturb.fixedpoint import IterationConfig, bump_perturbation
+from isoperturb.fixedpoint import IterationConfig, StalledIteration, bump_perturbation
 from isoperturb.frame import build_frame
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
 from isoperturb.operators import Cutoff
@@ -218,6 +220,23 @@ def test_horizon_collapse():
         solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.8, 0.95),
                      config=CFG, dt_min=0.04)
     assert exc.value.horizon == 0.25  # one halving allowed before 0.04*8
+
+
+def test_adaptive_horizon_exhausts_after_the_cap():
+    seen = []
+
+    def never_converges(ts):
+        seen.append(ts)
+        raise StalledIteration("stalled")
+
+    with pytest.raises(HorizonCollapse, match="exhausted") as exc:
+        adaptive_horizon(never_converges, 0.5, 4, dt_min=0.0)
+    assert len(seen) == MAX_HALVINGS
+    assert all(len(ts) == 5 for ts in seen)  # sample count is preserved
+    horizons = [ts[-1] for ts in seen]
+    assert horizons[0] == 0.5
+    assert all(b == 0.5 * a for a, b in zip(horizons, horizons[1:]))
+    assert exc.value.horizon == 0.5 * horizons[-1]
 
 
 def test_solve_family_support_mismatch():
