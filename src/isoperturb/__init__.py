@@ -59,6 +59,7 @@ from .family import (
     FamilySolution,
     HorizonCollapse,
     build_family,
+    build_manifold_family,
     chart_window,
     windowed_increment,
     solve_family,
@@ -68,10 +69,8 @@ from .family import (
 from .atlas import (
     Atlas,
     GlobalSolution,
-    ManifoldFamily,
     StageFailure,
     build_atlas,
-    build_manifold_family,
     circle_embedding,
     decompose_metric,
     glue_solve,
@@ -99,10 +98,9 @@ __all__ = [
     "StalledIteration", "fixed_point_map", "solve_fixed_point",
     "verify_identity", "local_perturb",
     "MetricFamily", "FamilySolution", "HorizonCollapse", "build_family",
-    "chart_window", "windowed_increment", "solve_family", "stability_gap",
-    "time_regularity_probe",
-    "Atlas", "GlobalSolution", "ManifoldFamily", "StageFailure",
-    "build_atlas", "build_manifold_family", "circle_embedding",
+    "build_manifold_family", "chart_window", "windowed_increment",
+    "solve_family", "stability_gap", "time_regularity_probe",
+    "Atlas", "GlobalSolution", "StageFailure", "build_atlas", "circle_embedding",
     "decompose_metric", "glue_solve", "make_mesh", "pullback_residual",
     "solution_residuals", "torus_embedding",
     "Scenario", "load_scenario", "scenario_hash",

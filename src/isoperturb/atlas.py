@@ -13,9 +13,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from .embeddings import CircleChart, TorusChart
+from .embeddings import CircleChart, TorusChart, make_mesh
 from .embeddings import circle_embedding, torus_embedding  # noqa: F401  (public here too)
-from .family import adaptive_horizon
+from .family import MetricFamily, adaptive_horizon
+from .family import build_manifold_family  # noqa: F401  (public here too)
 from .fixedpoint import IterationConfig, solve_fixed_point
 from .frame import NotFreeError, build_frame, freeness_threshold
 from .grid import SymTensorField, VecField, make_grid
@@ -24,6 +25,10 @@ from .verify import periodic_derivative
 
 
 TWO_PI = 2.0 * np.pi
+# partition bumps are 1 inside radius PSI_FLAT and 0 from PSI_SUPP on (in
+# chart units); a glue cutoff must be flat over the partition support
+PSI_FLAT, PSI_SUPP = 0.45, 0.82
+GLUE_CUTOFF = (0.85, 0.985)
 
 
 class StageFailure(RuntimeError):
@@ -61,8 +66,8 @@ class AtlasChart:
 class Atlas:
     manifold: str
     charts: list
-    psi_flat: float = 0.45
-    psi_supp: float = 0.82
+    psi_flat: float = PSI_FLAT
+    psi_supp: float = PSI_SUPP
     degree: int = 9
     coverage_margin: float = 0.0
 
@@ -89,7 +94,7 @@ class Atlas:
         return bumps / total[None, :]
 
 
-def build_atlas(manifold, num_charts, psi_flat=0.45, psi_supp=0.82, degree=9) -> Atlas:
+def build_atlas(manifold, num_charts, psi_flat=PSI_FLAT, psi_supp=PSI_SUPP, degree=9) -> Atlas:
     """Equispaced-center atlas with a normalized-bump partition of unity.
 
     circle: num_charts >= 2 arcs of halfwidth 1.5*pi/num_charts;
@@ -131,7 +136,7 @@ def build_atlas(manifold, num_charts, psi_flat=0.45, psi_supp=0.82, degree=9) ->
     else:
         raise ValueError(f"build_atlas: unknown manifold {manifold!r}")
     atlas = Atlas(manifold, charts, psi_flat, psi_supp, degree)
-    probe = _coverage_probe(atlas)
+    probe = make_mesh(manifold, 2048 if manifold == "circle" else 46)
     bumps = np.stack([atlas.bump(k, probe) for k in range(num_charts)])
     margin = float(bumps.sum(axis=0).min())
     if margin <= 0.0:
@@ -142,63 +147,7 @@ def build_atlas(manifold, num_charts, psi_flat=0.45, psi_supp=0.82, degree=9) ->
     return atlas
 
 
-def _coverage_probe(atlas, n=2048):
-    if atlas.manifold == "circle":
-        return np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
-    m = int(np.sqrt(n)) + 1
-    th = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    U, V = np.meshgrid(th, th, indexing="ij")
-    return np.column_stack([U.ravel(), V.ravel()])
-
-
-# ------------------------------------------------------------ families
-
-
-@dataclass
-class ManifoldFamily:
-    """Closed-form metric family in manifold coordinates (angles)."""
-
-    manifold: str
-    evaluator: callable  # (points (m,d), t) -> (m, comps)
-    horizon: float
-    samples: int
-    name: str = ""
-
-    @property
-    def t_grid(self):
-        return np.linspace(0.0, self.horizon, self.samples + 1)
-
-
-def _base_components(manifold):
-    # pullback of the shipped base embeddings: d(theta)^2 on the circle,
-    # the flat [[2,1],[1,2]] metric on the hexagonal torus
-    return np.array([1.0]) if manifold == "circle" else np.array([2.0, 1.0, 2.0])
-
-
-def build_manifold_family(name, manifold, beta=0.05, horizon=1.0, samples=8) -> ManifoldFamily:
-    """Named global families: constant | uniform-scale | circle-breathing."""
-    base = _base_components(manifold)
-    if name == "constant":
-        def evaluator(points, t):
-            pts = np.atleast_2d(points)
-            return np.broadcast_to(base, (pts.shape[0], base.size)).copy()
-    elif name == "uniform-scale":
-        def evaluator(points, t):
-            pts = np.atleast_2d(points)
-            return (1.0 + beta * t) * np.broadcast_to(base, (pts.shape[0], base.size))
-    elif name == "circle-breathing":
-        def evaluator(points, t):
-            pts = np.atleast_2d(points)
-            scale = 1.0 + beta * t * 0.5 * (1.0 + np.cos(pts[:, 0]))
-            return scale[:, None] * base[None, :]
-    else:
-        raise ValueError(
-            f"build_manifold_family: unknown family name {name!r}; expected "
-            "constant, uniform-scale or circle-breathing"
-        )
-    if 1.0 + min(0.0, beta) * horizon <= 0.0:
-        raise ValueError("build_manifold_family: family loses positivity")
-    return ManifoldFamily(manifold, evaluator, float(horizon), int(samples), name)
+# ------------------------------------------------------------ decomposition
 
 
 @dataclass
@@ -209,7 +158,7 @@ class ChartIncrement:
     evaluator: callable  # (X (m,d) chart coords, t) -> (m, comps)
 
 
-def decompose_metric(atlas: Atlas, family: ManifoldFamily) -> list:
+def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
     """Split g(.,t) - g(.,0) into chart-local increments (chart coords).
 
     Each increment is psi_k * (g(.,t) - g(.,0)) pulled back through the
@@ -232,15 +181,6 @@ def decompose_metric(atlas: Atlas, family: ManifoldFamily) -> list:
 
 
 # ------------------------------------------------------------ global mesh
-
-
-def make_mesh(manifold, mesh):
-    """Uniform periodic mesh in manifold angles: (npts, d) points."""
-    th = np.linspace(0.0, TWO_PI, mesh, endpoint=False)
-    if manifold == "circle":
-        return th[:, None]
-    U, V = np.meshgrid(th, th, indexing="ij")
-    return np.column_stack([U.ravel(), V.ravel()])
 
 
 def _interp_circle(mesh_theta, values, theta_eval):
@@ -268,7 +208,7 @@ def _interp_torus(mesh_theta, values_grid, points):
 @dataclass
 class GlobalSolution:
     atlas: Atlas
-    family: ManifoldFamily
+    family: MetricFamily
     t_grid: np.ndarray
     mesh_points: np.ndarray  # (npts, d)
     mesh: int
@@ -313,9 +253,9 @@ def _chart_mesh_mask(chart, mesh_points, radius):
     return r < radius, delta / chart.halfwidth
 
 
-def glue_solve(F0, family: ManifoldFamily, atlas: Atlas, chart_resolution=801,
+def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                mesh=2048, config: IterationConfig = None,
-               cutoff_radii=(0.85, 0.985), dt_min=1e-3) -> GlobalSolution:
+               cutoff_radii=GLUE_CUTOFF, dt_min=1e-3) -> GlobalSolution:
     """Sequential chart-by-chart gluing of a global metric family.
 
     F0: callable mapping manifold angle points (npts, d) -> (npts, q).
@@ -415,7 +355,7 @@ def _transport_update(g_chart, u_chart, chart_pts, d, support):
 # ------------------------------------------------------------ oracle
 
 
-def pullback_residual(F, points, family: ManifoldFamily, t, atlas: Atlas = None,
+def pullback_residual(F, points, family: MetricFamily, t, atlas: Atlas = None,
                       upto_stage: int = None):
     """Independent global isometry check on the periodic mesh.
 
@@ -435,7 +375,7 @@ def pullback_residual(F, points, family: ManifoldFamily, t, atlas: Atlas = None,
         delta = family.evaluator(pts, t) - family.evaluator(pts, 0.0)
         covered = psi[:upto_stage].sum(axis=0)
         target = family.evaluator(pts, 0.0) + covered[:, None] * delta
-    if family.manifold == "circle":
+    if pts.shape[1] == 1:  # circle stencils; the torus mesh is m x m
         h = TWO_PI / npts
         dF = periodic_derivative(F, h, 1)
         pull = (dF * dF).sum(axis=1, keepdims=True)

@@ -14,14 +14,14 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from .atlas import (
-    ManifoldFamily,
+    GLUE_CUTOFF,
     StageFailure,
     build_atlas,
-    build_manifold_family,
     glue_solve,
     solution_residuals,
     write_embedding_csv,
@@ -38,8 +38,10 @@ from .embeddings import CircleChart, ParabolaChart, TorusChart, circle_embedding
 from .family import (
     HorizonCollapse,
     build_family,
+    build_manifold_family,
     chart_window,
     solve_family,
+    table_family,
     time_regularity_probe,
 )
 from .fixedpoint import IterationConfig, bump_perturbation, local_perturb
@@ -71,32 +73,27 @@ def _iteration_config(scenario: Scenario) -> IterationConfig:
     return IterationConfig(tol=scenario.iteration_tol, alpha=scenario.alpha)
 
 
-def _table_family(scenario: Scenario) -> ManifoldFamily:
-    from scipy.interpolate import CubicSpline
+def _scenario_family(scenario: Scenario):
+    """The scenario's metric family, or None for a command that takes none.
 
-    t, comps = load_family_table(scenario.family.table)
-    want = 1 if scenario.manifold == "circle" else 3
-    if comps.shape[1] != want:
-        raise ScenarioError(
-            f"family table has {comps.shape[1]} component columns; the "
-            f"{scenario.manifold} needs {want}",
-            field="family.table",
-        )
-    if scenario.family.horizon > t[-1] + 1e-12:
-        raise ScenarioError(
-            f"family table ends at t={t[-1]} but the horizon is "
-            f"{scenario.family.horizon}",
-            field="family.horizon",
-        )
-    spline = CubicSpline(t, comps, axis=0)
-
-    def evaluator(points, tt):
-        pts = np.atleast_2d(points)
-        row = spline(float(tt))
-        return np.broadcast_to(row, (pts.shape[0], row.size)).copy()
-
-    return ManifoldFamily(scenario.manifold, evaluator, scenario.family.horizon,
-                          scenario.family.samples, "table")
+    Called before any output exists; a family the builders reject is a
+    config error on the `family` field.
+    """
+    spec = scenario.family
+    if scenario.command == "solve-family":
+        build = partial(build_family, spec.name, _grid_for(scenario),
+                        base=_chart_for(scenario), beta=spec.beta,
+                        bump_radius=spec.bump_radius, bump_power=spec.bump_power)
+    elif scenario.command != "solve-global":
+        return None
+    elif spec.name == "table":
+        build = partial(table_family, scenario.manifold, *load_family_table(spec.table))
+    else:
+        build = partial(build_manifold_family, spec.name, scenario.manifold, beta=spec.beta)
+    try:
+        return build(horizon=spec.horizon, samples=spec.samples)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), field="family") from None
 
 
 # ------------------------------------------------------------------ artifacts
@@ -175,7 +172,7 @@ class RunReport:
 # ----------------------------------------------------------------- commands
 
 
-def _run_check_free(scenario, report):
+def _run_check_free(scenario, report, _family):
     g = _grid_for(scenario)
     chart = _chart_for(scenario)
     try:
@@ -193,7 +190,7 @@ def _run_check_free(scenario, report):
     return report.finish()
 
 
-def _run_solve_local(scenario, report):
+def _run_solve_local(scenario, report, _family):
     g = _grid_for(scenario)
     chart = _chart_for(scenario)
     cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else Cutoff(g)
@@ -219,15 +216,9 @@ def _run_solve_local(scenario, report):
     return report.finish()
 
 
-def _run_solve_family(scenario, report):
-    g = _grid_for(scenario)
+def _run_solve_family(scenario, report, fam):
+    g = fam.grid
     chart = _chart_for(scenario)
-    fam = build_family(
-        scenario.family.name, g, base=chart, horizon=scenario.family.horizon,
-        samples=scenario.family.samples, beta=scenario.family.beta,
-        bump_radius=scenario.family.bump_radius,
-        bump_power=scenario.family.bump_power,
-    )
     cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else None
     window = chart_window(g, *(scenario.window or ()))
     cfg = _iteration_config(scenario)
@@ -263,18 +254,11 @@ def _run_solve_family(scenario, report):
     return report.finish()
 
 
-def _run_solve_global(scenario, report):
+def _run_solve_global(scenario, report, fam):
     atlas = build_atlas(scenario.manifold, scenario.charts)
-    if scenario.family.name == "table":
-        fam = _table_family(scenario)
-    else:
-        fam = build_manifold_family(
-            scenario.family.name, scenario.manifold, beta=scenario.family.beta,
-            horizon=scenario.family.horizon, samples=scenario.family.samples,
-        )
     F0 = circle_embedding if scenario.manifold == "circle" else torus_embedding
     cfg = _iteration_config(scenario)
-    radii = tuple(scenario.cutoff) if scenario.cutoff else (0.85, 0.985)
+    radii = tuple(scenario.cutoff) if scenario.cutoff else GLUE_CUTOFF
     try:
         sol = glue_solve(F0, fam, atlas, chart_resolution=scenario.resolution,
                          mesh=scenario.mesh, config=cfg, cutoff_radii=radii)
@@ -322,7 +306,7 @@ def _run_solve_global(scenario, report):
     return report.finish()
 
 
-def _run_verify_appendix(scenario, report):
+def _run_verify_appendix(scenario, report, _family):
     g1 = make_grid(1, scenario.resolution)
     g2 = make_grid(2, 33)
     rep1 = check_inequalities(g1, samples=scenario.appendix_samples,
@@ -409,11 +393,18 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario, out_dir, quiet=False) -> int:
-    """Execute one validated scenario, writing artifacts under out_dir."""
+    """Execute one validated scenario, writing artifacts under out_dir.
+
+    Raises ScenarioError, with nothing written, if its family is rejected.
+    """
+    return _run(scenario, _scenario_family(scenario), out_dir, quiet)
+
+
+def _run(scenario, family, out_dir, quiet):
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "embeddings"), exist_ok=True)
     report = RunReport(scenario, out_dir, quiet)
-    return _RUNNERS[scenario.command](scenario, report)
+    return _RUNNERS[scenario.command](scenario, report, family)
 
 
 def _build_parser():
@@ -452,14 +443,13 @@ def main(argv=None) -> int:
             scenario.seed = args.seed
         if args.resolution is not None:
             scenario.resolution = check_resolution(args.resolution, "--resolution")
-        if scenario.command == "solve-global" and scenario.family.name == "table":
-            _table_family(scenario)  # path/shape validation before any artifact
+        family = _scenario_family(scenario)
     except ScenarioError as exc:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
-    return run_scenario(scenario, out_dir, quiet=args.quiet)
+    return _run(scenario, family, out_dir, args.quiet)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
-from .family import WINDOW_FLAT, WINDOW_SUPPORT
+from .atlas import PSI_SUPP
+from .embeddings import MAX_HALFWIDTH
+from .family import CHART_FAMILIES, GLOBAL_FAMILIES, WINDOW_FLAT, WINDOW_SUPPORT
 from .grid import MIN_RESOLUTION
 
 
@@ -22,8 +24,6 @@ COMMANDS = ("check-free", "solve-local", "solve-family", "solve-global",
             "verify-appendix")
 CHART_NAMES = ("parabola", "circle", "torus")
 MANIFOLDS = ("circle", "torus")
-CHART_FAMILIES = ("constant", "uniform-scale", "bump-breathing", "circle-breathing")
-GLOBAL_FAMILIES = ("constant", "uniform-scale", "circle-breathing", "table")
 MAX_RESOLUTION = 20001
 
 
@@ -184,7 +184,8 @@ def parse_scenario(raw) -> Scenario:
         sc.chart = raw["chart"]
     if "halfwidth" in raw and raw["halfwidth"] is not None:
         sc.halfwidth = _as_number(raw["halfwidth"], "halfwidth")
-        _require(sc.halfwidth > 0.0, "must be positive", "halfwidth")
+        _require(0.0 < sc.halfwidth < MAX_HALFWIDTH,
+                 f"must be in (0, pi), got {sc.halfwidth}", "halfwidth")
     if "manifold" in raw:
         _require(raw["manifold"] in MANIFOLDS,
                  f"unknown manifold {raw['manifold']!r}; expected one of {list(MANIFOLDS)}",
@@ -205,6 +206,9 @@ def parse_scenario(raw) -> Scenario:
         _require(0.0 < sc.bump_radius < 1.0, "must be in (0, 1)", "bump_radius")
     if "cutoff" in raw and raw["cutoff"] is not None:
         sc.cutoff = _as_radii(raw["cutoff"], "cutoff")
+        _require(sc.command != "solve-global" or sc.cutoff[0] >= PSI_SUPP,
+                 "a glue cutoff must be flat over the partition support "
+                 f"(flat >= {PSI_SUPP}), got {raw['cutoff']!r}", "cutoff")
     if "window" in raw and raw["window"] is not None:
         sc.window = _as_radii(raw["window"], "window")
         _require(WINDOW_FLAT <= sc.window[0] and sc.window[1] <= WINDOW_SUPPORT,

@@ -18,6 +18,23 @@ import numpy as np
 from .grid import Grid, SymTensorField, VecField
 
 
+# circle and torus charts need a halfwidth in (0, MAX_HALFWIDTH)
+MAX_HALFWIDTH = np.pi
+# metric components, ordered (0,0), (0,1), (1,1), that the base embeddings
+# induce in manifold angles: d(theta)^2 on the circle, the flat
+# [[2,1],[1,2]] metric on the hexagonal torus
+BASE_METRICS = {"circle": np.array([1.0]), "torus": np.array([2.0, 1.0, 2.0])}
+
+
+def make_mesh(manifold, mesh):
+    """Uniform periodic mesh in manifold angles: (npts, d) points."""
+    th = np.linspace(0.0, 2.0 * np.pi, mesh, endpoint=False)
+    if manifold == "circle":
+        return th[:, None]
+    U, V = np.meshgrid(th, th, indexing="ij")
+    return np.column_stack([U.ravel(), V.ravel()])
+
+
 def circle_embedding(points):
     """Unit circle: angles theta -> (cos theta, sin theta)."""
     th = np.asarray(points, dtype=float).reshape(-1)
@@ -65,7 +82,7 @@ class CircleChart:
     q = 2
 
     def __init__(self, center=0.0, halfwidth=3.0 * np.pi / 4.0):
-        if not (0.0 < halfwidth < np.pi):
+        if not (0.0 < halfwidth < MAX_HALFWIDTH):
             raise ValueError(f"CircleChart: halfwidth must be in (0, pi), got {halfwidth}")
         self.center = float(center)
         self.halfwidth = float(halfwidth)
@@ -88,8 +105,8 @@ class CircleChart:
         return np.column_stack([-c2 * np.cos(th), -c2 * np.sin(th)])
 
     def base_metric(self, grid: Grid) -> SymTensorField:
-        vals = np.full((grid.num_nodes, 1), self.halfwidth**2)
-        return SymTensorField(grid, vals)
+        vals = self.halfwidth**2 * BASE_METRICS["circle"]
+        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))
 
 
 class TorusChart:
@@ -103,7 +120,7 @@ class TorusChart:
     q = 6
 
     def __init__(self, center=(0.0, 0.0), halfwidth=3.0):
-        if not (0.0 < halfwidth < np.pi):
+        if not (0.0 < halfwidth < MAX_HALFWIDTH):
             raise ValueError(f"TorusChart: halfwidth must be in (0, pi), got {halfwidth}")
         self.center = (float(center[0]), float(center[1]))
         self.halfwidth = float(halfwidth)
@@ -146,10 +163,5 @@ class TorusChart:
         return np.column_stack(cols)
 
     def base_metric(self, grid: Grid) -> SymTensorField:
-        c2 = self.halfwidth**2
-        n = grid.num_nodes
-        # components ordered (0,0), (0,1), (1,1)
-        vals = np.column_stack(
-            [np.full(n, 2.0 * c2), np.full(n, 1.0 * c2), np.full(n, 2.0 * c2)]
-        )
-        return SymTensorField(grid, vals)
+        vals = self.halfwidth**2 * BASE_METRICS["torus"]
+        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))

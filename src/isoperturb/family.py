@@ -1,6 +1,8 @@
-"""Time-dependent perturbation solves on a single chart.
+"""Metric families and time-dependent perturbation solves on a single chart.
 
-A metric family supplies g(x, t) on the chart; the windowed increment
+Every metric family g(t), on a chart or on a whole manifold, is built
+here from one formula table and passes one positivity rule.  On a chart,
+the windowed increment
 
     ghat(x, t) = psi(x) * (g(x, t) - g(x, 0))
 
@@ -15,7 +17,9 @@ step refinement.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
+from .embeddings import BASE_METRICS, make_mesh
 from .fixedpoint import (
     IterationConfig,
     SmallnessViolation,
@@ -64,23 +68,32 @@ def adaptive_horizon(run_pass, horizon, samples, dt_min):
 
 @dataclass
 class MetricFamily:
-    """Closed-form metric family on a chart.
+    """A smooth family g(t) of metrics, sampled at 0 = t0 < .. < horizon.
 
-    evaluator(coords, t) returns the symmetric components (m, n(n+1)/2)
-    at chart points; t_grid holds the uniform samples 0 = t0 < .. < T.
+    evaluator(points, t) returns the symmetric components (m, n(n+1)/2)
+    at m points: manifold angles for a global family, the nodes of its
+    grid for a chart family (whose node values the builder precomputes).
     """
 
-    grid: Grid
     evaluator: callable
-    t_grid: np.ndarray
-    positivity_margin: float
+    horizon: float
+    samples: int
     name: str = ""
+    grid: Grid = None
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"MetricFamily: need samples >= 1, got {self.samples}")
+        if self.horizon <= 0:
+            raise ValueError(f"MetricFamily: horizon must be positive, got {self.horizon}")
+
+    @property
+    def t_grid(self):
+        return np.linspace(0.0, self.horizon, self.samples + 1)
 
     def sample(self, t) -> SymTensorField:
-        vals = np.asarray(self.evaluator(self.grid.coords, float(t)), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return SymTensorField(self.grid, vals)
+        """g(., t) on the grid of a chart family."""
+        return SymTensorField(self.grid, self.evaluator(self.grid.coords, float(t)))
 
 
 @dataclass
@@ -96,8 +109,35 @@ class FamilySolution:
     regularity_probe: dict = dc_field(default_factory=dict)
 
 
-def _eig_min(vals, dim):
-    if dim == 1:
+# s(theta1, t) of the families that charts and manifolds share: g(t) is s
+# times the base metric, with theta1 the first angle of the points
+SCALES = {
+    "constant": lambda beta, th, t: np.ones_like(th),
+    "uniform-scale": lambda beta, th, t: np.full_like(th, 1.0 + beta * t),
+    "circle-breathing": lambda beta, th, t: 1.0 + beta * t * 0.5 * (1.0 + np.cos(th)),
+}
+CHART_FAMILIES = (*SCALES, "bump-breathing")
+GLOBAL_FAMILIES = (*SCALES, "table")
+# angles per axis of the mesh on which a global family's positivity is
+# checked; it holds theta1 = 0 and pi, where every shared scale is extreme
+POSITIVITY_MESH = 64
+
+
+def positivity_margin(family: MetricFamily, points) -> float:
+    """The positivity rule of every family: its smallest eigenvalue.
+
+    The minimum is taken over the points and the family's sample times;
+    raises ValueError unless it is > 0.
+    """
+    margin = min(_eig_min(family.evaluator(points, t)) for t in family.t_grid)
+    if margin <= 0.0:
+        raise ValueError(f"family {family.name!r} loses positive definiteness "
+                         f"(smallest eigenvalue {margin:.3e})")
+    return margin
+
+
+def _eig_min(vals):
+    if vals.shape[1] == 1:
         return float(np.min(vals[:, 0]))
     g11, g12, g22 = vals[:, 0], vals[:, 1], vals[:, 2]
     half_tr = 0.5 * (g11 + g22)
@@ -107,63 +147,84 @@ def _eig_min(vals, dim):
 
 def build_family(name, grid: Grid, base=None, horizon=1.0, samples=8, beta=0.05,
                  bump_radius=0.4, bump_power=4) -> MetricFamily:
-    """Construct a named closed-form family on the chart grid.
+    """A shared family (see SCALES) or bump-breathing on the chart grid.
 
-    names: constant | uniform-scale | bump-breathing | circle-breathing
-    `base` is the chart's base metric (SymTensorField or chart object with
-    base_metric); defaults to the flat metric.
+    `base` is a chart (its base_metric and angles; on the torus the scale
+    reads the first angle) or a SymTensorField of base components; the
+    default is the flat metric.
     """
-    if samples < 1:
-        raise ValueError(f"build_family: need samples >= 1, got {samples}")
-    if horizon <= 0:
-        raise ValueError(f"build_family: horizon must be positive, got {horizon}")
-    comps = grid.dim * (grid.dim + 1) // 2
     if base is None:
-        base_vals = np.zeros((grid.num_nodes, comps))
-        for k, (i, j) in enumerate(sym_indices(grid.dim)):
-            if i == j:
-                base_vals[:, k] = 1.0
-    elif hasattr(base, "base_metric"):
-        base_vals = base.base_metric(grid).values.copy()
+        base_vals = np.tile([float(i == j) for i, j in sym_indices(grid.dim)],
+                            (grid.num_nodes, 1))
     else:
-        base_vals = np.asarray(base.values, dtype=float).copy()
+        metric = base.base_metric(grid) if hasattr(base, "base_metric") else base
+        base_vals = np.array(metric.values, dtype=float)
 
-    if name == "constant":
-        def evaluator(coords, t):
-            return base_vals
-    elif name == "uniform-scale":
-        def evaluator(coords, t):
-            return (1.0 + beta * t) * base_vals
-    elif name == "bump-breathing":
+    if name == "bump-breathing":
         prof = radial_bump(grid, bump_radius, bump_power)
 
-        def evaluator(coords, t):
+        def evaluator(points, t):
             out = base_vals.copy()
             out[:, 0] = out[:, 0] + beta * t * prof
             return out
-    elif name == "circle-breathing":
-        # chart pullback of (1 + beta*t*(1+cos theta)/2) d(theta)^2; needs a
-        # chart with angles() (the base metric supplies the c^2 factor)
-        if base is None or not hasattr(base, "angles"):
+    elif name in SCALES:
+        if hasattr(base, "angles"):
+            th = base.angles(grid)
+            th = th[0] if isinstance(th, tuple) else th  # TorusChart gives (u, v)
+        elif name == "circle-breathing":
             raise ValueError("build_family: circle-breathing needs a circle chart as base")
-        th = base.angles(grid)
+        else:
+            th = grid.coords[:, 0]
+        scale = SCALES[name]
 
-        def evaluator(coords, t):
-            scale = 1.0 + beta * t * 0.5 * (1.0 + np.cos(th))
-            return scale[:, None] * base_vals
+        def evaluator(points, t):
+            return scale(beta, th, t)[:, None] * base_vals
     else:
-        raise ValueError(
-            f"build_family: unknown family name {name!r}; expected constant, "
-            "uniform-scale, bump-breathing or circle-breathing"
-        )
+        raise ValueError(f"build_family: unknown family name {name!r}; expected one "
+                         f"of {list(CHART_FAMILIES)}")
+    fam = MetricFamily(evaluator, float(horizon), int(samples), name, grid)
+    positivity_margin(fam, grid.coords)
+    return fam
 
-    fam = MetricFamily(grid, evaluator, np.linspace(0.0, horizon, samples + 1), 0.0, name)
-    margin = min(_eig_min(fam.sample(t).values, grid.dim) for t in fam.t_grid)
-    if margin <= 0.0:
-        raise ValueError(
-            f"build_family: family loses positive definiteness (margin {margin:.3e})"
-        )
-    fam.positivity_margin = margin
+
+def build_manifold_family(name, manifold, beta=0.05, horizon=1.0, samples=8) -> MetricFamily:
+    """A shared family (see SCALES) on the circle or the torus.
+
+    The base is the flat metric the shipped embedding induces in the
+    manifold's angles.
+    """
+    if name not in SCALES:
+        raise ValueError(f"build_manifold_family: unknown family name {name!r}; "
+                         f"expected one of {list(SCALES)}")
+    scale, base = SCALES[name], BASE_METRICS[manifold]
+
+    def evaluator(points, t):
+        return scale(beta, np.atleast_2d(points)[:, 0], t)[:, None] * base
+
+    fam = MetricFamily(evaluator, float(horizon), int(samples), name)
+    positivity_margin(fam, make_mesh(manifold, POSITIVITY_MESH))
+    return fam
+
+
+def table_family(manifold, t_values, components, horizon=1.0, samples=8) -> MetricFamily:
+    """A spatially constant family on the circle or the torus, read from a table.
+
+    Row k of components holds the metric components at t_values[k]
+    (strictly increasing); in between, the components are cubic splines in t.
+    """
+    want = BASE_METRICS[manifold].size
+    if components.shape[1] != want:
+        raise ValueError(f"family table has {components.shape[1]} component columns; "
+                         f"the {manifold} needs {want}")
+    if horizon > t_values[-1] + 1e-12:
+        raise ValueError(f"family table ends at t={t_values[-1]} but the horizon is {horizon}")
+    spline = CubicSpline(t_values, components, axis=0)
+
+    def evaluator(points, t):
+        return np.tile(spline(float(t)), (np.atleast_2d(points).shape[0], 1))
+
+    fam = MetricFamily(evaluator, float(horizon), int(samples), "table")
+    positivity_margin(fam, make_mesh(manifold, POSITIVITY_MESH))
     return fam
 
 
@@ -223,7 +284,7 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
             targets.append(f)
         return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame, w, targets)
 
-    return adaptive_horizon(run_pass, family.t_grid[-1], len(family.t_grid) - 1, dt_min)
+    return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
 
 
 def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, sym_indices
+from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, random_waves, sym_indices
 from .verify import oracle_derivative_matrix
 
 _FREE_EPS_REL = 1e-6
@@ -217,21 +217,11 @@ def estimate_frame_gain(frame: ImmersionFrame, alpha=0.5, probes=16, seed=0) -> 
         raise ValueError(f"estimate_frame_gain: need probes >= 10, got {probes}")
     g = frame.grid
     rng = np.random.default_rng(seed)
-    x = g.coords[:, 0]
-    y = g.coords[:, 1] if g.dim == 2 else None
-    n_h = g.dim
-    n_f = frame.rows - n_h
     best = 0.0
     for _ in range(probes):
-        c = rng.uniform(-1.0, 1.0, (n_h + n_f, 3))
-        cols = []
-        for k in range(n_h + n_f):
-            if g.dim == 1:
-                cols.append(c[k, 0] + c[k, 1] * np.sin(2.0 * x) + c[k, 2] * x)
-            else:
-                cols.append(c[k, 0] + c[k, 1] * np.sin(x + y) + c[k, 2] * x * y)
-        h = VecField(g, np.column_stack(cols[:n_h]))
-        f = SymTensorField(g, np.column_stack(cols[n_h:]))
+        cols = random_waves(g, rng, frame.rows)
+        h = VecField(g, cols[:, :g.dim])
+        f = SymTensorField(g, cols[:, g.dim:])
         denom = holder_norm(h, 2, alpha).value + holder_norm(f, 2, alpha).value
         if denom < 1e-14:
             continue

@@ -470,6 +470,19 @@ def _random_scalar(grid, rng):
     return ScalarField(grid, sum(ci * bi for ci, bi in zip(c, basis)))
 
 
+def random_waves(grid, rng, count):
+    """count seeded corpus columns c0 + c1 sin 2x + c2 x (interval) or
+    c0 + c1 sin(x + y) + c2 xy (disk), one uniform(-1, 1) triple c each."""
+    coef = rng.uniform(-1.0, 1.0, (count, 3))
+    x = grid.coords[:, 0]
+    if grid.dim == 1:
+        wave = np.sin(2.0 * x)
+        return np.column_stack([a + b * wave + c * x for a, b, c in coef])
+    y = grid.coords[:, 1]
+    wave = np.sin(x + y)
+    return np.column_stack([a + b * wave + c * x * y for a, b, c in coef])
+
+
 def _random_affine(grid, rng):
     """Per-axis affine polynomial (Leibniz-exact corpus member)."""
     x = grid.coords[:, 0]

@@ -20,7 +20,7 @@ back to it at machine precision.
 
 import numpy as np
 
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, sym_indices
+from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, random_waves, sym_indices
 from .poisson import solve_dirichlet
 
 _PROFILE_DEGREES = (7, 9, 11)
@@ -234,22 +234,6 @@ def normal_correction_laplacian(cut: Cutoff, v: VecField, i: int, j: int, correc
 # continuity witnesses (recorded constants, never gates)
 
 
-def _random_supported_vec(cut, rng, q=3):
-    g = cut.grid
-    x = g.coords[:, 0]
-    prof = cut.values
-    cols = []
-    for _ in range(q):
-        c = rng.uniform(-1.0, 1.0, 3)
-        if g.dim == 1:
-            wave = c[0] + c[1] * np.sin(2.0 * x) + c[2] * x
-        else:
-            y = g.coords[:, 1]
-            wave = c[0] + c[1] * np.sin(x + y) + c[2] * x * y
-        cols.append(prof * wave)
-    return VecField(g, np.column_stack(cols))
-
-
 def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
     """Empirical Lipschitz-type constants of the correction operators.
 
@@ -264,8 +248,8 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
     g = cut.grid
     out = {"load": 0.0, "laplacian": 0.0, "tangential": 0.0, "normal": 0.0}
     for _ in range(samples):
-        v1 = _random_supported_vec(cut, rng)
-        v2 = _random_supported_vec(cut, rng)
+        v1 = VecField(g, cut.values[:, None] * random_waves(g, rng, 3))
+        v2 = VecField(g, cut.values[:, None] * random_waves(g, rng, 3))
         diff = VecField(g, v1.values - v2.values)
         size = (
             holder_norm(v1, 2, alpha).value + holder_norm(v2, 2, alpha).value

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from isoperturb.atlas import (
     Atlas,
     GlobalSolution,
-    ManifoldFamily,
     StageFailure,
     build_atlas,
     build_manifold_family,
@@ -32,7 +31,7 @@ from isoperturb.atlas import (
     torus_embedding,
     write_embedding_csv,
 )
-from isoperturb.family import HorizonCollapse
+from isoperturb.family import HorizonCollapse, MetricFamily
 from isoperturb.fixedpoint import IterationConfig
 from isoperturb.operators import smoothstep
 
@@ -172,7 +171,7 @@ def test_decompose_scales_by_halfwidth_squared():
 def test_family_validation():
     with pytest.raises(ValueError, match="unknown family"):
         build_manifold_family("squiggle", "circle")
-    with pytest.raises(ValueError, match="positivity"):
+    with pytest.raises(ValueError, match="positive definiteness"):
         build_manifold_family("uniform-scale", "circle", beta=-2.0, horizon=1.0)
     fam = build_manifold_family("uniform-scale", "torus", beta=0.1, horizon=0.5,
                                 samples=4)
@@ -302,7 +301,7 @@ def test_glue_single_chart_increment_skips_other_stage():
         pts = np.atleast_2d(points)
         return (1.0 + 0.05 * t * prof(pts[:, 0]))[:, None]
 
-    notch = ManifoldFamily("circle", ev, horizon=0.5, samples=1, name="notch")
+    notch = MetricFamily(ev, horizon=0.5, samples=1, name="notch")
     atlas = build_atlas("circle", 2)
     sol = glue_solve(circle_embedding, notch, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)

@@ -216,10 +216,19 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     ("check-free", "", ["--resolution", "12"], "--resolution"),
     ("solve-local", "cutoff: [0.5, 1.0]\n", [], "cutoff"),
     ("solve-family", "window: [0.3, 0.9]\n", [], "window"),
+    ("check-free", "chart: torus\nhalfwidth: 4.0\nresolution: 17\n", [], "halfwidth"),
+    ("solve-global", "cutoff: [0.3, 0.5]\n", [], "cutoff"),
+    ("solve-global", "family: {name: circle-breathing, beta: -3.0}\n", [], "family"),
+    ("solve-family", "chart: circle\nfamily: {name: bump-breathing, beta: -10.0}\n",
+     [], "family"),
+    ("solve-global", "family: {name: table, table: {tmp}/neg.csv}\n", [], "family"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
-    # each input used to pass validation and then die in a constructor
+    # each input used to pass validation and then die in a constructor (or,
+    # for the table, whose g reaches -2 at t = 1, to halve its way to a pass)
+    (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
+    doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet", *extra])

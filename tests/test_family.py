@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoperturb.embeddings import CircleChart, ParabolaChart
+from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.family import (
     MAX_HALVINGS,
     FamilySolution,
     HorizonCollapse,
     adaptive_horizon,
     build_family,
+    build_manifold_family,
     chart_window,
+    positivity_margin,
     solve_family,
     stability_gap,
     time_regularity_probe,
@@ -102,7 +104,7 @@ def test_constant_family_is_constant():
     g = make_grid(1, 101)
     fam = build_family("constant", g, horizon=1.0, samples=3)
     assert np.all(fam.sample(0.7).values == fam.sample(0.0).values)
-    assert fam.positivity_margin == 1.0
+    assert positivity_margin(fam, g.coords) == 1.0
     assert np.all(fam.t_grid == np.linspace(0.0, 1.0, 4))
 
 
@@ -114,7 +116,7 @@ def test_uniform_scale_values_and_margin():
     expected = (1.0 + 0.5 * 0.25) * (1.0 + 4.0 * x**2)
     assert np.max(np.abs(fam.sample(0.25).values[:, 0] - expected)) == 0.0
     # min over t of min_x (1+beta*t)(1+4x^2) is at t=0, x=0
-    assert fam.positivity_margin == 1.0
+    assert positivity_margin(fam, g.coords) == 1.0
 
 
 def test_bump_breathing_touches_only_first_component():
@@ -142,6 +144,25 @@ def test_circle_breathing_needs_circle_chart():
     c2 = (0.75 * np.pi) ** 2
     expected = (1.0 + 0.05 * 1.0 * 0.5 * (1.0 + np.cos(th))) * c2
     assert np.max(np.abs(fam.sample(1.0).values[:, 0] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["constant", "uniform-scale", "circle-breathing"])
+@pytest.mark.parametrize("chart,dim", [(CircleChart(0.3, 2.0), 1),
+                                       (TorusChart((0.3, -1.0), 2.5), 2)])
+def test_chart_and_global_families_agree(name, chart, dim):
+    # a chart family is the global family at the chart's angles, pulled
+    # back by the chart map x -> center + c x (a factor c^2)
+    g = make_grid(dim, 101 if dim == 1 else 17)
+    fam = build_family(name, g, base=chart, horizon=1.0, samples=2, beta=0.4)
+    glob = build_manifold_family(name, "circle" if dim == 1 else "torus",
+                                 beta=0.4, horizon=1.0, samples=2)
+    th = chart.angles(g)  # the torus chart gives the pair (u, v)
+    pts = np.column_stack(th if dim == 2 else (th,))
+    c2 = chart.halfwidth**2
+    for t in (0.0, 0.5, 1.0):
+        want = c2 * glob.evaluator(pts, t)
+        got = fam.sample(t).values
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def test_family_validation():

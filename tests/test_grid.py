@@ -16,6 +16,7 @@ from isoperturb.grid import (
     leibniz_defect,
     make_grid,
     monitor_recurrence,
+    random_waves,
 )
 
 
@@ -383,3 +384,21 @@ def test_monitor_recurrence_frozen_cases():
 def test_monitor_recurrence_property(a0, C, seq):
     expected = all(s <= a0 + 2 * C + 1e-12 for s in seq)
     assert monitor_recurrence(a0, C, seq) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_random_waves_draw_one_triple_per_column(dim):
+    # the corpus of continuity_witnesses and estimate_frame_gain: column k
+    # uses the k-th uniform(-1, 1) triple, with this exact operation order
+    g = make_grid(dim, 17)
+    cols = random_waves(g, np.random.default_rng(4), 3)
+    rng = np.random.default_rng(4)
+    x = g.coords[:, 0]
+    for k in range(3):
+        c = rng.uniform(-1.0, 1.0, 3)
+        if dim == 1:
+            want = c[0] + c[1] * np.sin(2.0 * x) + c[2] * x
+        else:
+            y = g.coords[:, 1]
+            want = c[0] + c[1] * np.sin(x + y) + c[2] * x * y
+        assert np.array_equal(cols[:, k], want)
