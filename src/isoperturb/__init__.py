@@ -20,6 +20,7 @@ from .grid import (
     derivative,
     laplacian,
     holder_norm,
+    holder_norms,
     check_inequalities,
     monitor_recurrence,
 )
@@ -85,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "ScalarField", "VecField", "SymTensorField", "HolderNorm",
-    "make_grid", "derivative", "laplacian", "holder_norm",
+    "make_grid", "derivative", "laplacian", "holder_norm", "holder_norms",
     "check_inequalities", "monitor_recurrence",
     "DirichletSolution", "PoissonSolver", "solve_dirichlet",
     "Cutoff", "smoothstep", "quadratic_load", "load_potentials",

@@ -43,8 +43,9 @@ from .family import (
     solve_family,
     table_family,
     time_regularity_probe,
+    windowed_increment,
 )
-from .fixedpoint import IterationConfig, bump_perturbation, local_perturb
+from .fixedpoint import IterationConfig, _check_f_support, bump_perturbation, local_perturb
 from .frame import NotFreeError, build_frame, freeness_threshold
 from .grid import check_inequalities, make_grid
 from .operators import Cutoff, continuity_witnesses
@@ -91,9 +92,35 @@ def _scenario_family(scenario: Scenario):
     else:
         build = partial(build_manifold_family, spec.name, scenario.manifold, beta=spec.beta)
     try:
-        return build(horizon=spec.horizon, samples=spec.samples)
+        fam = build(horizon=spec.horizon, samples=spec.samples)
     except ValueError as exc:
         raise ScenarioError(str(exc), field="family") from None
+    if scenario.command == "solve-family":
+        _check_family_cutoff(scenario, fam)
+    return fam
+
+
+def _window_and_cutoff(scenario: Scenario, grid):
+    """The solve-family window, and its cutoff (None: solve_family's default)."""
+    window = chart_window(grid, *(scenario.window or ()))
+    return window, (Cutoff(grid, *scenario.cutoff) if scenario.cutoff else None)
+
+
+def _check_family_cutoff(scenario: Scenario, fam):
+    """Reject a cutoff that is not flat wherever the windowed increment lives.
+
+    Each sample's solve makes the same support check; making it here, for
+    every t of the family, turns its failure into a config error on
+    `cutoff`.  The default cutoff is flat beyond every accepted window.
+    """
+    window, cut = _window_and_cutoff(scenario, fam.grid)
+    if cut is None:
+        return
+    for t in fam.t_grid:
+        try:
+            _check_f_support(cut, windowed_increment(window, fam, t))
+        except ValueError as exc:
+            raise ScenarioError(f"cutoff: at t={t:g}, {exc}", field="cutoff") from None
 
 
 # ------------------------------------------------------------------ artifacts
@@ -219,8 +246,7 @@ def _run_solve_local(scenario, report, _family):
 def _run_solve_family(scenario, report, fam):
     g = fam.grid
     chart = _chart_for(scenario)
-    cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else None
-    window = chart_window(g, *(scenario.window or ()))
+    window, cut = _window_and_cutoff(scenario, g)
     cfg = _iteration_config(scenario)
     try:
         sol = solve_family(chart, fam, window=window, cutoff=cut, config=cfg)

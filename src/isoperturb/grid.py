@@ -425,28 +425,39 @@ def _multi_indices(dim, m):
     return [(m - k, k) for k in range(m + 1)]
 
 
-def holder_norm(fld, m, alpha):
-    """Discrete C^{m,alpha} norm: C^{0,alpha} part plus all |s| = m parts.
+def holder_norms(fld, orders, alpha):
+    """Discrete C^{m,alpha} norms of fld for every m in orders, as {m: value}.
 
+    The C^{m,alpha} norm is the C^{0,alpha} part plus all |s| = m parts.
     Vector and tensor fields are measured as the sum of their component
     norms.  Each seminorm is the exact maximum over all pairs of distinct
-    nodes (Grid.quotient_max).
+    nodes (Grid.quotient_max), and each is taken once: the C^{0,alpha} part
+    of a component is shared by every order.  Every order is summed as if
+    alone: component by component, the C^{0,alpha} part first, then the
+    |s| = m parts in _multi_indices order.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder_norm configuration error: alpha must be in (0,1), got alpha={alpha}")
-    if int(m) != m or m < 0 or m > _MAX_ORDER:
-        raise ValueError(f"holder_norm configuration error: m must be an integer in [0,{_MAX_ORDER}], got m={m}")
+    for m in orders:
+        if int(m) != m or m < 0 or m > _MAX_ORDER:
+            raise ValueError(f"holder_norm configuration error: m must be an integer in [0,{_MAX_ORDER}], got m={m}")
     g = fld.grid
     vals = fld.values if fld.values.ndim == 2 else fld.values[:, None]
-    total = 0.0
+    totals = dict.fromkeys((int(m) for m in orders), 0.0)
     for c in range(vals.shape[1]):
         comp = vals[:, c]
-        total += _c0alpha(g, comp, alpha)
-        if m > 0:
-            for s in _multi_indices(g.dim, m):
-                dv = g.derivative_matrix(s) @ comp
-                total += _c0alpha(g, dv, alpha)
-    return HolderNorm(int(m), float(alpha), float(total))
+        base = _c0alpha(g, comp, alpha)
+        for m in totals:
+            totals[m] += base
+            if m > 0:
+                for s in _multi_indices(g.dim, m):
+                    totals[m] += _c0alpha(g, g.derivative_matrix(s) @ comp, alpha)
+    return totals
+
+
+def holder_norm(fld, m, alpha):
+    """Discrete C^{m,alpha} norm of fld; see holder_norms."""
+    return HolderNorm(int(m), float(alpha), holder_norms(fld, (m,), alpha)[m])
 
 
 def monitor_recurrence(a0, C, sequence):
@@ -563,63 +574,64 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
     else:
         mask = None
 
-    def c(f, m):
-        return holder_norm(f, m, alpha).value
-
     for _ in range(samples):
         u = _random_scalar(grid, rng)
         v = _random_scalar(grid, rng)
+        ua, va = _random_affine(grid, rng), _random_affine(grid, rng)
+        a = _random_scalar(grid, rng)
+        w1 = _random_vec(grid, rng)
+        w2 = _random_vec(grid, rng)
         uv = ScalarField(grid, u.values * v.values)
+        au = VecField(grid, a.values[:, None] * w1.values)
+        dot = ScalarField(grid, (w1.values * w2.values).sum(axis=1))
+        # one table of C^{0,alpha}, C^{1,alpha}, C^{2,alpha} norms per field;
+        # every witness below reads it
+        nu, nv, nuv, na, nw1, nw2, nau, ndot = (
+            holder_norms(f, (0, 1, 2), alpha) for f in (u, v, uv, a, w1, w2, au, dot)
+        )
 
         # product inequality, exact by shared-pair-set construction
-        lhs = c(uv, 0)
-        rhs = c(u, 0) * c(v, 0)
+        lhs = nuv[0]
+        rhs = nu[0] * nv[0]
         ratio = lhs / rhs if rhs > 0 else 0.0
         report["product_max_ratio"] = max(report["product_max_ratio"], ratio)
         if lhs > rhs * (1.0 + 1e-12):
             report["product_violations"] += 1
 
         # embedding witness: |u|_{1,alpha} <= C |u|_{2,alpha}
-        report["embed_witness"] = max(report["embed_witness"], c(u, 1) / max(c(u, 2), 1e-300))
+        report["embed_witness"] = max(report["embed_witness"], nu[1] / max(nu[2], 1e-300))
 
         # Leibniz on the polynomial-exact corpus
-        ua, va = _random_affine(grid, rng), _random_affine(grid, rng)
         for beta in _leibniz_multi_indices(grid.dim):
             scale = max(1.0, float(np.max(np.abs(ua.values * va.values))))
             report["leibniz_max_err"] = max(
                 report["leibniz_max_err"], leibniz_defect(grid, ua, va, beta, mask) / scale
             )
 
-        a = _random_scalar(grid, rng)
-        w1 = _random_vec(grid, rng)
-        w2 = _random_vec(grid, rng)
-        au = VecField(grid, a.values[:, None] * w1.values)
-        dot = ScalarField(grid, (w1.values * w2.values).sum(axis=1))
-
         for m in (1, 2):
             # bilinear witnesses
             report[f"scalar_bilinear_witness_m{m}"] = max(
-                report[f"scalar_bilinear_witness_m{m}"], c(uv, m) / max(c(u, m) * c(v, m), 1e-300)
+                report[f"scalar_bilinear_witness_m{m}"], nuv[m] / max(nu[m] * nv[m], 1e-300)
             )
             report[f"dot_bilinear_witness_m{m}"] = max(
-                report[f"dot_bilinear_witness_m{m}"], c(dot, m) / max(c(w1, m) * c(w2, m), 1e-300)
+                report[f"dot_bilinear_witness_m{m}"], ndot[m] / max(nw1[m] * nw2[m], 1e-300)
             )
             # three-term witnesses: overshoot over the first two terms,
             # measured against the (m-1)-norm product
-            over_scalar = c(uv, m) - c(u, 0) * c(v, m) - c(u, m) * c(v, 0)
+            over_scalar = nuv[m] - nu[0] * nv[m] - nu[m] * nv[0]
             report[f"scalar_threeterm_witness_m{m}"] = max(
                 report[f"scalar_threeterm_witness_m{m}"],
-                max(over_scalar, 0.0) / max(c(u, m - 1) * c(v, m - 1), 1e-300),
+                max(over_scalar, 0.0) / max(nu[m - 1] * nv[m - 1], 1e-300),
             )
-            over_vec = c(au, m) - c(a, 0) * c(w1, m) - c(a, m) * c(w1, 0)
+            over_vec = nau[m] - na[0] * nw1[m] - na[m] * nw1[0]
             report[f"vector_threeterm_witness_m{m}"] = max(
                 report[f"vector_threeterm_witness_m{m}"],
-                max(over_vec, 0.0) / max(c(a, m - 1) * c(w1, m - 1), 1e-300),
+                max(over_vec, 0.0) / max(na[m - 1] * nw1[m - 1], 1e-300),
             )
-            over_dot = c(dot, m) - c(w1, 0) * c(w2, m) - c(w1, m) * c(w2, 0)
+            over_dot = ndot[m] - nw1[0] * nw2[m] - nw1[m] * nw2[0]
             report[f"dot_threeterm_witness_m{m}"] = max(
                 report[f"dot_threeterm_witness_m{m}"],
-                max(over_dot, 0.0) / max(c(w1, m - 1) * c(w2, m - 1), 1e-300),
+                max(over_dot, 0.0) / max(nw1[m - 1] * nw2[m - 1], 1e-300),
             )
 
     return report

@@ -261,7 +261,9 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
             out["load"] = max(
                 out["load"], holder_norm(ScalarField(g, dn), 0, alpha).value / size
             )
-        q1, q2 = normal_correction(cut, v1), normal_correction(cut, v2)
+        w1, w2 = load_potentials(cut, v1), load_potentials(cut, v2)
+        q1 = normal_correction(cut, v1, potentials=w1)
+        q2 = normal_correction(cut, v2, potentials=w2)
         dq = SymTensorField(g, q1.values - q2.values)
         out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha).value / size)
         for i, j in sym_indices(g.dim):
@@ -270,7 +272,8 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
             out["laplacian"] = max(
                 out["laplacian"], holder_norm(ScalarField(g, dm), 0, alpha).value / size
             )
-        p1, p2 = tangential_correction(cut, v1), tangential_correction(cut, v2)
+        p1 = tangential_correction(cut, v1, potentials=w1)
+        p2 = tangential_correction(cut, v2, potentials=w2)
         dp = VecField(g, p1.values - p2.values)
         out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha).value / size)
     out["samples"] = samples

@@ -222,11 +222,14 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     ("solve-family", "chart: circle\nfamily: {name: bump-breathing, beta: -10.0}\n",
      [], "family"),
     ("solve-global", "family: {name: table, table: {tmp}/neg.csv}\n", [], "family"),
+    ("solve-family", "resolution: 201\ncutoff: [0.5, 0.9]\n"
+     "family: {name: uniform-scale, beta: 0.01}\n", [], "cutoff"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
-    # each input used to pass validation and then die in a constructor (or,
-    # for the table, whose g reaches -2 at t = 1, to halve its way to a pass)
+    # each input used to pass validation and then die in a constructor or in
+    # the solver's support check (or, for the table, whose g reaches -2 at
+    # t = 1, to halve its way to a pass)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
     doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
@@ -283,15 +286,18 @@ def test_solve_global_run(tmp_path):
 
 
 def test_verify_appendix_run(tmp_path):
-    out = str(tmp_path / "out")
-    code = main(["verify-appendix", "--config", _cfg(tmp_path, APPENDIX_CFG),
-                 "--out", out, "--quiet"])
-    assert code == 0
-    s = _summary(out)
+    cfg = _cfg(tmp_path, APPENDIX_CFG)
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    for out in (out_a, out_b):
+        assert main(["verify-appendix", "--config", cfg, "--out", out, "--quiet"]) == 0
+    s = _summary(out_a)
     names = [c["criterion"] for c in s["criteria"]]
     assert "product-inequality-violations" in names
     assert "leibniz-consistency" in names
     assert s["status"] == "pass"
+    a = open(os.path.join(out_a, "summary.json"), "rb").read()
+    b = open(os.path.join(out_b, "summary.json"), "rb").read()
+    assert a == b, "summary.json differs between identical runs"
 
 
 def test_table_family_global(tmp_path):

@@ -12,6 +12,7 @@ from isoperturb.grid import (
     check_inequalities,
     derivative,
     holder_norm,
+    holder_norms,
     laplacian,
     leibniz_defect,
     make_grid,
@@ -249,6 +250,49 @@ def test_holder_norm_validation():
         holder_norm(f, 0, 1.2)
     with pytest.raises(ValueError, match="m must"):
         holder_norm(f, 5, 0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        holder_norms(f, (0, 1), 0.0)
+    with pytest.raises(ValueError, match="m must"):
+        holder_norms(f, (0, 5), 0.5)
+    with pytest.raises(ValueError, match="m must"):
+        holder_norms(f, (1.5,), 0.5)
+
+
+def test_holder_norms_matches_one_order_calls_exactly():
+    g = make_grid(2, 21)
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    for vals in (np.sin(2.0 * x + y), np.column_stack([x * y, np.cos(x - y), y * y])):
+        f = VecField(g, vals) if vals.ndim == 2 else ScalarField(g, vals)
+        table = holder_norms(f, (4, 0, 2, 1, 3), 0.3)
+        assert list(table) == [4, 0, 2, 1, 3]
+        for m, value in table.items():
+            assert value == holder_norm(f, m, 0.3).value
+
+
+@pytest.mark.parametrize("dim,q", [(1, None), (1, 2), (2, None), (2, 2)])
+@settings(max_examples=3, deadline=None)
+@given(
+    n=st.integers(17, 61),
+    orders=st.sets(st.integers(0, 4), min_size=1, max_size=2),
+    alpha=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_holder_norms_is_the_sum_of_brute_force_pieces(dim, q, n, orders, alpha, seed):
+    # the all-pairs oracle is a Python double loop: keep the disk at N = 17
+    g = make_grid(dim, n if dim == 1 else 17)
+    rng = np.random.default_rng(seed)
+    cols = [_field(g, "smooth", rng) for _ in range(q or 1)]
+    f = ScalarField(g, cols[0]) if q is None else VecField(g, np.column_stack(cols))
+    table = holder_norms(f, sorted(orders), alpha)
+    for m in orders:
+        parts = [(0,) * g.dim]
+        if m > 0:
+            parts += [(m,)] if g.dim == 1 else [(m - k, k) for k in range(m + 1)]
+        ref = sum(
+            brute_c0alpha(g.coords, derivative(ScalarField(g, c), s).values, alpha)
+            for c in cols for s in parts
+        )
+        assert table[m] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
