@@ -2,7 +2,9 @@
 
 Builds the frame for F0(x) = (x, x^2), solves the fixed-point problem for a
 compactly supported metric increment, and prints the convergence trace plus
-the independent finite-difference verification of the result.
+the independent finite-difference verification of the result.  A second
+load, 10% larger, checks stability: the two corrections differ by at most
+1.1 times the frame image of the load difference.
 
 Usage: python3 scripts/run_local_demo.py [--resolution N] [--amplitude A]
 """
@@ -13,9 +15,11 @@ import time
 import numpy as np
 
 from isoperturb.embeddings import ParabolaChart
+from isoperturb.family import stability_gap
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.frame import build_frame, freeness_threshold
 from isoperturb.grid import make_grid
+from isoperturb.operators import Cutoff
 
 
 def main():
@@ -58,14 +62,22 @@ def main():
     print(f"support leak         : {rep['support_leak']:.6e}")
     print(f"|u| sup              : {rep['u_norm']:.6e}")
 
+    f2 = bump_perturbation(g, 1.1 * args.amplitude, args.bump_radius)
+    gap = stability_gap(frame, Cutoff(g), f, f2, IterationConfig(tol=1e-10))
+    print(f"stability ratio      : {gap['ratio']:.4f} "
+          f"(|v1-v2| {gap['gap']:.3e} / |E(0, f1-f2)| {gap['frame_norm']:.3e})")
+
     ok_res = rep["residual_sup"] <= 1e-6
     ok_sup = rep["support_leak"] <= 0.0
     ok_bound = rep["monitor_ok"]
+    ok_stab = gap["ratio"] <= 1.1
     print()
     print(f"[{'PASS' if ok_res else 'FAIL'}] pullback matches target to 1e-6")
     print(f"[{'PASS' if ok_sup else 'FAIL'}] u vanishes outside the cutoff support")
     print(f"[{'PASS' if ok_bound else 'FAIL'}] every iterate stayed inside the bound")
-    return 0 if (ok_res and ok_sup and ok_bound) else 1
+    print(f"[{'PASS' if ok_stab else 'FAIL'}] a 10% larger load moves the correction "
+          f"by at most 1.1x its frame image")
+    return 0 if (ok_res and ok_sup and ok_bound and ok_stab) else 1
 
 
 if __name__ == "__main__":

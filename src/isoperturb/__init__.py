@@ -34,7 +34,6 @@ from .operators import (
     potential_coupling_term,
     gradient_product_term,
     normal_correction,
-    normal_correction_laplacian,
 )
 from .frame import (
     ImmersionFrame,
@@ -43,7 +42,6 @@ from .frame import (
     freeness_margin,
     build_frame,
     apply_frame,
-    estimate_frame_gain,
 )
 from .fixedpoint import (
     IterationConfig,
@@ -92,9 +90,8 @@ __all__ = [
     "Cutoff", "smoothstep", "quadratic_load", "load_potentials",
     "tangential_correction", "potential_coupling_term",
     "gradient_product_term", "normal_correction",
-    "normal_correction_laplacian",
     "ImmersionFrame", "NotFreeError", "frame_matrix", "freeness_margin",
-    "build_frame", "apply_frame", "estimate_frame_gain",
+    "build_frame", "apply_frame",
     "IterationConfig", "IterationTrace", "SmallnessViolation",
     "StalledIteration", "fixed_point_map", "solve_fixed_point",
     "verify_identity", "local_perturb",

@@ -52,10 +52,17 @@ class AtlasChart:
     halfwidth: float
     chart: object  # analytic reference chart (CircleChart / TorusChart)
 
+    def _offset(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return _wrap(pts - self.center[None, :])
+
     def to_chart(self, points):
         """Manifold angles -> chart coordinates (points outside map to |x|>1)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _wrap(pts - self.center[None, :]) / self.halfwidth
+        return self._offset(points) / self.halfwidth
+
+    def radius(self, points):
+        """Chart radius |to_chart(points)|, taken as |offset| / halfwidth."""
+        return np.sqrt((self._offset(points) ** 2).sum(axis=1)) / self.halfwidth
 
     def to_manifold(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -75,14 +82,9 @@ class Atlas:
     def dim(self):
         return 1 if self.manifold == "circle" else 2
 
-    def _chart_radius(self, chart, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        delta = _wrap(pts - chart.center[None, :])
-        return np.sqrt((delta**2).sum(axis=1)) / chart.halfwidth
-
     def bump(self, k, points):
         """Chart-k partition bump: 1 inside psi_flat, 0 outside psi_supp."""
-        r = self._chart_radius(self.charts[k], points)
+        r = self.charts[k].radius(points)
         return radial_window(r, self.psi_flat, self.psi_supp, self.degree)
 
     def partition(self, points):
@@ -247,12 +249,6 @@ def write_embedding_csv(path, coords, stages, t_values, coord_names):
                 fh.writelines(row % tuple(values) for values in block)
 
 
-def _chart_mesh_mask(chart, mesh_points, radius):
-    delta = _wrap(mesh_points - chart.center[None, :])
-    r = np.sqrt((delta**2).sum(axis=1)) / chart.halfwidth
-    return r < radius, delta / chart.halfwidth
-
-
 def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                mesh=2048, config: IterationConfig = None,
                cutoff_radii=GLUE_CUTOFF, dt_min=1e-3) -> GlobalSolution:
@@ -283,7 +279,8 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
         stage_traces, stage_margins = [], []
         for i, inc in enumerate(increments, start=1):
             ch = inc.chart
-            inside, chart_xy = _chart_mesh_mask(ch, pts, cutoff_radii[1])
+            inside = ch.radius(pts) < cutoff_radii[1]
+            chart_xy = ch.to_chart(pts[inside])
             F_new = F_prev.copy()
             traces_i, margins_i = [], []
             for k, t in enumerate(ts):
@@ -312,7 +309,7 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                 u_chart = a2[:, None] * v.values
                 if np.any(u_chart):
                     u_mesh = _transport_update(
-                        g_chart, u_chart, chart_xy[inside], d, cutoff_radii[1]
+                        g_chart, u_chart, chart_xy, d, cutoff_radii[1]
                     )
                     F_new[k][inside] += u_mesh
                 traces_i.append(trace)

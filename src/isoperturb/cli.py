@@ -74,11 +74,11 @@ def _iteration_config(scenario: Scenario) -> IterationConfig:
     return IterationConfig(tol=scenario.iteration_tol, alpha=scenario.alpha)
 
 
-def _scenario_family(scenario: Scenario):
-    """The scenario's metric family, or None for a command that takes none.
+def _scenario_inputs(scenario: Scenario) -> dict:
+    """The runner's inputs besides the report: the family and the atlas.
 
-    Called before any output exists; a family the builders reject is a
-    config error on the `family` field.
+    Built before any output exists; a family or an atlas that the builders
+    reject is a config error on the `family` or the `charts` field.
     """
     spec = scenario.family
     if scenario.command == "solve-family":
@@ -86,7 +86,7 @@ def _scenario_family(scenario: Scenario):
                         base=_chart_for(scenario), beta=spec.beta,
                         bump_radius=spec.bump_radius, bump_power=spec.bump_power)
     elif scenario.command != "solve-global":
-        return None
+        return {}
     elif spec.name == "table":
         build = partial(table_family, scenario.manifold, *load_family_table(spec.table))
     else:
@@ -97,7 +97,12 @@ def _scenario_family(scenario: Scenario):
         raise ScenarioError(str(exc), field="family") from None
     if scenario.command == "solve-family":
         _check_family_cutoff(scenario, fam)
-    return fam
+        return {"family": fam}
+    try:
+        atlas = build_atlas(scenario.manifold, scenario.charts)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), field="charts") from None
+    return {"family": fam, "atlas": atlas}
 
 
 def _window_and_cutoff(scenario: Scenario, grid):
@@ -199,7 +204,7 @@ class RunReport:
 # ----------------------------------------------------------------- commands
 
 
-def _run_check_free(scenario, report, _family):
+def _run_check_free(scenario, report):
     g = _grid_for(scenario)
     chart = _chart_for(scenario)
     try:
@@ -217,7 +222,7 @@ def _run_check_free(scenario, report, _family):
     return report.finish()
 
 
-def _run_solve_local(scenario, report, _family):
+def _run_solve_local(scenario, report):
     g = _grid_for(scenario)
     chart = _chart_for(scenario)
     cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else Cutoff(g)
@@ -243,13 +248,13 @@ def _run_solve_local(scenario, report, _family):
     return report.finish()
 
 
-def _run_solve_family(scenario, report, fam):
-    g = fam.grid
+def _run_solve_family(scenario, report, family):
+    g = family.grid
     chart = _chart_for(scenario)
     window, cut = _window_and_cutoff(scenario, g)
     cfg = _iteration_config(scenario)
     try:
-        sol = solve_family(chart, fam, window=window, cutoff=cut, config=cfg)
+        sol = solve_family(chart, family, window=window, cutoff=cut, config=cfg)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
         return report.finish(failure=f"horizon collapsed at {exc.horizon}")
@@ -280,13 +285,12 @@ def _run_solve_family(scenario, report, fam):
     return report.finish()
 
 
-def _run_solve_global(scenario, report, fam):
-    atlas = build_atlas(scenario.manifold, scenario.charts)
+def _run_solve_global(scenario, report, family, atlas):
     F0 = circle_embedding if scenario.manifold == "circle" else torus_embedding
     cfg = _iteration_config(scenario)
     radii = tuple(scenario.cutoff) if scenario.cutoff else GLUE_CUTOFF
     try:
-        sol = glue_solve(F0, fam, atlas, chart_resolution=scenario.resolution,
+        sol = glue_solve(F0, family, atlas, chart_resolution=scenario.resolution,
                          mesh=scenario.mesh, config=cfg, cutoff_radii=radii)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
@@ -332,7 +336,7 @@ def _run_solve_global(scenario, report, fam):
     return report.finish()
 
 
-def _run_verify_appendix(scenario, report, _family):
+def _run_verify_appendix(scenario, report):
     g1 = make_grid(1, scenario.resolution)
     g2 = make_grid(2, 33)
     rep1 = check_inequalities(g1, samples=scenario.appendix_samples,
@@ -421,16 +425,17 @@ _RUNNERS = {
 def run_scenario(scenario: Scenario, out_dir, quiet=False) -> int:
     """Execute one validated scenario, writing artifacts under out_dir.
 
-    Raises ScenarioError, with nothing written, if its family is rejected.
+    Raises ScenarioError, with nothing written, if its family or its atlas
+    is rejected.
     """
-    return _run(scenario, _scenario_family(scenario), out_dir, quiet)
+    return _run(scenario, _scenario_inputs(scenario), out_dir, quiet)
 
 
-def _run(scenario, family, out_dir, quiet):
+def _run(scenario, inputs, out_dir, quiet):
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "embeddings"), exist_ok=True)
     report = RunReport(scenario, out_dir, quiet)
-    return _RUNNERS[scenario.command](scenario, report, family)
+    return _RUNNERS[scenario.command](scenario, report, **inputs)
 
 
 def _build_parser():
@@ -469,13 +474,13 @@ def main(argv=None) -> int:
             scenario.seed = args.seed
         if args.resolution is not None:
             scenario.resolution = check_resolution(args.resolution, "--resolution")
-        family = _scenario_family(scenario)
+        inputs = _scenario_inputs(scenario)
     except ScenarioError as exc:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
-    return _run(scenario, family, out_dir, args.quiet)
+    return _run(scenario, inputs, out_dir, args.quiet)
 
 
 if __name__ == "__main__":

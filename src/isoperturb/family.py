@@ -288,10 +288,16 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
 
 
 def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
-                  f2: SymTensorField, config: IterationConfig = None, alpha=0.5):
-    """Compare two solves against the frame response to their difference."""
+                  f2: SymTensorField, config: IterationConfig = None):
+    """Compare two solves against the frame response to their difference.
+
+    Returns gap = |v1 - v2|_{2,alpha}, frame_norm = |E(0, f1 - f2)|_{2,alpha}
+    in the solves' own alpha, their ratio (0 when the frame norm vanishes)
+    and the two solve traces.
+    """
     v1, tr1 = solve_fixed_point(frame, cut, f1, config)
     v2, tr2 = solve_fixed_point(frame, cut, f2, config)
+    alpha = (config or IterationConfig()).alpha
     g = f1.grid
     gap = holder_norm(VecField(g, v1.values - v2.values), 2, alpha).value
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
@@ -302,7 +308,7 @@ def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
         "gap": gap,
         "frame_norm": denom,
         "ratio": ratio,
-        "iterations": (tr1.iterations, tr2.iterations),
+        "traces": [tr1, tr2],
     }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, random_waves, sym_indices
+from .grid import Grid, SymTensorField, VecField, sym_indices
 from .verify import oracle_derivative_matrix
 
 _FREE_EPS_REL = 1e-6
@@ -205,26 +205,3 @@ def apply_frame(frame: ImmersionFrame, h, f: SymTensorField) -> VecField:
     z = np.concatenate([hv, fv], axis=1)
     out = np.einsum("nqr,nr->nq", frame.Theta, z)
     return VecField(g, out)
-
-
-def estimate_frame_gain(frame: ImmersionFrame, alpha=0.5, probes=16, seed=0) -> float:
-    """Empirical lower bound for the frame gain |E(h,f)|/(|h|+|f|) in C^{2,a}.
-
-    Max over seeded random probe pairs; deterministic for a fixed seed and
-    monotone nondecreasing in the probe count.
-    """
-    if probes < 10:
-        raise ValueError(f"estimate_frame_gain: need probes >= 10, got {probes}")
-    g = frame.grid
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(probes):
-        cols = random_waves(g, rng, frame.rows)
-        h = VecField(g, cols[:, :g.dim])
-        f = SymTensorField(g, cols[:, g.dim:])
-        denom = holder_norm(h, 2, alpha).value + holder_norm(f, 2, alpha).value
-        if denom < 1e-14:
-            continue
-        e = apply_frame(frame, h, f)
-        best = max(best, holder_norm(e, 2, alpha).value / denom)
-    return best

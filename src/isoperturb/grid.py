@@ -375,9 +375,6 @@ class Grid:
     def radius(self):
         return np.sqrt((self.coords**2).sum(axis=1))
 
-    def scalar(self, values):
-        return ScalarField(self, np.asarray(values, dtype=float))
-
 
 def radial_bump(grid, radius, power):
     """Compactly supported profile (1 - r^2/radius^2)_+^power at the nodes."""
@@ -406,13 +403,13 @@ def derivative(fld, s):
 
 
 def laplacian(fld):
-    """Sum of per-axis second derivatives."""
+    """Discrete Laplacian, applied as one summed second-derivative matrix."""
     g = fld.grid
-    if g.dim == 1:
-        return derivative(fld, (2,))
-    a = g.derivative_matrix((2, 0))
-    b = g.derivative_matrix((0, 2))
-    return type(fld)(g, a @ fld.values + b @ fld.values)
+    op = None
+    for ax in range(g.dim):
+        m = g.derivative_matrix(tuple(2 if a == ax else 0 for a in range(g.dim)))
+        op = m if op is None else op + m
+    return type(fld)(g, op @ fld.values)
 
 
 def _c0alpha(grid, vals, alpha):
@@ -468,6 +465,12 @@ def monitor_recurrence(a0, C, sequence):
 
 # ---------------------------------------------------------------------------
 # inequality suite
+
+# Three seeded corpora stay apart: _random_scalar (six terms, for
+# check_inequalities), random_waves (continuity_witnesses) and
+# poisson._supported_sample (elliptic_monitors).  Their bases, draw counts
+# and operation orders differ (c2*x*y is (c2*x)*y, c2*x*x is (c2*x)*x), so
+# one shared basis would move the last bits of every frozen report.
 
 
 def _random_scalar(grid, rng):
@@ -549,9 +552,9 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
 
     Returns a report dict: exact product-inequality violations (must be 0),
     Leibniz consistency error on the polynomial-exact corpus, and finite
-    witness constants for the embedding, three-term product, and bilinear
-    bounds at m in {1, 2}.  Witnesses are empirical maxima, recorded rather
-    than asserted against magic constants.
+    witness constants for the embedding and bilinear bounds at m in {1, 2}.
+    Witnesses are empirical maxima, recorded rather than asserted against
+    magic constants.
     """
     rng = np.random.default_rng(seed)
     report = {
@@ -563,10 +566,7 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         "alpha": float(alpha),
     }
     for m in (1, 2):
-        for key in (
-            "scalar_threeterm", "scalar_bilinear", "vector_threeterm",
-            "dot_threeterm", "dot_bilinear",
-        ):
+        for key in ("scalar_bilinear", "dot_bilinear"):
             report[f"{key}_witness_m{m}"] = 0.0
 
     if grid.dim == 2:
@@ -578,16 +578,15 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         u = _random_scalar(grid, rng)
         v = _random_scalar(grid, rng)
         ua, va = _random_affine(grid, rng), _random_affine(grid, rng)
-        a = _random_scalar(grid, rng)
+        _random_scalar(grid, rng)  # discarded: keeps w1 and w2 on their seeded draws
         w1 = _random_vec(grid, rng)
         w2 = _random_vec(grid, rng)
         uv = ScalarField(grid, u.values * v.values)
-        au = VecField(grid, a.values[:, None] * w1.values)
         dot = ScalarField(grid, (w1.values * w2.values).sum(axis=1))
         # one table of C^{0,alpha}, C^{1,alpha}, C^{2,alpha} norms per field;
         # every witness below reads it
-        nu, nv, nuv, na, nw1, nw2, nau, ndot = (
-            holder_norms(f, (0, 1, 2), alpha) for f in (u, v, uv, a, w1, w2, au, dot)
+        nu, nv, nuv, nw1, nw2, ndot = (
+            holder_norms(f, (0, 1, 2), alpha) for f in (u, v, uv, w1, w2, dot)
         )
 
         # product inequality, exact by shared-pair-set construction
@@ -609,29 +608,11 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
             )
 
         for m in (1, 2):
-            # bilinear witnesses
             report[f"scalar_bilinear_witness_m{m}"] = max(
                 report[f"scalar_bilinear_witness_m{m}"], nuv[m] / max(nu[m] * nv[m], 1e-300)
             )
             report[f"dot_bilinear_witness_m{m}"] = max(
                 report[f"dot_bilinear_witness_m{m}"], ndot[m] / max(nw1[m] * nw2[m], 1e-300)
-            )
-            # three-term witnesses: overshoot over the first two terms,
-            # measured against the (m-1)-norm product
-            over_scalar = nuv[m] - nu[0] * nv[m] - nu[m] * nv[0]
-            report[f"scalar_threeterm_witness_m{m}"] = max(
-                report[f"scalar_threeterm_witness_m{m}"],
-                max(over_scalar, 0.0) / max(nu[m - 1] * nv[m - 1], 1e-300),
-            )
-            over_vec = nau[m] - na[0] * nw1[m] - na[m] * nw1[0]
-            report[f"vector_threeterm_witness_m{m}"] = max(
-                report[f"vector_threeterm_witness_m{m}"],
-                max(over_vec, 0.0) / max(na[m - 1] * nw1[m - 1], 1e-300),
-            )
-            over_dot = ndot[m] - nw1[0] * nw2[m] - nw1[m] * nw2[0]
-            report[f"dot_threeterm_witness_m{m}"] = max(
-                report[f"dot_threeterm_witness_m{m}"],
-                max(over_dot, 0.0) / max(nw1[m - 1] * nw2[m - 1], 1e-300),
             )
 
     return report

@@ -10,7 +10,6 @@ zero-boundary Poisson solves.  The central objects:
   potential_coupling_term a dw + 3 da w symmetrized            (pairwise)
   gradient_product_term   the quadratic form in (v, dv, a, da) (pairwise)
   normal_correction       gradient_product_term - potential_coupling_term
-  normal_correction_laplacian   discrete Laplacian of the above
 
 Every term carries a factor of a or of da, so the corrections vanish
 identically outside the cutoff support; in particular the normal
@@ -20,7 +19,9 @@ back to it at machine precision.
 
 import numpy as np
 
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, random_waves, sym_indices
+from .grid import (
+    Grid, ScalarField, SymTensorField, VecField, holder_norm, laplacian, random_waves, sym_indices,
+)
 from .poisson import solve_dirichlet
 
 _PROFILE_DEGREES = (7, 9, 11)
@@ -130,15 +131,6 @@ def _check_axes(grid, i, j):
         raise ValueError(f"operator axes must satisfy 0 <= i <= j < {grid.dim}, got ({i},{j})")
 
 
-def _lap_matrix(grid):
-    op = None
-    for ax in range(grid.dim):
-        s = tuple(2 if a == ax else 0 for a in range(grid.dim))
-        m = grid.derivative_matrix(s)
-        op = m if op is None else op + m
-    return op
-
-
 def _d1(grid, axis):
     return grid.derivative_matrix(tuple(1 if a == axis else 0 for a in range(grid.dim)))
 
@@ -148,7 +140,7 @@ def quadratic_load(cut: Cutoff, v: VecField, axis: int) -> ScalarField:
     _check_pair(cut, v)
     _check_axes(cut.grid, axis, axis)
     g = cut.grid
-    lap_v = _lap_matrix(g) @ v.values
+    lap_v = laplacian(v).values
     dv = _d1(g, axis) @ v.values
     da = cut.gradient(axis).values
     vals = 2.0 * da * np.sum(lap_v * v.values, axis=1) + cut.values * np.sum(lap_v * dv, axis=1)
@@ -207,7 +199,7 @@ def normal_correction(cut: Cutoff, v: VecField, potentials=None) -> SymTensorFie
 
     Every term carries a or da, so the tensor vanishes outside the cutoff
     support and has exactly zero boundary values; its discrete Laplacian
-    therefore inverts back to it (see normal_correction_laplacian).
+    (grid.laplacian) therefore inverts back to it.
     """
     _check_pair(cut, v)
     g = cut.grid
@@ -218,16 +210,6 @@ def normal_correction(cut: Cutoff, v: VecField, potentials=None) -> SymTensorFie
         u1 = potential_coupling_term(cut, v, i, j, potentials=w)
         cols.append(u2.values - u1.values)
     return SymTensorField(g, np.column_stack(cols))
-
-
-def normal_correction_laplacian(cut: Cutoff, v: VecField, i: int, j: int, correction=None) -> ScalarField:
-    """Discrete Laplacian of one normal-correction component."""
-    _check_pair(cut, v)
-    _check_axes(cut.grid, i, j)
-    g = cut.grid
-    q = correction if correction is not None else normal_correction(cut, v)
-    col = q.values[:, sym_indices(g.dim).index((i, j))]
-    return ScalarField(g, _lap_matrix(g) @ col)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +248,9 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
         q2 = normal_correction(cut, v2, potentials=w2)
         dq = SymTensorField(g, q1.values - q2.values)
         out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha).value / size)
-        for i, j in sym_indices(g.dim):
-            k = sym_indices(g.dim).index((i, j))
-            dm = _lap_matrix(g) @ (q1.values[:, k] - q2.values[:, k])
-            out["laplacian"] = max(
-                out["laplacian"], holder_norm(ScalarField(g, dm), 0, alpha).value / size
-            )
+        for k in range(dq.values.shape[1]):
+            dm = laplacian(ScalarField(g, dq.values[:, k]))
+            out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha).value / size)
         p1 = tangential_correction(cut, v1, potentials=w1)
         p2 = tangential_correction(cut, v2, potentials=w2)
         dp = VecField(g, p1.values - p2.values)

@@ -122,10 +122,3 @@ def periodic_derivative(values, h, order=1, axis=0):
     for c, o in zip(w, offs):
         out += c * np.roll(vals, -o, axis=axis)
     return out / h**order
-
-
-def circle_pullback_residual(F, g_target, h):
-    """sup |dF.dF - g| on a periodic circle mesh (F: (M,q), g: (M,))."""
-    dF = periodic_derivative(F, h, 1)
-    got = np.sum(dF * dF, axis=1)
-    return float(np.max(np.abs(got - np.asarray(g_target, dtype=float))))

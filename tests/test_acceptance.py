@@ -19,21 +19,18 @@ from isoperturb.atlas import (
 )
 from isoperturb.embeddings import CircleChart, ParabolaChart
 from isoperturb.family import build_family, chart_window, solve_family, \
-    time_regularity_probe
+    stability_gap, time_regularity_probe
 from isoperturb.fixedpoint import (
     Cutoff,
     IterationConfig,
     bump_perturbation,
     local_perturb,
-    solve_fixed_point,
 )
-from isoperturb.frame import NotFreeError, apply_frame, build_frame
+from isoperturb.frame import NotFreeError, build_frame
 from isoperturb.grid import (
     ScalarField,
-    SymTensorField,
     VecField,
     check_inequalities,
-    holder_norm,
     make_grid,
     monitor_recurrence,
 )
@@ -69,19 +66,10 @@ def local_solve_doubled():
 @pytest.fixture(scope="module")
 def stability_pair():
     g = make_grid(1, 401)
-    chart = ParabolaChart()
-    frame = build_frame(chart, g)
-    cut = Cutoff(g)
-    cfg = IterationConfig(tol=1e-10)
+    frame = build_frame(ParabolaChart(), g)
     f1 = bump_perturbation(g, 0.010, 0.5)
     f2 = bump_perturbation(g, 0.011, 0.5)
-    v1, tr1 = solve_fixed_point(frame, cut, f1, cfg)
-    v2, tr2 = solve_fixed_point(frame, cut, f2, cfg)
-    zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
-    delta = SymTensorField(g, f1.values - f2.values)
-    num = holder_norm(VecField(g, v1.values - v2.values), 2, cfg.alpha).value
-    den = holder_norm(apply_frame(frame, zero_h, delta), 2, cfg.alpha).value
-    return {"ratio": num / den, "traces": [tr1, tr2]}
+    return stability_gap(frame, Cutoff(g), f1, f2, IterationConfig(tol=1e-10))
 
 
 @pytest.fixture(scope="module")

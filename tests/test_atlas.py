@@ -122,6 +122,11 @@ def test_chart_roundtrip_wraps_angles():
     assert abs(X[2, 0]) <= 1e-15
     back = ch.to_manifold(X)
     assert np.max(np.abs(np.mod(back - th, 2 * np.pi))) <= 1e-12
+    # the chart radius is |to_chart|, on the circle and across the torus seams
+    assert np.array_equal(ch.radius(th), np.abs(X[:, 0]))
+    tch = build_atlas("torus", 4).charts[3]  # centered at (pi, pi)
+    pts = np.array([[0.1, 6.2], [np.pi, np.pi], [3.0, 0.2]])
+    assert np.allclose(tch.radius(pts), np.hypot(*tch.to_chart(pts).T), rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------- decomposition

@@ -224,6 +224,7 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     ("solve-global", "family: {name: table, table: {tmp}/neg.csv}\n", [], "family"),
     ("solve-family", "resolution: 201\ncutoff: [0.5, 0.9]\n"
      "family: {name: uniform-scale, beta: 0.01}\n", [], "cutoff"),
+    ("solve-global", "manifold: torus\ncharts: 3\nresolution: 25\nmesh: 48\n", [], "charts"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):

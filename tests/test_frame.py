@@ -8,12 +8,10 @@ from isoperturb.frame import (
     NotFreeError,
     apply_frame,
     build_frame,
-    estimate_frame_gain,
     freeness_margin,
 )
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
 from isoperturb.verify import (
-    circle_pullback_residual,
     isometry_residual,
     oracle_derivative_matrix,
     periodic_derivative,
@@ -63,14 +61,6 @@ def test_periodic_derivative_fourth_order():
         d = periodic_derivative(np.sin(th), h, 1)
         errs.append(np.max(np.abs(d - np.cos(th))))
     assert 10.0 < errs[0] / errs[1] < 24.0
-
-
-def test_circle_pullback_residual_of_unit_circle_is_tiny():
-    M = 512
-    h = 2.0 * np.pi / M
-    th = np.arange(M) * h
-    F = np.column_stack([np.cos(th), np.sin(th)])
-    assert circle_pullback_residual(F, np.ones(M), h) < 1e-8
 
 
 def test_isometry_residual_frozen_scaling_example():
@@ -197,44 +187,6 @@ def test_sampled_embedding_frame_matches_analytic():
     sampled = build_frame(chart.evaluate(g))
     assert np.max(np.abs(analytic.A - sampled.A)) < 1e-5
     assert abs(analytic.freeness_margin - sampled.freeness_margin) < 1e-5
-
-
-class _Scaled:
-    q = 2
-
-    def __init__(self, base, s):
-        self.base, self.s = base, s
-
-    def evaluate(self, g):
-        f = self.base.evaluate(g)
-        return VecField(g, self.s * f.values)
-
-    def d1(self, g, axis=0):
-        return self.s * self.base.d1(g, axis)
-
-    def d2(self, g, i=0, j=0):
-        return self.s * self.base.d2(g, i, j)
-
-
-def test_frame_gain_halves_when_embedding_doubles():
-    g = make_grid(1, 101, (0.5, 0.75))
-    base = build_frame(ParabolaChart(), g)
-    double = build_frame(_Scaled(ParabolaChart(), 2.0), g)
-    g1 = estimate_frame_gain(base, probes=12, seed=3)
-    g2 = estimate_frame_gain(double, probes=12, seed=3)
-    assert abs(g2 - 0.5 * g1) < 1e-9 * max(1.0, g1)
-
-
-def test_frame_gain_deterministic_and_monotone():
-    g = make_grid(1, 101, (0.5, 0.75))
-    frame = build_frame(ParabolaChart(), g)
-    a = estimate_frame_gain(frame, probes=10, seed=7)
-    b = estimate_frame_gain(frame, probes=10, seed=7)
-    c = estimate_frame_gain(frame, probes=20, seed=7)
-    assert a == b
-    assert c >= a
-    with pytest.raises(ValueError, match="probes"):
-        estimate_frame_gain(frame, probes=5)
 
 
 # ---------------------------------------------------------------------------

@@ -23,24 +23,18 @@ SEED = 7
 INTERVAL_REPORT = (
     "{'product_violations': 0, 'product_max_ratio': 0.3294911757787078, "
     "'leibniz_max_err': 4.854859630050269e-12, 'embed_witness': 0.5202547364950049, "
-    "'samples': 3, 'alpha': 0.5, 'scalar_threeterm_witness_m1': 0.0, "
-    "'scalar_bilinear_witness_m1': 0.21924357774208408, "
-    "'vector_threeterm_witness_m1': 0.0, 'dot_threeterm_witness_m1': 0.0, "
-    "'dot_bilinear_witness_m1': 0.09109615325098447, 'scalar_threeterm_witness_m2': "
-    "0.0, 'scalar_bilinear_witness_m2': 0.20497519433670172, "
-    "'vector_threeterm_witness_m2': 0.0, 'dot_threeterm_witness_m2': 0.0, "
+    "'samples': 3, 'alpha': 0.5, 'scalar_bilinear_witness_m1': 0.21924357774208408, "
+    "'dot_bilinear_witness_m1': 0.09109615325098447, "
+    "'scalar_bilinear_witness_m2': 0.20497519433670172, "
     "'dot_bilinear_witness_m2': 0.06911369279112538}"
 )
 
 DISK_REPORT = (
     "{'product_violations': 0, 'product_max_ratio': 0.47088757871217146, "
     "'leibniz_max_err': 5.767637928477455e-14, 'embed_witness': 0.08949667974700459, "
-    "'samples': 1, 'alpha': 0.5, 'scalar_threeterm_witness_m1': 0.0, "
-    "'scalar_bilinear_witness_m1': 0.146072794599921, 'vector_threeterm_witness_m1': "
-    "0.0, 'dot_threeterm_witness_m1': 0.0, 'dot_bilinear_witness_m1': "
-    "0.03420313444537123, 'scalar_threeterm_witness_m2': 0.0, "
+    "'samples': 1, 'alpha': 0.5, 'scalar_bilinear_witness_m1': 0.146072794599921, "
+    "'dot_bilinear_witness_m1': 0.03420313444537123, "
     "'scalar_bilinear_witness_m2': 0.016871622279413242, "
-    "'vector_threeterm_witness_m2': 0.0, 'dot_threeterm_witness_m2': 0.0, "
     "'dot_bilinear_witness_m2': 0.0049458871109291066}"
 )
 
@@ -95,10 +89,10 @@ def test_elliptic_monitors_report_is_frozen(interval):
 
 
 @pytest.mark.parametrize("dim,resolution,samples,per_sample", [
-    # 11 field components (5 scalars, 3 two-vectors) x (C^0, D^1, D^2 parts)
-    (1, 201, 2, 33),
-    # the same 11 components x (C^0, 2 first and 3 second derivatives)
-    (2, 33, 1, 66),
+    # 8 field components (scalars u, v, uv, w1.w2; two-vectors w1, w2) x (C^0, D^1, D^2)
+    (1, 201, 2, 24),
+    # the same 8 components x (C^0, 2 first and 3 second derivatives)
+    (2, 33, 1, 48),
 ])
 def test_check_inequalities_takes_each_seminorm_once(monkeypatch, dim, resolution,
                                                      samples, per_sample):
