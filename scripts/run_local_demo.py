@@ -17,7 +17,7 @@ import numpy as np
 from isoperturb.embeddings import ParabolaChart
 from isoperturb.family import stability_gap
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
-from isoperturb.frame import build_frame, freeness_threshold
+from isoperturb.frame import build_frame
 from isoperturb.grid import make_grid
 from isoperturb.operators import Cutoff
 
@@ -38,9 +38,8 @@ def main():
     print(f"grid: dim=1 N={args.resolution}, chart x -> (x, x^2)")
 
     frame = build_frame(chart, g)
-    eps = freeness_threshold(frame)
     print(f"freeness margin      : {frame.freeness_margin:.6e} "
-          f"(threshold {eps:.3e})")
+          f"(threshold {frame.eps_free:.3e})")
     print(f"frame identity defect: {frame.identity_defect:.3e}")
 
     f = bump_perturbation(g, args.amplitude, args.bump_radius)
@@ -60,7 +59,7 @@ def main():
           f"(max iterate {max(tr.norms):.6e})")
     print(f"oracle residual (sup): {rep['residual_sup']:.6e}")
     print(f"support leak         : {rep['support_leak']:.6e}")
-    print(f"|u| sup              : {rep['u_norm']:.6e}")
+    print(f"|u|_{{2,alpha}}        : {rep['u_norm']:.6e}")
 
     f2 = bump_perturbation(g, 1.1 * args.amplitude, args.bump_radius)
     gap = stability_gap(frame, Cutoff(g), f, f2, IterationConfig(tol=1e-10))

@@ -15,7 +15,6 @@ from .grid import (
     ScalarField,
     VecField,
     SymTensorField,
-    HolderNorm,
     make_grid,
     derivative,
     laplacian,
@@ -39,7 +38,6 @@ from .frame import (
     ImmersionFrame,
     NotFreeError,
     frame_matrix,
-    freeness_margin,
     build_frame,
     apply_frame,
 )
@@ -83,14 +81,14 @@ from .config import Scenario, load_scenario, scenario_hash
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "ScalarField", "VecField", "SymTensorField", "HolderNorm",
+    "Grid", "ScalarField", "VecField", "SymTensorField",
     "make_grid", "derivative", "laplacian", "holder_norm", "holder_norms",
     "check_inequalities", "monitor_recurrence",
     "DirichletSolution", "PoissonSolver", "solve_dirichlet",
     "Cutoff", "smoothstep", "quadratic_load", "load_potentials",
     "tangential_correction", "potential_coupling_term",
     "gradient_product_term", "normal_correction",
-    "ImmersionFrame", "NotFreeError", "frame_matrix", "freeness_margin",
+    "ImmersionFrame", "NotFreeError", "frame_matrix",
     "build_frame", "apply_frame",
     "IterationConfig", "IterationTrace", "SmallnessViolation",
     "StalledIteration", "fixed_point_map", "solve_fixed_point",

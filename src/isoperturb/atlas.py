@@ -8,17 +8,17 @@ embedding at every time sample.  The final pullback is checked by a
 solver-independent periodic finite-difference oracle on the global mesh.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from .embeddings import CircleChart, TorusChart, make_mesh
+from .embeddings import make_mesh
 from .embeddings import circle_embedding, torus_embedding  # noqa: F401  (public here too)
 from .family import MetricFamily, adaptive_horizon
 from .family import build_manifold_family  # noqa: F401  (public here too)
 from .fixedpoint import IterationConfig, solve_fixed_point
-from .frame import NotFreeError, build_frame, freeness_threshold
+from .frame import NotFreeError, build_frame
 from .grid import SymTensorField, VecField, make_grid
 from .operators import Cutoff, radial_window
 from .verify import periodic_derivative
@@ -34,10 +34,9 @@ GLUE_CUTOFF = (0.85, 0.985)
 class StageFailure(RuntimeError):
     """A gluing stage lost freeness (or otherwise failed); carries the stage."""
 
-    def __init__(self, message, stage, t=None):
+    def __init__(self, message, stage):
         super().__init__(message)
         self.stage = int(stage)
-        self.t = t
 
 
 def _wrap(delta):
@@ -47,10 +46,8 @@ def _wrap(delta):
 
 @dataclass
 class AtlasChart:
-    index: int
     center: np.ndarray  # manifold angles, shape (d,)
     halfwidth: float
-    chart: object  # analytic reference chart (CircleChart / TorusChart)
 
     def _offset(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -73,9 +70,6 @@ class AtlasChart:
 class Atlas:
     manifold: str
     charts: list
-    psi_flat: float = PSI_FLAT
-    psi_supp: float = PSI_SUPP
-    degree: int = 9
     coverage_margin: float = 0.0
 
     @property
@@ -83,9 +77,9 @@ class Atlas:
         return 1 if self.manifold == "circle" else 2
 
     def bump(self, k, points):
-        """Chart-k partition bump: 1 inside psi_flat, 0 outside psi_supp."""
+        """Chart-k partition bump: 1 inside PSI_FLAT, 0 outside PSI_SUPP."""
         r = self.charts[k].radius(points)
-        return radial_window(r, self.psi_flat, self.psi_supp, self.degree)
+        return radial_window(r, PSI_FLAT, PSI_SUPP)
 
     def partition(self, points):
         """psi_k(points) for all charts, rows summing to 1 (up to roundoff)."""
@@ -96,33 +90,21 @@ class Atlas:
         return bumps / total[None, :]
 
 
-def build_atlas(manifold, num_charts, psi_flat=PSI_FLAT, psi_supp=PSI_SUPP, degree=9) -> Atlas:
+def build_atlas(manifold, num_charts) -> Atlas:
     """Equispaced-center atlas with a normalized-bump partition of unity.
 
     circle: num_charts >= 2 arcs of halfwidth 1.5*pi/num_charts;
     torus: exactly 4 charts (disks of angular radius 3.0 centered on
     {0, pi}^2) — fewer cannot cover with the required overlap margin.
     """
-    if not (0.0 < psi_flat < psi_supp < 1.0):
-        raise ValueError(
-            f"build_atlas: need 0 < psi_flat < psi_supp < 1, got ({psi_flat}, {psi_supp})"
-        )
     if manifold == "circle":
         if num_charts < 2:
             raise ValueError(
                 f"build_atlas: the circle needs at least 2 charts, got {num_charts}"
             )
         halfwidth = 1.5 * np.pi / num_charts
-        if psi_supp * halfwidth * num_charts < np.pi + 1e-12:
-            raise ValueError(
-                "build_atlas: partition supports fail to cover the circle"
-            )
-        charts = []
-        for k in range(num_charts):
-            center = np.array([TWO_PI * k / num_charts])
-            charts.append(
-                AtlasChart(k, center, halfwidth, CircleChart(center[0], halfwidth))
-            )
+        charts = [AtlasChart(np.array([TWO_PI * k / num_charts]), halfwidth)
+                  for k in range(num_charts)]
     elif manifold == "torus":
         if num_charts != 4:
             raise ValueError(
@@ -130,14 +112,11 @@ def build_atlas(manifold, num_charts, psi_flat=PSI_FLAT, psi_supp=PSI_SUPP, degr
                 f"margin using {num_charts} charts; 4 are needed (centers on "
                 "{0, pi}^2)"
             )
-        halfwidth = 3.0
-        charts = []
-        for k, (cu, cv) in enumerate([(0.0, 0.0), (np.pi, 0.0), (0.0, np.pi), (np.pi, np.pi)]):
-            center = np.array([cu, cv])
-            charts.append(AtlasChart(k, center, halfwidth, TorusChart((cu, cv), halfwidth)))
+        charts = [AtlasChart(np.array(center), 3.0)
+                  for center in [(0.0, 0.0), (np.pi, 0.0), (0.0, np.pi), (np.pi, np.pi)]]
     else:
         raise ValueError(f"build_atlas: unknown manifold {manifold!r}")
-    atlas = Atlas(manifold, charts, psi_flat, psi_supp, degree)
+    atlas = Atlas(manifold, charts)
     probe = make_mesh(manifold, 2048 if manifold == "circle" else 46)
     bumps = np.stack([atlas.bump(k, probe) for k in range(num_charts)])
     margin = float(bumps.sum(axis=0).min())
@@ -213,13 +192,10 @@ class GlobalSolution:
     family: MetricFamily
     t_grid: np.ndarray
     mesh_points: np.ndarray  # (npts, d)
-    mesh: int
     F_stages: list  # per stage 0..m: array (K+1, npts, q)
     stage_traces: list  # per stage 1..m: list over t of IterationTrace
     stage_margins: list  # per stage 1..m: list over t of (margin, eps_free)
     horizon_used: float
-    chart_resolution: int
-    q: int
 
     @property
     def F(self):
@@ -302,7 +278,7 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                     frame = build_frame(VecField(g_chart, chart_vals))
                 except NotFreeError as exc:
                     raise StageFailure(
-                        f"stage {i} lost freeness at t={t}: {exc}", stage=i, t=t
+                        f"stage {i} lost freeness at t={t}: {exc}", stage=i
                     ) from exc
                 f = SymTensorField(g_chart, inc.evaluator(g_chart.coords, t))
                 v, trace = solve_fixed_point(frame, cut, f, config)
@@ -313,16 +289,13 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                     )
                     F_new[k][inside] += u_mesh
                 traces_i.append(trace)
-                margins_i.append(
-                    (frame.freeness_margin, freeness_threshold(frame))
-                )
+                margins_i.append((frame.freeness_margin, frame.eps_free))
             stage_traces.append(traces_i)
             stage_margins.append(margins_i)
             F_prev = F_new
             F_stages.append(F_prev)
         return GlobalSolution(
-            atlas, family, ts, pts, mesh, F_stages, stage_traces, stage_margins,
-            float(ts[-1]), chart_resolution, q,
+            atlas, family, ts, pts, F_stages, stage_traces, stage_margins, float(ts[-1]),
         )
 
     return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)

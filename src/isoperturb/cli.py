@@ -45,8 +45,15 @@ from .family import (
     time_regularity_probe,
     windowed_increment,
 )
-from .fixedpoint import IterationConfig, _check_f_support, bump_perturbation, local_perturb
-from .frame import NotFreeError, build_frame, freeness_threshold
+from .fixedpoint import (
+    IterationConfig,
+    SmallnessViolation,
+    StalledIteration,
+    _check_f_support,
+    bump_perturbation,
+    local_perturb,
+)
+from .frame import NotFreeError, build_frame
 from .grid import check_inequalities, make_grid
 from .operators import Cutoff, continuity_witnesses
 from .poisson import elliptic_monitors
@@ -213,25 +220,26 @@ def _run_check_free(scenario, report):
         report.record(margin=exc.margin, node=exc.node)
         report.check("freeness-margin", exc.margin, 0.0, ok=False, mode=">")
         return report.finish()
-    eps = freeness_threshold(frame)
-    report.record(margin=frame.freeness_margin, eps_free=eps, q=frame.q,
+    report.record(margin=frame.freeness_margin, eps_free=frame.eps_free, q=frame.q,
                   identity_defect=frame.identity_defect,
                   excluded_nodes=frame.excluded_nodes, nodes=g.num_nodes)
-    report.check("freeness-margin", frame.freeness_margin, eps, mode=">")
+    report.check("freeness-margin", frame.freeness_margin, frame.eps_free, mode=">")
     report.check("frame-identity-defect", frame.identity_defect, 1e-10)
     return report.finish()
 
 
 def _run_solve_local(scenario, report):
     g = _grid_for(scenario)
-    chart = _chart_for(scenario)
-    cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else Cutoff(g)
+    frame = build_frame(_chart_for(scenario), g)
+    cut = Cutoff(g, *(scenario.cutoff or ()))
     f = bump_perturbation(g, scenario.amplitude, scenario.bump_radius)
-    cfg = _iteration_config(scenario)
-    u, rep = local_perturb(chart, f, config=cfg, cutoff=cut)
-    trace = rep["trace"]
-    _write_trace_csv(os.path.join(report.out_dir, "traces", "iteration.csv"), trace)
-    frame = build_frame(chart, g)
+    trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
+    try:
+        u, rep = local_perturb(frame, f, config=_iteration_config(scenario), cutoff=cut)
+    except (SmallnessViolation, StalledIteration) as exc:
+        _write_trace_csv(trace_path, exc.trace)
+        return report.finish(failure=str(exc))
+    _write_trace_csv(trace_path, rep["trace"])
     F = frame.F0.values + u.values
     write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "local.csv"),

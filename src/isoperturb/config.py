@@ -144,6 +144,8 @@ def _validate_family(raw, command):
                  "family.bump_radius")
     if "bump_power" in raw:
         spec.bump_power = _as_int(raw["bump_power"], "family.bump_power")
+        _require(spec.bump_power >= 1, f"must be at least 1, got {spec.bump_power}",
+                 "family.bump_power")
     if "table" in raw:
         _require(isinstance(raw["table"], str), "must be a path string",
                  "family.table")

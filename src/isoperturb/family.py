@@ -14,7 +14,7 @@ is probed by divided differences of u and its space derivatives across a
 step refinement.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -104,9 +104,6 @@ class FamilySolution:
     residuals: list
     horizon_used: float
     frame: ImmersionFrame
-    window: ScalarField
-    targets: list
-    regularity_probe: dict = dc_field(default_factory=dict)
 
 
 # s(theta1, t) of the families that charts and manifolds share: g(t) is s
@@ -127,10 +124,10 @@ def positivity_margin(family: MetricFamily, points) -> float:
     """The positivity rule of every family: its smallest eigenvalue.
 
     The minimum is taken over the points and the family's sample times;
-    raises ValueError unless it is > 0.
+    raises ValueError unless it is > 0 (a NaN margin fails too).
     """
     margin = min(_eig_min(family.evaluator(points, t)) for t in family.t_grid)
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise ValueError(f"family {family.name!r} loses positive definiteness "
                          f"(smallest eigenvalue {margin:.3e})")
     return margin
@@ -228,9 +225,9 @@ def table_family(manifold, t_values, components, horizon=1.0, samples=8) -> Metr
     return fam
 
 
-def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT, degree=9) -> ScalarField:
+def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT) -> ScalarField:
     """Pinned chart window: identically 1 on B_flat, 0 outside B_support."""
-    return ScalarField(grid, radial_window(grid.radius(), flat, support, degree))
+    return ScalarField(grid, radial_window(grid.radius(), flat, support))
 
 
 def _window_field(window, grid):
@@ -271,7 +268,7 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
     a2 = cut.values**2
 
     def run_pass(ts):
-        us, traces, residuals, targets = [], [], [], []
+        us, traces, residuals = [], [], []
         for t in ts:
             f = windowed_increment(w, family, t)
             v, trace = solve_fixed_point(frame, cut, f, config)
@@ -281,8 +278,7 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
             us.append(u)
             traces.append(trace)
             residuals.append(res)
-            targets.append(f)
-        return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame, w, targets)
+        return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame)
 
     return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
 
@@ -299,10 +295,10 @@ def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
     v2, tr2 = solve_fixed_point(frame, cut, f2, config)
     alpha = (config or IterationConfig()).alpha
     g = f1.grid
-    gap = holder_norm(VecField(g, v1.values - v2.values), 2, alpha).value
+    gap = holder_norm(VecField(g, v1.values - v2.values), 2, alpha)
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
     diff = SymTensorField(g, f1.values - f2.values)
-    denom = holder_norm(apply_frame(frame, zero_h, diff), 2, alpha).value
+    denom = holder_norm(apply_frame(frame, zero_h, diff), 2, alpha)
     ratio = gap / denom if denom > 1e-14 else 0.0
     return {
         "gap": gap,
@@ -342,7 +338,6 @@ def time_regularity_probe(solution: FamilySolution, r_max=2) -> dict:
         )
         ratio = native / coarse if coarse > 1e-12 else 1.0
         report["orders"][r] = {"native": native, "coarse": coarse, "ratio": ratio}
-    solution.regularity_probe = report
     return report
 
 

@@ -15,7 +15,8 @@ f supported where a == 1 this is the requested perturbation f itself.
 
 Iterations start at v = 0, stop when the C^{2,alpha} increment drops below
 tolerance, enforce the a-priori bound |v_k| <= |E(0,f)| (1 + 1e-6) at every
-step, and abort with a smallness violation when contraction is lost.
+step, and abort with a smallness violation when contraction is lost.  The
+limits of that rule are the module constants below.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +29,11 @@ from .operators import Cutoff, normal_correction, quadratic_load, tangential_cor
 from .poisson import solve_dirichlet
 from .verify import isometry_residual
 
+MAX_ITER = 60  # steps before a run counts as stalled
+RATIO_CAP = 0.9  # an increment ratio above this is a strike ...
+RATIO_STRIKES = 3  # ... and this many in a row lose contraction
+BOUND_SLACK = 1e-6  # relative slack of the a-priori bound
+
 
 class SmallnessViolation(RuntimeError):
     """Contraction lost (ratio cap or a-priori bound tripped); shrink the input."""
@@ -38,7 +44,7 @@ class SmallnessViolation(RuntimeError):
 
 
 class StalledIteration(RuntimeError):
-    """max_iter reached without meeting the increment tolerance."""
+    """MAX_ITER steps taken without meeting the increment tolerance."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -48,11 +54,7 @@ class StalledIteration(RuntimeError):
 @dataclass
 class IterationConfig:
     tol: float = 1e-10
-    max_iter: int = 60
     alpha: float = 0.5
-    ratio_cap: float = 0.9
-    ratio_strikes: int = 3
-    bound_slack: float = 1e-6
 
 
 @dataclass
@@ -115,8 +117,8 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     """Iterate from v=0 to the fixed point; returns (v, trace).
 
     Raises SmallnessViolation when the a-priori bound trips or the
-    increment ratio exceeds the cap three times in a row, and
-    StalledIteration when max_iter runs out.
+    increment ratio exceeds RATIO_CAP RATIO_STRIKES times in a row, and
+    StalledIteration when MAX_ITER steps run out.
     """
     cfg = config or IterationConfig()
     if cfg.tol <= 0:
@@ -124,15 +126,15 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     _check_f_support(cut, f)
     g = f.grid
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
-    bound = holder_norm(apply_frame(frame, zero_h, f), 2, cfg.alpha).value
+    bound = holder_norm(apply_frame(frame, zero_h, f), 2, cfg.alpha)
     trace = IterationTrace(bound=bound)
     v = VecField(g, np.zeros((g.num_nodes, frame.q)))
     strikes = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         potentials, pois = _solve_potentials(cut, v)
         v_new = fixed_point_map(frame, cut, f, v, potentials=potentials)
-        inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha).value
-        norm = holder_norm(v_new, 2, cfg.alpha).value
+        inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha)
+        norm = holder_norm(v_new, 2, cfg.alpha)
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)
@@ -141,19 +143,19 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
             if prev > 0.0:
                 ratio = inc / prev
                 trace.ratios.append(ratio)
-                strikes = strikes + 1 if ratio > cfg.ratio_cap else 0
-        if not norm <= bound * (1.0 + cfg.bound_slack):
+                strikes = strikes + 1 if ratio > RATIO_CAP else 0
+        if not norm <= bound * (1.0 + BOUND_SLACK):
             trace.status = "diverged"
             raise SmallnessViolation(
                 f"a-priori bound violated: |v|={norm:.6e} > bound {bound:.6e} "
-                f"(1+{cfg.bound_slack:g}) at step {trace.iterations}",
+                f"(1+{BOUND_SLACK:g}) at step {trace.iterations}",
                 trace=trace,
             )
-        if strikes >= cfg.ratio_strikes:
+        if strikes >= RATIO_STRIKES:
             trace.status = "diverged"
             raise SmallnessViolation(
-                f"contraction lost: increment ratio > {cfg.ratio_cap} for "
-                f"{cfg.ratio_strikes} consecutive steps (last {trace.ratios[-1]:.3f}); "
+                f"contraction lost: increment ratio > {RATIO_CAP} for "
+                f"{RATIO_STRIKES} consecutive steps (last {trace.ratios[-1]:.3f}); "
                 "shrink the perturbation or the time horizon",
                 trace=trace,
             )
@@ -163,7 +165,7 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
             return v, trace
     trace.status = "stalled"
     raise StalledIteration(
-        f"no convergence in {cfg.max_iter} iterations "
+        f"no convergence in {MAX_ITER} iterations "
         f"(last increment {trace.increments[-1]:.3e} > tol {cfg.tol:g})",
         trace=trace,
     )
@@ -215,11 +217,9 @@ def verify_identity(frame: ImmersionFrame, cut: Cutoff, v: VecField, f: SymTenso
     }
 
 
-def bump_perturbation(grid, amplitude, radius=None, power=4):
-    """Compactly supported bump tensor: first component amp*(1-(r/R)^2)^power."""
-    if radius is None:
-        radius = grid.support_radii[0]
-    prof = amplitude * radial_bump(grid, radius, power)
+def bump_perturbation(grid, amplitude, radius=0.5):
+    """Compactly supported bump tensor: first component amp*(1-(r/R)^2)^4."""
+    prof = amplitude * radial_bump(grid, radius, 4)
     comps = grid.dim * (grid.dim + 1) // 2
     vals = np.zeros((grid.num_nodes, comps))
     vals[:, 0] = prof
@@ -246,7 +246,7 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     outside = r >= cut.support_radius
     support_leak = float(np.max(np.abs(u.values[outside]))) if np.any(outside) else 0.0
     alpha = (config or IterationConfig()).alpha
-    u_norm = holder_norm(u, 2, alpha).value
+    u_norm = holder_norm(u, 2, alpha)
     report = {
         "residual_sup": residual_sup,
         "support_leak": support_leak,

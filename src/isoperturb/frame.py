@@ -47,6 +47,9 @@ class ImmersionFrame:
         Pointwise right inverse, A . Theta = I.
     freeness_margin : float
         Minimum over nodes of the smallest singular value of A.
+    eps_free : float
+        The threshold the margin was accepted against: 1e-6 times the
+        median row norm of A over the live nodes.
     q : int
         Ambient dimension.
     identity_defect : float
@@ -65,6 +68,7 @@ class ImmersionFrame:
     A: np.ndarray
     Theta: np.ndarray
     freeness_margin: float
+    eps_free: float
     q: int
     identity_defect: float
     F0: VecField
@@ -125,19 +129,6 @@ def frame_matrix(source, grid: Grid = None):
     return F0, a, dead
 
 
-def freeness_margin(source, grid: Grid = None) -> float:
-    """Minimum over nodes of the smallest singular value of the frame."""
-    _, a, dead = frame_matrix(source, grid)
-    svals = np.linalg.svd(a, compute_uv=False)
-    return float(np.min(svals[~dead, -1]))
-
-
-def freeness_threshold(frame: ImmersionFrame) -> float:
-    """The margin threshold the frame was accepted against (eps_free)."""
-    row_norms = np.linalg.norm(frame.A, axis=2)
-    return _FREE_EPS_REL * float(np.median(row_norms))
-
-
 def build_frame(source, grid: Grid = None) -> ImmersionFrame:
     """Build the frame and its verified pointwise right inverse.
 
@@ -181,7 +172,7 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
         )
     grid_out = F0.grid
     return ImmersionFrame(
-        grid_out, a, theta, margin, a.shape[2], defect, F0,
+        grid_out, a, theta, margin, eps_free, a.shape[2], defect, F0,
         excluded_nodes=int(np.count_nonzero(dead)),
     )
 

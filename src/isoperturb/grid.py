@@ -11,7 +11,6 @@ matrices.  Hoelder seminorms are exact: the maximum of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import comb
 
@@ -63,13 +62,6 @@ class SymTensorField:
 
     def copy(self):
         return SymTensorField(self.grid, self.values.copy())
-
-
-@dataclass
-class HolderNorm:
-    m: int
-    alpha: float
-    value: float
 
 
 def sym_indices(dim):
@@ -154,28 +146,19 @@ class Grid:
         Chart dimension, 1 or 2.
     resolution : int
         Nodes per axis N (spacing h = 2/(N-1)); N >= MIN_RESOLUTION.
-    support_radii : (float, float)
-        (R1, R2) with 0 < R1 < R2 < 1: inner radius that carries metric
-        increments and outer radius that bounds perturbation supports.
 
     Hoelder seminorms (``quotient_max``) are exact maxima over all pairs of
     distinct nodes, at every resolution.
     """
 
-    def __init__(self, dim, resolution, support_radii=(0.5, 0.75)):
+    def __init__(self, dim, resolution):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got dim={dim}")
         if int(resolution) != resolution or resolution < MIN_RESOLUTION:
             raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got resolution={resolution}")
-        r1, r2 = float(support_radii[0]), float(support_radii[1])
-        if not (0.0 < r1 < r2 < 1.0):
-            raise ValueError(
-                f"support_radii must satisfy 0 < R1 < R2 < 1, got support_radii=({r1}, {r2})"
-            )
         self.dim = int(dim)
         self.resolution = int(resolution)
         self.spacing = 2.0 / (self.resolution - 1)
-        self.support_radii = (r1, r2)
 
         self._build_nodes()
         self._deriv_cache = {}
@@ -193,12 +176,8 @@ class Grid:
             self.lattice_index = np.arange(N)[:, None]
             r = np.abs(axis)
             self.interior_mask = r < 1.0 - _EDGE_TOL
-            self.boundary_idx = np.where(~self.interior_mask)[0]
-            self.boundary_points = self.coords[self.boundary_idx]
             self.row_segments = [np.arange(N)]
             self.col_segments = []
-            self.row_length = np.full(N, N)
-            self.col_length = np.full(N, N)
             return
 
         xs, ys, ii, jj = [], [], [], []
@@ -225,7 +204,6 @@ class Grid:
         self.lattice_index = np.column_stack([ii, jj])
         r = np.sqrt((self.coords**2).sum(axis=1))
         self.interior_mask = r < 1.0 - _EDGE_TOL
-        self.boundary_idx = np.where(~self.interior_mask)[0]
 
         col_segments = []
         for i in range(N):
@@ -234,32 +212,7 @@ class Grid:
                 col_segments.append(np.asarray(col))
         self.row_segments = row_segments
         self.col_segments = col_segments
-        self.row_length = np.empty(k, dtype=int)
-        self.col_length = np.empty(k, dtype=int)
-        for seg in row_segments:
-            self.row_length[seg] = len(seg)
-        for seg in col_segments:
-            self.col_length[seg] = len(seg)
         self._node_id = node_id
-
-        # projected boundary points: circle crossings of the lattice lines
-        # (where homogeneous Dirichlet data is applied by the disk solver)
-        crossings = []
-        for idx in range(k):
-            if not self.interior_mask[idx]:
-                continue
-            x, y = self.coords[idx]
-            for dx, dy in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-                xn, yn = x + dx, y + dy
-                if xn * xn + yn * yn > 1.0 + _EDGE_TOL:
-                    if dx != 0.0:
-                        xc = math.copysign(math.sqrt(max(1.0 - y * y, 0.0)), dx)
-                        crossings.append((xc, y))
-                    else:
-                        yc = math.copysign(math.sqrt(max(1.0 - x * x, 0.0)), dy)
-                        crossings.append((x, yc))
-        lattice_boundary = [tuple(p) for p in self.coords[self.boundary_idx]]
-        self.boundary_points = np.asarray(sorted(set(crossings) | set(lattice_boundary)))
 
     # -- derivative operators ----------------------------------------------
 
@@ -382,9 +335,9 @@ def radial_bump(grid, radius, power):
     return np.clip(1.0 - r2 / radius**2, 0.0, None) ** power
 
 
-def make_grid(dim, resolution, support_radii=(0.5, 0.75)):
+def make_grid(dim, resolution):
     """Build a chart grid; see Grid for the field semantics."""
-    return Grid(dim, resolution, support_radii)
+    return Grid(dim, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +407,7 @@ def holder_norms(fld, orders, alpha):
 
 def holder_norm(fld, m, alpha):
     """Discrete C^{m,alpha} norm of fld; see holder_norms."""
-    return HolderNorm(int(m), float(alpha), holder_norms(fld, (m,), alpha)[m])
+    return holder_norms(fld, (m,), alpha)[m]
 
 
 def monitor_recurrence(a0, C, sequence):

@@ -24,46 +24,34 @@ from .grid import (
 )
 from .poisson import solve_dirichlet
 
-_PROFILE_DEGREES = (7, 9, 11)
 
+def smoothstep(t):
+    """Degree-9 polynomial step: 0 at t<=0, 1 at t>=1, C^4 joins.
 
-def smoothstep(t, degree=9):
-    """Polynomial step: 0 at t<=0, 1 at t>=1, C^k joins (k=(degree-1)/2).
-
-    degree 7, 9 or 11; default 9 gives C^4 joins so that fourth discrete
-    derivatives of profiles stay bounded under refinement.
+    C^4 joins keep fourth discrete derivatives of profiles bounded under
+    refinement.
     """
-    if degree not in _PROFILE_DEGREES:
-        raise ValueError(f"smoothstep: degree must be one of {_PROFILE_DEGREES}, got {degree}")
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    if degree == 7:
-        return t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
-    if degree == 9:
-        return t**5 * (126.0 + t * (-420.0 + t * (540.0 + t * (-315.0 + t * 70.0))))
-    return t**6 * (462.0 + t * (-1980.0 + t * (3465.0 + t * (-3080.0 + t * (1386.0 - t * 252.0)))))
+    return t**5 * (126.0 + t * (-420.0 + t * (540.0 + t * (-315.0 + t * 70.0))))
 
 
-def radial_window(r, flat, support, degree):
+def radial_window(r, flat, support):
     """Pinned window: 1 for r <= flat, 0 for r >= support, clipped 1 - smoothstep between."""
     s = (r - flat) / (support - flat)
-    # the high-degree step polynomial can overshoot 1 by ~1 ulp near its
+    # the degree-9 step polynomial can overshoot 1 by ~1 ulp near its
     # upper knot, which would leak sign into partition weights
-    vals = np.clip(1.0 - smoothstep(s, degree), 0.0, 1.0)
+    vals = np.clip(1.0 - smoothstep(s), 0.0, 1.0)
     vals[r <= flat] = 1.0
     vals[r >= support] = 0.0
     return vals
 
 
-def smoothstep_slope(t, degree=9):
+def smoothstep_slope(t):
     """Closed-form derivative of `smoothstep` (zero outside (0,1))."""
-    if degree not in _PROFILE_DEGREES:
-        raise ValueError(f"smoothstep: degree must be one of {_PROFILE_DEGREES}, got {degree}")
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     tc = np.clip(t, 0.0, 1.0)
-    base = {7: 140.0, 9: 630.0, 11: 2772.0}[degree]
-    k = (degree - 1) // 2
-    return np.where(inside, base * tc**k * (1.0 - tc) ** k, 0.0)
+    return np.where(inside, 630.0 * tc**4 * (1.0 - tc) ** 4, 0.0)
 
 
 class Cutoff:
@@ -73,13 +61,10 @@ class Cutoff:
     ----------
     grid : Grid
         Grid the cutoff lives on.
-    flat_radius : float, optional
-        a == 1 for r <= flat_radius.  Defaults to grid.support_radii[0].
-    support_radius : float, optional
-        a == 0 for r >= support_radius (< 1).  Defaults to
-        grid.support_radii[1].
-    degree : int
-        smoothstep degree of the transition profile (7, 9 or 11).
+    flat_radius : float
+        a == 1 for r <= flat_radius (default 0.5).
+    support_radius : float
+        a == 0 for r >= support_radius (< 1; default 0.75).
 
     Attributes
     ----------
@@ -87,11 +72,7 @@ class Cutoff:
         The cutoff values (exactly 1.0 / 0.0 on the flat/outside regions).
     """
 
-    def __init__(self, grid: Grid, flat_radius=None, support_radius=None, degree=9):
-        if flat_radius is None:
-            flat_radius = grid.support_radii[0]
-        if support_radius is None:
-            support_radius = grid.support_radii[1]
+    def __init__(self, grid: Grid, flat_radius=0.5, support_radius=0.75):
         if not (0.0 < flat_radius < support_radius < 1.0):
             raise ValueError(
                 "Cutoff: need 0 < flat_radius < support_radius < 1, got "
@@ -100,13 +81,12 @@ class Cutoff:
         self.grid = grid
         self.flat_radius = float(flat_radius)
         self.support_radius = float(support_radius)
-        self.degree = int(degree)
         r = grid.radius()
-        self.a = ScalarField(grid, radial_window(r, self.flat_radius, self.support_radius, degree))
+        self.a = ScalarField(grid, radial_window(r, self.flat_radius, self.support_radius))
         width = self.support_radius - self.flat_radius
         s = (r - self.flat_radius) / width
         # analytic radial gradient: da/dx_i = -S'(s)/width * x_i/r
-        slope = -smoothstep_slope(s, degree) / width
+        slope = -smoothstep_slope(s) / width
         safe_r = np.where(r > 0.0, r, 1.0)
         self._grad = [
             ScalarField(grid, slope * grid.coords[:, ax] / safe_r) for ax in range(grid.dim)
@@ -234,27 +214,27 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
         v2 = VecField(g, cut.values[:, None] * random_waves(g, rng, 3))
         diff = VecField(g, v1.values - v2.values)
         size = (
-            holder_norm(v1, 2, alpha).value + holder_norm(v2, 2, alpha).value
-        ) * holder_norm(diff, 2, alpha).value
+            holder_norm(v1, 2, alpha) + holder_norm(v2, 2, alpha)
+        ) * holder_norm(diff, 2, alpha)
         if size < 1e-14:
             continue
         for ax in range(g.dim):
             dn = quadratic_load(cut, v1, ax).values - quadratic_load(cut, v2, ax).values
             out["load"] = max(
-                out["load"], holder_norm(ScalarField(g, dn), 0, alpha).value / size
+                out["load"], holder_norm(ScalarField(g, dn), 0, alpha) / size
             )
         w1, w2 = load_potentials(cut, v1), load_potentials(cut, v2)
         q1 = normal_correction(cut, v1, potentials=w1)
         q2 = normal_correction(cut, v2, potentials=w2)
         dq = SymTensorField(g, q1.values - q2.values)
-        out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha).value / size)
+        out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha) / size)
         for k in range(dq.values.shape[1]):
             dm = laplacian(ScalarField(g, dq.values[:, k]))
-            out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha).value / size)
+            out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha) / size)
         p1 = tangential_correction(cut, v1, potentials=w1)
         p2 = tangential_correction(cut, v2, potentials=w2)
         dp = VecField(g, p1.values - p2.values)
-        out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha).value / size)
+        out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha) / size)
     out["samples"] = samples
     out["alpha"] = alpha
     return out

@@ -20,6 +20,8 @@ from scipy.sparse.linalg import splu
 from .grid import Grid, ScalarField, holder_norms, radial_bump
 
 _MIN_ARM = 1e-6
+# support radius of the elliptic monitors' right-hand sides
+_MONITOR_SUPPORT = 0.75
 
 
 @dataclass
@@ -33,13 +35,10 @@ class DirichletSolution:
     residual_sup : float
         max |L u - f| over interior nodes, where L is the solver's own
         discrete Laplacian (unequal-arm stencils near the circle for n=2).
-    boundary_sup : float
-        max |u| over boundary nodes (identically zero by construction).
     """
 
     u: ScalarField
     residual_sup: float
-    boundary_sup: float
 
 
 class PoissonSolver:
@@ -122,8 +121,7 @@ class PoissonSolver:
                 )
             u[self._interior] = sol
             res = float(np.max(np.abs(self._matrix @ sol - rhs)))
-        bsup = float(np.max(np.abs(u[g.boundary_idx]))) if len(g.boundary_idx) else 0.0
-        return DirichletSolution(ScalarField(g, u), res, bsup)
+        return DirichletSolution(ScalarField(g, u), res)
 
     def _solve_interval(self, fv):
         # exact inverse of the interior three-point operator with u(+-1)=0:
@@ -160,8 +158,8 @@ def solve_dirichlet(f: ScalarField) -> DirichletSolution:
 # elliptic estimate monitors (recorded constants; never gate the solve)
 
 
-def _supported_sample(grid, rng, radius):
-    prof = radial_bump(grid, radius, 4)
+def _supported_sample(grid, rng):
+    prof = radial_bump(grid, _MONITOR_SUPPORT, 4)
     x = grid.coords[:, 0]
     c = rng.uniform(-1.0, 1.0, 3)
     if grid.dim == 1:
@@ -172,23 +170,21 @@ def _supported_sample(grid, rng, radius):
     return ScalarField(grid, prof * wave)
 
 
-def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0, support_radius=None):
+def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     """Record empirical constants of the interior-estimate hierarchy.
 
     Returns a dict with the largest observed ratios |u|_{m+2,a}/|f|_{m,a}
-    over a corpus of compactly supported right-hand sides, plus the
+    over a corpus of right-hand sides supported in the 3/4-ball, plus the
     support-constant spread across m in {1,2} and a linearity defect.
     These are monitors only; nothing here gates a solve.
     """
     rng = np.random.default_rng(seed)
-    if support_radius is None:
-        support_radius = grid.support_radii[1]
     solver = _solver_for(grid)
     schauder = 0.0
     higher = {1: 0.0, 2: 0.0}
     fields = []
     for _ in range(samples):
-        f = _supported_sample(grid, rng, support_radius)
+        f = _supported_sample(grid, rng)
         nf = holder_norms(f, (0, 1, 2), alpha)
         if nf[0] < 1e-14:
             continue
@@ -216,5 +212,5 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0, support_radius=None):
         "linearity_defect": lin,
         "samples": samples,
         "alpha": alpha,
-        "support_radius": support_radius,
+        "support_radius": _MONITOR_SUPPORT,
     }

@@ -160,6 +160,22 @@ def test_tolerance_failure_exits_1_and_names_criterion(tmp_path):
     assert failed == ["isometry-residual"]
 
 
+def test_solve_local_load_too_large_to_contract_exits_1(tmp_path):
+    # the fixed-point solve gives up with SmallnessViolation; the run still
+    # writes its summary and the trace of the failed iteration
+    cfg = LOCAL_FAST_CFG.replace("amplitude: 0.01", "amplitude: 50.0")
+    out = str(tmp_path / "out")
+    code = main(["solve-local", "--config", _cfg(tmp_path, cfg),
+                 "--out", out, "--quiet"])
+    assert code == 1
+    s = _summary(out)
+    assert s["status"] == "fail"
+    assert "a-priori bound violated" in s["failure"]
+    trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
+    assert trace[0] == "iteration,norm,increment,ratio,poisson_residual"
+    assert len(trace) > 1
+
+
 def test_yaml_syntax_error_exits_2_without_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = _cfg(tmp_path, "name: x\ncommand: solve-local\nresolution: [oops\n")
@@ -225,12 +241,17 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     ("solve-family", "resolution: 201\ncutoff: [0.5, 0.9]\n"
      "family: {name: uniform-scale, beta: 0.01}\n", [], "cutoff"),
     ("solve-global", "manifold: torus\ncharts: 3\nresolution: 25\nmesh: 48\n", [], "charts"),
+    ("solve-family", "resolution: 201\nfamily: {name: bump-breathing, bump_power: -1}\n",
+     [], "family.bump_power"),
+    ("solve-family", "resolution: 201\nfamily: {name: bump-breathing, bump_power: 0}\n",
+     [], "family.bump_power"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
     # each input used to pass validation and then die in a constructor or in
     # the solver's support check (or, for the table, whose g reaches -2 at
-    # t = 1, to halve its way to a pass)
+    # t = 1, to halve its way to a pass; bump_power -1 gives inf/NaN metric
+    # components and 0 a bump that fills the chart, both ending in exit 1)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
     doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")

@@ -176,6 +176,12 @@ def test_family_validation():
     with pytest.raises(ValueError, match="positive definiteness"):
         build_family("bump-breathing", g, horizon=1.0, samples=2, beta=-2.0,
                      bump_radius=0.4)
+    # (1 - r^2/R^2)_+^-1 is inf outside the bump, and 0 * inf at t = 0 is
+    # NaN: a NaN smallest eigenvalue is not > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="positive definiteness"):
+            build_family("bump-breathing", g, base=ParabolaChart(), horizon=1.0,
+                         samples=2, beta=0.01, bump_power=-1)
 
 
 # ---------------------------------------------------------------- solves
@@ -214,7 +220,6 @@ def test_regularity_probe_on_solution(breathing_solution):
     for r in (1, 2):
         assert rep["orders"][r]["ratio"] <= 2.0
         assert np.isfinite(rep["orders"][r]["native"])
-    assert breathing_solution.regularity_probe is rep
 
 
 def test_horizon_halving_recovers():
@@ -274,9 +279,9 @@ def test_solve_family_support_mismatch():
 
 
 def test_stability_gap_ratio():
-    g = make_grid(1, 401, support_radii=(0.5, 0.9))
+    g = make_grid(1, 401)
     frame = build_frame(ParabolaChart(), g)
-    cut = Cutoff(g)
+    cut = Cutoff(g, 0.5, 0.9)
     rep = stability_gap(frame, cut, bump_perturbation(g, 0.01),
                         bump_perturbation(g, 0.008), CFG)
     assert rep["ratio"] <= 1.1
@@ -285,9 +290,9 @@ def test_stability_gap_ratio():
 
 
 def test_stability_gap_identical_inputs_is_zero():
-    g = make_grid(1, 401, support_radii=(0.5, 0.9))
+    g = make_grid(1, 401)
     frame = build_frame(ParabolaChart(), g)
-    cut = Cutoff(g)
+    cut = Cutoff(g, 0.5, 0.9)
     f = bump_perturbation(g, 0.01)
     rep = stability_gap(frame, cut, f, SymTensorField(g, f.values.copy()), CFG)
     assert rep["gap"] == 0.0
@@ -300,8 +305,7 @@ def test_stability_gap_identical_inputs_is_zero():
 def _fake_solution(t_grid, stack_fn, q=3, nodes_grid=None):
     g = nodes_grid or make_grid(1, 51)
     us = [VecField(g, np.full((g.num_nodes, q), stack_fn(t))) for t in t_grid]
-    return FamilySolution(np.asarray(t_grid), us, [], [], float(t_grid[-1]),
-                          None, None, [])
+    return FamilySolution(np.asarray(t_grid), us, [], [], float(t_grid[-1]), None)
 
 
 def test_probe_quadratic_hand_oracle():

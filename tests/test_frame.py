@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
-from isoperturb.frame import (
-    NotFreeError,
-    apply_frame,
-    build_frame,
-    freeness_margin,
-)
+from isoperturb.frame import NotFreeError, apply_frame, build_frame
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
 from isoperturb.verify import (
     isometry_residual,
@@ -23,14 +18,14 @@ from isoperturb.verify import (
 
 
 def test_oracle_d1_exact_through_degree_four():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     d1 = oracle_derivative_matrix(g, (1,))
     assert np.max(np.abs(d1 @ x**4 - 4.0 * x**3)) < 1e-9
 
 
 def test_oracle_d2_exact_through_degree_five():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     d2 = oracle_derivative_matrix(g, (2,))
     assert np.max(np.abs(d2 @ x**5 - 20.0 * x**3)) < 1e-8
@@ -39,7 +34,7 @@ def test_oracle_d2_exact_through_degree_five():
 def test_oracle_fourth_order_convergence():
     errs = []
     for N in (101, 201):
-        g = make_grid(1, N, (0.5, 0.75))
+        g = make_grid(1, N)
         x = g.coords[:, 0]
         d1 = oracle_derivative_matrix(g, (1,))
         errs.append(np.max(np.abs(d1 @ np.sin(2.0 * x) - 2.0 * np.cos(2.0 * x))))
@@ -48,7 +43,7 @@ def test_oracle_fourth_order_convergence():
 
 
 def test_oracle_rejects_high_order():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     with pytest.raises(ValueError, match="order 2"):
         oracle_derivative_matrix(g, (3,))
 
@@ -66,7 +61,7 @@ def test_periodic_derivative_fourth_order():
 def test_isometry_residual_frozen_scaling_example():
     # F = 1.1 F0 has pullback 1.21 g0, so the residual field is 0.21 g0;
     # the oracle is exact on polynomials, giving sup = 0.21 * max(1+4x^2)
-    g = make_grid(1, 201, (0.5, 0.75))
+    g = make_grid(1, 201)
     chart = ParabolaChart()
     F0 = chart.evaluate(g)
     F = VecField(g, 1.1 * F0.values)
@@ -84,8 +79,8 @@ def test_isometry_residual_frozen_scaling_example():
 def test_parabola_margin_matches_closed_form():
     # A = [[1, 2x], [0, 2]]: smallest singular value from the 2x2
     # eigenvalue formula for A A^T, minimized at x = +-1
-    g = make_grid(1, 401, (0.5, 0.75))
-    margin = freeness_margin(ParabolaChart(), g)
+    g = make_grid(1, 401)
+    margin = build_frame(ParabolaChart(), g).freeness_margin
     x = g.coords[:, 0]
     tr = 5.0 + 4.0 * x * x
     smin = np.sqrt((tr - np.sqrt(tr * tr - 16.0)) / 2.0)
@@ -96,17 +91,16 @@ def test_parabola_margin_matches_closed_form():
 
 def test_circle_margin_is_halfwidth():
     # orthogonal rows of norms c and c^2: for c > 1 the margin is c
-    g = make_grid(1, 401, (0.5, 0.75))
+    g = make_grid(1, 401)
     c = 3.0 * np.pi / 4.0
-    margin = freeness_margin(CircleChart(0.0, c), g)
+    margin = build_frame(CircleChart(0.0, c), g).freeness_margin
     assert abs(margin - c) < 1e-10
 
 
 def test_degenerate_line_rejected_with_zero_margin():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     flat = VecField(g, np.column_stack([x, np.zeros_like(x)]))
-    assert freeness_margin(flat) < 1e-10
     with pytest.raises(NotFreeError) as exc:
         build_frame(flat)
     assert exc.value.margin < 1e-10
@@ -114,18 +108,18 @@ def test_degenerate_line_rejected_with_zero_margin():
 
 def test_product_torus_lacks_components():
     # the plain product-of-circles map has only q=4 < n(n+3)/2 = 5
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     c = 3.0
     x, y = g.coords[:, 0], g.coords[:, 1]
     prod = VecField(
         g, np.column_stack([np.cos(c * x), np.sin(c * x), np.cos(c * y), np.sin(c * y)])
     )
     with pytest.raises(ValueError, match=r"n\(n\+3\)/2 = 5"):
-        freeness_margin(prod)
+        build_frame(prod)
 
 
 def test_torus_chart_is_free():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     frame = build_frame(TorusChart((0.0, 0.0), 3.0), g)
     assert frame.freeness_margin > 0.1
     assert frame.identity_defect <= 1e-10
@@ -137,14 +131,14 @@ def test_torus_chart_is_free():
 
 
 def test_frame_identity_defect_parabola_and_circle():
-    g = make_grid(1, 401, (0.5, 0.75))
+    g = make_grid(1, 401)
     for chart in (ParabolaChart(), CircleChart(0.0, 3.0 * np.pi / 4.0), CircleChart(np.pi, 3.0 * np.pi / 4.0)):
         frame = build_frame(chart, g)
         assert frame.identity_defect <= 1e-10
 
 
 def test_square_frame_inverse_is_matrix_inverse():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     frame = build_frame(ParabolaChart(), g)
     assert frame.A.shape[1] == frame.A.shape[2] == 2
     inv = np.linalg.inv(frame.A)
@@ -152,7 +146,7 @@ def test_square_frame_inverse_is_matrix_inverse():
 
 
 def test_apply_frame_reconstructs_prescribed_products():
-    g = make_grid(1, 201, (0.5, 0.75))
+    g = make_grid(1, 201)
     frame = build_frame(ParabolaChart(), g)
     rng = np.random.default_rng(11)
     h = VecField(g, rng.standard_normal((g.num_nodes, 1)))
@@ -166,7 +160,7 @@ def test_apply_frame_reconstructs_prescribed_products():
 
 
 def test_apply_frame_zero_maps_to_zero():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     frame = build_frame(ParabolaChart(), g)
     z = np.zeros((g.num_nodes, 1))
     e = apply_frame(frame, VecField(g, z), SymTensorField(g, z))
@@ -174,14 +168,14 @@ def test_apply_frame_zero_maps_to_zero():
 
 
 def test_apply_frame_shape_validation():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     frame = build_frame(ParabolaChart(), g)
     with pytest.raises(ValueError, match="row coefficients"):
         apply_frame(frame, VecField(g, np.zeros((g.num_nodes, 2))), SymTensorField(g, np.zeros((g.num_nodes, 1))))
 
 
 def test_sampled_embedding_frame_matches_analytic():
-    g = make_grid(1, 201, (0.5, 0.75))
+    g = make_grid(1, 201)
     chart = CircleChart(0.0, 3.0 * np.pi / 4.0)
     analytic = build_frame(chart, g)
     sampled = build_frame(chart.evaluate(g))
@@ -194,14 +188,14 @@ def test_sampled_embedding_frame_matches_analytic():
 
 
 def test_chart_base_metrics():
-    g1 = make_grid(1, 101, (0.5, 0.75))
+    g1 = make_grid(1, 101)
     x = g1.coords[:, 0]
     pm = ParabolaChart().base_metric(g1)
     assert np.max(np.abs(pm.values[:, 0] - (1.0 + 4.0 * x * x))) < 1e-12
     c = 3.0 * np.pi / 4.0
     cm = CircleChart(0.0, c).base_metric(g1)
     assert np.all(cm.values == c * c)
-    g2 = make_grid(2, 33, (0.5, 0.75))
+    g2 = make_grid(2, 33)
     tm = TorusChart((0.0, 0.0), 3.0).base_metric(g2)
     assert np.all(tm.values[:, 0] == 18.0)
     assert np.all(tm.values[:, 1] == 9.0)
@@ -209,7 +203,7 @@ def test_chart_base_metrics():
 
 
 def test_chart_derivatives_match_oracle_stencils():
-    g = make_grid(1, 401, (0.5, 0.75))
+    g = make_grid(1, 401)
     chart = CircleChart(0.5, 2.0)
     F = chart.evaluate(g)
     d1_num = oracle_derivative_matrix(g, (1,)) @ F.values

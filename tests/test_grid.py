@@ -64,17 +64,17 @@ def _field(g, kind, rng):
 
 
 def test_make_grid_1d_basic():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     assert g.num_nodes == 101
     assert abs(g.spacing - 0.02) < 1e-15
     assert g.coords[0, 0] == -1.0 and g.coords[-1, 0] == 1.0
     assert g.interior_mask.sum() == 99
-    assert list(g.boundary_idx) == [0, 100]
+    assert list(np.flatnonzero(~g.interior_mask)) == [0, 100]
 
 
 def test_make_grid_2d_node_count_matches_brute_force_scan():
     for N in (33, 65):
-        g = make_grid(2, N, (0.5, 0.75))
+        g = make_grid(2, N)
         h = 2.0 / (N - 1)
         count = 0
         for i in range(N):
@@ -86,26 +86,15 @@ def test_make_grid_2d_node_count_matches_brute_force_scan():
         assert np.all(np.sqrt((g.coords**2).sum(axis=1)) <= 1.0 + 1e-12)
 
 
-def test_make_grid_2d_boundary_points_lie_on_circle():
-    g = make_grid(2, 33, (0.5, 0.75))
-    r = np.sqrt((g.boundary_points**2).sum(axis=1))
-    assert np.max(np.abs(r - 1.0)) < 1e-12
-    assert len(g.boundary_points) > 0
-
-
 def test_make_grid_validation_errors_name_the_field():
     with pytest.raises(ValueError, match="dim"):
         make_grid(3, 33)
     with pytest.raises(ValueError, match="resolution"):
         make_grid(1, 10)
-    with pytest.raises(ValueError, match="support_radii"):
-        make_grid(1, 33, (0.8, 0.5))
-    with pytest.raises(ValueError, match="support_radii"):
-        make_grid(1, 33, (0.5, 1.0))
 
 
 def test_2d_segments_are_contiguous_and_consistent():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     total = 0
     for seg in g.row_segments:
         assert np.all(np.diff(seg) == 1)  # row nodes are contiguous ids
@@ -115,7 +104,7 @@ def test_2d_segments_are_contiguous_and_consistent():
 
 
 def test_to_lattice_roundtrip():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     vals = np.arange(g.num_nodes, dtype=float)
     lat = g.to_lattice(vals, fill=-1.0)
     assert np.all(lat[g.lattice_index[:, 0], g.lattice_index[:, 1]] == vals)
@@ -126,7 +115,7 @@ def test_to_lattice_roundtrip():
 
 
 def test_d1_exact_on_quadratic_everywhere():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     f = ScalarField(g, x * x)
     df = derivative(f, (1,))
@@ -134,7 +123,7 @@ def test_d1_exact_on_quadratic_everywhere():
 
 
 def test_d2_exact_on_cubic_everywhere():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     f = ScalarField(g, x**3)
     d2 = derivative(f, (2,))
@@ -144,7 +133,7 @@ def test_d2_exact_on_cubic_everywhere():
 def test_second_derivative_error_quarters_under_refinement():
     errs = []
     for N in (101, 201, 401):
-        g = make_grid(1, N, (0.5, 0.75))
+        g = make_grid(1, N)
         x = g.coords[:, 0]
         f = ScalarField(g, np.sin(np.pi * x))
         d2 = derivative(f, (2,))
@@ -154,7 +143,7 @@ def test_second_derivative_error_quarters_under_refinement():
 
 
 def test_mixed_derivative_exact_on_xy():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     x, y = g.coords[:, 0], g.coords[:, 1]
     f = ScalarField(g, x * y)
     dxy = derivative(f, (1, 1))
@@ -166,7 +155,7 @@ def test_mixed_derivative_exact_on_xy():
 
 
 def test_high_order_composed_stencils():
-    g = make_grid(1, 201, (0.5, 0.75))
+    g = make_grid(1, 201)
     x = g.coords[:, 0]
     inner = slice(4, -4)
     d3 = derivative(ScalarField(g, x**3), (3,))
@@ -177,7 +166,7 @@ def test_high_order_composed_stencils():
 
 
 def test_derivative_order_cap():
-    g = make_grid(1, 33, (0.5, 0.75))
+    g = make_grid(1, 33)
     f = ScalarField(g, g.coords[:, 0])
     with pytest.raises(ValueError, match="unsupported"):
         derivative(f, (5,))
@@ -187,7 +176,7 @@ def test_derivative_order_cap():
 
 
 def test_laplacian_matches_sum_of_second_derivatives():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     x, y = g.coords[:, 0], g.coords[:, 1]
     f = ScalarField(g, np.sin(x) * np.cos(y))
     lap = laplacian(f)
@@ -206,50 +195,50 @@ def test_laplacian_matches_sum_of_second_derivatives():
 def test_holder_norm_of_coordinate_is_one_plus_sqrt2():
     # sup |x| = 1; seminorm max |x-y|^{1/2} = sqrt(2) at the endpoint pair
     for N in (41, 101, 401):
-        g = make_grid(1, N, (0.5, 0.75))
+        g = make_grid(1, N)
         f = ScalarField(g, g.coords[:, 0])
         hn = holder_norm(f, 0, 0.5)
-        assert abs(hn.value - (1.0 + math.sqrt(2.0))) < 1e-12
+        assert abs(hn - (1.0 + math.sqrt(2.0))) < 1e-12
 
 
 def test_holder_norm_matches_brute_force_oracle():
-    g = make_grid(1, 41, (0.5, 0.75))
+    g = make_grid(1, 41)
     x = g.coords[:, 0]
     vals = np.sin(2.0 * x) + 0.3 * x * x
     f = ScalarField(g, vals)
     hn = holder_norm(f, 0, 0.5)
-    assert abs(hn.value - brute_c0alpha(g.coords, vals, 0.5)) < 1e-12
+    assert abs(hn - brute_c0alpha(g.coords, vals, 0.5)) < 1e-12
 
 
 def test_holder_norm_2d_matches_brute_force_oracle():
-    g = make_grid(2, 17, (0.5, 0.75))
+    g = make_grid(2, 17)
     x, y = g.coords[:, 0], g.coords[:, 1]
     vals = np.cos(x + 2.0 * y)
     hn = holder_norm(ScalarField(g, vals), 0, 0.5)
-    assert abs(hn.value - brute_c0alpha(g.coords, vals, 0.5)) < 1e-12
+    assert abs(hn - brute_c0alpha(g.coords, vals, 0.5)) < 1e-12
 
 
 def test_holder_norm_vector_is_component_sum():
-    g = make_grid(1, 41, (0.5, 0.75))
+    g = make_grid(1, 41)
     x = g.coords[:, 0]
     u = VecField(g, np.column_stack([x, x * x]))
-    total = holder_norm(u, 1, 0.5).value
-    parts = sum(holder_norm(ScalarField(g, c), 1, 0.5).value for c in (x, x * x))
+    total = holder_norm(u, 1, 0.5)
+    parts = sum(holder_norm(ScalarField(g, c), 1, 0.5) for c in (x, x * x))
     assert abs(total - parts) < 1e-12
 
 
 def test_holder_norm_m_adds_mth_derivative_part():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     f = ScalarField(g, np.sin(np.pi * x))
-    n0 = holder_norm(f, 0, 0.5).value
-    n2 = holder_norm(f, 2, 0.5).value
+    n0 = holder_norm(f, 0, 0.5)
+    n2 = holder_norm(f, 2, 0.5)
     d2 = derivative(f, (2,))
-    assert abs(n2 - (n0 + holder_norm(d2, 0, 0.5).value)) < 1e-12
+    assert abs(n2 - (n0 + holder_norm(d2, 0, 0.5))) < 1e-12
 
 
 def test_holder_norm_validation():
-    g = make_grid(1, 33, (0.5, 0.75))
+    g = make_grid(1, 33)
     f = ScalarField(g, g.coords[:, 0])
     with pytest.raises(ValueError, match="alpha"):
         holder_norm(f, 0, 1.2)
@@ -271,7 +260,7 @@ def test_holder_norms_matches_one_order_calls_exactly():
         table = holder_norms(f, (4, 0, 2, 1, 3), 0.3)
         assert list(table) == [4, 0, 2, 1, 3]
         for m, value in table.items():
-            assert value == holder_norm(f, m, 0.3).value
+            assert value == holder_norm(f, m, 0.3)
 
 
 @pytest.mark.parametrize("dim,q", [(1, None), (1, 2), (2, None), (2, 2)])
@@ -315,7 +304,7 @@ def test_seminorm_is_exact_all_pairs_maximum(dim_n, alpha, kind, seed):
     vals = _field(g, kind, np.random.default_rng(seed))
     ref = all_pairs_quotient(g.coords, vals, alpha)
     assert g.quotient_max(vals, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
-    hn = holder_norm(ScalarField(g, vals), 0, alpha).value
+    hn = holder_norm(ScalarField(g, vals), 0, alpha)
     assert hn == pytest.approx(float(np.max(np.abs(vals))) + ref, rel=1e-12, abs=0.0)
 
 
@@ -324,7 +313,7 @@ def test_seminorm_of_constant_field_is_exactly_zero():
         g = make_grid(dim, N)
         vals = np.full(g.num_nodes, -2.5)
         assert g.quotient_max(vals, 0.5) == 0.0
-        assert holder_norm(ScalarField(g, vals), 0, 0.5).value == 2.5
+        assert holder_norm(ScalarField(g, vals), 0, 0.5) == 2.5
 
 
 def test_seminorm_finds_single_node_spike_on_fine_grid():
@@ -339,23 +328,23 @@ def test_seminorm_finds_single_node_spike_on_fine_grid():
 @settings(max_examples=20, deadline=None)
 @given(lam=st.floats(-8.0, 8.0, allow_nan=False))
 def test_holder_norm_homogeneity(lam):
-    g = make_grid(1, 33, (0.5, 0.75))
+    g = make_grid(1, 33)
     x = g.coords[:, 0]
     f = ScalarField(g, np.sin(2 * x) + x)
-    a = holder_norm(ScalarField(g, lam * f.values), 1, 0.5).value
-    b = abs(lam) * holder_norm(f, 1, 0.5).value
+    a = holder_norm(ScalarField(g, lam * f.values), 1, 0.5)
+    b = abs(lam) * holder_norm(f, 1, 0.5)
     assert abs(a - b) <= 1e-12 * max(1.0, b)
 
 
 @settings(max_examples=20, deadline=None)
 @given(c1=st.floats(-3.0, 3.0, allow_nan=False), c2=st.floats(-3.0, 3.0, allow_nan=False))
 def test_holder_norm_triangle_inequality(c1, c2):
-    g = make_grid(1, 33, (0.5, 0.75))
+    g = make_grid(1, 33)
     x = g.coords[:, 0]
     u = ScalarField(g, c1 * np.sin(2 * x) + x * x)
     v = ScalarField(g, c2 * np.cos(x) - x)
-    lhs = holder_norm(ScalarField(g, u.values + v.values), 1, 0.5).value
-    rhs = holder_norm(u, 1, 0.5).value + holder_norm(v, 1, 0.5).value
+    lhs = holder_norm(ScalarField(g, u.values + v.values), 1, 0.5)
+    rhs = holder_norm(u, 1, 0.5) + holder_norm(v, 1, 0.5)
     assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
@@ -367,12 +356,12 @@ def test_holder_norm_triangle_inequality(c1, c2):
     d=st.floats(-2.0, 2.0, allow_nan=False),
 )
 def test_product_inequality_exact_property(a, b, c, d):
-    g = make_grid(1, 33, (0.5, 0.75))
+    g = make_grid(1, 33)
     x = g.coords[:, 0]
     u = ScalarField(g, a + b * np.sin(3 * x))
     v = ScalarField(g, c * x + d * np.cos(x))
-    lhs = holder_norm(ScalarField(g, u.values * v.values), 0, 0.5).value
-    rhs = holder_norm(u, 0, 0.5).value * holder_norm(v, 0, 0.5).value
+    lhs = holder_norm(ScalarField(g, u.values * v.values), 0, 0.5)
+    rhs = holder_norm(u, 0, 0.5) * holder_norm(v, 0, 0.5)
     assert lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -385,7 +374,7 @@ def test_product_inequality_exact_property(a, b, c, d):
     beta=st.sampled_from([(1,), (2,)]),
 )
 def test_leibniz_consistency_property(a0, a1, b0, b1, beta):
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     x = g.coords[:, 0]
     u = ScalarField(g, a0 + a1 * x)
     v = ScalarField(g, b0 + b1 * x)
@@ -399,7 +388,7 @@ def test_leibniz_consistency_property(a0, a1, b0, b1, beta):
 
 
 def test_check_inequalities_1d():
-    g = make_grid(1, 61, (0.5, 0.75))
+    g = make_grid(1, 61)
     rep = check_inequalities(g, samples=25, alpha=0.5, seed=1)
     assert rep["product_violations"] == 0
     assert rep["product_max_ratio"] <= 1.0 + 1e-12
@@ -410,7 +399,7 @@ def test_check_inequalities_1d():
 
 
 def test_check_inequalities_2d():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     rep = check_inequalities(g, samples=5, alpha=0.5, seed=2)
     assert rep["product_violations"] == 0
     assert rep["leibniz_max_err"] <= 1e-10

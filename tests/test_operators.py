@@ -42,13 +42,12 @@ def smooth_vec(grid, q=3):
 
 
 def test_smoothstep_endpoint_and_symmetry():
-    for deg in (7, 9, 11):
-        assert smoothstep(0.0, deg) == 0.0
-        assert smoothstep(1.0, deg) == 1.0
-        assert smoothstep(-3.0, deg) == 0.0 and smoothstep(4.0, deg) == 1.0
-        t = np.linspace(0.0, 1.0, 201)
-        assert np.max(np.abs(smoothstep(t, deg) + smoothstep(1.0 - t, deg) - 1.0)) < 1e-12
-        assert np.all(np.diff(smoothstep(t, deg)) >= -1e-15)
+    assert smoothstep(0.0) == 0.0
+    assert smoothstep(1.0) == 1.0
+    assert smoothstep(-3.0) == 0.0 and smoothstep(4.0) == 1.0
+    t = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(smoothstep(t) + smoothstep(1.0 - t) - 1.0)) < 1e-12
+    assert np.all(np.diff(smoothstep(t)) >= -1e-15)
 
 
 def test_smoothstep_midpoint_and_peak_slope_frozen():
@@ -65,13 +64,8 @@ def test_smoothstep_slope_matches_difference_quotient():
     assert np.max(np.abs(fd - smoothstep_slope(t))) < 1e-6
 
 
-def test_smoothstep_degree_validation():
-    with pytest.raises(ValueError, match="degree"):
-        smoothstep(0.5, 8)
-
-
 def test_cutoff_regions_exact():
-    g = make_grid(1, 401, (0.5, 0.75))
+    g = make_grid(1, 401)
     cut = Cutoff(g)
     r = g.radius()
     assert np.all(cut.values[r <= 0.5] == 1.0)
@@ -86,7 +80,7 @@ def test_cutoff_regions_exact():
 def test_cutoff_gradient_matches_grid_derivative():
     errs = []
     for N in (401, 801):
-        g = make_grid(1, N, (0.5, 0.75))
+        g = make_grid(1, N)
         cut = Cutoff(g)
         d_grid = derivative(cut.a, (1,)).values
         errs.append(np.max(np.abs(d_grid - cut.gradient(0).values)))
@@ -95,7 +89,7 @@ def test_cutoff_gradient_matches_grid_derivative():
 
 
 def test_cutoff_2d_gradient_is_radial():
-    g = make_grid(2, 65, (0.5, 0.75))
+    g = make_grid(2, 65)
     cut = Cutoff(g)
     x, y = g.coords[:, 0], g.coords[:, 1]
     # tangential component of the gradient vanishes analytically
@@ -104,7 +98,7 @@ def test_cutoff_2d_gradient_is_radial():
 
 
 def test_cutoff_validation():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     with pytest.raises(ValueError, match="flat_radius"):
         Cutoff(g, 0.8, 0.6)
     with pytest.raises(ValueError, match="support_radius"):
@@ -116,7 +110,7 @@ def test_cutoff_validation():
 
 
 def test_load_vanishes_for_zero_and_constant_fields():
-    g = make_grid(1, 201, (0.5, 0.75))
+    g = make_grid(1, 201)
     cut = Cutoff(g)
     zero = VecField(g, np.zeros((g.num_nodes, 3)))
     assert np.all(quadratic_load(cut, zero, 0).values == 0.0)
@@ -127,7 +121,7 @@ def test_load_vanishes_for_zero_and_constant_fields():
 @settings(max_examples=15, deadline=None)
 @given(lam=st.floats(-4.0, 4.0, allow_nan=False))
 def test_load_is_quadratic_in_v(lam):
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
     n1 = quadratic_load(cut, VecField(g, lam * v.values), 0).values
@@ -136,14 +130,14 @@ def test_load_is_quadratic_in_v(lam):
 
 
 def test_load_grid_mismatch_rejected():
-    g1 = make_grid(1, 101, (0.5, 0.75))
-    g2 = make_grid(1, 51, (0.5, 0.75))
+    g1 = make_grid(1, 101)
+    g2 = make_grid(1, 51)
     with pytest.raises(ValueError, match="grid"):
         quadratic_load(Cutoff(g1), smooth_vec(g2), 0)
 
 
 def test_axis_order_validated():
-    g = make_grid(2, 33, (0.5, 0.75))
+    g = make_grid(2, 33)
     cut = Cutoff(g)
     v = smooth_vec(g)
     with pytest.raises(ValueError, match="axes"):
@@ -157,7 +151,7 @@ def test_axis_order_validated():
 
 
 def identity_defects(N):
-    g = make_grid(1, N, (0.5, 0.75))
+    g = make_grid(1, N)
     cut = Cutoff(g)
     v = smooth_vec(g)
     a2 = cut.values**2
@@ -189,7 +183,7 @@ def test_continuum_identities_hold_at_second_order():
 
 
 def test_product_term_reduces_to_dv_dot_dv_on_flat_region():
-    g = make_grid(1, 401, (0.5, 0.75))
+    g = make_grid(1, 401)
     cut = Cutoff(g)
     v = smooth_vec(g)
     u2 = gradient_product_term(cut, v, 0, 0).values
@@ -205,7 +199,7 @@ def test_product_term_reduces_to_dv_dot_dv_on_flat_region():
 
 def test_all_corrections_vanish_exactly_outside_support():
     for dim, N in ((1, 201), (2, 33)):
-        g = make_grid(dim, N, (0.5, 0.75))
+        g = make_grid(dim, N)
         cut = Cutoff(g)
         v = smooth_vec(g)
         outside = g.radius() >= 0.75
@@ -219,14 +213,14 @@ def test_all_corrections_vanish_exactly_outside_support():
             u2 = gradient_product_term(cut, v, i, j)
             assert np.all(u1.values[outside] == 0.0)
             assert np.all(u2.values[outside] == 0.0)
-        assert np.all(np.abs(q.values[g.boundary_idx]) == 0.0)
+        assert np.all(np.abs(q.values[~g.interior_mask]) == 0.0)
 
 
 def test_laplacian_of_correction_inverts_back_exactly():
     # every term carries a factor of a/da, so the correction is zero near
     # the boundary and the solve reproduces it at roundoff level
     for dim, N in ((1, 201), (2, 33)):
-        g = make_grid(dim, N, (0.5, 0.75))
+        g = make_grid(dim, N)
         cut = Cutoff(g)
         v = smooth_vec(g)
         q = normal_correction(cut, v)
@@ -238,7 +232,7 @@ def test_laplacian_of_correction_inverts_back_exactly():
 
 
 def test_correction_zero_for_zero_field():
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     cut = Cutoff(g)
     zero = VecField(g, np.zeros((g.num_nodes, 3)))
     assert np.all(normal_correction(cut, zero).values == 0.0)
@@ -248,7 +242,7 @@ def test_correction_zero_for_zero_field():
 @settings(max_examples=10, deadline=None)
 @given(lam=st.floats(-3.0, 3.0, allow_nan=False))
 def test_tangential_correction_quadratic_homogeneity(lam):
-    g = make_grid(1, 101, (0.5, 0.75))
+    g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
     p1 = tangential_correction(cut, VecField(g, lam * v.values)).values
@@ -257,7 +251,7 @@ def test_tangential_correction_quadratic_homogeneity(lam):
 
 
 def test_continuity_witnesses_finite():
-    g = make_grid(1, 81, (0.5, 0.75))
+    g = make_grid(1, 81)
     rep = continuity_witnesses(Cutoff(g), samples=10, alpha=0.5, seed=5)
     for key in ("load", "laplacian", "tangential", "normal"):
         assert np.isfinite(rep[key])

@@ -5,9 +5,16 @@ aside) must be referred to by some module under src/, scripts/ or
 perfbench/, test files excluded.  A reference is a name or an attribute
 with that identifier, or a dotted string constant that holds it (the
 benchmark tracer names its targets as "Grid.quotient_max").  An `__all__`
-entry is an export, not a reference.  The match is by identifier only, so
-the check can miss an unused method whose name is also used elsewhere; it
-never flags a used one.
+entry is an export, not a reference.
+
+Every stored value must be read the same way: each dataclass field, and
+each attribute assigned as `self.x = ...`, must be loaded as an attribute
+`.x` (or through `getattr(obj, "x")`) by such a module.  An attribute
+inside an assignment target, as in `self.x[i] = ...`, is a store, not a
+load.
+
+Both matches are by identifier only, so they can miss an unused name that
+is also used elsewhere; they never flag a used one.
 """
 
 import ast
@@ -33,28 +40,31 @@ def _definitions():
                     yield path.name, node.lineno, node.name
 
 
-def _references():
-    refs = set()
+def _caller_trees():
     for top in CALLER_DIRS:
         for path in (ROOT / top).rglob("*.py"):
-            if path.name.startswith("test_") or path.name == "conftest.py":
-                continue
-            tree = ast.parse(path.read_text())
-            exported = {
-                id(n)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-                for n in ast.walk(node.value)
-            }
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and id(node) not in exported and _DOTTED.fullmatch(node.value)):
-                    refs.update(node.value.split("."))
+            if not (path.name.startswith("test_") or path.name == "conftest.py"):
+                yield ast.parse(path.read_text())
+
+
+def _references():
+    refs = set()
+    for tree in _caller_trees():
+        exported = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for n in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exported and _DOTTED.fullmatch(node.value)):
+                refs.update(node.value.split("."))
     return refs
 
 
@@ -65,3 +75,60 @@ def test_every_definition_has_a_caller_outside_the_tests():
     orphans = [f"{module}:{line} {name}" for module, line, name in defined
                if name not in refs and (module, name) not in EXEMPT]
     assert not orphans, "defined but referred to only by tests: " + ", ".join(orphans)
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+
+def _stored():
+    """{(module, "Class.name"): line} of every dataclass field and self attribute."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(_is_dataclass(d) for d in cls.decorator_list):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        found.setdefault((path.name, f"{cls.name}.{node.target.id}"), node.lineno)
+            for node in ast.walk(cls):
+                for target in _targets(node):
+                    for t in ast.walk(target):
+                        if (isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                                and isinstance(t.value, ast.Name) and t.value.id == "self"):
+                            found.setdefault((path.name, f"{cls.name}.{t.attr}"), t.lineno)
+    return found
+
+
+def _loads():
+    loads = set()
+    for tree in _caller_trees():
+        in_target = {id(n) for node in ast.walk(tree) for t in _targets(node) for n in ast.walk(t)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in in_target):
+                loads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                loads.add(node.args[1].value)
+    return loads
+
+
+def test_every_stored_value_is_read_outside_the_tests():
+    loads = _loads()
+    unread = [f"{module}:{line} {name}" for (module, name), line in sorted(_stored().items())
+              if name.split(".")[1] not in loads]
+    assert not unread, "stored but read only by tests: " + ", ".join(unread)
