@@ -82,12 +82,16 @@ def _iteration_config(scenario: Scenario) -> IterationConfig:
 
 
 def _scenario_inputs(scenario: Scenario) -> dict:
-    """The runner's inputs besides the report: the family and the atlas.
+    """The runner's inputs besides the report: the family and the atlas, or
+    the cutoff and the bump of a local solve.
 
     Built before any output exists; a family or an atlas that the builders
-    reject is a config error on the `family` or the `charts` field.
+    reject is a config error on the `family` or the `charts` field, and a
+    bump that reaches past the cutoff's flat radius one on `bump_radius`.
     """
     spec = scenario.family
+    if scenario.command == "solve-local":
+        return _local_inputs(scenario)
     if scenario.command == "solve-family":
         build = partial(build_family, spec.name, _grid_for(scenario),
                         base=_chart_for(scenario), beta=spec.beta,
@@ -110,6 +114,18 @@ def _scenario_inputs(scenario: Scenario) -> dict:
     except ValueError as exc:
         raise ScenarioError(str(exc), field="charts") from None
     return {"family": fam, "atlas": atlas}
+
+
+def _local_inputs(scenario: Scenario) -> dict:
+    """The cutoff and the bump of solve-local, after the solver's support check."""
+    g = _grid_for(scenario)
+    cut = Cutoff(g, *(scenario.cutoff or ()))
+    f = bump_perturbation(g, scenario.amplitude, scenario.bump_radius)
+    try:
+        _check_f_support(cut, f)
+    except ValueError as exc:
+        raise ScenarioError(f"bump_radius: {exc}", field="bump_radius") from None
+    return {"cut": cut, "f": f}
 
 
 def _window_and_cutoff(scenario: Scenario, grid):
@@ -155,6 +171,17 @@ def _write_trace_csv(path, trace):
             for s in series:
                 row.append(repr(float(s[i])) if i < len(s) else "")
             fh.write(",".join(row) + "\n")
+
+
+def _record_halvings(report, halvings):
+    """results.halvings, and the trace of each failed solve under traces/rejected/."""
+    report.record(halvings=[h.summary() for h in halvings])
+    if halvings:
+        os.makedirs(os.path.join(report.out_dir, "traces", "rejected"), exist_ok=True)
+    for j, h in enumerate(halvings):
+        _write_trace_csv(
+            os.path.join(report.out_dir, "traces", "rejected", f"halving_{j:02d}.csv"), h.trace
+        )
 
 
 class RunReport:
@@ -228,11 +255,9 @@ def _run_check_free(scenario, report):
     return report.finish()
 
 
-def _run_solve_local(scenario, report):
-    g = _grid_for(scenario)
+def _run_solve_local(scenario, report, cut, f):
+    g = f.grid
     frame = build_frame(_chart_for(scenario), g)
-    cut = Cutoff(g, *(scenario.cutoff or ()))
-    f = bump_perturbation(g, scenario.amplitude, scenario.bump_radius)
     trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
     try:
         u, rep = local_perturb(frame, f, config=_iteration_config(scenario), cutoff=cut)
@@ -265,7 +290,9 @@ def _run_solve_family(scenario, report, family):
         sol = solve_family(chart, family, window=window, cutoff=cut, config=cfg)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
+        _record_halvings(report, exc.halvings)
         return report.finish(failure=f"horizon collapsed at {exc.horizon}")
+    _record_halvings(report, sol.halvings)
     r_max = min(2, (len(sol.t_grid) - 1) // 2)
     probe = time_regularity_probe(sol, r_max=r_max) if r_max >= 1 else {"orders": {}}
     ratios = [probe["orders"][r]["ratio"] for r in probe["orders"]]
@@ -302,10 +329,12 @@ def _run_solve_global(scenario, report, family, atlas):
                          mesh=scenario.mesh, config=cfg, cutoff_radii=radii)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
+        _record_halvings(report, exc.halvings)
         return report.finish(failure=f"glue horizon collapsed at {exc.horizon}")
     except StageFailure as exc:
         report.record(stage=exc.stage)
         return report.finish(failure=str(exc))
+    _record_halvings(report, sol.halvings)
     for i, traces in enumerate(sol.stage_traces, start=1):
         for k, tr in enumerate(traces):
             _write_trace_csv(

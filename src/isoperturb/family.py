@@ -7,14 +7,15 @@ the windowed increment
     ghat(x, t) = psi(x) * (g(x, t) - g(x, 0))
 
 is fed to an independent fixed-point solve per time sample (from v = 0, so
-the a-priori bound is checked fresh each time).  When any sample trips the
-smallness safeguards, the horizon is halved (same sample count) and the
-run restarts; repeated collapse raises HorizonCollapse.  Time regularity
-is probed by divided differences of u and its space derivatives across a
-step refinement.
+the a-priori bound is checked fresh each time), the largest t first.  When
+any sample trips the smallness safeguards, the horizon is halved (same
+sample count), the failure is recorded and the run restarts; repeated
+collapse raises HorizonCollapse.  Time regularity is probed by divided
+differences of u and its space derivatives across a step refinement.
 """
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -22,6 +23,7 @@ from scipy.interpolate import CubicSpline
 from .embeddings import BASE_METRICS, make_mesh
 from .fixedpoint import (
     IterationConfig,
+    IterationTrace,
     SmallnessViolation,
     StalledIteration,
     solve_fixed_point,
@@ -38,32 +40,71 @@ WINDOW_FLAT, WINDOW_SUPPORT = 0.5, 0.75
 MAX_HALVINGS = 20
 
 
+@dataclass
+class Halving:
+    """A pass that adaptive_horizon threw away, and the solve that failed it."""
+
+    horizon: float
+    t: float
+    stage: int  # the glue stage; None in a chart family
+    trace: IterationTrace
+
+    def summary(self) -> dict:
+        """Its summary.json entry: where the solve failed, and how."""
+        tr = self.trace
+        entry = {"horizon": self.horizon, "t": self.t, "kind": tr.status,
+                 "iterations": tr.iterations,
+                 "last_ratio": tr.ratios[-1] if tr.ratios else None,
+                 "steps_to_tol": tr.steps_to_tol()}
+        if self.stage is not None:
+            entry["stage"] = self.stage
+        return entry
+
+
 class HorizonCollapse(RuntimeError):
     """Adaptive horizon halving shrank below the minimum usable horizon."""
 
-    def __init__(self, message, horizon=0.0):
+    def __init__(self, message, horizon=0.0, halvings=()):
         super().__init__(message)
         self.horizon = float(horizon)
+        self.halvings = list(halvings)
 
 
 def adaptive_horizon(run_pass, horizon, samples, dt_min):
     """Run run_pass(ts) over samples + 1 uniform times on [0, horizon].
 
     Each SmallnessViolation or StalledIteration halves the horizon (same
-    sample count) and restarts the pass.  Raises HorizonCollapse once the
-    horizon drops below dt_min * samples, or after MAX_HALVINGS passes.
+    sample count) and restarts the pass; the result gets one Halving per
+    failed pass as .halvings.  Raises HorizonCollapse, with the same list,
+    once the horizon drops below dt_min * samples, or after MAX_HALVINGS
+    passes.
     """
     horizon = float(horizon)
+    halvings = []
     for _ in range(MAX_HALVINGS):
         try:
-            return run_pass(np.linspace(0.0, horizon, samples + 1))
-        except (SmallnessViolation, StalledIteration):
+            result = run_pass(np.linspace(0.0, horizon, samples + 1))
+        except (SmallnessViolation, StalledIteration) as exc:
+            halvings.append(Halving(horizon, exc.t, exc.stage, exc.trace))
             horizon *= 0.5
             if horizon < dt_min * samples:
                 raise HorizonCollapse(
-                    f"horizon collapsed below {dt_min}*{samples}", horizon=horizon
+                    f"horizon collapsed below {dt_min}*{samples}", horizon, halvings
                 ) from None
-    raise HorizonCollapse("maximum horizon halvings exhausted", horizon=horizon)
+        else:
+            result.halvings = halvings
+            return result
+    raise HorizonCollapse("maximum horizon halvings exhausted", horizon, halvings)
+
+
+@contextmanager
+def locate_failure(t, stage=None):
+    """Give a solve failure raised inside the sample's t (and glue stage)."""
+    try:
+        yield
+    except (SmallnessViolation, StalledIteration) as exc:
+        exc.t, exc.stage = float(t), stage
+        raise
 
 
 @dataclass
@@ -104,6 +145,7 @@ class FamilySolution:
     residuals: list
     horizon_used: float
     frame: ImmersionFrame
+    halvings: list = field(default_factory=list)  # see adaptive_horizon
 
 
 # s(theta1, t) of the families that charts and manifolds share: g(t) is s
@@ -268,16 +310,16 @@ def solve_family(source, family: MetricFamily, window=None, cutoff=None,
     a2 = cut.values**2
 
     def run_pass(ts):
-        us, traces, residuals = [], [], []
-        for t in ts:
-            f = windowed_increment(w, family, t)
-            v, trace = solve_fixed_point(frame, cut, f, config)
-            u = VecField(g, a2[:, None] * v.values)
-            F = VecField(g, frame.F0.values + u.values)
-            res, _ = isometry_residual(F, frame.F0, f)
-            us.append(u)
-            traces.append(trace)
-            residuals.append(res)
+        us, traces, residuals = [None] * len(ts), [None] * len(ts), [None] * len(ts)
+        # the largest t first: its increment is the largest, and the likeliest
+        # to fail the pass
+        for k in reversed(range(len(ts))):
+            f = windowed_increment(w, family, ts[k])
+            with locate_failure(ts[k]):
+                v, traces[k] = solve_fixed_point(frame, cut, f, config)
+            us[k] = VecField(g, a2[:, None] * v.values)
+            F = VecField(g, frame.F0.values + us[k].values)
+            residuals[k], _ = isometry_residual(F, frame.F0, f)
         return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame)
 
     return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)

@@ -15,10 +15,13 @@ f supported where a == 1 this is the requested perturbation f itself.
 
 Iterations start at v = 0, stop when the C^{2,alpha} increment drops below
 tolerance, enforce the a-priori bound |v_k| <= |E(0,f)| (1 + 1e-6) at every
-step, and abort with a smallness violation when contraction is lost.  The
-limits of that rule are the module constants below.
+step, and abort with a smallness violation when contraction is lost.  A run
+that cannot reach the tolerance within MAX_ITER steps, even at the best of
+its last three increment ratios, stops early (fail-fast).  The limits of
+that rule are the module constants below.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,19 +39,28 @@ BOUND_SLACK = 1e-6  # relative slack of the a-priori bound
 
 
 class SmallnessViolation(RuntimeError):
-    """Contraction lost (ratio cap or a-priori bound tripped); shrink the input."""
+    """Contraction lost (ratio cap or a-priori bound tripped); shrink the input.
+
+    t and stage locate the failed sample of a family's pass (None outside one).
+    """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+        self.t = self.stage = None
 
 
 class StalledIteration(RuntimeError):
-    """MAX_ITER steps taken without meeting the increment tolerance."""
+    """The increment tolerance is not met within MAX_ITER steps.
+
+    Raised when the steps run out (status "stalled") or once the last
+    ratios show they will (status "fail-fast"); t and stage as above.
+    """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+        self.t = self.stage = None
 
 
 @dataclass
@@ -67,10 +79,21 @@ class IterationTrace:
     poisson_residuals: list = field(default_factory=list)
     status: str = "running"
     bound: float = 0.0
+    tol: float = 0.0
 
     @property
     def iterations(self):
         return len(self.increments)
+
+    def steps_to_tol(self):
+        """Steps the run would need to reach tol at its last increment ratio.
+
+        None without a ratio, or when the last one is not below 1.
+        """
+        if not self.ratios or not 0.0 < self.ratios[-1] < 1.0:
+            return None
+        more = math.log(self.tol / self.increments[-1]) / math.log(self.ratios[-1])
+        return self.iterations + max(0, math.ceil(more))
 
     @property
     def asymptotic_ratio(self):
@@ -118,7 +141,10 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
 
     Raises SmallnessViolation when the a-priori bound trips or the
     increment ratio exceeds RATIO_CAP RATIO_STRIKES times in a row, and
-    StalledIteration when MAX_ITER steps run out.
+    StalledIteration when MAX_ITER steps run out, or earlier (fail-fast)
+    once inc * rho**(steps left) > tol with rho the smallest of the last
+    three ratios.  The smallest, because early ratios oscillate: the largest
+    would stop runs that converge.
     """
     cfg = config or IterationConfig()
     if cfg.tol <= 0:
@@ -127,7 +153,7 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     g = f.grid
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
     bound = holder_norm(apply_frame(frame, zero_h, f), 2, cfg.alpha)
-    trace = IterationTrace(bound=bound)
+    trace = IterationTrace(bound=bound, tol=cfg.tol)
     v = VecField(g, np.zeros((g.num_nodes, frame.q)))
     strikes = 0
     for _ in range(MAX_ITER):
@@ -163,6 +189,16 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
         if inc <= cfg.tol:
             trace.status = "converged"
             return v, trace
+        left = MAX_ITER - trace.iterations
+        if left > 0 and len(trace.ratios) >= 3:
+            predicted = inc * min(trace.ratios[-3:]) ** left
+            if predicted > cfg.tol:
+                trace.status = "fail-fast"
+                raise StalledIteration(
+                    f"fail-fast at step {trace.iterations}: increment {inc:.3e} "
+                    f"predicts {predicted:.3e} > tol {cfg.tol:g} at step {MAX_ITER}",
+                    trace=trace,
+                )
     trace.status = "stalled"
     raise StalledIteration(
         f"no convergence in {MAX_ITER} iterations "

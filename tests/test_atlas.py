@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoperturb import atlas as atlas_module
 from isoperturb.atlas import (
     Atlas,
     GlobalSolution,
@@ -311,6 +312,32 @@ def test_glue_single_chart_increment_skips_other_stage():
     assert max(solution_residuals(sol)) <= 1e-3
 
 
+def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
+    # circle-breathing: each chart increment grows linearly in t, so |f|
+    # orders the calls
+    calls = []
+    solve = atlas_module.solve_fixed_point
+
+    def recording(frame, cut, f, config=None):
+        v, trace = solve(frame, cut, f, config)
+        calls.append((float(np.max(np.abs(f.values))), trace))
+        return v, trace
+
+    monkeypatch.setattr(atlas_module, "solve_fixed_point", recording)
+    fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
+                                horizon=0.25, samples=2)
+    sol = glue_solve(circle_embedding, fam, build_atlas("circle", 2),
+                     chart_resolution=201, mesh=128, config=SMOKE_CFG)
+    assert sol.horizon_used == 0.25 and sol.halvings == []
+    assert len(calls) == 6
+    for i, traces in enumerate(sol.stage_traces):
+        stage_calls = calls[3 * i:3 * i + 3]
+        sizes = [size for size, _ in stage_calls]
+        assert sizes == sorted(set(sizes), reverse=True) and sizes[-1] == 0.0
+        # the results come back in ascending t
+        assert all(a is b for a, (_, b) in zip(traces, reversed(stage_calls)))
+
+
 def test_glue_halves_horizon_for_large_families():
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=2.0,
@@ -331,6 +358,9 @@ def test_glue_horizon_collapse():
         glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
                    mesh=128, config=SMOKE_CFG, dt_min=0.4)
     assert exc.value.horizon == 0.25
+    # both failed passes are on record, each at its own largest t
+    assert [(h.horizon, h.t, h.stage) for h in exc.value.halvings] == [
+        (1.0, 1.0, 1), (0.5, 0.5, 1)]
 
 
 def test_glue_rejects_degenerate_embedding():

@@ -176,6 +176,22 @@ def test_solve_local_load_too_large_to_contract_exits_1(tmp_path):
     assert len(trace) > 1
 
 
+def test_solve_local_that_fails_fast_exits_1_with_its_trace(tmp_path):
+    # a narrow outer cutoff contracts too slowly to reach tol in MAX_ITER
+    # steps; the solve stops once that shows and the run records it
+    cfg = LOCAL_FAST_CFG.replace("bump_radius: 0.5", "bump_radius: 0.4\ncutoff: [0.8, 0.95]")
+    cfg = cfg.replace("iteration_tol: 1.0e-9", "iteration_tol: 1.0e-10")
+    out = str(tmp_path / "out")
+    code = main(["solve-local", "--config", _cfg(tmp_path, cfg), "--out", out, "--quiet"])
+    assert code == 1
+    s = _summary(out)
+    assert s["status"] == "fail"
+    assert s["failure"].startswith("fail-fast at step 4:")
+    trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
+    assert len(trace) == 1 + 4
+    assert not os.listdir(os.path.join(out, "embeddings"))
+
+
 def test_yaml_syntax_error_exits_2_without_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = _cfg(tmp_path, "name: x\ncommand: solve-local\nresolution: [oops\n")
@@ -245,11 +261,13 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
      [], "family.bump_power"),
     ("solve-family", "resolution: 201\nfamily: {name: bump-breathing, bump_power: 0}\n",
      [], "family.bump_power"),
+    ("solve-local", "chart: parabola\nresolution: 201\nbump_radius: 0.6\n", [],
+     "bump_radius"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
     # each input used to pass validation and then die in a constructor or in
-    # the solver's support check (or, for the table, whose g reaches -2 at
+    # the solver's support check (a bump wider than the cutoff's flat radius) (or, for the table, whose g reaches -2 at
     # t = 1, to halve its way to a pass; bump_power -1 gives inf/NaN metric
     # components and 0 a bump that fills the chart, both ending in exit 1)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
@@ -305,6 +323,28 @@ def test_solve_global_run(tmp_path):
     assert res[0] == "stage,t,residual"
     emb = open(os.path.join(out, "embeddings", "global.csv")).readline().strip()
     assert emb == "stage,t,theta,F1,F2"
+    assert s["results"]["halvings"] == []
+    assert not os.path.exists(os.path.join(out, "traces", "rejected"))
+
+
+def test_solve_global_records_every_halving(tmp_path):
+    # at horizon 1 the t = 1 sample breaks the a-priori bound; at 0.5 the
+    # t = 0.5 sample contracts too slowly for the step budget
+    out = str(tmp_path / "out")
+    cfg = _cfg(tmp_path, GLOBAL_CFG.replace("horizon: 0.25", "horizon: 1.0"))
+    assert main(["solve-global", "--config", cfg, "--out", out, "--quiet"]) == 0
+    s = _summary(out)
+    assert s["results"]["horizon_used"] == 0.25
+    halvings = s["results"]["halvings"]
+    assert [(h["horizon"], h["stage"], h["t"], h["kind"]) for h in halvings] == [
+        (1.0, 1, 1.0, "diverged"), (0.5, 1, 0.5, "fail-fast")]
+    assert halvings[0]["last_ratio"] > 1.0 and halvings[0]["steps_to_tol"] is None
+    assert 0.0 < halvings[1]["last_ratio"] < 1.0 and halvings[1]["steps_to_tol"] > 60
+    for j, h in enumerate(halvings):
+        path = os.path.join(out, "traces", "rejected", f"halving_{j:02d}.csv")
+        rows = open(path).read().splitlines()
+        assert rows[0] == "iteration,norm,increment,ratio,poisson_residual"
+        assert len(rows) == 1 + h["iterations"]
 
 
 def test_verify_appendix_run(tmp_path):

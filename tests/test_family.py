@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoperturb import family as family_module
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.family import (
     MAX_HALVINGS,
@@ -236,6 +237,41 @@ def test_horizon_halving_recovers():
     assert all(tr.status == "converged" for tr in sol.traces)
     assert len(sol.t_grid) == 3  # sample count is preserved
     assert sol.t_grid[-1] == sol.horizon_used
+    # one record per failed pass, in order, each naming its failed solve
+    assert len(sol.halvings) == round(k)
+    for j, h in enumerate(sol.halvings):
+        entry = h.summary()
+        assert set(entry) == {"horizon", "t", "kind", "iterations", "last_ratio",
+                              "steps_to_tol"}  # no stage outside a glue
+        assert entry["horizon"] == 0.5 * 0.5**j
+        assert entry["t"] in np.linspace(0.0, entry["horizon"], 3)
+        assert entry["kind"] == h.trace.status
+        assert entry["kind"] in ("diverged", "stalled", "fail-fast")
+        assert entry["iterations"] == len(h.trace.increments)
+        assert entry["last_ratio"] == (h.trace.ratios[-1] if h.trace.ratios else None)
+
+
+def test_samples_are_solved_from_the_largest_t(monkeypatch):
+    # the increment grows linearly in t, so |f| orders the calls
+    calls = []
+    solve = family_module.solve_fixed_point
+
+    def recording(frame, cut, f, config=None):
+        v, trace = solve(frame, cut, f, config)
+        calls.append((float(np.max(np.abs(f.values))), trace))
+        return v, trace
+
+    monkeypatch.setattr(family_module, "solve_fixed_point", recording)
+    g = make_grid(1, 201)
+    fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
+                       samples=3, beta=0.01, bump_radius=0.4)
+    sol = solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.5, 0.9), config=CFG)
+    sizes = [size for size, _ in calls]
+    assert len(sizes) == 4 and sizes == sorted(set(sizes), reverse=True)
+    assert sizes[-1] == 0.0  # t = 0 last
+    # the results come back in ascending t
+    assert all(a is b for a, (_, b) in zip(sol.traces, reversed(calls)))
+    assert sol.halvings == []
 
 
 def test_horizon_collapse():
@@ -258,6 +294,7 @@ def test_adaptive_horizon_exhausts_after_the_cap():
     with pytest.raises(HorizonCollapse, match="exhausted") as exc:
         adaptive_horizon(never_converges, 0.5, 4, dt_min=0.0)
     assert len(seen) == MAX_HALVINGS
+    assert len(exc.value.halvings) == MAX_HALVINGS
     assert all(len(ts) == 5 for ts in seen)  # sample count is preserved
     horizons = [ts[-1] for ts in seen]
     assert horizons[0] == 0.5

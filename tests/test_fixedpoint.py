@@ -5,15 +5,18 @@ vanish identically (zero loads give zero potentials), so the first sweep
 must return exactly -E(0, f/2) and the first trace norm must be exactly
 half the a-priori bound.  The calibrated bump scenario then freezes the
 measured residual/iteration/ratio windows, and the safeguard paths
-(divergence, stall, support mismatch) are driven to their exceptions.
+(divergence, fail-fast, stall, support mismatch) are driven to their
+exceptions.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoperturb import fixedpoint
 from isoperturb.embeddings import ParabolaChart
 from isoperturb.fixedpoint import (
+    MAX_ITER,
     IterationConfig,
     SmallnessViolation,
     StalledIteration,
@@ -132,17 +135,64 @@ def test_oversized_increment_violates_smallness(bump_setup):
     assert exc.value.trace.iterations == 2  # second sweep overshoots
 
 
-def test_borderline_contraction_stalls():
+@pytest.fixture(scope="module")
+def borderline_setup():
     # narrow outer cutoff: ratios hover ~0.875, under the strike cap, and
-    # the increment cannot reach tol within max_iter
+    # the increment cannot reach tol within MAX_ITER
     g = make_grid(1, 201)
     frame = build_frame(ParabolaChart(), g)
-    with pytest.raises(StalledIteration) as exc:
-        solve_fixed_point(frame, Cutoff(g, 0.8, 0.95),
-                          bump_perturbation(g, 0.01, radius=0.4))
+    return g, frame, Cutoff(g, 0.8, 0.95), bump_perturbation(g, 0.01, radius=0.4)
+
+
+def test_borderline_contraction_fails_fast(borderline_setup):
+    g, frame, cut, f = borderline_setup
+    with pytest.raises(StalledIteration, match="fail-fast") as exc:
+        solve_fixed_point(frame, cut, f)
+    trace = exc.value.trace
+    assert trace.status == "fail-fast"
+    assert trace.iterations < MAX_ITER
+    assert trace.steps_to_tol() > MAX_ITER
+    # the stop was right: MAX_ITER steps of the map, taken by hand, retrace
+    # the run and never bring the increment down to tol
+    tol = IterationConfig().tol
+    v = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    increments = []
+    for _ in range(MAX_ITER):
+        v_new = fixed_point_map(frame, cut, f, v)
+        increments.append(holder_norm(VecField(g, v_new.values - v.values), 2, 0.5))
+        v = v_new
+    assert increments[: trace.iterations] == trace.increments
+    assert min(increments) > tol
+    ratios = np.array(increments[1:]) / np.array(increments[:-1])
+    assert ratios[1:].max() < 0.9  # one strike at most: only the budget stops it
+
+
+def test_borderline_contraction_stalls(borderline_setup, monkeypatch):
+    # with too few steps for three ratios, the run ends on the step budget
+    g, frame, cut, f = borderline_setup
+    monkeypatch.setattr(fixedpoint, "MAX_ITER", 3)
+    with pytest.raises(StalledIteration, match="no convergence in 3") as exc:
+        solve_fixed_point(frame, cut, f)
     assert exc.value.trace.status == "stalled"
-    assert exc.value.trace.iterations == 60
-    assert max(exc.value.trace.ratios[-3:]) < 0.9  # never strikes
+    assert exc.value.trace.iterations == 3
+
+
+def test_fail_fast_spares_an_oscillating_run_that_converges():
+    # configs/local_bump.yaml: the early ratios oscillate (0.93, 0.29,
+    # 0.48), so inc * max(last three)**(steps left) overshoots tol at step 4
+    # of a run that converges in 27; the min of the last three does not
+    g = make_grid(1, 401)
+    frame = build_frame(ParabolaChart(), g)
+    cfg = IterationConfig(tol=1e-9)
+    _, trace = solve_fixed_point(frame, Cutoff(g), bump_perturbation(g, 0.01, 0.5), cfg)
+    assert trace.status == "converged"
+    assert trace.iterations == 27
+    max_rule = [
+        step for step in range(4, trace.iterations)
+        if trace.increments[step - 1] * max(trace.ratios[step - 4:step - 1])
+        ** (MAX_ITER - step) > cfg.tol
+    ]
+    assert max_rule[0] == 4
 
 
 def test_support_mismatch_rejected(bump_setup):
