@@ -51,8 +51,9 @@ def main():
     print(f"\nfixed-point iteration ({tr.iterations} steps, {dt:.2f}s, "
           f"status={tr.status})")
     print(f"{'it':>3}  {'|v|_2,a':>12}  {'increment':>12}  {'ratio':>8}")
-    for i, (n, inc) in enumerate(zip(tr.norms, [np.nan] + list(tr.increments))):
-        r = tr.ratios[i - 1] if 0 < i <= len(tr.ratios) else np.nan
+    # the rows of traces/iteration.csv: the ratio is the step's increment
+    # over the previous step's
+    for i, (n, inc, r) in enumerate(zip(tr.norms, tr.increments, [np.nan] + tr.ratios)):
         print(f"{i:>3}  {n:>12.5e}  {inc:>12.5e}  {r:>8.4f}")
 
     print(f"\nnorm bound           : {tr.bound:.6e} "

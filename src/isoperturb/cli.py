@@ -161,16 +161,14 @@ def _write_json(path, payload):
 
 
 def _write_trace_csv(path, trace):
-    cols = ("norm", "increment", "ratio", "poisson_residual")
-    series = (trace.norms, trace.increments, trace.ratios, trace.poisson_residuals)
-    n = max((len(s) for s in series), default=0)
+    """One row per step; ratio is its increment over the previous one (empty on row 0)."""
+    ratios = [None] + trace.ratios
     with open(path, "w") as fh:
-        fh.write("iteration," + ",".join(cols) + "\n")
-        for i in range(n):
-            row = [str(i)]
-            for s in series:
-                row.append(repr(float(s[i])) if i < len(s) else "")
-            fh.write(",".join(row) + "\n")
+        fh.write("iteration,norm,increment,ratio,poisson_residual\n")
+        for i in range(trace.iterations):
+            vals = (trace.norms[i], trace.increments[i], ratios[i], trace.poisson_residuals[i])
+            cells = ["" if x is None else repr(float(x)) for x in vals]
+            fh.write(",".join([str(i)] + cells) + "\n")
 
 
 def _record_halvings(report, halvings):

@@ -87,9 +87,8 @@ class CircleChart:
         self.center = float(center)
         self.halfwidth = float(halfwidth)
 
-    def angles(self, grid_or_x):
-        x = grid_or_x.coords[:, 0] if isinstance(grid_or_x, Grid) else np.asarray(grid_or_x)
-        return self.center + self.halfwidth * x
+    def angles(self, grid: Grid):
+        return self.center + self.halfwidth * grid.coords[:, 0]
 
     def evaluate(self, grid: Grid) -> VecField:
         return VecField(grid, circle_embedding(self.angles(grid)))
@@ -125,13 +124,9 @@ class TorusChart:
         self.center = (float(center[0]), float(center[1]))
         self.halfwidth = float(halfwidth)
 
-    def angles(self, grid_or_xy):
-        if isinstance(grid_or_xy, Grid):
-            xy = grid_or_xy.coords
-        else:
-            xy = np.asarray(grid_or_xy)
-        u = self.center[0] + self.halfwidth * xy[:, 0]
-        v = self.center[1] + self.halfwidth * xy[:, 1]
+    def angles(self, grid: Grid):
+        u = self.center[0] + self.halfwidth * grid.coords[:, 0]
+        v = self.center[1] + self.halfwidth * grid.coords[:, 1]
         return u, v
 
     def evaluate(self, grid: Grid) -> VecField:

@@ -29,7 +29,7 @@ from .fixedpoint import (
     solve_fixed_point,
 )
 from .frame import ImmersionFrame, apply_frame, build_frame
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, radial_bump, sym_indices
+from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, radial_bump
 from .operators import Cutoff, radial_window
 from .verify import isometry_residual
 
@@ -184,20 +184,14 @@ def _eig_min(vals):
     return float(np.min(half_tr - disc))
 
 
-def build_family(name, grid: Grid, base=None, horizon=1.0, samples=8, beta=0.05,
+def build_family(name, grid: Grid, base, horizon=1.0, samples=8, beta=0.05,
                  bump_radius=0.4, bump_power=4) -> MetricFamily:
     """A shared family (see SCALES) or bump-breathing on the chart grid.
 
-    `base` is a chart (its base_metric and angles; on the torus the scale
-    reads the first angle) or a SymTensorField of base components; the
-    default is the flat metric.
+    `base` is the chart: g(0) is its base_metric, and a shared scale reads
+    its angles (on the torus the first angle).
     """
-    if base is None:
-        base_vals = np.tile([float(i == j) for i, j in sym_indices(grid.dim)],
-                            (grid.num_nodes, 1))
-    else:
-        metric = base.base_metric(grid) if hasattr(base, "base_metric") else base
-        base_vals = np.array(metric.values, dtype=float)
+    base_vals = base.base_metric(grid).values
 
     if name == "bump-breathing":
         prof = radial_bump(grid, bump_radius, bump_power)
@@ -207,13 +201,8 @@ def build_family(name, grid: Grid, base=None, horizon=1.0, samples=8, beta=0.05,
             out[:, 0] = out[:, 0] + beta * t * prof
             return out
     elif name in SCALES:
-        if hasattr(base, "angles"):
-            th = base.angles(grid)
-            th = th[0] if isinstance(th, tuple) else th  # TorusChart gives (u, v)
-        elif name == "circle-breathing":
-            raise ValueError("build_family: circle-breathing needs a circle chart as base")
-        else:
-            th = grid.coords[:, 0]
+        th = base.angles(grid)
+        th = th[0] if isinstance(th, tuple) else th  # TorusChart gives (u, v)
         scale = SCALES[name]
 
         def evaluator(points, t):
@@ -272,17 +261,16 @@ def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT) -> Scalar
     return ScalarField(grid, radial_window(grid.radius(), flat, support))
 
 
-def _window_field(window, grid):
-    w = window.a if isinstance(window, Cutoff) else window
+def _window_field(window: ScalarField, grid):
     r = grid.radius()
-    if np.any(w.values[r <= WINDOW_FLAT] != 1.0):
+    if np.any(window.values[r <= WINDOW_FLAT] != 1.0):
         raise ValueError("windowed_increment: window must be exactly 1 on the half ball")
-    if np.any(w.values[r >= WINDOW_SUPPORT] != 0.0):
+    if np.any(window.values[r >= WINDOW_SUPPORT] != 0.0):
         raise ValueError("windowed_increment: window support must stay inside radius 3/4")
-    return w
+    return window
 
 
-def windowed_increment(window, family: MetricFamily, t) -> SymTensorField:
+def windowed_increment(window: ScalarField, family: MetricFamily, t) -> SymTensorField:
     """ghat(.,t) = window * (g(.,t) - g(.,0)); exactly zero at t = 0."""
     g = family.grid
     w = _window_field(window, g)
@@ -291,17 +279,18 @@ def windowed_increment(window, family: MetricFamily, t) -> SymTensorField:
     return SymTensorField(g, w.values[:, None] * (gt - g0))
 
 
-def solve_family(source, family: MetricFamily, window=None, cutoff=None,
+def solve_family(chart, family: MetricFamily, window: ScalarField, cutoff=None,
                  config: IterationConfig = None, dt_min=1e-3) -> FamilySolution:
     """Per-sample independent fixed-point solves with adaptive horizon.
 
-    Returns a FamilySolution whose residuals come from the fourth-order
-    oracle; raises HorizonCollapse when halving drops the horizon below
-    dt_min times the sample count.
+    The frame is the chart's on the family's grid, and window (see
+    chart_window) shapes the increment.  Returns a FamilySolution whose
+    residuals come from the fourth-order oracle; raises HorizonCollapse
+    when halving drops the horizon below dt_min times the sample count.
     """
     g = family.grid
-    frame = source if isinstance(source, ImmersionFrame) else build_frame(source, g)
-    w = _window_field(window if window is not None else chart_window(g), g)
+    frame = build_frame(chart, g)
+    w = _window_field(window, g)
     cut = cutoff or Cutoff(g, 0.8, 0.95)
     # a^2*f = f needs the cutoff flat wherever the windowed increment lives;
     # each sample's solve enforces that support condition exactly, so a

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame import ImmersionFrame, apply_frame
+from .frame import ImmersionFrame, apply_frame, build_frame
 from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump, sym_indices
-from .operators import Cutoff, normal_correction, quadratic_load, tangential_correction
-from .poisson import solve_dirichlet
+from .operators import Cutoff, load_potentials, normal_correction, tangential_correction
 from .verify import isometry_residual
 
 MAX_ITER = 60  # steps before a run counts as stalled
@@ -117,19 +116,15 @@ def _check_f_support(cut: Cutoff, f: SymTensorField):
         )
 
 
-def _solve_potentials(cut: Cutoff, v: VecField):
-    sols = [solve_dirichlet(quadratic_load(cut, v, ax)) for ax in range(cut.grid.dim)]
-    return [s.u for s in sols], max(s.residual_sup for s in sols)
-
-
 def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField, v: VecField,
-                    potentials=None) -> VecField:
-    """One application of the update map -E(P(v), f/2 - Q(v)/2)."""
+                    potentials) -> VecField:
+    """One application of the update map -E(P(v), f/2 - Q(v)/2).
+
+    potentials are the load potentials of v (operators.load_potentials).
+    """
     _check_f_support(cut, f)
-    if potentials is None:
-        potentials, _ = _solve_potentials(cut, v)
-    p = tangential_correction(cut, v, potentials=potentials)
-    q = normal_correction(cut, v, potentials=potentials)
+    p = tangential_correction(cut, v, potentials)
+    q = normal_correction(cut, v, potentials)
     rhs = SymTensorField(f.grid, 0.5 * f.values - 0.5 * q.values)
     e = apply_frame(frame, p, rhs)
     return VecField(f.grid, -e.values)
@@ -157,8 +152,8 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     v = VecField(g, np.zeros((g.num_nodes, frame.q)))
     strikes = 0
     for _ in range(MAX_ITER):
-        potentials, pois = _solve_potentials(cut, v)
-        v_new = fixed_point_map(frame, cut, f, v, potentials=potentials)
+        potentials, pois = load_potentials(cut, v)
+        v_new = fixed_point_map(frame, cut, f, v, potentials)
         inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha)
         norm = holder_norm(v_new, 2, cfg.alpha)
         trace.poisson_residuals.append(pois)
@@ -216,9 +211,9 @@ def verify_identity(frame: ImmersionFrame, cut: Cutoff, v: VecField, f: SymTenso
     isometry              : sup |dF.dF - dF0.dF0 - a^2 f|, module stencils
     """
     g = f.grid
-    potentials, _ = _solve_potentials(cut, v)
-    p = tangential_correction(cut, v, potentials=potentials)
-    q = normal_correction(cut, v, potentials=potentials)
+    potentials, _ = load_potentials(cut, v)
+    p = tangential_correction(cut, v, potentials)
+    q = normal_correction(cut, v, potentials)
     n = g.dim
     r1 = 0.0
     for i in range(n):
@@ -268,8 +263,6 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     The report carries the oracle isometry residual of F0 + u against
     target f, the support scan, norm bounds, and the iteration trace.
     """
-    from .frame import build_frame
-
     g = f.grid
     frame = source if isinstance(source, ImmersionFrame) else build_frame(source, g)
     cut = cutoff or Cutoff(g)
@@ -278,7 +271,7 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     a2 = cut.values**2
     u = VecField(g, a2[:, None] * v.values)
     F = VecField(g, frame.F0.values + u.values)
-    residual_sup, residual = isometry_residual(F, frame.F0, f)
+    residual_sup, _ = isometry_residual(F, frame.F0, f)
     outside = r >= cut.support_radius
     support_leak = float(np.max(np.abs(u.values[outside]))) if np.any(outside) else 0.0
     alpha = (config or IterationConfig()).alpha
@@ -292,7 +285,6 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
         "iterations": trace.iterations,
         "monitor_ok": trace.passes_recurrence_monitor(),
         "trace": trace,
-        "residual_field": residual,
         "constraints": verify_identity(frame, cut, v, f, alpha),
     }
     return u, report

@@ -177,15 +177,10 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
     )
 
 
-def apply_frame(frame: ImmersionFrame, h, f: SymTensorField) -> VecField:
+def apply_frame(frame: ImmersionFrame, h: VecField, f: SymTensorField) -> VecField:
     """Field E(h,f) with dF0.E = h (per axis) and d2F0.E = f (per pair)."""
     g = frame.grid
-    hv = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
-    if hv.ndim == 1:
-        hv = hv[:, None]
-    fv = f.values if hasattr(f, "values") else np.asarray(f, dtype=float)
-    if fv.ndim == 1:
-        fv = fv[:, None]
+    hv, fv = h.values, f.values
     if hv.shape[0] != g.num_nodes or fv.shape[0] != g.num_nodes:
         raise ValueError("apply_frame: fields do not live on the frame's grid")
     if hv.shape[1] + fv.shape[1] != frame.rows:

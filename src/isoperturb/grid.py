@@ -34,9 +34,6 @@ class ScalarField:
     grid: "Grid"
     values: np.ndarray
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VecField:
@@ -45,13 +42,6 @@ class VecField:
     grid: "Grid"
     values: np.ndarray
 
-    @property
-    def q(self):
-        return self.values.shape[1]
-
-    def copy(self):
-        return VecField(self.grid, self.values.copy())
-
 
 @dataclass
 class SymTensorField:
@@ -59,9 +49,6 @@ class SymTensorField:
 
     grid: "Grid"
     values: np.ndarray
-
-    def copy(self):
-        return SymTensorField(self.grid, self.values.copy())
 
 
 def sym_indices(dim):
@@ -220,8 +207,6 @@ class Grid:
         key = (axis, order)
         if key not in self._axis_ops:
             segs = self.row_segments if axis == 0 else self.col_segments
-            if self.dim == 1:
-                segs = self.row_segments
             rows, cols, vals = [], [], []
             for seg in segs:
                 r, c, v = _segment_triplets(seg, self.spacing, order)

@@ -128,30 +128,29 @@ def quadratic_load(cut: Cutoff, v: VecField, axis: int) -> ScalarField:
 
 
 def load_potentials(cut: Cutoff, v: VecField):
-    """Zero-boundary potentials of the per-axis quadratic loads."""
-    return [solve_dirichlet(quadratic_load(cut, v, ax)).u for ax in range(cut.grid.dim)]
+    """Zero-boundary potentials of the per-axis loads, and their largest solve residual."""
+    sols = [solve_dirichlet(quadratic_load(cut, v, ax)) for ax in range(cut.grid.dim)]
+    return [s.u for s in sols], max(s.residual_sup for s in sols)
 
 
-def tangential_correction(cut: Cutoff, v: VecField, potentials=None) -> VecField:
+def tangential_correction(cut: Cutoff, v: VecField, potentials) -> VecField:
     """Per-axis correction a * potential (n components)."""
     _check_pair(cut, v)
-    w = potentials if potentials is not None else load_potentials(cut, v)
-    cols = [cut.values * wi.values for wi in w]
+    cols = [cut.values * wi.values for wi in potentials]
     return VecField(cut.grid, np.column_stack(cols))
 
 
-def potential_coupling_term(cut: Cutoff, v: VecField, i: int, j: int, potentials=None) -> ScalarField:
+def potential_coupling_term(cut: Cutoff, v: VecField, i: int, j: int, potentials) -> ScalarField:
     """Symmetrized potential coupling: a dw + 3 da w in both axis orders."""
     _check_pair(cut, v)
     _check_axes(cut.grid, i, j)
     g = cut.grid
-    w = potentials if potentials is not None else load_potentials(cut, v)
     a = cut.values
     vals = (
-        a * (_d1(g, i) @ w[j].values)
-        + a * (_d1(g, j) @ w[i].values)
-        + 3.0 * cut.gradient(i).values * w[j].values
-        + 3.0 * cut.gradient(j).values * w[i].values
+        a * (_d1(g, i) @ potentials[j].values)
+        + a * (_d1(g, j) @ potentials[i].values)
+        + 3.0 * cut.gradient(i).values * potentials[j].values
+        + 3.0 * cut.gradient(j).values * potentials[i].values
     )
     return ScalarField(g, vals)
 
@@ -174,7 +173,7 @@ def gradient_product_term(cut: Cutoff, v: VecField, i: int, j: int) -> ScalarFie
     return ScalarField(g, vals)
 
 
-def normal_correction(cut: Cutoff, v: VecField, potentials=None) -> SymTensorField:
+def normal_correction(cut: Cutoff, v: VecField, potentials) -> SymTensorField:
     """Pairwise correction tensor (gradient product minus coupling).
 
     Every term carries a or da, so the tensor vanishes outside the cutoff
@@ -183,11 +182,10 @@ def normal_correction(cut: Cutoff, v: VecField, potentials=None) -> SymTensorFie
     """
     _check_pair(cut, v)
     g = cut.grid
-    w = potentials if potentials is not None else load_potentials(cut, v)
     cols = []
     for i, j in sym_indices(g.dim):
         u2 = gradient_product_term(cut, v, i, j)
-        u1 = potential_coupling_term(cut, v, i, j, potentials=w)
+        u1 = potential_coupling_term(cut, v, i, j, potentials)
         cols.append(u2.values - u1.values)
     return SymTensorField(g, np.column_stack(cols))
 
@@ -223,16 +221,16 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
             out["load"] = max(
                 out["load"], holder_norm(ScalarField(g, dn), 0, alpha) / size
             )
-        w1, w2 = load_potentials(cut, v1), load_potentials(cut, v2)
-        q1 = normal_correction(cut, v1, potentials=w1)
-        q2 = normal_correction(cut, v2, potentials=w2)
+        (w1, _), (w2, _) = load_potentials(cut, v1), load_potentials(cut, v2)
+        q1 = normal_correction(cut, v1, w1)
+        q2 = normal_correction(cut, v2, w2)
         dq = SymTensorField(g, q1.values - q2.values)
         out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha) / size)
         for k in range(dq.values.shape[1]):
             dm = laplacian(ScalarField(g, dq.values[:, k]))
             out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha) / size)
-        p1 = tangential_correction(cut, v1, potentials=w1)
-        p2 = tangential_correction(cut, v2, potentials=w2)
+        p1 = tangential_correction(cut, v1, w1)
+        p2 = tangential_correction(cut, v2, w2)
         dp = VecField(g, p1.values - p2.values)
         out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha) / size)
     out["samples"] = samples

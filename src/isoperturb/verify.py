@@ -7,6 +7,7 @@ inherit the second-order truncation of the machinery under test.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -17,13 +18,20 @@ _D1_WINDOW = 5  # exact through degree 4 -> O(h^4)
 _D2_WINDOW = 6  # exact through degree 5 -> O(h^4)
 
 
+@lru_cache(maxsize=None)
 def _window_weights(offsets, order):
-    """Derivative weights on integer offsets via a Vandermonde solve."""
+    """Derivative weights on integer offsets via a Vandermonde solve.
+
+    offsets is a tuple; a grid has a handful of distinct windows, so each
+    is solved once.
+    """
     k = len(offsets)
     a = np.vander(np.asarray(offsets, dtype=float), k, increasing=True).T
     rhs = np.zeros(k)
     rhs[order] = math.factorial(order)
-    return np.linalg.solve(a, rhs)
+    weights = np.linalg.solve(a, rhs)
+    weights.flags.writeable = False  # every caller shares the cached array
+    return weights
 
 
 def _segment_rows(ids, h, order, window):
@@ -38,7 +46,7 @@ def _segment_rows(ids, h, order, window):
     for r in range(k):
         lo = min(max(r - w // 2, 0), k - w)
         offs = np.arange(lo, lo + w) - r
-        wts = _window_weights(offs, order) / h**order
+        wts = _window_weights(tuple(offs.tolist()), order) / h**order
         for o, c in zip(offs, wts):
             out.append((ids[r], ids[r + o], c))
     return out

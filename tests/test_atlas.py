@@ -34,6 +34,7 @@ from isoperturb.atlas import (
 )
 from isoperturb.family import HorizonCollapse, MetricFamily
 from isoperturb.fixedpoint import IterationConfig
+from isoperturb.grid import make_grid
 from isoperturb.operators import smoothstep
 
 
@@ -336,6 +337,30 @@ def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
         assert sizes == sorted(set(sizes), reverse=True) and sizes[-1] == 0.0
         # the results come back in ascending t
         assert all(a is b for a, (_, b) in zip(traces, reversed(stage_calls)))
+
+
+def test_glue_builds_the_stage_1_frame_once(monkeypatch):
+    # stage 1 reads F0 on chart 0 whatever t and the horizon: one frame
+    # serves both passes and every sample; stage 2, reached by the second
+    # pass only, builds one per sample
+    built = []
+    build = atlas_module.build_frame
+
+    def recording(source):
+        built.append(source.values)
+        return build(source)
+
+    monkeypatch.setattr(atlas_module, "build_frame", recording)
+    atlas = build_atlas("circle", 2)
+    fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
+                                horizon=0.5, samples=2)
+    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
+                     mesh=128, config=SMOKE_CFG)
+    assert [(h.horizon, h.stage) for h in sol.halvings] == [(0.5, 1)]
+    assert sol.horizon_used == 0.25
+    assert len(built) == 1 + 3
+    stage_1 = circle_embedding(atlas.charts[0].to_manifold(make_grid(1, 201).coords))
+    assert [np.array_equal(vals, stage_1) for vals in built] == [True] + 3 * [False]
 
 
 def test_glue_halves_horizon_for_large_families():

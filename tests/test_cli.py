@@ -5,6 +5,7 @@ whole file stays fast; the full-scale scenarios live in configs/ and
 tests/test_acceptance.py.
 """
 
+import csv
 import json
 import os
 
@@ -135,6 +136,17 @@ def test_solve_local_artifacts_and_schema(local_run):
     assert emb[0] == "stage,t,x,F1,F2"
     # stage 0 (base embedding) and stage 1 (perturbed), 401 nodes each
     assert len(emb) == 1 + 2 * 401
+
+
+def test_trace_ratio_is_the_increment_over_the_previous_one(local_run):
+    # row k holds increment k / increment k-1; row 0 has no previous step
+    _, out = local_run
+    with open(os.path.join(out, "traces", "iteration.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) > 2
+    assert rows[0]["ratio"] == ""
+    for prev, row in zip(rows, rows[1:]):
+        assert float(row["ratio"]) == float(row["increment"]) / float(prev["increment"])
 
 
 def test_zero_load_gives_exactly_zero_residual(tmp_path):

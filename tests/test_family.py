@@ -34,6 +34,8 @@ from isoperturb.operators import Cutoff
 
 
 CFG = IterationConfig(tol=1e-9)
+# a unit-speed arc induces the flat metric: base components exactly 1
+FLAT = CircleChart(0.0, 1.0)
 
 
 # ---------------------------------------------------------------- window
@@ -56,11 +58,11 @@ def test_chart_window_pinned_regions():
 
 def test_window_validation_rejects_bad_profiles():
     g = make_grid(1, 201)
-    fam = build_family("uniform-scale", g, horizon=1.0, samples=4, beta=0.1)
+    fam = build_family("uniform-scale", g, base=FLAT, horizon=1.0, samples=4, beta=0.1)
     with pytest.raises(ValueError, match="exactly 1"):
-        windowed_increment(Cutoff(g, 0.4, 0.7), fam, 0.5)
+        windowed_increment(chart_window(g, 0.4, 0.7), fam, 0.5)
     with pytest.raises(ValueError, match="inside radius 3/4"):
-        windowed_increment(Cutoff(g, 0.6, 0.8), fam, 0.5)
+        windowed_increment(chart_window(g, 0.6, 0.8), fam, 0.5)
 
 
 def test_windowed_increment_zero_at_t0_is_exact():
@@ -90,7 +92,7 @@ def test_windowed_increment_hand_product():
 def test_windowed_increment_support_property(t):
     g = make_grid(1, 51)
     w = chart_window(g)
-    fam = build_family("uniform-scale", g, horizon=0.5, samples=2, beta=0.3)
+    fam = build_family("uniform-scale", g, base=FLAT, horizon=0.5, samples=2, beta=0.3)
     ghat = windowed_increment(w, fam, t)
     assert np.all(ghat.values[g.radius() >= 0.75] == 0.0)
     assert np.all(np.isfinite(ghat.values))
@@ -103,7 +105,7 @@ def test_windowed_increment_support_property(t):
 
 def test_constant_family_is_constant():
     g = make_grid(1, 101)
-    fam = build_family("constant", g, horizon=1.0, samples=3)
+    fam = build_family("constant", g, base=FLAT, horizon=1.0, samples=3)
     assert np.all(fam.sample(0.7).values == fam.sample(0.0).values)
     assert positivity_margin(fam, g.coords) == 1.0
     assert np.all(fam.t_grid == np.linspace(0.0, 1.0, 4))
@@ -122,22 +124,20 @@ def test_uniform_scale_values_and_margin():
 
 def test_bump_breathing_touches_only_first_component():
     g = make_grid(2, 33)
-    fam = build_family("bump-breathing", g, horizon=1.0, samples=2, beta=0.3,
-                       bump_radius=0.4)
+    fam = build_family("bump-breathing", g, base=TorusChart(), horizon=1.0, samples=2,
+                       beta=0.3, bump_radius=0.4)
     g0 = fam.sample(0.0).values
     g1 = fam.sample(1.0).values
     assert np.all(g1[:, 1] == g0[:, 1])
     assert np.all(g1[:, 2] == g0[:, 2])
     r2 = (g.coords**2).sum(axis=1)
     prof = np.clip(1.0 - r2 / 0.4**2, 0.0, None) ** 4
-    # one ulp of cancellation in (base + inc) - base at scale 1
-    assert np.max(np.abs((g1[:, 0] - g0[:, 0]) - 0.3 * prof)) <= 1e-16
+    # g0 is the base itself (base + 0 * prof), and g1 adds the same product
+    assert np.all(g1[:, 0] == g0[:, 0] + 0.3 * prof)
 
 
 def test_circle_breathing_needs_circle_chart():
     g = make_grid(1, 101)
-    with pytest.raises(ValueError, match="circle chart"):
-        build_family("circle-breathing", g, horizon=1.0, samples=2)
     chart = CircleChart()
     fam = build_family("circle-breathing", g, base=chart, horizon=1.0,
                        samples=2, beta=0.05)
@@ -169,13 +169,13 @@ def test_chart_and_global_families_agree(name, chart, dim):
 def test_family_validation():
     g = make_grid(1, 101)
     with pytest.raises(ValueError, match="unknown family"):
-        build_family("wobble", g)
+        build_family("wobble", g, FLAT)
     with pytest.raises(ValueError, match="samples"):
-        build_family("constant", g, samples=0)
+        build_family("constant", g, FLAT, samples=0)
     with pytest.raises(ValueError, match="horizon"):
-        build_family("constant", g, horizon=0.0)
+        build_family("constant", g, FLAT, horizon=0.0)
     with pytest.raises(ValueError, match="positive definiteness"):
-        build_family("bump-breathing", g, horizon=1.0, samples=2, beta=-2.0,
+        build_family("bump-breathing", g, FLAT, horizon=1.0, samples=2, beta=-2.0,
                      bump_radius=0.4)
     # (1 - r^2/R^2)_+^-1 is inf outside the bump, and 0 * inf at t = 0 is
     # NaN: a NaN smallest eigenvalue is not > 0
@@ -193,7 +193,7 @@ def breathing_solution():
     g = make_grid(1, 401)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=4, beta=0.01, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.5, 0.9),
+    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
                        config=CFG)
     return sol
 
@@ -229,7 +229,7 @@ def test_horizon_halving_recovers():
     g = make_grid(1, 201)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=2, beta=1.0, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.8, 0.95),
+    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.8, 0.95),
                        config=CFG)
     assert sol.horizon_used < 0.5
     k = np.log2(0.5 / sol.horizon_used)
@@ -265,7 +265,8 @@ def test_samples_are_solved_from_the_largest_t(monkeypatch):
     g = make_grid(1, 201)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=3, beta=0.01, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.5, 0.9), config=CFG)
+    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
+                       config=CFG)
     sizes = [size for size, _ in calls]
     assert len(sizes) == 4 and sizes == sorted(set(sizes), reverse=True)
     assert sizes[-1] == 0.0  # t = 0 last
@@ -279,7 +280,7 @@ def test_horizon_collapse():
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=8, beta=10.0, bump_radius=0.4)
     with pytest.raises(HorizonCollapse) as exc:
-        solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.8, 0.95),
+        solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.8, 0.95),
                      config=CFG, dt_min=0.04)
     assert exc.value.horizon == 0.25  # one halving allowed before 0.04*8
 
@@ -308,7 +309,7 @@ def test_solve_family_support_mismatch():
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=2, beta=0.01, bump_radius=0.6)
     with pytest.raises(ValueError, match="flat radius"):
-        solve_family(ParabolaChart(), fam, cutoff=Cutoff(g, 0.5, 0.9),
+        solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
                      config=CFG)
 
 

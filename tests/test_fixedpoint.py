@@ -28,7 +28,7 @@ from isoperturb.fixedpoint import (
 )
 from isoperturb.frame import apply_frame, build_frame
 from isoperturb.grid import SymTensorField, VecField, holder_norm, make_grid
-from isoperturb.operators import Cutoff
+from isoperturb.operators import Cutoff, load_potentials
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def bump_solution(bump_setup):
 def test_first_sweep_is_exact_frame_response(bump_setup):
     g, frame, cut, f = bump_setup
     v0 = VecField(g, np.zeros((g.num_nodes, frame.q)))
-    got = fixed_point_map(frame, cut, f, v0)
+    got = fixed_point_map(frame, cut, f, v0, load_potentials(cut, v0)[0])
     half_f = SymTensorField(g, 0.5 * f.values)
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
     expected = -apply_frame(frame, zero_h, half_f).values
@@ -158,7 +158,7 @@ def test_borderline_contraction_fails_fast(borderline_setup):
     v = VecField(g, np.zeros((g.num_nodes, frame.q)))
     increments = []
     for _ in range(MAX_ITER):
-        v_new = fixed_point_map(frame, cut, f, v)
+        v_new = fixed_point_map(frame, cut, f, v, load_potentials(cut, v)[0])
         increments.append(holder_norm(VecField(g, v_new.values - v.values), 2, 0.5))
         v = v_new
     assert increments[: trace.iterations] == trace.increments
@@ -218,8 +218,9 @@ def test_first_sweep_scales_linearly(lam):
     cut = Cutoff(g)
     f = bump_perturbation(g, 0.01)
     v0 = VecField(g, np.zeros((g.num_nodes, frame.q)))
-    base = fixed_point_map(frame, cut, f, v0).values
+    w, _ = load_potentials(cut, v0)
+    base = fixed_point_map(frame, cut, f, v0, w).values
     scaled = fixed_point_map(
-        frame, cut, SymTensorField(g, lam * f.values), v0
+        frame, cut, SymTensorField(g, lam * f.values), v0, w
     ).values
     assert np.max(np.abs(scaled - lam * base)) <= 1e-13 * max(1.0, lam)

@@ -5,6 +5,7 @@ import pytest
 
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.frame import NotFreeError, apply_frame, build_frame
+from isoperturb import verify as verify_module
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
 from isoperturb.verify import (
     isometry_residual,
@@ -40,6 +41,26 @@ def test_oracle_fourth_order_convergence():
         errs.append(np.max(np.abs(d1 @ np.sin(2.0 * x) - 2.0 * np.cos(2.0 * x))))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 24.0  # ~16 for a fourth-order method
+
+
+def test_oracle_assembly_solves_each_window_once(monkeypatch):
+    # an interval has 5 distinct first-derivative windows (the centred one
+    # and two one-sided ones at each end) and 6 second-derivative ones
+    verify_module._window_weights.cache_clear()
+    g = make_grid(1, 3201)
+    cached = [oracle_derivative_matrix(g, (k,)) for k in (1, 2)]
+    info = verify_module._window_weights.cache_info()
+    assert info.misses == 11
+    assert info.hits + info.misses == 2 * g.num_nodes
+    # the stencils are bit-identical to one Vandermonde solve per node
+    monkeypatch.setattr(verify_module, "_window_weights",
+                        verify_module._window_weights.__wrapped__)
+    fresh = make_grid(1, 3201)
+    for k, m in zip((1, 2), cached):
+        ref = oracle_derivative_matrix(fresh, (k,))
+        assert np.array_equal(m.indptr, ref.indptr)
+        assert np.array_equal(m.indices, ref.indices)
+        assert np.array_equal(m.data, ref.data)
 
 
 def test_oracle_rejects_high_order():

@@ -140,8 +140,9 @@ def test_axis_order_validated():
     g = make_grid(2, 33)
     cut = Cutoff(g)
     v = smooth_vec(g)
+    w, _ = load_potentials(cut, v)
     with pytest.raises(ValueError, match="axes"):
-        potential_coupling_term(cut, v, 1, 0)
+        potential_coupling_term(cut, v, 1, 0, w)
     with pytest.raises(ValueError, match="axes"):
         gradient_product_term(cut, v, 0, 2)
 
@@ -165,7 +166,7 @@ def identity_defects(N):
     e2 = np.max(np.abs(lhs2 - rhs2)) / max(1.0, np.max(np.abs(lhs2)))
 
     # coupling identity: 2 d(a^3 w) = a^2 * u1 (n=1, i=j=0)
-    w = load_potentials(cut, v)
+    w, _ = load_potentials(cut, v)
     lhs1 = 2.0 * (d1 @ (a3 * w[0].values))
     rhs1 = a2 * potential_coupling_term(cut, v, 0, 0, potentials=w).values
     e1 = np.max(np.abs(lhs1 - rhs1)) / max(1.0, np.max(np.abs(lhs1)))
@@ -203,7 +204,7 @@ def test_all_corrections_vanish_exactly_outside_support():
         cut = Cutoff(g)
         v = smooth_vec(g)
         outside = g.radius() >= 0.75
-        w = load_potentials(cut, v)
+        w, _ = load_potentials(cut, v)
         p = tangential_correction(cut, v, potentials=w)
         q = normal_correction(cut, v, potentials=w)
         assert np.all(p.values[outside] == 0.0)
@@ -223,7 +224,7 @@ def test_laplacian_of_correction_inverts_back_exactly():
         g = make_grid(dim, N)
         cut = Cutoff(g)
         v = smooth_vec(g)
-        q = normal_correction(cut, v)
+        q = normal_correction(cut, v, load_potentials(cut, v)[0])
         scale = max(1.0, np.max(np.abs(q.values)))
         for k in range(q.values.shape[1]):
             m = laplacian(ScalarField(g, q.values[:, k]))
@@ -235,8 +236,9 @@ def test_correction_zero_for_zero_field():
     g = make_grid(1, 101)
     cut = Cutoff(g)
     zero = VecField(g, np.zeros((g.num_nodes, 3)))
-    assert np.all(normal_correction(cut, zero).values == 0.0)
-    assert np.all(tangential_correction(cut, zero).values == 0.0)
+    w, _ = load_potentials(cut, zero)
+    assert np.all(normal_correction(cut, zero, w).values == 0.0)
+    assert np.all(tangential_correction(cut, zero, w).values == 0.0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -245,8 +247,9 @@ def test_tangential_correction_quadratic_homogeneity(lam):
     g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
-    p1 = tangential_correction(cut, VecField(g, lam * v.values)).values
-    p2 = lam * lam * tangential_correction(cut, v).values
+    lam_v = VecField(g, lam * v.values)
+    p1 = tangential_correction(cut, lam_v, load_potentials(cut, lam_v)[0]).values
+    p2 = lam * lam * tangential_correction(cut, v, load_potentials(cut, v)[0]).values
     assert np.max(np.abs(p1 - p2)) <= 1e-10 * max(1.0, np.max(np.abs(p2)))
 
 
