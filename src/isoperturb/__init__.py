@@ -48,7 +48,6 @@ from .fixedpoint import (
     StalledIteration,
     fixed_point_map,
     solve_fixed_point,
-    verify_identity,
     local_perturb,
 )
 from .family import (
@@ -92,7 +91,7 @@ __all__ = [
     "build_frame", "apply_frame",
     "IterationConfig", "IterationTrace", "SmallnessViolation",
     "StalledIteration", "fixed_point_map", "solve_fixed_point",
-    "verify_identity", "local_perturb",
+    "local_perturb",
     "MetricFamily", "FamilySolution", "HorizonCollapse", "build_family",
     "build_manifold_family", "chart_window", "windowed_increment",
     "solve_family", "stability_gap", "time_regularity_probe",

@@ -72,7 +72,6 @@ class AtlasChart:
 class Atlas:
     manifold: str
     charts: list
-    coverage_margin: float = 0.0
 
     @property
     def dim(self):
@@ -126,7 +125,6 @@ def build_atlas(manifold, num_charts) -> Atlas:
         raise ValueError(
             f"build_atlas: partition supports fail to cover (margin {margin:.3e})"
         )
-    atlas.coverage_margin = margin
     return atlas
 
 

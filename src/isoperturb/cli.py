@@ -41,6 +41,7 @@ from .family import (
     build_manifold_family,
     chart_window,
     solve_family,
+    stability_gap,
     table_family,
     time_regularity_probe,
     windowed_increment,
@@ -60,6 +61,12 @@ from .poisson import elliptic_monitors
 
 
 SCHEMA_VERSION = 1
+
+# solve-local's stability check: a load STABILITY_LOAD times the bump may move
+# the correction by at most STABILITY_BOUND times the frame image of the
+# load difference
+STABILITY_LOAD = 1.1
+STABILITY_BOUND = 1.1
 
 
 def _chart_for(scenario: Scenario):
@@ -256,9 +263,10 @@ def _run_check_free(scenario, report):
 def _run_solve_local(scenario, report, cut, f):
     g = f.grid
     frame = build_frame(_chart_for(scenario), g)
+    cfg = _iteration_config(scenario)
     trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
     try:
-        u, rep = local_perturb(frame, f, config=_iteration_config(scenario), cutoff=cut)
+        u, rep = local_perturb(frame, f, config=cfg, cutoff=cut)
     except (SmallnessViolation, StalledIteration) as exc:
         _write_trace_csv(trace_path, exc.trace)
         return report.finish(failure=str(exc))
@@ -276,6 +284,14 @@ def _run_solve_local(scenario, report, cut, f):
     report.check("support-leak", rep["support_leak"], 0.0)
     report.check("iterate-bound-monitor", 0.0 if rep["monitor_ok"] else 1.0, 0.0,
                  ok=rep["monitor_ok"])
+    f2 = bump_perturbation(g, STABILITY_LOAD * scenario.amplitude, scenario.bump_radius)
+    try:
+        gap = stability_gap(frame, cut, f, f2, cfg)
+    except (SmallnessViolation, StalledIteration) as exc:
+        return report.finish(failure=f"stability solve: {exc}")
+    report.record(stability_ratio=gap["ratio"], stability_gap=gap["gap"],
+                  stability_frame_norm=gap["frame_norm"])
+    report.check("stability-ratio", gap["ratio"], STABILITY_BOUND)
     return report.finish()
 
 

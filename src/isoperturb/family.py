@@ -29,7 +29,7 @@ from .fixedpoint import (
     solve_fixed_point,
 )
 from .frame import ImmersionFrame, apply_frame, build_frame
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, radial_bump
+from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, multi_indices, radial_bump
 from .operators import Cutoff, radial_window
 from .verify import isometry_residual
 
@@ -357,7 +357,7 @@ def time_regularity_probe(solution: FamilySolution, r_max=2) -> dict:
     g = solution.us[0].grid
     dt = float(solution.t_grid[1] - solution.t_grid[0])
     stacks = [np.stack([u.values for u in solution.us], axis=0)]  # (K+1, nodes, q)
-    for s_idx in _probe_indices(g.dim):
+    for s_idx in multi_indices(g.dim, 1) + multi_indices(g.dim, 2):
         m = g.derivative_matrix(s_idx)
         stacks.append(np.stack([m @ u.values for u in solution.us], axis=0))
     report = {"orders": {}}
@@ -370,14 +370,3 @@ def time_regularity_probe(solution: FamilySolution, r_max=2) -> dict:
         ratio = native / coarse if coarse > 1e-12 else 1.0
         report["orders"][r] = {"native": native, "coarse": coarse, "ratio": ratio}
     return report
-
-
-def _probe_indices(dim):
-    out = []
-    for total in (1, 2):
-        if dim == 1:
-            out.append((total,))
-        else:
-            for i in range(total + 1):
-                out.append((total - i, i))
-    return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame import ImmersionFrame, apply_frame, build_frame
-from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump, sym_indices
+from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump
 from .operators import Cutoff, load_potentials, normal_correction, tangential_correction
 from .verify import isometry_residual
 
@@ -202,52 +202,6 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     )
 
 
-def verify_identity(frame: ImmersionFrame, cut: Cutoff, v: VecField, f: SymTensorField,
-                    alpha=0.5):
-    """Report the three residual groups of the structural identity.
-
-    tangential_constraint : sup |dF0 . v + P(v)|       per axis
-    normal_constraint     : sup |d2F0 . v + f/2 - Q/2| per index pair
-    isometry              : sup |dF.dF - dF0.dF0 - a^2 f|, module stencils
-    """
-    g = f.grid
-    potentials, _ = load_potentials(cut, v)
-    p = tangential_correction(cut, v, potentials)
-    q = normal_correction(cut, v, potentials)
-    n = g.dim
-    r1 = 0.0
-    for i in range(n):
-        got = np.sum(frame.A[:, i, :] * v.values, axis=1) + p.values[:, i]
-        r1 = max(r1, float(np.max(np.abs(got))))
-    r2 = 0.0
-    for k in range(frame.rows - n):
-        got = (
-            np.sum(frame.A[:, n + k, :] * v.values, axis=1)
-            + 0.5 * f.values[:, k]
-            - 0.5 * q.values[:, k]
-        )
-        r2 = max(r2, float(np.max(np.abs(got))))
-    a2 = cut.values**2
-    F = VecField(g, frame.F0.values + a2[:, None] * v.values)
-    r3 = 0.0
-    d1 = [g.derivative_matrix(tuple(1 if a == ax else 0 for a in range(n))) for ax in range(n)]
-    dF = [m @ F.values for m in d1]
-    dF0 = [m @ frame.F0.values for m in d1]
-    for k, (i, j) in enumerate(sym_indices(n)):
-        got = (
-            np.sum(dF[i] * dF[j], axis=1)
-            - np.sum(dF0[i] * dF0[j], axis=1)
-            - a2 * f.values[:, k]
-        )
-        r3 = max(r3, float(np.max(np.abs(got))))
-    return {
-        "tangential_constraint": r1,
-        "normal_constraint": r2,
-        "isometry": r3,
-        "alpha": alpha,
-    }
-
-
 def bump_perturbation(grid, amplitude, radius=0.5):
     """Compactly supported bump tensor: first component amp*(1-(r/R)^2)^4."""
     prof = amplitude * radial_bump(grid, radius, 4)
@@ -274,8 +228,7 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     residual_sup, _ = isometry_residual(F, frame.F0, f)
     outside = r >= cut.support_radius
     support_leak = float(np.max(np.abs(u.values[outside]))) if np.any(outside) else 0.0
-    alpha = (config or IterationConfig()).alpha
-    u_norm = holder_norm(u, 2, alpha)
+    u_norm = holder_norm(u, 2, (config or IterationConfig()).alpha)
     report = {
         "residual_sup": residual_sup,
         "support_leak": support_leak,
@@ -285,6 +238,5 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
         "iterations": trace.iterations,
         "monitor_ok": trace.passes_recurrence_monitor(),
         "trace": trace,
-        "constraints": verify_identity(frame, cut, v, f, alpha),
     }
     return u, report

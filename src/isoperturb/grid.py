@@ -354,7 +354,8 @@ def _c0alpha(grid, vals, alpha):
     return float(np.max(np.abs(vals))) + grid.quotient_max(vals, alpha)
 
 
-def _multi_indices(dim, m):
+def multi_indices(dim, m):
+    """The multi-indices s with |s| = m, in the order holder_norms sums them."""
     if dim == 1:
         return [(m,)]
     return [(m - k, k) for k in range(m + 1)]
@@ -369,7 +370,7 @@ def holder_norms(fld, orders, alpha):
     nodes (Grid.quotient_max), and each is taken once: the C^{0,alpha} part
     of a component is shared by every order.  Every order is summed as if
     alone: component by component, the C^{0,alpha} part first, then the
-    |s| = m parts in _multi_indices order.
+    |s| = m parts in multi_indices order.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder_norm configuration error: alpha must be in (0,1), got alpha={alpha}")
@@ -385,7 +386,7 @@ def holder_norms(fld, orders, alpha):
         for m in totals:
             totals[m] += base
             if m > 0:
-                for s in _multi_indices(g.dim, m):
+                for s in multi_indices(g.dim, m):
                     totals[m] += _c0alpha(g, g.derivative_matrix(s) @ comp, alpha)
     return totals
 
@@ -449,14 +450,6 @@ def _random_affine(grid, rng):
 def _random_vec(grid, rng, q=2):
     cols = [_random_scalar(grid, rng).values for _ in range(q)]
     return VecField(grid, np.column_stack(cols))
-
-
-def _leibniz_multi_indices(dim):
-    # orders <= 2 only: the composed order-3/4 stencils amplify float64
-    # roundoff by 1/h^4, which alone exceeds the 1e-10 consistency budget
-    if dim == 1:
-        return [(1,), (2,)]
-    return [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
 
 
 def _sub_indices(beta):
@@ -538,8 +531,10 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         # embedding witness: |u|_{1,alpha} <= C |u|_{2,alpha}
         report["embed_witness"] = max(report["embed_witness"], nu[1] / max(nu[2], 1e-300))
 
-        # Leibniz on the polynomial-exact corpus
-        for beta in _leibniz_multi_indices(grid.dim):
+        # Leibniz on the polynomial-exact corpus, at orders <= 2 only: the
+        # composed order-3/4 stencils amplify float64 roundoff by 1/h^4,
+        # which alone exceeds the 1e-10 consistency budget
+        for beta in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
             scale = max(1.0, float(np.max(np.abs(ua.values * va.values))))
             report["leibniz_max_err"] = max(
                 report["leibniz_max_err"], leibniz_defect(grid, ua, va, beta, mask) / scale

@@ -56,6 +56,12 @@ def test_build_atlas_validation():
         build_atlas("klein-bottle", 2)
 
 
+def _coverage_margin(atlas, mesh):
+    """The smallest sum of the partition bumps on build_atlas's probe mesh."""
+    probe = make_mesh(atlas.manifold, mesh)
+    return float(sum(atlas.bump(k, probe) for k in range(len(atlas.charts))).min())
+
+
 def test_circle_atlas_geometry():
     atlas = build_atlas("circle", 2)
     assert len(atlas.charts) == 2
@@ -63,7 +69,7 @@ def test_circle_atlas_geometry():
     assert atlas.charts[1].center[0] == pytest.approx(np.pi)
     assert atlas.charts[0].halfwidth == pytest.approx(1.5 * np.pi / 2)
     assert atlas.dim == 1
-    assert atlas.coverage_margin == pytest.approx(0.5947867824579516)
+    assert _coverage_margin(atlas, 2048) == pytest.approx(0.5947867824579516)
 
 
 def test_torus_atlas_geometry():
@@ -75,7 +81,7 @@ def test_torus_atlas_geometry():
     )
     assert all(c.halfwidth == 3.0 for c in atlas.charts)
     assert atlas.dim == 2
-    assert atlas.coverage_margin == pytest.approx(0.154952783773045)
+    assert _coverage_margin(atlas, 46) == pytest.approx(0.154952783773045)
 
 
 def test_partition_sums_to_one():

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from isoperturb import cli
 from isoperturb.cli import main
 
 FREE_CFG = """
@@ -127,6 +128,8 @@ def test_solve_local_artifacts_and_schema(local_run):
     assert s["results"]["residual_sup"] <= 1e-6
     assert s["results"]["support_leak"] == 0.0
     assert {"parameters", "results", "criteria", "seed"} <= set(s)
+    stability = [c for c in s["criteria"] if c["criterion"] == "stability-ratio"]
+    assert len(stability) == 1 and stability[0]["pass"]
 
     trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
     assert trace[0] == "iteration,norm,increment,ratio,poisson_residual"
@@ -186,6 +189,21 @@ def test_solve_local_load_too_large_to_contract_exits_1(tmp_path):
     trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
     assert trace[0] == "iteration,norm,increment,ratio,poisson_residual"
     assert len(trace) > 1
+
+
+def test_stability_solve_that_breaks_the_bound_exits_1(tmp_path, monkeypatch):
+    # the run's own solve converges; the stability check's larger load breaks
+    # the a-priori bound, and the run names that solve as its failure
+    monkeypatch.setattr(cli, "STABILITY_LOAD", 5000.0)
+    out = str(tmp_path / "out")
+    code = main(["solve-local", "--config", _cfg(tmp_path, LOCAL_FAST_CFG),
+                 "--out", out, "--quiet"])
+    assert code == 1
+    s = _summary(out)
+    assert s["status"] == "fail"
+    assert s["failure"].startswith("stability solve: a-priori bound violated")
+    assert all(c["pass"] for c in s["criteria"])
+    assert "stability_ratio" not in s["results"]
 
 
 def test_solve_local_that_fails_fast_exits_1_with_its_trace(tmp_path):

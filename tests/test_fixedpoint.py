@@ -24,11 +24,15 @@ from isoperturb.fixedpoint import (
     fixed_point_map,
     local_perturb,
     solve_fixed_point,
-    verify_identity,
 )
 from isoperturb.frame import apply_frame, build_frame
-from isoperturb.grid import SymTensorField, VecField, holder_norm, make_grid
-from isoperturb.operators import Cutoff, load_potentials
+from isoperturb.grid import SymTensorField, VecField, holder_norm, make_grid, sym_indices
+from isoperturb.operators import (
+    Cutoff,
+    load_potentials,
+    normal_correction,
+    tangential_correction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +112,46 @@ def test_local_perturb_report(bump_setup):
     assert u.values.shape == (g.num_nodes, 2)
     # u vanishes identically outside the cutoff support
     assert np.all(u.values[g.radius() >= 0.9] == 0.0)
+
+
+def verify_identity(frame, cut, v, f):
+    """The three residual groups of the structural identity.
+
+    tangential_constraint : sup |dF0 . v + P(v)|       per axis
+    normal_constraint     : sup |d2F0 . v + f/2 - Q/2| per index pair
+    isometry              : sup |dF.dF - dF0.dF0 - a^2 f|, module stencils
+    """
+    g = f.grid
+    potentials, _ = load_potentials(cut, v)
+    p = tangential_correction(cut, v, potentials)
+    q = normal_correction(cut, v, potentials)
+    n = g.dim
+    r1 = 0.0
+    for i in range(n):
+        got = np.sum(frame.A[:, i, :] * v.values, axis=1) + p.values[:, i]
+        r1 = max(r1, float(np.max(np.abs(got))))
+    r2 = 0.0
+    for k in range(frame.rows - n):
+        got = (
+            np.sum(frame.A[:, n + k, :] * v.values, axis=1)
+            + 0.5 * f.values[:, k]
+            - 0.5 * q.values[:, k]
+        )
+        r2 = max(r2, float(np.max(np.abs(got))))
+    a2 = cut.values**2
+    F = VecField(g, frame.F0.values + a2[:, None] * v.values)
+    r3 = 0.0
+    d1 = [g.derivative_matrix(tuple(1 if a == ax else 0 for a in range(n))) for ax in range(n)]
+    dF = [m @ F.values for m in d1]
+    dF0 = [m @ frame.F0.values for m in d1]
+    for k, (i, j) in enumerate(sym_indices(n)):
+        got = (
+            np.sum(dF[i] * dF[j], axis=1)
+            - np.sum(dF0[i] * dF0[j], axis=1)
+            - a2 * f.values[:, k]
+        )
+        r3 = max(r3, float(np.max(np.abs(got))))
+    return {"tangential_constraint": r1, "normal_constraint": r2, "isometry": r3}
 
 
 def test_verify_identity_at_fixed_point(bump_setup, bump_solution):

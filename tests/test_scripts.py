@@ -1,6 +1,7 @@
-"""The demo scripts in scripts/ check themselves: each prints [PASS]/[FAIL]
-lines and exits non-zero on a failure.  Run each one as a user would."""
+"""The shipped entry points pass as a user would run them: each scenario in
+configs/ through the CLI, and each script in scripts/ as a program."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,13 +10,16 @@ from pathlib import Path
 import pytest
 
 import isoperturb
+from isoperturb.cli import main
+from isoperturb.config import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 
 def test_scripts_found():
-    assert len(SCRIPTS) == 4
+    assert len(SCRIPTS) == 1
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
@@ -28,3 +32,16 @@ def test_demo_script_passes(script):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[FAIL]" not in proc.stdout
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_passes(config, tmp_path):
+    out = tmp_path / "out"
+    code = main([load_scenario(str(config)).command, "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "pass"
+    assert summary["criteria"]
+    assert all(c["pass"] for c in summary["criteria"]), summary["criteria"]
