@@ -3,7 +3,9 @@
 Part 1 measures the observed order of the Poisson solver against manufactured
 solutions on the interval and the disk (expected: second order).  Part 2
 solves the same local perturbation problem at doubling resolutions and
-reports the decay factor of the independent isometry residual.
+reports the decay factor of the independent isometry residual.  Part 3 glues
+the four-chart torus at doubling chart resolution and mesh and reports the
+final pullback residual of each stage.
 
 Usage: python3 scripts/convergence_study.py
 """
@@ -12,6 +14,8 @@ import time
 
 import numpy as np
 
+from isoperturb.atlas import (build_atlas, build_manifold_family, glue_solve,
+                              solution_residuals, torus_embedding)
 from isoperturb.embeddings import ParabolaChart
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.grid import ScalarField, make_grid
@@ -82,21 +86,48 @@ def residual_decay():
     return factors
 
 
+def torus_glue_scale():
+    print("\ntorus glue, residual vs chart x mesh (circle-breathing, beta 0.01, t 0.25)")
+    print("-" * 56)
+    atlas = build_atlas("torus", 4)
+    fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
+                                horizon=0.25, samples=1)
+    finals = []
+    for N, mesh in ((25, 48), (49, 96), (97, 192)):
+        t0 = time.time()
+        sol = glue_solve(torus_embedding, fam, atlas, chart_resolution=N,
+                         mesh=mesh, config=IterationConfig(tol=1e-7))
+        dt = time.time() - t0
+        # residual at the last sample, after each stage
+        stages = [solution_residuals(sol, s)[-1] for s in range(1, len(sol.F_stages))]
+        finals.append(stages[-1])
+        print(f"  chart {N:>3} / mesh {mesh:>3}  final {stages[-1]:.4e}  stages "
+              + ", ".join(f"{r:.2e}" for r in stages) + f"  {dt:.2f}s")
+    factors = [r0 / r1 for r0, r1 in zip(finals, finals[1:])]
+    print("  decay factors under refinement: " +
+          ", ".join(f"{f:.2f}" for f in factors))
+    return finals, factors
+
+
 def main():
     print("=" * 64)
     print("convergence studies")
     print("=" * 64)
     orders = poisson_orders()
     factors = residual_decay()
+    torus_finals, torus_factors = torus_glue_scale()
 
     ok_orders = all(1.8 <= o <= 2.2 for o in orders)
     ok_decay = all(f >= 3.0 for f in factors)
+    ok_torus = torus_finals[-1] <= 5e-5 and all(f >= 3.0 for f in torus_factors)
     print()
     print(f"[{'PASS' if ok_orders else 'FAIL'}] Dirichlet solver is second order "
           "on interval and disk")
     print(f"[{'PASS' if ok_decay else 'FAIL'}] isometry residual shrinks ~4x per "
           "resolution doubling")
-    return 0 if (ok_orders and ok_decay) else 1
+    print(f"[{'PASS' if ok_torus else 'FAIL'}] torus glue residual <= 5e-5 at chart 97 / "
+          "mesh 192, and shrinks >= 3x per refinement")
+    return 0 if (ok_orders and ok_decay and ok_torus) else 1
 
 
 if __name__ == "__main__":

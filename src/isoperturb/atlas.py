@@ -13,7 +13,7 @@ global mesh.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import CubicSpline
 
 from .embeddings import make_mesh
 from .embeddings import circle_embedding, torus_embedding  # noqa: F401  (public here too)
@@ -164,26 +164,13 @@ def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
 # ------------------------------------------------------------ global mesh
 
 
-def _interp_circle(mesh_theta, values, theta_eval):
-    ext_x = np.append(mesh_theta, mesh_theta[0] + TWO_PI)
-    ext_v = np.concatenate([values, values[:1]], axis=0)
-    cs = CubicSpline(ext_x, ext_v, bc_type="periodic", axis=0)
-    wrapped = np.mod(theta_eval - mesh_theta[0], TWO_PI) + mesh_theta[0]
-    return cs(wrapped)
-
-
-def _interp_torus(mesh_theta, values_grid, points):
-    # values_grid: (M, M, q); periodic pad one row/column
-    m = mesh_theta.size
-    ext = np.empty((m + 1, m + 1) + values_grid.shape[2:])
-    ext[:m, :m] = values_grid
-    ext[m, :m] = values_grid[0]
-    ext[:m, m] = values_grid[:, 0]
-    ext[m, m] = values_grid[0, 0]
-    axes = np.append(mesh_theta, mesh_theta[0] + TWO_PI)
-    rgi = RegularGridInterpolator((axes, axes), ext, method="cubic")
-    wrapped = np.mod(points - mesh_theta[0], TWO_PI) + mesh_theta[0]
-    return rgi(wrapped)
+def _spline(axes, values, targets, bc_type):
+    """Tensor cubic spline of values on the grid `axes`, evaluated on the grid
+    `targets`: one CubicSpline pass per axis, which between tensor grids is
+    the tensor-product spline itself (each pass is an exact banded solve)."""
+    for ax, (x, t) in enumerate(zip(axes, targets)):
+        values = CubicSpline(x, values, bc_type=bc_type, axis=ax)(t)
+    return values
 
 
 @dataclass
@@ -244,9 +231,11 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
     d = atlas.dim
     pts = make_mesh(atlas.manifold, mesh)
     th = np.linspace(0.0, TWO_PI, mesh, endpoint=False)
+    th_ext = np.append(th, TWO_PI)  # the mesh axis with its periodic end
     F0_mesh = np.asarray(F0(pts), dtype=float)
     q = F0_mesh.shape[1]
     g_chart = make_grid(d, chart_resolution)
+    nodes = tuple(g_chart.lattice_index.T)
     cut = Cutoff(g_chart, *cutoff_radii)
     a2 = cut.values**2
     increments = decompose_metric(atlas, family)
@@ -264,7 +253,10 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
         for i, inc in enumerate(increments, start=1):
             ch = inc.chart
             inside = ch.radius(pts) < cutoff_radii[1]
-            chart_xy = ch.to_chart(pts[inside])
+            # both transfers run between tensor grids: the chart lattice in
+            # manifold angles, and the mesh axes in chart coordinates
+            chart_th = [np.mod(c + ch.halfwidth * g_chart.axis, TWO_PI) for c in ch.center]
+            mesh_x = ch.to_chart(np.column_stack([th] * d)).T
             # every frame first, in ascending t, up to a freeness loss; as in
             # an ascending pass, the loss is raised only if no earlier
             # sample fails its solve
@@ -273,18 +265,11 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                 if i == 1:
                     frames.append(first_frame)
                     continue
-                if d == 1:
-                    chart_vals = _interp_circle(
-                        th, F_prev[k],
-                        ch.to_manifold(g_chart.coords)[:, 0],
-                    )
-                else:
-                    grid_vals = F_prev[k].reshape(mesh, mesh, q)
-                    chart_vals = _interp_torus(
-                        th, grid_vals, ch.to_manifold(g_chart.coords)
-                    )
+                periodic = np.pad(F_prev[k].reshape((mesh,) * d + (q,)),
+                                  [(0, 1)] * d + [(0, 0)], mode="wrap")
+                chart_vals = _spline([th_ext] * d, periodic, chart_th, "periodic")
                 try:
-                    frames.append(build_frame(VecField(g_chart, chart_vals)))
+                    frames.append(build_frame(VecField(g_chart, chart_vals[nodes])))
                 except NotFreeError as exc:
                     lost = (t, exc)
                     break
@@ -298,10 +283,9 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
                     v, traces_i[k] = solve_fixed_point(frames[k], cut, f, config)
                 u_chart = a2[:, None] * v.values
                 if np.any(u_chart):
-                    u_mesh = _transport_update(
-                        g_chart, u_chart, chart_xy, d, cutoff_radii[1]
-                    )
-                    F_new[k][inside] += u_mesh
+                    u_mesh = _spline([g_chart.axis] * d, g_chart.to_lattice(u_chart),
+                                     mesh_x, "not-a-knot")
+                    F_new[k][inside] += u_mesh.reshape(-1, q)[inside]
             if lost is not None:
                 t, exc = lost
                 raise StageFailure(
@@ -316,27 +300,6 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
         )
 
     return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
-
-
-def _transport_update(g_chart, u_chart, chart_pts, d, support):
-    """Interpolate the chart update at mesh points; exact zero at the rim."""
-    if d == 1:
-        x = g_chart.coords[:, 0]
-        cs = CubicSpline(x, u_chart, axis=0)
-        out = cs(chart_pts[:, 0])
-    else:
-        n = g_chart.resolution
-        axis = np.linspace(-1.0, 1.0, n)
-        lat = np.stack(
-            [g_chart.to_lattice(u_chart[:, c], fill=0.0) for c in range(u_chart.shape[1])],
-            axis=-1,
-        )
-        rgi = RegularGridInterpolator((axis, axis), lat, method="cubic",
-                                      bounds_error=False, fill_value=0.0)
-        out = rgi(chart_pts)
-    r = np.sqrt((np.atleast_2d(chart_pts) ** 2).sum(axis=1))
-    out[r >= support] = 0.0
-    return out
 
 
 # ------------------------------------------------------------ oracle

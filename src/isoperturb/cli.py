@@ -286,7 +286,7 @@ def _run_solve_local(scenario, report, cut, f):
                  ok=rep["monitor_ok"])
     f2 = bump_perturbation(g, STABILITY_LOAD * scenario.amplitude, scenario.bump_radius)
     try:
-        gap = stability_gap(frame, cut, f, f2, cfg)
+        gap = stability_gap(frame, cut, f, rep["v"], f2, cfg)
     except (SmallnessViolation, StalledIteration) as exc:
         return report.finish(failure=f"stability solve: {exc}")
     report.record(stability_ratio=gap["ratio"], stability_gap=gap["gap"],

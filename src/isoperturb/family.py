@@ -315,15 +315,15 @@ def solve_family(chart, family: MetricFamily, window: ScalarField, cutoff=None,
 
 
 def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
-                  f2: SymTensorField, config: IterationConfig = None):
+                  v1: VecField, f2: SymTensorField, config: IterationConfig = None):
     """Compare two solves against the frame response to their difference.
 
-    Returns gap = |v1 - v2|_{2,alpha}, frame_norm = |E(0, f1 - f2)|_{2,alpha}
-    in the solves' own alpha, their ratio (0 when the frame norm vanishes)
-    and the two solve traces.
+    v1 is the fixed point already solved for f1 with this frame, cutoff and
+    config; only f2 is solved here.  Returns gap = |v1 - v2|_{2,alpha},
+    frame_norm = |E(0, f1 - f2)|_{2,alpha} in the solves' own alpha, their
+    ratio (0 when the frame norm vanishes) and the trace of the f2 solve.
     """
-    v1, tr1 = solve_fixed_point(frame, cut, f1, config)
-    v2, tr2 = solve_fixed_point(frame, cut, f2, config)
+    v2, trace = solve_fixed_point(frame, cut, f2, config)
     alpha = (config or IterationConfig()).alpha
     g = f1.grid
     gap = holder_norm(VecField(g, v1.values - v2.values), 2, alpha)
@@ -335,7 +335,7 @@ def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
         "gap": gap,
         "frame_norm": denom,
         "ratio": ratio,
-        "traces": [tr1, tr2],
+        "trace": trace,
     }
 
 

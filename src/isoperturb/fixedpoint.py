@@ -215,7 +215,8 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
     """End-to-end local solve: returns (u, report) with u = a^2 v.
 
     The report carries the oracle isometry residual of F0 + u against
-    target f, the support scan, norm bounds, and the iteration trace.
+    target f, the support scan, norm bounds, the fixed point v and its
+    iteration trace.
     """
     g = f.grid
     frame = source if isinstance(source, ImmersionFrame) else build_frame(source, g)
@@ -237,6 +238,7 @@ def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cut
         "bound_ratio": u_norm / trace.bound if trace.bound > 0 else 0.0,
         "iterations": trace.iterations,
         "monitor_ok": trace.passes_recurrence_monitor(),
+        "v": v,
         "trace": trace,
     }
     return u, report

@@ -157,6 +157,7 @@ class Grid:
     def _build_nodes(self):
         N, h = self.resolution, self.spacing
         axis = -1.0 + h * np.arange(N)
+        self.axis = axis  # node coordinates along each lattice axis
         if self.dim == 1:
             self.coords = axis[:, None].copy()
             self.num_nodes = N
@@ -302,12 +303,10 @@ class Grid:
 
     # -- misc ----------------------------------------------------------------
 
-    def to_lattice(self, vals, fill=0.0):
-        """Scatter node values onto the full (N, N) lattice (n=2 helper)."""
-        if self.dim != 2:
-            raise ValueError("to_lattice is a dim=2 helper")
-        out = np.full((self.resolution, self.resolution), fill, dtype=float)
-        out[self.lattice_index[:, 0], self.lattice_index[:, 1]] = vals
+    def to_lattice(self, vals):
+        """Scatter node values (nodes, ...) onto the zero-filled (N,)*dim lattice."""
+        out = np.zeros((self.resolution,) * self.dim + np.shape(vals)[1:])
+        out[tuple(self.lattice_index.T)] = vals
         return out
 
     def radius(self):

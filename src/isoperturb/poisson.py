@@ -174,8 +174,8 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     """Record empirical constants of the interior-estimate hierarchy.
 
     Returns a dict with the largest observed ratios |u|_{m+2,a}/|f|_{m,a}
-    over a corpus of right-hand sides supported in the 3/4-ball, plus the
-    support-constant spread across m in {1,2} and a linearity defect.
+    over a corpus of right-hand sides supported in the 3/4-ball, plus a
+    linearity defect.
     These are monitors only; nothing here gates a solve.
     """
     rng = np.random.default_rng(seed)
@@ -203,12 +203,10 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
         sep = a * solver.solve(fa).u.values + b * solver.solve(fb).u.values
         scale = max(1.0, float(np.max(np.abs(sep))))
         lin = float(np.max(np.abs(mixed - sep))) / scale
-    spread = max(higher[1], higher[2]) / max(min(higher[1], higher[2]), 1e-300)
     return {
         "schauder_ratio": schauder,
         "higher_order_ratio_m1": higher[1],
         "higher_order_ratio_m2": higher[2],
-        "support_constant_spread": spread,
         "linearity_defect": lin,
         "samples": samples,
         "alpha": alpha,

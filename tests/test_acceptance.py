@@ -69,7 +69,10 @@ def stability_pair():
     frame = build_frame(ParabolaChart(), g)
     f1 = bump_perturbation(g, 0.010, 0.5)
     f2 = bump_perturbation(g, 0.011, 0.5)
-    return stability_gap(frame, Cutoff(g), f1, f2, IterationConfig(tol=1e-10))
+    cut, cfg = Cutoff(g), IterationConfig(tol=1e-10)
+    _, rep = local_perturb(frame, f1, config=cfg, cutoff=cut)
+    gap = stability_gap(frame, cut, f1, rep["v"], f2, cfg)
+    return {**gap, "traces": [rep["trace"], gap["trace"]]}
 
 
 @pytest.fixture(scope="module")

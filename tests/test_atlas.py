@@ -229,6 +229,63 @@ def test_pullback_partial_target_needs_atlas():
         pullback_residual(circle_embedding(pts), pts, fam, 0.0, upto_stage=1)
 
 
+# ------------------------------------------------------------ transfers
+# glue_solve moves values between tensor grids with atlas._spline: the chart
+# lattice (not-a-knot ends) to the mesh, and the periodic mesh (its first
+# row appended, periodic ends) to the chart lattice
+
+
+def _bicubic(x, y):
+    return (0.3 - 1.2 * x + 0.7 * y + 0.5 * x * y - 0.9 * x**3
+            + 0.4 * x**2 * y**2 + 0.8 * x * y**3 + 0.6 * x**3 * y**3)
+
+
+def test_chart_to_mesh_transfer_is_exact_on_cubics():
+    # not-a-knot splines reproduce cubics, so per-axis passes reproduce any
+    # bicubic at off-grid targets
+    g1, g2 = make_grid(1, 25), make_grid(2, 25)
+    rng = np.random.default_rng(0)
+    tx, ty = rng.uniform(-1.0, 1.0, 40), rng.uniform(-1.0, 1.0, 30)
+    X, Y = np.meshgrid(g2.axis, g2.axis, indexing="ij")
+    lat = np.stack([_bicubic(X, Y), -2.0 * _bicubic(Y, X)], axis=-1)
+    got = atlas_module._spline([g2.axis] * 2, lat, [tx, ty], "not-a-knot")
+    TX, TY = np.meshgrid(tx, ty, indexing="ij")
+    want = np.stack([_bicubic(TX, TY), -2.0 * _bicubic(TY, TX)], axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    got1 = atlas_module._spline([g1.axis], _bicubic(g1.axis, 0.5)[:, None], [tx],
+                                "not-a-knot")
+    assert np.max(np.abs(got1[:, 0] - _bicubic(tx, 0.5))) <= 1e-12
+
+
+def _trig(u, v):
+    return np.stack([np.cos(u) + 0.5 * np.sin(2.0 * v), np.sin(u + v)], axis=-1)
+
+
+def _mesh_to_chart_error(mesh, d):
+    th = np.linspace(0.0, 2.0 * np.pi, mesh, endpoint=False)
+    g = make_grid(d, 25)
+    # chart 0 is centered on angle 0, so its lattice crosses the seam
+    ch = build_atlas("circle" if d == 1 else "torus", 3 if d == 1 else 4).charts[0]
+    chart_th = [np.mod(c + ch.halfwidth * g.axis, 2.0 * np.pi) for c in ch.center]
+    # on the circle the second angle is held at 0.3
+    mesh_th = [*np.meshgrid(*([th] * d), indexing="ij"), *[0.3] * (2 - d)]
+    chart_pts = [*np.meshgrid(*chart_th, indexing="ij"), *[0.3] * (2 - d)]
+    periodic = np.pad(_trig(*mesh_th), [(0, 1)] * d + [(0, 0)], mode="wrap")
+    got = atlas_module._spline([np.append(th, 2.0 * np.pi)] * d, periodic, chart_th,
+                               "periodic")
+    return float(np.max(np.abs(got - _trig(*chart_pts))))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mesh_to_chart_transfer_reproduces_trig_polynomials(d):
+    # periodic cubic splines are fourth order: doubling the mesh cuts the
+    # error about 16x (measured 1.6e-6 -> 7.8e-8 on the circle, 1.1e-5 ->
+    # 8.5e-7 on the torus); neither mesh puts a node on most chart nodes
+    coarse, fine = _mesh_to_chart_error(40, d), _mesh_to_chart_error(80, d)
+    assert coarse <= 2e-5
+    assert fine <= coarse / 10.0
+
+
 # ------------------------------------------------------------ glue: circle
 
 
@@ -483,8 +540,8 @@ def test_glue_torus_smoke():
 
 def test_glue_torus_refined():
     # twice the smoke scale in chart resolution and mesh.  Final residual
-    # measured 1.06e-3 at 25/48, 1.43e-4 here and 1.50e-4 at 97/192: the
-    # decay stops past this scale, so the bound sits just above it
+    # measured 1.06e-3 at 25/48, 1.42e-4 here and 3.93e-5 at 97/192 (the
+    # table in scripts/convergence_study.py checks the larger scale)
     atlas = build_atlas("torus", 4)
     fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
                                 horizon=0.25, samples=1)

@@ -27,7 +27,8 @@ from isoperturb.family import (
     time_regularity_probe,
     windowed_increment,
 )
-from isoperturb.fixedpoint import IterationConfig, StalledIteration, bump_perturbation
+from isoperturb.fixedpoint import (IterationConfig, StalledIteration, bump_perturbation,
+                                   solve_fixed_point)
 from isoperturb.frame import build_frame
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
 from isoperturb.operators import Cutoff
@@ -320,8 +321,9 @@ def test_stability_gap_ratio():
     g = make_grid(1, 401)
     frame = build_frame(ParabolaChart(), g)
     cut = Cutoff(g, 0.5, 0.9)
-    rep = stability_gap(frame, cut, bump_perturbation(g, 0.01),
-                        bump_perturbation(g, 0.008), CFG)
+    f1 = bump_perturbation(g, 0.01)
+    v1, _ = solve_fixed_point(frame, cut, f1, CFG)
+    rep = stability_gap(frame, cut, f1, v1, bump_perturbation(g, 0.008), CFG)
     assert rep["ratio"] <= 1.1
     assert 0.45 <= rep["ratio"] <= 0.55  # measured 0.502
     assert rep["gap"] > 0.0
@@ -332,7 +334,8 @@ def test_stability_gap_identical_inputs_is_zero():
     frame = build_frame(ParabolaChart(), g)
     cut = Cutoff(g, 0.5, 0.9)
     f = bump_perturbation(g, 0.01)
-    rep = stability_gap(frame, cut, f, SymTensorField(g, f.values.copy()), CFG)
+    v, _ = solve_fixed_point(frame, cut, f, CFG)
+    rep = stability_gap(frame, cut, f, v, SymTensorField(g, f.values.copy()), CFG)
     assert rep["gap"] == 0.0
     assert rep["ratio"] == 0.0
 

@@ -104,10 +104,19 @@ def test_2d_segments_are_contiguous_and_consistent():
 
 
 def test_to_lattice_roundtrip():
-    g = make_grid(2, 33)
-    vals = np.arange(g.num_nodes, dtype=float)
-    lat = g.to_lattice(vals, fill=-1.0)
-    assert np.all(lat[g.lattice_index[:, 0], g.lattice_index[:, 1]] == vals)
+    for dim in (1, 2):
+        g = make_grid(dim, 33)
+        vals = np.arange(1.0, g.num_nodes + 1.0)
+        lat = g.to_lattice(vals)
+        assert lat.shape == (33,) * dim
+        assert np.all(lat[tuple(g.lattice_index.T)] == vals)
+        assert np.sum(lat == 0.0) == 33**dim - g.num_nodes
+        # a trailing channel axis rides along
+        vecs = np.column_stack([vals, -vals, 2.0 * vals])
+        lat3 = g.to_lattice(vecs)
+        assert lat3.shape == (33,) * dim + (3,)
+        assert np.all(lat3[tuple(g.lattice_index.T)] == vecs)
+        assert np.all(lat3[..., 1] == -lat3[..., 0])
 
 
 # ---------------------------------------------------------------------------

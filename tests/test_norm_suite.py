@@ -46,8 +46,8 @@ CONTINUITY_REPORT = (
 ELLIPTIC_REPORT = (
     "{'schauder_ratio': 1.1876290508174159, 'higher_order_ratio_m1': "
     "0.8695465197790537, 'higher_order_ratio_m2': 0.9793992923423813, "
-    "'support_constant_spread': 1.1263334049007987, 'linearity_defect': "
-    "5.551115123125783e-17, 'samples': 4, 'alpha': 0.5, 'support_radius': 0.75}"
+    "'linearity_defect': 5.551115123125783e-17, 'samples': 4, 'alpha': 0.5, "
+    "'support_radius': 0.75}"
 )
 
 

@@ -155,7 +155,6 @@ def test_elliptic_monitors_record_finite_constants():
     assert np.isfinite(rep["schauder_ratio"]) and rep["schauder_ratio"] > 0
     assert np.isfinite(rep["higher_order_ratio_m1"])
     assert np.isfinite(rep["higher_order_ratio_m2"])
-    assert rep["support_constant_spread"] < 10.0
     assert rep["linearity_defect"] <= 1e-10
 
 
@@ -163,5 +162,4 @@ def test_elliptic_monitors_disk():
     g = disk_grid(33)
     rep = elliptic_monitors(g, samples=8, alpha=0.5, seed=4)
     assert np.isfinite(rep["schauder_ratio"])
-    assert rep["support_constant_spread"] < 10.0
     assert rep["linearity_defect"] <= 1e-10
