@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
-from isoperturb.atlas import (build_atlas, build_manifold_family, glue_solve,
-                              solution_residuals, torus_embedding)
+from isoperturb.atlas import build_atlas, build_manifold_family, glue_solve, solution_residuals
 from isoperturb.embeddings import ParabolaChart
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
+from isoperturb.frame import build_frame
 from isoperturb.grid import ScalarField, make_grid
 from isoperturb.poisson import solve_dirichlet
 
@@ -69,13 +69,13 @@ def _disk_laplacian(x, y):
 def residual_decay():
     print("\nlocal solve, residual vs resolution (amplitude 0.01)")
     print("-" * 56)
-    chart = ParabolaChart()
     rows = []
     for N in (201, 401, 801):
         g = make_grid(1, N)
         f = bump_perturbation(g, 0.01, 0.5)
         t0 = time.time()
-        u, rep = local_perturb(chart, f, config=IterationConfig(tol=1e-11))
+        frame = build_frame(ParabolaChart(), g)
+        u, rep = local_perturb(frame, f, config=IterationConfig(tol=1e-11))
         dt = time.time() - t0
         rows.append((N, rep["residual_sup"], rep["iterations"], dt))
         print(f"  N={N:>4}  residual {rep['residual_sup']:.5e}  "
@@ -95,7 +95,7 @@ def torus_glue_scale():
     finals = []
     for N, mesh in ((25, 48), (49, 96), (97, 192)):
         t0 = time.time()
-        sol = glue_solve(torus_embedding, fam, atlas, chart_resolution=N,
+        sol = glue_solve(fam, atlas, chart_resolution=N,
                          mesh=mesh, config=IterationConfig(tol=1e-7))
         dt = time.time() - t0
         # residual at the last sample, after each stage

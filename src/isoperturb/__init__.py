@@ -44,6 +44,7 @@ from .frame import (
 from .fixedpoint import (
     IterationConfig,
     IterationTrace,
+    SolveFailure,
     SmallnessViolation,
     StalledIteration,
     fixed_point_map,
@@ -67,14 +68,12 @@ from .atlas import (
     GlobalSolution,
     StageFailure,
     build_atlas,
-    circle_embedding,
     decompose_metric,
     glue_solve,
-    make_mesh,
     pullback_residual,
     solution_residuals,
-    torus_embedding,
 )
+from .embeddings import circle_embedding, make_mesh, torus_embedding
 from .config import Scenario, load_scenario, scenario_hash
 
 __version__ = "0.1.0"
@@ -89,7 +88,7 @@ __all__ = [
     "gradient_product_term", "normal_correction",
     "ImmersionFrame", "NotFreeError", "frame_matrix",
     "build_frame", "apply_frame",
-    "IterationConfig", "IterationTrace", "SmallnessViolation",
+    "IterationConfig", "IterationTrace", "SolveFailure", "SmallnessViolation",
     "StalledIteration", "fixed_point_map", "solve_fixed_point",
     "local_perturb",
     "MetricFamily", "FamilySolution", "HorizonCollapse", "build_family",

@@ -4,10 +4,12 @@ A global metric change g(.,t) - g(.,0) is split by a partition of unity
 into chart-local increments, and the perturbation solve runs chart by
 chart: stage i perturbs the stage i-1 embedding only inside chart i
 (bit-identical outside), rebuilding the derivative frame from the current
-embedding at every time sample (stage 1 reads F0, whose one frame is
-built up front) and solving the largest t first.  The final pullback is
-checked by a solver-independent periodic finite-difference oracle on the
-global mesh.
+embedding at every time sample (stage 1 reads the manifold's base
+embedding, whose one frame is built up front) and solving the largest t
+first.  The charts are the analytic CircleChart/TorusChart of
+embeddings.py, and the base embedding is the manifold's entry in
+embeddings.EMBEDDINGS.  The final pullback is checked by a
+solver-independent periodic finite-difference oracle on the global mesh.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .embeddings import make_mesh
-from .embeddings import circle_embedding, torus_embedding  # noqa: F401  (public here too)
+from .embeddings import EMBEDDINGS, TWO_PI, CircleChart, TorusChart, make_mesh
 from .family import MetricFamily, adaptive_horizon, locate_failure
 from .family import build_manifold_family  # noqa: F401  (public here too)
 from .fixedpoint import IterationConfig, solve_fixed_point
@@ -26,7 +27,6 @@ from .operators import Cutoff, radial_window
 from .verify import periodic_derivative
 
 
-TWO_PI = 2.0 * np.pi
 # partition bumps are 1 inside radius PSI_FLAT and 0 from PSI_SUPP on (in
 # chart units); a glue cutoff must be flat over the partition support
 PSI_FLAT, PSI_SUPP = 0.45, 0.82
@@ -41,41 +41,10 @@ class StageFailure(RuntimeError):
         self.stage = int(stage)
 
 
-def _wrap(delta):
-    """Wrap angles to (-pi, pi]."""
-    return np.mod(np.asarray(delta) + np.pi, TWO_PI) - np.pi
-
-
-@dataclass
-class AtlasChart:
-    center: np.ndarray  # manifold angles, shape (d,)
-    halfwidth: float
-
-    def _offset(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _wrap(pts - self.center[None, :])
-
-    def to_chart(self, points):
-        """Manifold angles -> chart coordinates (points outside map to |x|>1)."""
-        return self._offset(points) / self.halfwidth
-
-    def radius(self, points):
-        """Chart radius |to_chart(points)|, taken as |offset| / halfwidth."""
-        return np.sqrt((self._offset(points) ** 2).sum(axis=1)) / self.halfwidth
-
-    def to_manifold(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.center[None, :] + self.halfwidth * X
-
-
 @dataclass
 class Atlas:
     manifold: str
     charts: list
-
-    @property
-    def dim(self):
-        return 1 if self.manifold == "circle" else 2
 
     def bump(self, k, points):
         """Chart-k partition bump: 1 inside PSI_FLAT, 0 outside PSI_SUPP."""
@@ -104,8 +73,7 @@ def build_atlas(manifold, num_charts) -> Atlas:
                 f"build_atlas: the circle needs at least 2 charts, got {num_charts}"
             )
         halfwidth = 1.5 * np.pi / num_charts
-        charts = [AtlasChart(np.array([TWO_PI * k / num_charts]), halfwidth)
-                  for k in range(num_charts)]
+        charts = [CircleChart(TWO_PI * k / num_charts, halfwidth) for k in range(num_charts)]
     elif manifold == "torus":
         if num_charts != 4:
             raise ValueError(
@@ -113,7 +81,7 @@ def build_atlas(manifold, num_charts) -> Atlas:
                 f"margin using {num_charts} charts; 4 are needed (centers on "
                 "{0, pi}^2)"
             )
-        charts = [AtlasChart(np.array(center), 3.0)
+        charts = [TorusChart(center, 3.0)
                   for center in [(0.0, 0.0), (np.pi, 0.0), (0.0, np.pi), (np.pi, np.pi)]]
     else:
         raise ValueError(f"build_atlas: unknown manifold {manifold!r}")
@@ -131,34 +99,26 @@ def build_atlas(manifold, num_charts) -> Atlas:
 # ------------------------------------------------------------ decomposition
 
 
-@dataclass
-class ChartIncrement:
-    """Chart-local windowed metric increment in chart coordinates."""
-
-    chart: AtlasChart
-    evaluator: callable  # (X (m,d) chart coords, t) -> (m, comps)
-
-
 def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
     """Split g(.,t) - g(.,0) into chart-local increments (chart coords).
 
-    Each increment is psi_k * (g(.,t) - g(.,0)) pulled back through the
-    chart map (every component picks up halfwidth^2 because the chart
-    Jacobian is halfwidth times the identity).  Sum over charts
-    reconstructs the manifold increment; every increment vanishes
+    Returns one evaluator (X (m, d) chart coords, t) -> (m, comps) per
+    atlas.charts[k].  Each increment is psi_k * (g(.,t) - g(.,0)) pulled
+    back through the chart map (every component picks up halfwidth^2
+    because the chart Jacobian is halfwidth times the identity).  Sum over
+    charts reconstructs the manifold increment; every increment vanishes
     identically at t = 0.
     """
-    incs = []
+    evaluators = []
     for k, ch in enumerate(atlas.charts):
         def evaluator(X, t, _k=k, _ch=ch):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
             pts = _ch.to_manifold(X)
             psi = atlas.partition(pts)[_k]
             delta = family.evaluator(pts, t) - family.evaluator(pts, 0.0)
             return (_ch.halfwidth**2) * psi[:, None] * delta
 
-        incs.append(ChartIncrement(ch, evaluator))
-    return incs
+        evaluators.append(evaluator)
+    return evaluators
 
 
 # ------------------------------------------------------------ global mesh
@@ -213,26 +173,26 @@ def write_embedding_csv(path, coords, stages, t_values, coord_names):
                 fh.writelines(row % tuple(values) for values in block)
 
 
-def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
+def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
                mesh=2048, config: IterationConfig = None,
                cutoff_radii=GLUE_CUTOFF, dt_min=1e-3) -> GlobalSolution:
     """Sequential chart-by-chart gluing of a global metric family.
 
-    F0: callable mapping manifold angle points (npts, d) -> (npts, q).
-    Stage i solves the chart-i increment on the chart grid around the
-    stage-(i-1) embedding (frame rebuilt from interpolated values at every
-    time sample for i >= 2; stage 1 has one frame, of F0, for every pass
-    and sample) and adds the transported update only at mesh points inside
-    chart i.  Each stage solves its samples from the largest t down.  Any
+    Stage 0 is the manifold's base embedding, EMBEDDINGS[atlas.manifold],
+    on the mesh.  Stage i solves the chart-i increment on the chart grid
+    around the stage-(i-1) embedding (frame rebuilt from interpolated
+    values at every time sample for i >= 2; stage 1 has one frame, of
+    atlas.charts[0].evaluate, for every pass and sample) and adds the
+    transported update only at mesh points inside chart i.  Each stage solves its samples from the largest t down.  Any
     smallness/stall failure halves the global horizon and restarts the
     whole pipeline (see family.adaptive_horizon); freeness loss raises
     StageFailure with the stage index.
     """
-    d = atlas.dim
+    d = atlas.charts[0].dim
     pts = make_mesh(atlas.manifold, mesh)
     th = np.linspace(0.0, TWO_PI, mesh, endpoint=False)
     th_ext = np.append(th, TWO_PI)  # the mesh axis with its periodic end
-    F0_mesh = np.asarray(F0(pts), dtype=float)
+    F0_mesh = EMBEDDINGS[atlas.manifold](pts)
     q = F0_mesh.shape[1]
     g_chart = make_grid(d, chart_resolution)
     nodes = tuple(g_chart.lattice_index.T)
@@ -240,9 +200,8 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
     a2 = cut.values**2
     increments = decompose_metric(atlas, family)
     atlas.partition(pts)  # raises early if the mesh is not covered
-    first_chart = increments[0].chart.to_manifold(g_chart.coords)
     try:
-        first_frame = build_frame(VecField(g_chart, np.asarray(F0(first_chart), dtype=float)))
+        first_frame = build_frame(atlas.charts[0].evaluate(g_chart))
     except NotFreeError as exc:
         raise StageFailure(f"stage 1 lost freeness at t=0.0: {exc}", stage=1) from exc
 
@@ -250,8 +209,7 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
         F_prev = np.repeat(F0_mesh[None, :, :], len(ts), axis=0)
         F_stages = [F_prev]
         stage_traces, stage_margins = [], []
-        for i, inc in enumerate(increments, start=1):
-            ch = inc.chart
+        for i, (ch, increment) in enumerate(zip(atlas.charts, increments), start=1):
             inside = ch.radius(pts) < cutoff_radii[1]
             # both transfers run between tensor grids: the chart lattice in
             # manifold angles, and the mesh axes in chart coordinates
@@ -278,7 +236,7 @@ def glue_solve(F0, family: MetricFamily, atlas: Atlas, chart_resolution=801,
             # the largest t first: its increment is the largest, and the
             # likeliest to fail the pass
             for k in reversed(range(len(frames))):
-                f = SymTensorField(g_chart, inc.evaluator(g_chart.coords, ts[k]))
+                f = SymTensorField(g_chart, increment(g_chart.coords, ts[k]))
                 with locate_failure(ts[k], stage=i):
                     v, traces_i[k] = solve_fixed_point(frames[k], cut, f, config)
                 u_chart = a2[:, None] * v.values

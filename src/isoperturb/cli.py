@@ -34,7 +34,7 @@ from .config import (
     load_scenario,
     scenario_hash,
 )
-from .embeddings import CircleChart, ParabolaChart, TorusChart, circle_embedding, torus_embedding
+from .embeddings import CircleChart, ParabolaChart, TorusChart
 from .family import (
     HorizonCollapse,
     build_family,
@@ -48,8 +48,7 @@ from .family import (
 )
 from .fixedpoint import (
     IterationConfig,
-    SmallnessViolation,
-    StalledIteration,
+    SolveFailure,
     _check_f_support,
     bump_perturbation,
     local_perturb,
@@ -72,11 +71,8 @@ STABILITY_BOUND = 1.1
 def _chart_for(scenario: Scenario):
     if scenario.chart == "parabola":
         return ParabolaChart()
-    if scenario.chart == "circle":
-        hw = scenario.halfwidth if scenario.halfwidth is not None else 3.0 * np.pi / 4.0
-        return CircleChart(0.0, hw)
-    hw = scenario.halfwidth if scenario.halfwidth is not None else 3.0
-    return TorusChart((0.0, 0.0), hw)
+    chart = CircleChart if scenario.chart == "circle" else TorusChart
+    return chart(halfwidth=scenario.halfwidth)
 
 
 def _grid_for(scenario: Scenario):
@@ -90,18 +86,21 @@ def _iteration_config(scenario: Scenario) -> IterationConfig:
 
 def _scenario_inputs(scenario: Scenario) -> dict:
     """The runner's inputs besides the report: the family and the atlas, or
-    the cutoff and the bump of a local solve.
+    the chart's frame with the family, or with the cutoff and the bump of a
+    local solve.
 
     Built before any output exists; a family or an atlas that the builders
-    reject is a config error on the `family` or the `charts` field, and a
-    bump that reaches past the cutoff's flat radius one on `bump_radius`.
+    reject is a config error on the `family` or the `charts` field, a chart
+    that is not free one on `halfwidth`, and a bump that reaches past the
+    cutoff's flat radius one on `bump_radius`.
     """
     spec = scenario.family
     if scenario.command == "solve-local":
         return _local_inputs(scenario)
     if scenario.command == "solve-family":
-        build = partial(build_family, spec.name, _grid_for(scenario),
-                        base=_chart_for(scenario), beta=spec.beta,
+        g, chart = _grid_for(scenario), _chart_for(scenario)
+        frame = _frame_for(chart, g)
+        build = partial(build_family, spec.name, g, base=chart, beta=spec.beta,
                         bump_radius=spec.bump_radius, bump_power=spec.bump_power)
     elif scenario.command != "solve-global":
         return {}
@@ -115,7 +114,7 @@ def _scenario_inputs(scenario: Scenario) -> dict:
         raise ScenarioError(str(exc), field="family") from None
     if scenario.command == "solve-family":
         _check_family_cutoff(scenario, fam)
-        return {"family": fam}
+        return {"frame": frame, "family": fam}
     try:
         atlas = build_atlas(scenario.manifold, scenario.charts)
     except ValueError as exc:
@@ -124,15 +123,26 @@ def _scenario_inputs(scenario: Scenario) -> dict:
 
 
 def _local_inputs(scenario: Scenario) -> dict:
-    """The cutoff and the bump of solve-local, after the solver's support check."""
+    """The frame, the cutoff and the bump of solve-local, after the solver's
+    support check."""
     g = _grid_for(scenario)
+    frame = _frame_for(_chart_for(scenario), g)
     cut = Cutoff(g, *(scenario.cutoff or ()))
     f = bump_perturbation(g, scenario.amplitude, scenario.bump_radius)
     try:
         _check_f_support(cut, f)
     except ValueError as exc:
         raise ScenarioError(f"bump_radius: {exc}", field="bump_radius") from None
-    return {"cut": cut, "f": f}
+    return {"frame": frame, "cut": cut, "f": f}
+
+
+def _frame_for(chart, grid):
+    """The chart's frame on grid; a chart that is not free there is a config
+    error on `halfwidth` (the default halfwidths give free charts)."""
+    try:
+        return build_frame(chart, grid)
+    except NotFreeError as exc:
+        raise ScenarioError(f"halfwidth: {exc}", field="halfwidth") from None
 
 
 def _window_and_cutoff(scenario: Scenario, grid):
@@ -260,14 +270,13 @@ def _run_check_free(scenario, report):
     return report.finish()
 
 
-def _run_solve_local(scenario, report, cut, f):
+def _run_solve_local(scenario, report, frame, cut, f):
     g = f.grid
-    frame = build_frame(_chart_for(scenario), g)
     cfg = _iteration_config(scenario)
     trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
     try:
         u, rep = local_perturb(frame, f, config=cfg, cutoff=cut)
-    except (SmallnessViolation, StalledIteration) as exc:
+    except SolveFailure as exc:
         _write_trace_csv(trace_path, exc.trace)
         return report.finish(failure=str(exc))
     _write_trace_csv(trace_path, rep["trace"])
@@ -287,7 +296,7 @@ def _run_solve_local(scenario, report, cut, f):
     f2 = bump_perturbation(g, STABILITY_LOAD * scenario.amplitude, scenario.bump_radius)
     try:
         gap = stability_gap(frame, cut, f, rep["v"], f2, cfg)
-    except (SmallnessViolation, StalledIteration) as exc:
+    except SolveFailure as exc:
         return report.finish(failure=f"stability solve: {exc}")
     report.record(stability_ratio=gap["ratio"], stability_gap=gap["gap"],
                   stability_frame_norm=gap["frame_norm"])
@@ -295,13 +304,12 @@ def _run_solve_local(scenario, report, cut, f):
     return report.finish()
 
 
-def _run_solve_family(scenario, report, family):
+def _run_solve_family(scenario, report, frame, family):
     g = family.grid
-    chart = _chart_for(scenario)
     window, cut = _window_and_cutoff(scenario, g)
     cfg = _iteration_config(scenario)
     try:
-        sol = solve_family(chart, family, window=window, cutoff=cut, config=cfg)
+        sol = solve_family(frame, family, window=window, cutoff=cut, config=cfg)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
         _record_halvings(report, exc.halvings)
@@ -314,7 +322,6 @@ def _run_solve_family(scenario, report, family):
         _write_trace_csv(
             os.path.join(report.out_dir, "traces", f"sample_{k:02d}.csv"), tr
         )
-    frame = sol.frame
     stages = [[frame.F0.values for _ in sol.t_grid],
               [frame.F0.values + u.values for u in sol.us]]
     write_embedding_csv(
@@ -335,11 +342,10 @@ def _run_solve_family(scenario, report, family):
 
 
 def _run_solve_global(scenario, report, family, atlas):
-    F0 = circle_embedding if scenario.manifold == "circle" else torus_embedding
     cfg = _iteration_config(scenario)
     radii = tuple(scenario.cutoff) if scenario.cutoff else GLUE_CUTOFF
     try:
-        sol = glue_solve(F0, family, atlas, chart_resolution=scenario.resolution,
+        sol = glue_solve(family, atlas, chart_resolution=scenario.resolution,
                          mesh=scenario.mesh, config=cfg, cutoff_radii=radii)
     except HorizonCollapse as exc:
         report.record(horizon=exc.horizon)
@@ -371,8 +377,7 @@ def _run_solve_global(scenario, report, family, atlas):
     margins = [(m, e) for ms in sol.stage_margins for (m, e) in ms]
     worst_margin = min(m for m, _ in margins)
     worst_eps = max(e for _, e in margins)
-    F0_mesh = F0(sol.mesh_points)
-    t0_exact = bool(np.all(sol.F[0] == F0_mesh))
+    t0_exact = bool(np.all(sol.F[0] == sol.F_stages[0][0]))
     report.record(
         horizon_used=sol.horizon_used,
         final_residuals=final,
@@ -489,6 +494,15 @@ def _run(scenario, inputs, out_dir, quiet):
     return _RUNNERS[scenario.command](scenario, report, **inputs)
 
 
+def _check_out_dir(out_dir):
+    """Reject an output path that is, or lies below, something not a directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        if os.path.exists(path):
+            raise ScenarioError(f"out: {path} exists and is not a directory", field="out")
+        path = os.path.dirname(path)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="isoperturb",
@@ -525,12 +539,13 @@ def main(argv=None) -> int:
             scenario.seed = args.seed
         if args.resolution is not None:
             scenario.resolution = check_resolution(args.resolution, "--resolution")
+        out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
+        _check_out_dir(out_dir)
         inputs = _scenario_inputs(scenario)
     except ScenarioError as exc:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
     return _run(scenario, inputs, out_dir, args.quiet)
 
 

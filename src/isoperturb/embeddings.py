@@ -8,9 +8,11 @@ the reference domain (interval/disk of radius 1) into the manifold:
   CircleChart     x -> (cos(c x + t0), sin(c x + t0))  arc of the unit circle
   TorusChart      (x,y) -> R^6 product-of-phases map   torus patch
 
-The circle/torus charts carry a `halfwidth` c: the chart coordinate is
-scaled so the domain radius 1 covers an angular radius c, and induced
-metrics pick up the corresponding c factors.
+The circle/torus charts are AngleCharts: x -> center + c x into the
+manifold's angles, followed by the manifold's base embedding (EMBEDDINGS).
+The `halfwidth` c scales the chart coordinate so the domain radius 1 covers
+an angular radius c, and induced metrics pick up the corresponding c
+factors.  The same charts make up the atlases of atlas.py.
 """
 
 import numpy as np
@@ -24,11 +26,12 @@ MAX_HALFWIDTH = np.pi
 # induce in manifold angles: d(theta)^2 on the circle, the flat
 # [[2,1],[1,2]] metric on the hexagonal torus
 BASE_METRICS = {"circle": np.array([1.0]), "torus": np.array([2.0, 1.0, 2.0])}
+TWO_PI = 2.0 * np.pi
 
 
 def make_mesh(manifold, mesh):
     """Uniform periodic mesh in manifold angles: (npts, d) points."""
-    th = np.linspace(0.0, 2.0 * np.pi, mesh, endpoint=False)
+    th = np.linspace(0.0, TWO_PI, mesh, endpoint=False)
     if manifold == "circle":
         return th[:, None]
     U, V = np.meshgrid(th, th, indexing="ij")
@@ -51,13 +54,17 @@ def torus_embedding(points):
     )
 
 
+# the base embedding of each manifold, on points in its angles
+EMBEDDINGS = {"circle": circle_embedding, "torus": torus_embedding}
+
+
 class ParabolaChart:
     """Plane curve (x, x^2); simplest free start for interval problems."""
 
     q = 2
 
     def angles(self, grid: Grid):
-        return grid.coords[:, 0]
+        return grid.coords
 
     def evaluate(self, grid: Grid) -> VecField:
         x = grid.coords[:, 0]
@@ -76,39 +83,69 @@ class ParabolaChart:
         return SymTensorField(grid, (1.0 + 4.0 * x * x)[:, None])
 
 
-class CircleChart:
-    """Arc of the unit circle: x -> (cos, sin)(center + halfwidth * x)."""
+class AngleChart:
+    """A chart x -> center + halfwidth * x into the angles of a manifold.
 
-    q = 2
+    A subclass names its manifold (the key of EMBEDDINGS and BASE_METRICS),
+    its dimension, its default halfwidth and its ambient dimension q, and
+    supplies the analytic derivative rows d1/d2.
+    """
 
-    def __init__(self, center=0.0, halfwidth=3.0 * np.pi / 4.0):
+    def __init__(self, center=0.0, halfwidth=None):
+        halfwidth = self.default_halfwidth if halfwidth is None else halfwidth
         if not (0.0 < halfwidth < MAX_HALFWIDTH):
-            raise ValueError(f"CircleChart: halfwidth must be in (0, pi), got {halfwidth}")
-        self.center = float(center)
+            raise ValueError(f"{type(self).__name__}: halfwidth must be in (0, pi), "
+                             f"got {halfwidth}")
+        self.center = np.zeros(self.dim) + center  # manifold angles, shape (d,)
         self.halfwidth = float(halfwidth)
 
+    def to_manifold(self, X):
+        """Chart coordinates (m, d) -> manifold angles (m, d)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self.center[None, :] + self.halfwidth * X
+
     def angles(self, grid: Grid):
-        return self.center + self.halfwidth * grid.coords[:, 0]
+        return self.to_manifold(grid.coords)
+
+    def _offset(self, points):
+        """Manifold angles minus the center, wrapped to (-pi, pi]."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.mod(pts - self.center[None, :] + np.pi, TWO_PI) - np.pi
+
+    def to_chart(self, points):
+        """Manifold angles -> chart coordinates (points outside map to |x|>1)."""
+        return self._offset(points) / self.halfwidth
+
+    def radius(self, points):
+        """Chart radius |to_chart(points)|, taken as |offset| / halfwidth."""
+        return np.sqrt((self._offset(points) ** 2).sum(axis=1)) / self.halfwidth
 
     def evaluate(self, grid: Grid) -> VecField:
-        return VecField(grid, circle_embedding(self.angles(grid)))
+        return VecField(grid, EMBEDDINGS[self.manifold](self.angles(grid)))
+
+    def base_metric(self, grid: Grid) -> SymTensorField:
+        vals = self.halfwidth**2 * BASE_METRICS[self.manifold]
+        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))
+
+
+class CircleChart(AngleChart):
+    """Arc of the unit circle: x -> (cos, sin)(center + halfwidth * x)."""
+
+    q, manifold, dim = 2, "circle", 1
+    default_halfwidth = 3.0 * np.pi / 4.0
 
     def d1(self, grid: Grid, axis=0):
-        th = self.angles(grid)
+        th = self.angles(grid)[:, 0]
         c = self.halfwidth
         return np.column_stack([-c * np.sin(th), c * np.cos(th)])
 
     def d2(self, grid: Grid, i=0, j=0):
-        th = self.angles(grid)
+        th = self.angles(grid)[:, 0]
         c2 = self.halfwidth**2
         return np.column_stack([-c2 * np.cos(th), -c2 * np.sin(th)])
 
-    def base_metric(self, grid: Grid) -> SymTensorField:
-        vals = self.halfwidth**2 * BASE_METRICS["circle"]
-        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))
 
-
-class TorusChart:
+class TorusChart(AngleChart):
     """Torus patch into R^6: phases (u, v, u+v) with u,v = center + c*(x,y).
 
     The product-of-circles map is NOT free (its mixed second derivative
@@ -116,24 +153,11 @@ class TorusChart:
     rank-5 derivative row set everywhere.
     """
 
-    q = 6
-
-    def __init__(self, center=(0.0, 0.0), halfwidth=3.0):
-        if not (0.0 < halfwidth < MAX_HALFWIDTH):
-            raise ValueError(f"TorusChart: halfwidth must be in (0, pi), got {halfwidth}")
-        self.center = (float(center[0]), float(center[1]))
-        self.halfwidth = float(halfwidth)
-
-    def angles(self, grid: Grid):
-        u = self.center[0] + self.halfwidth * grid.coords[:, 0]
-        v = self.center[1] + self.halfwidth * grid.coords[:, 1]
-        return u, v
-
-    def evaluate(self, grid: Grid) -> VecField:
-        return VecField(grid, torus_embedding(np.column_stack(self.angles(grid))))
+    q, manifold, dim = 6, "torus", 2
+    default_halfwidth = 3.0
 
     def d1(self, grid: Grid, axis=0):
-        u, v = self.angles(grid)
+        u, v = self.angles(grid).T
         s = u + v
         c = self.halfwidth
         z = np.zeros_like(u)
@@ -144,7 +168,7 @@ class TorusChart:
         return np.column_stack(cols)
 
     def d2(self, grid: Grid, i=0, j=0):
-        u, v = self.angles(grid)
+        u, v = self.angles(grid).T
         s = u + v
         c2 = self.halfwidth**2
         z = np.zeros_like(u)
@@ -156,7 +180,3 @@ class TorusChart:
         else:
             cols = [z, z, z, z] + tail
         return np.column_stack(cols)
-
-    def base_metric(self, grid: Grid) -> SymTensorField:
-        vals = self.halfwidth**2 * BASE_METRICS["torus"]
-        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))

@@ -21,14 +21,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .embeddings import BASE_METRICS, make_mesh
-from .fixedpoint import (
-    IterationConfig,
-    IterationTrace,
-    SmallnessViolation,
-    StalledIteration,
-    solve_fixed_point,
-)
-from .frame import ImmersionFrame, apply_frame, build_frame
+from .fixedpoint import IterationConfig, IterationTrace, SolveFailure, solve_fixed_point
+from .frame import ImmersionFrame, apply_frame
 from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, multi_indices, radial_bump
 from .operators import Cutoff, radial_window
 from .verify import isometry_residual
@@ -73,18 +67,18 @@ class HorizonCollapse(RuntimeError):
 def adaptive_horizon(run_pass, horizon, samples, dt_min):
     """Run run_pass(ts) over samples + 1 uniform times on [0, horizon].
 
-    Each SmallnessViolation or StalledIteration halves the horizon (same
-    sample count) and restarts the pass; the result gets one Halving per
-    failed pass as .halvings.  Raises HorizonCollapse, with the same list,
-    once the horizon drops below dt_min * samples, or after MAX_HALVINGS
-    passes.
+    Each SolveFailure (SmallnessViolation or StalledIteration) halves the
+    horizon (same sample count) and restarts the pass; the result gets one
+    Halving per failed pass as .halvings.  Raises HorizonCollapse, with the
+    same list, once the horizon drops below dt_min * samples, or after
+    MAX_HALVINGS passes.
     """
     horizon = float(horizon)
     halvings = []
     for _ in range(MAX_HALVINGS):
         try:
             result = run_pass(np.linspace(0.0, horizon, samples + 1))
-        except (SmallnessViolation, StalledIteration) as exc:
+        except SolveFailure as exc:
             halvings.append(Halving(horizon, exc.t, exc.stage, exc.trace))
             horizon *= 0.5
             if horizon < dt_min * samples:
@@ -102,7 +96,7 @@ def locate_failure(t, stage=None):
     """Give a solve failure raised inside the sample's t (and glue stage)."""
     try:
         yield
-    except (SmallnessViolation, StalledIteration) as exc:
+    except SolveFailure as exc:
         exc.t, exc.stage = float(t), stage
         raise
 
@@ -144,7 +138,6 @@ class FamilySolution:
     traces: list
     residuals: list
     horizon_used: float
-    frame: ImmersionFrame
     halvings: list = field(default_factory=list)  # see adaptive_horizon
 
 
@@ -201,8 +194,7 @@ def build_family(name, grid: Grid, base, horizon=1.0, samples=8, beta=0.05,
             out[:, 0] = out[:, 0] + beta * t * prof
             return out
     elif name in SCALES:
-        th = base.angles(grid)
-        th = th[0] if isinstance(th, tuple) else th  # TorusChart gives (u, v)
+        th = base.angles(grid)[:, 0]
         scale = SCALES[name]
 
         def evaluator(points, t):
@@ -279,17 +271,16 @@ def windowed_increment(window: ScalarField, family: MetricFamily, t) -> SymTenso
     return SymTensorField(g, w.values[:, None] * (gt - g0))
 
 
-def solve_family(chart, family: MetricFamily, window: ScalarField, cutoff=None,
-                 config: IterationConfig = None, dt_min=1e-3) -> FamilySolution:
+def solve_family(frame: ImmersionFrame, family: MetricFamily, window: ScalarField,
+                 cutoff=None, config: IterationConfig = None, dt_min=1e-3) -> FamilySolution:
     """Per-sample independent fixed-point solves with adaptive horizon.
 
-    The frame is the chart's on the family's grid, and window (see
+    frame is the chart's frame on the family's grid, and window (see
     chart_window) shapes the increment.  Returns a FamilySolution whose
     residuals come from the fourth-order oracle; raises HorizonCollapse
     when halving drops the horizon below dt_min times the sample count.
     """
     g = family.grid
-    frame = build_frame(chart, g)
     w = _window_field(window, g)
     cut = cutoff or Cutoff(g, 0.8, 0.95)
     # a^2*f = f needs the cutoff flat wherever the windowed increment lives;
@@ -309,7 +300,7 @@ def solve_family(chart, family: MetricFamily, window: ScalarField, cutoff=None,
             us[k] = VecField(g, a2[:, None] * v.values)
             F = VecField(g, frame.F0.values + us[k].values)
             residuals[k], _ = isometry_residual(F, frame.F0, f)
-        return FamilySolution(ts, us, traces, residuals, float(ts[-1]), frame)
+        return FamilySolution(ts, us, traces, residuals, float(ts[-1]))
 
     return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame import ImmersionFrame, apply_frame, build_frame
+from .frame import ImmersionFrame, apply_frame
 from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump
 from .operators import Cutoff, load_potentials, normal_correction, tangential_correction
 from .verify import isometry_residual
@@ -37,8 +37,8 @@ RATIO_STRIKES = 3  # ... and this many in a row lose contraction
 BOUND_SLACK = 1e-6  # relative slack of the a-priori bound
 
 
-class SmallnessViolation(RuntimeError):
-    """Contraction lost (ratio cap or a-priori bound tripped); shrink the input.
+class SolveFailure(RuntimeError):
+    """A fixed-point solve that gave up, with the trace of its steps.
 
     t and stage locate the failed sample of a family's pass (None outside one).
     """
@@ -49,17 +49,16 @@ class SmallnessViolation(RuntimeError):
         self.t = self.stage = None
 
 
-class StalledIteration(RuntimeError):
+class SmallnessViolation(SolveFailure):
+    """Contraction lost (ratio cap or a-priori bound tripped); shrink the input."""
+
+
+class StalledIteration(SolveFailure):
     """The increment tolerance is not met within MAX_ITER steps.
 
     Raised when the steps run out (status "stalled") or once the last
-    ratios show they will (status "fail-fast"); t and stage as above.
+    ratios show they will (status "fail-fast").
     """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-        self.t = self.stage = None
 
 
 @dataclass
@@ -211,15 +210,15 @@ def bump_perturbation(grid, amplitude, radius=0.5):
     return SymTensorField(grid, vals)
 
 
-def local_perturb(source, f: SymTensorField, config: IterationConfig = None, cutoff=None):
-    """End-to-end local solve: returns (u, report) with u = a^2 v.
+def local_perturb(frame: ImmersionFrame, f: SymTensorField, config: IterationConfig = None,
+                  cutoff=None):
+    """End-to-end local solve around frame.F0: returns (u, report) with u = a^2 v.
 
     The report carries the oracle isometry residual of F0 + u against
     target f, the support scan, norm bounds, the fixed point v and its
     iteration trace.
     """
     g = f.grid
-    frame = source if isinstance(source, ImmersionFrame) else build_frame(source, g)
     cut = cutoff or Cutoff(g)
     r = g.radius()
     v, trace = solve_fixed_point(frame, cut, f, config)

@@ -10,14 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from isoperturb.atlas import (
-    build_atlas,
-    build_manifold_family,
-    circle_embedding,
-    glue_solve,
-    solution_residuals,
-)
-from isoperturb.embeddings import CircleChart, ParabolaChart
+from isoperturb.atlas import build_atlas, build_manifold_family, glue_solve, solution_residuals
+from isoperturb.embeddings import CircleChart, ParabolaChart, circle_embedding
 from isoperturb.family import build_family, chart_window, solve_family, \
     stability_gap, time_regularity_probe
 from isoperturb.fixedpoint import (
@@ -48,10 +42,9 @@ def _line(num, ok, text):
 @pytest.fixture(scope="module")
 def local_solve():
     g = make_grid(1, 401)
-    chart = ParabolaChart()
     f = bump_perturbation(g, 0.01, 0.5)
     t0 = time.time()
-    u, rep = local_perturb(chart, f, config=IterationConfig(tol=1e-9))
+    u, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
     return {"u": u, "rep": rep, "elapsed": time.time() - t0, "grid": g}
 
 
@@ -59,7 +52,7 @@ def local_solve():
 def local_solve_doubled():
     g = make_grid(1, 801)
     f = bump_perturbation(g, 0.01, 0.5)
-    u, rep = local_perturb(ParabolaChart(), f, config=IterationConfig(tol=1e-9))
+    u, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
     return rep
 
 
@@ -82,7 +75,7 @@ def family_solution():
     fam = build_family("bump-breathing", g, base=chart, horizon=0.5,
                        samples=8, beta=0.01, bump_radius=0.4)
     t0 = time.time()
-    sol = solve_family(chart, fam, window=chart_window(g, 0.5, 0.75),
+    sol = solve_family(build_frame(chart, g), fam, window=chart_window(g, 0.5, 0.75),
                        cutoff=Cutoff(g, 0.5, 0.9),
                        config=IterationConfig(tol=1e-9))
     return {"sol": sol, "elapsed": time.time() - t0}
@@ -94,7 +87,7 @@ def glue_solution():
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=1.0, samples=8)
     t0 = time.time()
-    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=801,
+    sol = glue_solve(fam, atlas, chart_resolution=801,
                      mesh=2048, config=IterationConfig(tol=1e-9))
     return {"sol": sol, "atlas": atlas, "elapsed": time.time() - t0}
 

@@ -17,21 +17,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoperturb import atlas as atlas_module
+from isoperturb import embeddings
 from isoperturb.atlas import (
     Atlas,
     GlobalSolution,
     StageFailure,
     build_atlas,
     build_manifold_family,
-    circle_embedding,
     decompose_metric,
     glue_solve,
     make_mesh,
     pullback_residual,
     solution_residuals,
-    torus_embedding,
     write_embedding_csv,
 )
+from isoperturb.embeddings import EMBEDDINGS, CircleChart, TorusChart, circle_embedding, \
+    torus_embedding
 from isoperturb.family import HorizonCollapse, MetricFamily
 from isoperturb.fixedpoint import IterationConfig
 from isoperturb.grid import make_grid
@@ -68,7 +69,7 @@ def test_circle_atlas_geometry():
     assert atlas.charts[0].center[0] == 0.0
     assert atlas.charts[1].center[0] == pytest.approx(np.pi)
     assert atlas.charts[0].halfwidth == pytest.approx(1.5 * np.pi / 2)
-    assert atlas.dim == 1
+    assert all(c.dim == 1 for c in atlas.charts)
     assert _coverage_margin(atlas, 2048) == pytest.approx(0.5947867824579516)
 
 
@@ -80,8 +81,21 @@ def test_torus_atlas_geometry():
         [(0.0, 0.0), (round(pi, 12), 0.0), (0.0, round(pi, 12)), (round(pi, 12), round(pi, 12))]
     )
     assert all(c.halfwidth == 3.0 for c in atlas.charts)
-    assert atlas.dim == 2
+    assert all(c.dim == 2 for c in atlas.charts)
     assert _coverage_margin(atlas, 46) == pytest.approx(0.154952783773045)
+
+
+@pytest.mark.parametrize("manifold,num_charts,chart_type,dim", [
+    ("circle", 2, CircleChart, 1), ("circle", 3, CircleChart, 1), ("torus", 4, TorusChart, 2)])
+def test_atlas_charts_are_the_analytic_charts(manifold, num_charts, chart_type, dim):
+    # one chart type: each atlas chart evaluates the manifold's base
+    # embedding at its chart map, bit for bit
+    g = make_grid(dim, 41 if dim == 1 else 17)
+    for chart in build_atlas(manifold, num_charts).charts:
+        assert type(chart) is chart_type and chart.manifold == manifold
+        want = EMBEDDINGS[manifold](chart.to_manifold(g.coords))
+        assert np.array_equal(chart.evaluate(g).values, want)
+        assert np.array_equal(chart.angles(g), chart.to_manifold(g.coords))
 
 
 def test_partition_sums_to_one():
@@ -146,10 +160,10 @@ def test_decompose_reconstructs_increment():
         th, t = rng.uniform(0, 2 * np.pi), rng.uniform(0, 1)
         p = np.array([[th]])
         total = 0.0
-        for inc in incs:
-            X = inc.chart.to_chart(p)
+        for chart, evaluator in zip(atlas.charts, incs):
+            X = chart.to_chart(p)
             if abs(X[0, 0]) < 1.0:
-                total += inc.evaluator(X, t)[0, 0] / inc.chart.halfwidth**2
+                total += evaluator(X, t)[0, 0] / chart.halfwidth**2
         expect = fam.evaluator(p, t)[0, 0] - fam.evaluator(p, 0.0)[0, 0]
         worst = max(worst, abs(total - expect))
     assert worst <= 1e-10
@@ -160,8 +174,10 @@ def test_decompose_vanishes_at_t0():
     fam = build_manifold_family("circle-breathing", "torus", beta=0.1,
                                 horizon=1.0, samples=2)
     X = np.column_stack([np.linspace(-0.9, 0.9, 40), np.linspace(0.9, -0.9, 40)])
-    for inc in decompose_metric(atlas, fam):
-        assert np.all(inc.evaluator(X, 0.0) == 0.0)
+    evaluators = decompose_metric(atlas, fam)
+    assert len(evaluators) == len(atlas.charts)
+    for evaluator in evaluators:
+        assert np.all(evaluator(X, 0.0) == 0.0)
 
 
 def test_decompose_scales_by_halfwidth_squared():
@@ -170,9 +186,9 @@ def test_decompose_scales_by_halfwidth_squared():
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=1.0, samples=2)
-    inc = decompose_metric(atlas, fam)[0]
+    evaluator = decompose_metric(atlas, fam)[0]
     c = atlas.charts[0].halfwidth
-    got = inc.evaluator(np.array([[0.0]]), 0.5)[0, 0]
+    got = evaluator(np.array([[0.0]]), 0.5)[0, 0]
     assert got == pytest.approx(c**2 * 0.05 * 0.5, rel=1e-12)
 
 
@@ -294,7 +310,7 @@ def breathing_glue():
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=1.0, samples=2)
-    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=401,
+    sol = glue_solve(fam, atlas, chart_resolution=401,
                      mesh=512, config=CFG)
     return atlas, fam, sol
 
@@ -302,7 +318,7 @@ def breathing_glue():
 def test_glue_constant_family_is_identity():
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("constant", "circle", horizon=1.0, samples=2)
-    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
+    sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     F0 = circle_embedding(sol.mesh_points)
     assert sol.horizon_used == 1.0
@@ -368,7 +384,7 @@ def test_glue_single_chart_increment_skips_other_stage():
 
     notch = MetricFamily(ev, horizon=0.5, samples=1, name="notch")
     atlas = build_atlas("circle", 2)
-    sol = glue_solve(circle_embedding, notch, atlas, chart_resolution=201,
+    sol = glue_solve(notch, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     for k in range(len(sol.t_grid)):
         assert np.all(sol.F_stages[2][k] == sol.F_stages[1][k])
@@ -390,7 +406,7 @@ def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
     monkeypatch.setattr(atlas_module, "solve_fixed_point", recording)
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=0.25, samples=2)
-    sol = glue_solve(circle_embedding, fam, build_atlas("circle", 2),
+    sol = glue_solve(fam, build_atlas("circle", 2),
                      chart_resolution=201, mesh=128, config=SMOKE_CFG)
     assert sol.horizon_used == 0.25 and sol.halvings == []
     assert len(calls) == 6
@@ -417,7 +433,7 @@ def test_glue_builds_the_stage_1_frame_once(monkeypatch):
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=0.5, samples=2)
-    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
+    sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     assert [(h.horizon, h.stage) for h in sol.halvings] == [(0.5, 1)]
     assert sol.horizon_used == 0.25
@@ -430,7 +446,7 @@ def test_glue_halves_horizon_for_large_families():
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=2.0,
                                 horizon=1.0, samples=1)
-    sol = glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
+    sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     assert sol.horizon_used < 1.0
     assert sol.horizon_used == 0.0078125  # 7 exact halvings
@@ -443,7 +459,7 @@ def test_glue_horizon_collapse():
     fam = build_manifold_family("circle-breathing", "circle", beta=2.0,
                                 horizon=1.0, samples=1)
     with pytest.raises(HorizonCollapse) as exc:
-        glue_solve(circle_embedding, fam, atlas, chart_resolution=201,
+        glue_solve(fam, atlas, chart_resolution=201,
                    mesh=128, config=SMOKE_CFG, dt_min=0.4)
     assert exc.value.horizon == 0.25
     # both failed passes are on record, each at its own largest t
@@ -451,7 +467,7 @@ def test_glue_horizon_collapse():
         (1.0, 1.0, 1), (0.5, 0.5, 1)]
 
 
-def test_glue_rejects_degenerate_embedding():
+def test_glue_rejects_degenerate_embedding(monkeypatch):
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=1.0, samples=1)
@@ -460,9 +476,9 @@ def test_glue_rejects_degenerate_embedding():
         th = np.asarray(points, dtype=float).reshape(-1)
         return np.column_stack([np.cos(th), np.zeros_like(th)])
 
+    monkeypatch.setitem(embeddings.EMBEDDINGS, "circle", squashed)
     with pytest.raises(StageFailure) as exc:
-        glue_solve(squashed, fam, atlas, chart_resolution=201, mesh=128,
-                   config=SMOKE_CFG)
+        glue_solve(fam, atlas, chart_resolution=201, mesh=128, config=SMOKE_CFG)
     assert exc.value.stage == 1
     assert "stage 1" in str(exc.value)
 
@@ -525,7 +541,7 @@ def test_glue_torus_smoke():
     atlas = build_atlas("torus", 4)
     fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
                                 horizon=0.25, samples=1)
-    sol = glue_solve(torus_embedding, fam, atlas, chart_resolution=25,
+    sol = glue_solve(fam, atlas, chart_resolution=25,
                      mesh=48, config=IterationConfig(tol=1e-7))
     assert sol.horizon_used == 0.25
     F0 = torus_embedding(sol.mesh_points)
@@ -545,7 +561,7 @@ def test_glue_torus_refined():
     atlas = build_atlas("torus", 4)
     fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
                                 horizon=0.25, samples=1)
-    sol = glue_solve(torus_embedding, fam, atlas, chart_resolution=49,
+    sol = glue_solve(fam, atlas, chart_resolution=49,
                      mesh=96, config=IterationConfig(tol=1e-7))
     assert sol.horizon_used == 0.25
     assert np.all(sol.F[0] == torus_embedding(sol.mesh_points))

@@ -250,6 +250,19 @@ def test_command_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc,extra", [("", ["--out", "afile"]), ("out: afile/run\n", [])])
+def test_out_that_names_a_file_exits_2(tmp_path, monkeypatch, capsys, doc, extra):
+    # an output path that a file blocks used to end in a NotADirectoryError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    cfg = _cfg(tmp_path, FREE_CFG + doc)
+    code = main(["check-free", "--config", cfg, "--quiet", *extra])
+    assert code == 2
+    assert "[out]" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "sc.yaml"]
+
+
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["make-coffee", "--config", _cfg(tmp_path, FREE_CFG)])
@@ -293,13 +306,17 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
      [], "family.bump_power"),
     ("solve-local", "chart: parabola\nresolution: 201\nbump_radius: 0.6\n", [],
      "bump_radius"),
+    ("solve-local", "chart: circle\nhalfwidth: 1.0e-9\nresolution: 101\n", [], "halfwidth"),
+    ("solve-family", "chart: circle\nhalfwidth: 1.0e-9\nresolution: 101\n", [], "halfwidth"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
-    # each input used to pass validation and then die in a constructor or in
-    # the solver's support check (a bump wider than the cutoff's flat radius) (or, for the table, whose g reaches -2 at
-    # t = 1, to halve its way to a pass; bump_power -1 gives inf/NaN metric
-    # components and 0 a bump that fills the chart, both ending in exit 1)
+    # each input used to pass validation and then die in a constructor, in
+    # the solver's support check (a bump wider than the cutoff's flat radius)
+    # or in the frame build (a circle chart too narrow to be free) (or, for
+    # the table, whose g reaches -2 at t = 1, to halve its way to a pass;
+    # bump_power -1 gives inf/NaN metric components and 0 a bump that fills
+    # the chart, both ending in exit 1)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
     doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")

@@ -142,7 +142,7 @@ def test_circle_breathing_needs_circle_chart():
     chart = CircleChart()
     fam = build_family("circle-breathing", g, base=chart, horizon=1.0,
                        samples=2, beta=0.05)
-    th = chart.angles(g)
+    th = chart.angles(g)[:, 0]
     c2 = (0.75 * np.pi) ** 2
     expected = (1.0 + 0.05 * 1.0 * 0.5 * (1.0 + np.cos(th))) * c2
     assert np.max(np.abs(fam.sample(1.0).values[:, 0] - expected)) < 1e-12
@@ -158,8 +158,7 @@ def test_chart_and_global_families_agree(name, chart, dim):
     fam = build_family(name, g, base=chart, horizon=1.0, samples=2, beta=0.4)
     glob = build_manifold_family(name, "circle" if dim == 1 else "torus",
                                  beta=0.4, horizon=1.0, samples=2)
-    th = chart.angles(g)  # the torus chart gives the pair (u, v)
-    pts = np.column_stack(th if dim == 2 else (th,))
+    pts = chart.angles(g)
     c2 = chart.halfwidth**2
     for t in (0.0, 0.5, 1.0):
         want = c2 * glob.evaluator(pts, t)
@@ -194,8 +193,8 @@ def breathing_solution():
     g = make_grid(1, 401)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=4, beta=0.01, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
-                       config=CFG)
+    sol = solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
+                       cutoff=Cutoff(g, 0.5, 0.9), config=CFG)
     return sol
 
 
@@ -230,8 +229,8 @@ def test_horizon_halving_recovers():
     g = make_grid(1, 201)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=2, beta=1.0, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.8, 0.95),
-                       config=CFG)
+    sol = solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
+                       cutoff=Cutoff(g, 0.8, 0.95), config=CFG)
     assert sol.horizon_used < 0.5
     k = np.log2(0.5 / sol.horizon_used)
     assert abs(k - round(k)) < 1e-12  # pure halvings
@@ -266,8 +265,8 @@ def test_samples_are_solved_from_the_largest_t(monkeypatch):
     g = make_grid(1, 201)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=3, beta=0.01, bump_radius=0.4)
-    sol = solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
-                       config=CFG)
+    sol = solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
+                       cutoff=Cutoff(g, 0.5, 0.9), config=CFG)
     sizes = [size for size, _ in calls]
     assert len(sizes) == 4 and sizes == sorted(set(sizes), reverse=True)
     assert sizes[-1] == 0.0  # t = 0 last
@@ -281,8 +280,8 @@ def test_horizon_collapse():
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=8, beta=10.0, bump_radius=0.4)
     with pytest.raises(HorizonCollapse) as exc:
-        solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.8, 0.95),
-                     config=CFG, dt_min=0.04)
+        solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
+                     cutoff=Cutoff(g, 0.8, 0.95), config=CFG, dt_min=0.04)
     assert exc.value.horizon == 0.25  # one halving allowed before 0.04*8
 
 
@@ -310,8 +309,8 @@ def test_solve_family_support_mismatch():
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=2, beta=0.01, bump_radius=0.6)
     with pytest.raises(ValueError, match="flat radius"):
-        solve_family(ParabolaChart(), fam, chart_window(g), cutoff=Cutoff(g, 0.5, 0.9),
-                     config=CFG)
+        solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
+                     cutoff=Cutoff(g, 0.5, 0.9), config=CFG)
 
 
 # ---------------------------------------------------------------- stability

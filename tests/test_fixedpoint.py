@@ -101,8 +101,8 @@ def test_halving_amplitude_halves_the_solution(bump_setup):
 
 
 def test_local_perturb_report(bump_setup):
-    g, _, cut, f = bump_setup
-    u, report = local_perturb(ParabolaChart(), f, cutoff=cut)
+    g, frame, cut, f = bump_setup
+    u, report = local_perturb(frame, f, cutoff=cut)
     assert report["residual_sup"] < 1e-6  # measured 5.09e-8
     assert 2e-8 <= report["residual_sup"] <= 1e-7
     assert report["support_leak"] == 0.0

@@ -1,6 +1,12 @@
 """The shipped entry points pass as a user would run them: each scenario in
-configs/ through the CLI, and each script in scripts/ as a program."""
+configs/ through the CLI, and each script in scripts/ as a program.
 
+Each config's artifacts are pinned by one sha256, so a change that means to
+keep them byte-identical is checked to; a change that means to move them
+updates the pin and names the moved files in CHANGES.md.
+"""
+
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +22,30 @@ from isoperturb.config import load_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+# _tree_sha256 of the output directory of each configs/<name>.yaml
+ARTIFACT_SHA256 = {
+    "breathing_chart": "e3057e5bbb97b47554342e969b506a6eb5b9bcd59f76f192a427851cf02175ab",
+    "check_free": "2068d05a7f5110cc565f3a9fa14bf1607f6e48d603fe7972993c52b0d4d9dfcf",
+    "circle_glue": "d3aaf4bf47b369d2d91f0c311f6e4545148635624f57f55089d164805ea9f2fa",
+    "local_bump": "2e127bc8d9504b17ccad7e1c3ddac7bae3764b7b841ac41fb877fde5d8eb3641",
+    "torus_smoke": "89d05b1b7418be5c20fd910c2b90b8f426f541a19fa7b6c6285fd2765c20786c",
+    "verify_appendix": "4ce5539c239ef4c91464ab1226e262ac9f72c8763e7b6831e6892d95fa02dafe",
+}
+
+
+def _tree_sha256(root):
+    """sha256 over the sorted (relative path, bytes) pairs of the files under root.
+
+    Each pair enters as the path in posix form, a NUL, the byte count as 8
+    little-endian bytes, then the bytes themselves.
+    """
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(rel.encode() + b"\0" + len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def test_scripts_found():
@@ -45,3 +75,4 @@ def test_shipped_config_passes(config, tmp_path):
     assert summary["status"] == "pass"
     assert summary["criteria"]
     assert all(c["pass"] for c in summary["criteria"]), summary["criteria"]
+    assert _tree_sha256(out) == ARTIFACT_SHA256[config.stem]
