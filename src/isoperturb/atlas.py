@@ -160,17 +160,29 @@ def write_embedding_csv(path, coords, stages, t_values, coord_names):
 
     coords is (npts, d); stages[s][k] is the (npts, q) embedding of stage s
     at time t_values[k].  Every float is written as its repr (the shortest
-    string that round-trips), one (stage, t) block at a time.
+    string that round-trips).  A stage leaves most rows of the one before
+    it untouched, so each point's coordinate text and each distinct F row's
+    text are formatted once per call and reused.  F rows are told apart by
+    their bits, not by float equality: 0.0 == -0.0, but their reprs differ.
     """
     q = np.shape(stages[0][0])[1]
     header = ["stage", "t", *coord_names] + [f"F{j + 1}" for j in range(q)]
+    point_fmt = ",".join(["%r"] * len(coord_names)) + ","
+    points = [point_fmt % tuple(p) for p in np.asarray(coords, dtype=float).tolist()]
+    row_fmt = ",".join(["%r"] * q) + "\n"
+    row_text = {}  # raw bits of an F row -> its formatted text
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for stage, per_t in enumerate(stages):
             for t, vals in zip(t_values, per_t):
-                row = f"{stage},{float(t)!r}," + ",".join(["%r"] * (len(header) - 2)) + "\n"
-                block = np.column_stack([coords, vals]).tolist()
-                fh.writelines(row % tuple(values) for values in block)
+                vals = np.ascontiguousarray(vals, dtype=float)
+                keys = vals.view(f"V{8 * q}").ravel().tolist()
+                new = [p for p, key in enumerate(keys) if key not in row_text]
+                for p, row in zip(new, vals[new].tolist()):
+                    row_text[keys[p]] = row_fmt % tuple(row)
+                prefix = f"{stage},{float(t)!r},"
+                fh.writelines([prefix + point + row_text[key]
+                               for point, key in zip(points, keys)])
 
 
 def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,

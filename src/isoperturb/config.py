@@ -20,8 +20,8 @@ from .family import CHART_FAMILIES, GLOBAL_FAMILIES, WINDOW_FLAT, WINDOW_SUPPORT
 from .grid import MIN_RESOLUTION
 
 
-COMMANDS = ("check-free", "solve-local", "solve-family", "solve-global",
-            "verify-appendix")
+CHART_COMMANDS = ("check-free", "solve-local", "solve-family")  # they read `chart`
+COMMANDS = CHART_COMMANDS + ("solve-global", "verify-appendix")
 CHART_NAMES = ("parabola", "circle", "torus")
 MANIFOLDS = ("circle", "torus")
 MAX_RESOLUTION = 20001
@@ -185,6 +185,10 @@ def parse_scenario(raw) -> Scenario:
                  "chart")
         sc.chart = raw["chart"]
     if "halfwidth" in raw and raw["halfwidth"] is not None:
+        # only the chart of a manifold (circle or torus) has a halfwidth
+        _require(sc.chart in MANIFOLDS and sc.command in CHART_COMMANDS,
+                 f"only a circle or torus chart of {list(CHART_COMMANDS)} reads it; "
+                 f"got chart {sc.chart!r} under {sc.command!r}", "halfwidth")
         sc.halfwidth = _as_number(raw["halfwidth"], "halfwidth")
         _require(0.0 < sc.halfwidth < MAX_HALFWIDTH,
                  f"must be in (0, pi), got {sc.halfwidth}", "halfwidth")

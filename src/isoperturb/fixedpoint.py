@@ -154,7 +154,8 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
         potentials, pois = load_potentials(cut, v)
         v_new = fixed_point_map(frame, cut, f, v, potentials)
         inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha)
-        norm = holder_norm(v_new, 2, cfg.alpha)
+        # the first step starts from v = 0, where v_new - v is v_new bit for bit
+        norm = inc if trace.iterations == 0 else holder_norm(v_new, 2, cfg.alpha)
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)

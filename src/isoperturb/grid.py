@@ -244,14 +244,16 @@ class Grid:
     # -- Hoelder seminorm ---------------------------------------------------
 
     def _lags(self):
-        """Lattice offsets of the seminorm sweep, shortest first.
+        """The grid's sweep lattice and its offsets, shortest first.
 
-        Returns (size, slots, shifts, dist).  Node values go into the slots
-        of a NaN-padded flat lattice of length size, in which the lattice
-        offset of a node pair is a constant index shift; the padding holds
-        every shifted slot that leaves the ball, so no shift wraps onto
-        another node.  Each pair of nodes is reached by exactly one shift,
-        of length dist.
+        Returns (padded, moved, slots, shifts, dist), built once per grid.
+        padded is a NaN-padded flat lattice in which the lattice offset of
+        a node pair is a constant index shift; node values go into its
+        slots, and the padding holds every shifted slot that leaves the
+        ball, so no shift wraps onto another node.  moved is its sliding
+        window view: row s is the node lattice moved by shift s.  Only the
+        slots are ever written, so the padding stays NaN.  Each pair of
+        nodes is reached by exactly one shift, of length dist.
         """
         if self._lag_cache is None:
             N = self.resolution
@@ -270,24 +272,24 @@ class Grid:
                 order = np.argsort(dist2[keep], kind="stable")
                 shifts = (dj * width + di)[keep][order]
                 dist2 = dist2[keep][order]
-            size = slots[-1] + 1 + shifts.max()
-            self._lag_cache = (size, slots, shifts, self.spacing * np.sqrt(dist2))
+            padded = np.full(slots[-1] + 1 + shifts.max(), np.nan)
+            moved = sliding_window_view(padded, slots[-1] + 1)
+            self._lag_cache = (padded, moved, slots, shifts, self.spacing * np.sqrt(dist2))
         return self._lag_cache
 
     def quotient_max(self, vals, alpha):
         """Exact max over all node pairs of |v(x)-v(y)| / |x-y|^alpha.
 
-        Sweeps the lattice offsets shortest first, a block of offsets at a
-        time, with one d^alpha per offset.  Stops once no longer offset can
-        beat the running maximum: (max v - min v) / d^alpha <= best.
+        Writes vals into the node slots of the grid's sweep lattice (see
+        _lags) and sweeps the lattice offsets shortest first, a block of
+        offsets at a time, with one d^alpha per offset.  Stops once no
+        longer offset can beat the running maximum:
+        (max v - min v) / d^alpha <= best.
         """
-        size, slots, shifts, dist = self._lags()
+        padded, moved, slots, shifts, dist = self._lags()
         osc = float(np.max(vals) - np.min(vals))
-        padded = np.full(size, np.nan)
         padded[slots] = vals
-        span = slots[-1] + 1
-        # row s of `moved` is the node lattice moved by shift s
-        moved = sliding_window_view(padded, span)
+        span = moved.shape[1]
         step = max(1, _SWEEP_BLOCK // span)
         best = 0.0
         for k in range(0, len(shifts), step):

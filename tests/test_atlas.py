@@ -534,6 +534,36 @@ def test_embedding_csv_bytes_match_per_row_repr(tmp_path, d, q):
     assert "\n0,0.1,-0.0," in got and ",1e-300," in got and ",1.5e+16," in got
 
 
+@pytest.mark.parametrize("d,q", [(1, 2), (2, 6)])
+def test_embedding_csv_reuses_no_text_across_distinct_bits(tmp_path, d, q):
+    # stages that repeat rows across stages and t, as the glue's do: a row
+    # repeated bit for bit may reuse its text, but 0.0 and -0.0 compare
+    # equal and must not share one, and a NaN row reads back as nan
+    rng = np.random.default_rng(10 + d)
+    coords = rng.uniform(-np.pi, np.pi, (6, d))
+    t_values = np.array([0.0, 0.5, 1.0])
+    base = rng.uniform(-2.0, 2.0, (6, q))
+    base[0] = 0.0
+    base[1] = np.nan
+    first = np.stack([base] * 3)
+    second = first.copy()
+    second[1:, 2:4] += 1e-3  # moved inside the chart at t > 0 only
+    second[2, 0] = -0.0  # the zero row again, sign flipped
+    third = second.copy()
+    third[:, 0, 0] = -0.0  # one component's sign only
+    third[0, 5] = second[2, 3]  # another point's row, at another t
+    stages = [first, second, third]
+    names = ("theta", "phi")[:d]
+    write_embedding_csv(tmp_path / "shared.csv", coords, stages, t_values, names)
+    _per_row_repr_csv(tmp_path / "reference.csv", coords, stages, t_values, names)
+    got = (tmp_path / "shared.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    zeros = ",".join(["0.0"] * q)
+    text = got.decode()
+    assert f",{zeros}\n" in text and ",-0.0," + ",".join(["-0.0"] * (q - 1)) in text
+    assert "," + ",".join(["nan"] * q) + "\n" in text
+
+
 # ------------------------------------------------------------- glue: torus
 
 

@@ -317,6 +317,21 @@ def test_seminorm_is_exact_all_pairs_maximum(dim_n, alpha, kind, seed):
     assert hn == pytest.approx(float(np.max(np.abs(vals))) + ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("dim,N", [(1, 201), (2, 33)])
+def test_seminorm_sweeps_leave_nothing_behind(dim, N):
+    # every sweep of a grid writes into the one lattice the grid keeps; a
+    # value of an earlier field must not show in a later field's seminorm
+    g = make_grid(dim, N)
+    spike = np.zeros(g.num_nodes)
+    spike[g.num_nodes // 3] = 5.0
+    other = np.zeros(g.num_nodes)
+    other[-2] = -1.0
+    smooth = np.sin(g.coords @ np.arange(1.0, dim + 1.0))
+    for vals in (spike, np.full(g.num_nodes, 0.25), smooth, other):
+        ref = all_pairs_quotient(g.coords, vals, 0.5)
+        assert g.quotient_max(vals, 0.5) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_seminorm_of_constant_field_is_exactly_zero():
     for dim, N in ((1, 3201), (2, 33)):
         g = make_grid(dim, N)
