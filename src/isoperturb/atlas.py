@@ -15,7 +15,6 @@ solver-independent periodic finite-difference oracle on the global mesh.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .embeddings import EMBEDDINGS, TWO_PI, CircleChart, TorusChart, make_mesh
 from .family import MetricFamily, adaptive_horizon, locate_failure
@@ -24,6 +23,7 @@ from .fixedpoint import IterationConfig, solve_fixed_point
 from .frame import NotFreeError, build_frame
 from .grid import SymTensorField, VecField, make_grid
 from .operators import Cutoff, radial_window
+from .spline import cubic_spline
 from .verify import periodic_derivative
 
 
@@ -126,10 +126,10 @@ def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
 
 def _spline(axes, values, targets, bc_type):
     """Tensor cubic spline of values on the grid `axes`, evaluated on the grid
-    `targets`: one CubicSpline pass per axis, which between tensor grids is
+    `targets`: one cubic_spline pass per axis, which between tensor grids is
     the tensor-product spline itself (each pass is an exact banded solve)."""
     for ax, (x, t) in enumerate(zip(axes, targets)):
-        values = CubicSpline(x, values, bc_type=bc_type, axis=ax)(t)
+        values = cubic_spline(x, values, bc_type, axis=ax)(t)
     return values
 
 

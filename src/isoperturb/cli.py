@@ -5,8 +5,9 @@ verify-appendix, report.  Every run writes a schema-versioned
 summary.json plus CSV traces/embeddings into the output directory; exit
 status is 0 when all asserted tolerances hold, 1 on a named tolerance
 failure, 2 on a config parse/validation error (in which case no
-artifacts are written).  Outputs carry no timestamps, so identical
-config + seed reproduces byte-identical artifacts.
+artifacts are written), 3 on an unexpected error during the run (recorded
+in summary.json with status "error").  Outputs carry no timestamps, so
+identical config + seed reproduces byte-identical artifacts.
 """
 
 import argparse
@@ -226,8 +227,10 @@ class RunReport:
     def record(self, **kv):
         self.results.update(kv)
 
-    def finish(self, failure=None):
-        ok = failure is None and all(c["pass"] for c in self.criteria)
+    def finish(self, failure=None, error=None):
+        """Write summary.json and return the exit code: 0, 1 on a failed
+        criterion or a recorded failure, 3 on an unexpected error."""
+        ok = failure is None and error is None and all(c["pass"] for c in self.criteria)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario.name,
@@ -237,17 +240,19 @@ class RunReport:
             "parameters": asdict(self.scenario),
             "results": self.results,
             "criteria": self.criteria,
-            "status": "pass" if ok else "fail",
+            "status": "pass" if ok else "fail" if error is None else "error",
         }
         if failure is not None:
             payload["failure"] = failure
+        if error is not None:
+            payload["error"] = {"type": type(error).__name__, "message": str(error)}
         _write_json(os.path.join(self.out_dir, "summary.json"), payload)
         if not self.quiet:
             print(f"summary: {os.path.join(self.out_dir, 'summary.json')} "
                   f"({payload['status']})")
         if failure is not None and not self.quiet:
             print(f"[FAIL] {failure}")
-        return 0 if ok else 1
+        return 0 if ok else 1 if error is None else 3
 
 
 # ----------------------------------------------------------------- commands
@@ -484,14 +489,15 @@ def run_scenario(scenario: Scenario, out_dir, quiet=False) -> int:
     Raises ScenarioError, with nothing written, if its family or its atlas
     is rejected.
     """
-    return _run(scenario, _scenario_inputs(scenario), out_dir, quiet)
+    inputs = _scenario_inputs(scenario)
+    return _RUNNERS[scenario.command](scenario, _open_report(scenario, out_dir, quiet),
+                                      **inputs)
 
 
-def _run(scenario, inputs, out_dir, quiet):
+def _open_report(scenario, out_dir, quiet):
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "embeddings"), exist_ok=True)
-    report = RunReport(scenario, out_dir, quiet)
-    return _RUNNERS[scenario.command](scenario, report, **inputs)
+    return RunReport(scenario, out_dir, quiet)
 
 
 def _check_out_dir(out_dir):
@@ -546,7 +552,13 @@ def main(argv=None) -> int:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
-    return _run(scenario, inputs, out_dir, args.quiet)
+    report = _open_report(scenario, out_dir, args.quiet)
+    try:
+        return _RUNNERS[scenario.command](scenario, report, **inputs)
+    except Exception as exc:  # neither a config error nor a recorded failure
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return report.finish(error=exc)
 
 
 if __name__ == "__main__":

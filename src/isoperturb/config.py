@@ -274,6 +274,9 @@ def load_family_table(path):
             "family table needs >= 2 rows and a t column plus >= 1 component",
             field="family.table",
         )
+    if not np.all(np.isfinite(data)):
+        raise ScenarioError("family table values must be finite (no NaN or inf)",
+                            field="family.table")
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
         raise ScenarioError("family table t column must be strictly increasing",

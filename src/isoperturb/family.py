@@ -18,13 +18,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .embeddings import BASE_METRICS, make_mesh
 from .fixedpoint import IterationConfig, IterationTrace, SolveFailure, solve_fixed_point
 from .frame import ImmersionFrame, apply_frame
 from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, multi_indices, radial_bump
 from .operators import Cutoff, radial_window
+from .spline import cubic_spline
 from .verify import isometry_residual
 
 
@@ -238,7 +238,7 @@ def table_family(manifold, t_values, components, horizon=1.0, samples=8) -> Metr
                          f"the {manifold} needs {want}")
     if horizon > t_values[-1] + 1e-12:
         raise ValueError(f"family table ends at t={t_values[-1]} but the horizon is {horizon}")
-    spline = CubicSpline(t_values, components, axis=0)
+    spline = cubic_spline(t_values, components)
 
     def evaluator(points, t):
         return np.tile(spline(float(t)), (np.atleast_2d(points).shape[0], 1))

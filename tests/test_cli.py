@@ -439,6 +439,39 @@ def test_missing_table_fails_before_artifacts(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_nonfinite_table_fails_before_artifacts(tmp_path, capsys):
+    table = tmp_path / "fam.csv"
+    table.write_text("t,g\n0.0,1.0\nnan,1.005\n0.25,1.01\n")
+    cfg_text = GLOBAL_CFG.replace(
+        "name: circle-breathing\n  beta: 0.05",
+        f"name: table\n  table: {table}",
+    )
+    out = str(tmp_path / "out")
+    code = main(["solve-global", "--config", _cfg(tmp_path, cfg_text),
+                 "--out", out])
+    assert code == 2
+    assert "[family.table]" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_unexpected_error_exits_3_with_summary(tmp_path, capsys, monkeypatch):
+    def boom(scenario, report):
+        report.record(margin=1.0)
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setitem(cli._RUNNERS, "check-free", boom)
+    out = tmp_path / "out"
+    code = main(["check-free", "--config", _cfg(tmp_path, FREE_CFG), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.splitlines() == ["error: RuntimeError: disk on fire"]
+    s = _summary(out)
+    assert s["status"] == "error"
+    assert s["error"] == {"type": "RuntimeError", "message": "disk on fire"}
+    assert s["results"] == {"margin": 1.0}
+
+
 def test_report_merges_runs(tmp_path, local_run):
     _, local_out = local_run
     root = tmp_path / "runs"

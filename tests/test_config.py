@@ -146,3 +146,12 @@ def test_family_table_rejects_bad_input(tmp_path):
     p3.write_text("t,g\n0.0,apple\n1.0,pear\n")
     with pytest.raises(ScenarioError, match="numeric"):
         load_family_table(p3)
+    # a NaN t passes the increasing check (NaN <= 0 is False), so each
+    # non-finite value, in either column, needs its own rejection
+    for k, rows in enumerate(["nan,1.0\n1.0,1.0", "0.0,1.0\ninf,1.0",
+                              "0.0,nan\n1.0,1.0", "0.0,1.0\n1.0,-inf"]):
+        p4 = tmp_path / f"nonfinite{k}.csv"
+        p4.write_text(f"t,g\n{rows}\n")
+        with pytest.raises(ScenarioError, match="finite") as info:
+            load_family_table(p4)
+        assert info.value.field == "family.table"
