@@ -31,6 +31,7 @@ from .config import (
     ScenarioError,
     Scenario,
     check_resolution,
+    check_size,
     load_family_table,
     load_scenario,
     scenario_hash,
@@ -545,6 +546,7 @@ def main(argv=None) -> int:
             scenario.seed = args.seed
         if args.resolution is not None:
             scenario.resolution = check_resolution(args.resolution, "--resolution")
+            check_size(scenario)
         out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
         _check_out_dir(out_dir)
         inputs = _scenario_inputs(scenario)

@@ -4,7 +4,9 @@ A scenario is one YAML document describing a single run (command, chart
 or manifold selection, resolutions, metric family, tolerances, output
 directory).  Validation failures raise ScenarioError carrying the field
 path (and the YAML line for syntax errors) so the CLI can report a
-diagnostic and exit 2 without touching the output directory.
+diagnostic and exit 2 without touching the output directory.  That
+includes a scenario too large to run: check_size estimates its largest
+arrays before anything is allocated.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import numpy as np
 import yaml
 
 from .atlas import PSI_SUPP
-from .embeddings import MAX_HALFWIDTH
+from .embeddings import MAX_HALFWIDTH, CircleChart, ParabolaChart, TorusChart
 from .family import CHART_FAMILIES, GLOBAL_FAMILIES, WINDOW_FLAT, WINDOW_SUPPORT
 from .grid import MIN_RESOLUTION
 
@@ -25,6 +27,11 @@ COMMANDS = CHART_COMMANDS + ("solve-global", "verify-appendix")
 CHART_NAMES = ("parabola", "circle", "torus")
 MANIFOLDS = ("circle", "torus")
 MAX_RESOLUTION = 20001
+# largest array group a scenario may allocate, in bytes: a disk grid's sweep
+# lattice, or the embedding paths a run holds until it writes them
+MAX_ALLOC_BYTES = 1 << 28
+_EMBEDDING_WIDTH = {"parabola": ParabolaChart.q, "circle": CircleChart.q,
+                    "torus": TorusChart.q}
 
 
 class ScenarioError(ValueError):
@@ -232,7 +239,53 @@ def parse_scenario(raw) -> Scenario:
     if "out" in raw and raw["out"] is not None:
         _require(isinstance(raw["out"], str), "must be a path string", "out")
         sc.out = raw["out"]
+    return check_size(sc)
+
+
+def check_size(sc):
+    """Reject a scenario whose largest arrays would pass MAX_ALLOC_BYTES.
+
+    Two estimates, in float64 bytes, made before anything is allocated:
+    - the sweep lattice of a disk grid (a torus chart, or the charts of a
+      torus glue): (2N-1)*N slots for N = resolution, more than its disk
+      nodes;
+    - the embedding paths a solve holds until it writes its CSV:
+      points x q x stages x (samples + 1), where the points are the mesh^dim
+      mesh points and the stages charts + 1 for solve-global, and the N^dim
+      chart nodes and 2 stages for solve-family.
+    The error names the field with the largest factor.  Returns sc.
+    """
+    if sc.command == "solve-global":
+        shape = sc.manifold
+    elif sc.command in CHART_COMMANDS:
+        shape = sc.chart
+    else:
+        return sc  # verify-appendix: an interval and the fixed 33-node disk
+    dim = 2 if shape == "torus" else 1
+    N = sc.resolution
+    if dim == 2:
+        _check_bytes({"resolution": (2 * N - 1) * N}, "the disk grid's sweep lattice")
+    width = _EMBEDDING_WIDTH[shape]
+    if sc.command == "solve-global":
+        paths = {"mesh": sc.mesh**dim, "charts": sc.charts + 1}
+    elif sc.command == "solve-family":
+        paths = {"resolution": N**dim}
+        width *= 2  # two stages: the base chart and the solution
+    else:
+        return sc
+    paths["family.samples"] = sc.family.samples + 1
+    _check_bytes(paths, "the embedding paths", width)
     return sc
+
+
+def _check_bytes(factors, what, width=1):
+    total = 8 * width
+    for count in factors.values():
+        total *= count
+    fieldname = max(factors, key=factors.get)
+    _require(total <= MAX_ALLOC_BYTES,
+             f"{what} would take about {total / 2**20:.3g} MiB, over the "
+             f"{MAX_ALLOC_BYTES >> 20} MiB limit", fieldname)
 
 
 def load_scenario(path) -> Scenario:

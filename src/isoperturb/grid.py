@@ -7,6 +7,25 @@ unit disk (rows and columns are contiguous segments by convexity).  All
 derivatives are 2nd-order stencils assembled once into cached sparse
 matrices.  Hoelder seminorms are exact: the maximum of
 |v(x)-v(y)| / |x-y|^alpha over all pairs of distinct nodes.
+
+The seminorm sweeps the lattice offsets shortest first and skips only the
+offsets that two bounds rule out, so its result is the all-pairs maximum
+bit for bit:
+
+- above, |v(x)-v(y)| <= max v - min v, so once (max v - min v) / d^alpha
+  <= best no longer offset can raise the maximum and the sweep stops;
+- below (1-d only), |v(x+l)-v(x)| <= l*m1 with m1 the largest
+  nearest-neighbour step, so an offset of l nodes with
+  l*m1*(1 + 1e-12) / d^alpha <= best cannot raise it either.  The bound
+  holds in exact arithmetic; the 1e-12 margin covers rounding, and a tie
+  with best does not change a maximum.
+
+Before it skips, a 1-d sweep that outlasts its first block seeds best with
+the quotients of the pairs through argmax v and argmin v.  They are
+quotients of real node pairs, computed as the sweep computes them (|dv|
+first, then one division by d^alpha), so the seed is a value the sweep
+itself could return.  On the disk a lattice path between two nodes can
+leave the disk, so the lower bound does not carry over to 2-d.
 """
 
 from __future__ import annotations
@@ -21,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
 _SWEEP_BLOCK = 1 << 15  # lattice slots differenced per block of the lag sweep
+_SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +171,7 @@ class Grid:
         self._deriv_cache = {}
         self._axis_ops = {}
         self._lag_cache = None
+        self._dpow_cache = {}
 
     # -- construction ------------------------------------------------------
 
@@ -277,6 +298,19 @@ class Grid:
             self._lag_cache = (padded, moved, slots, shifts, self.spacing * np.sqrt(dist2))
         return self._lag_cache
 
+    def _lag_powers(self, alpha):
+        """(d^alpha, lag/d^alpha) for the offsets of _lags(), once per alpha.
+
+        lag is an offset's length in nodes, so lag/d^alpha times the largest
+        nearest-neighbour step bounds every quotient at that offset; only
+        1-d sweeps use it, and on the disk it is None.
+        """
+        if alpha not in self._dpow_cache:
+            shifts, dist = self._lags()[3:]
+            dpow = dist**alpha
+            self._dpow_cache[alpha] = (dpow, shifts / dpow if self.dim == 1 else None)
+        return self._dpow_cache[alpha]
+
     def quotient_max(self, vals, alpha):
         """Exact max over all node pairs of |v(x)-v(y)| / |x-y|^alpha.
 
@@ -285,22 +319,40 @@ class Grid:
         offsets at a time, with one d^alpha per offset.  Stops once no
         longer offset can beat the running maximum:
         (max v - min v) / d^alpha <= best.
+
+        A 1-d sweep that goes past its first block seeds best with the
+        quotients of every pair through argmax v and through argmin v, then
+        skips the short offsets the slope bound rules out:
+        lag * m1 * (1 + 1e-12) / d^alpha <= best, m1 = max |v[k+1] - v[k]|.
+        Both bounds hold in exact arithmetic and the seed is a pair quotient
+        computed as the sweep computes it, so the result is bit-identical
+        to the sweep over every offset (see the module docstring).
         """
-        padded, moved, slots, shifts, dist = self._lags()
+        padded, moved, slots, shifts, _ = self._lags()
+        dpow, slope = self._lag_powers(alpha)
         osc = float(np.max(vals) - np.min(vals))
         padded[slots] = vals
         span = moved.shape[1]
         step = max(1, _SWEEP_BLOCK // span)
-        best = 0.0
-        for k in range(0, len(shifts), step):
-            dpow = dist[k:k + step] ** alpha
-            if osc / dpow[0] <= best:
-                break
-            diff = moved[shifts[k:k + step]]
+        best, k = 0.0, 0
+        while k < len(shifts) and osc / dpow[k] > best:
+            if k == step and slope is not None:
+                # past the first block: seed, then skip what the slope bound rules out
+                best = max(best, _extrema_seed(vals, dpow, slots))
+                live = slope[k:] * (m1 * _SLOPE_MARGIN) > best
+                k += int(np.argmax(live)) if live.any() else len(live)
+                if k == len(shifts) or osc / dpow[k] <= best:
+                    break
+            block = slice(k, k + step)
+            diff = moved[shifts[block]]
             diff -= padded[:span]
             np.abs(diff, out=diff)
             # NaN marks a slot off the ball; fmax skips it
-            best = float(np.fmax.reduce(np.fmax.reduce(diff, axis=1) / dpow, initial=best))
+            lag_max = np.fmax.reduce(diff, axis=1)
+            if k == 0:
+                m1 = float(lag_max[0])  # in 1-d the first offset is one node: max |v[k+1] - v[k]|
+            best = float(np.fmax.reduce(lag_max / dpow[block], initial=best))
+            k += step
         return best
 
     # -- misc ----------------------------------------------------------------
@@ -313,6 +365,16 @@ class Grid:
 
     def radius(self):
         return np.sqrt((self.coords**2).sum(axis=1))
+
+
+def _extrema_seed(vals, dpow, nodes):
+    """Largest 1-d quotient over the pairs through argmax vals and argmin vals.
+
+    Each pair is |v[j] - v[i]| / dpow[|j - i| - 1], the value the sweep takes
+    for it.  The pair of a node with itself reads 0 / dpow[-1] = 0.
+    """
+    ends = np.array([[np.argmax(vals)], [np.argmin(vals)]])
+    return float(np.max(np.abs(vals - vals[ends]) / dpow[np.abs(nodes - ends) - 1]))
 
 
 def radial_bump(grid, radius, power):

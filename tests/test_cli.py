@@ -286,6 +286,27 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc,extra,fieldname", [
+    ("chart: torus\nresolution: 20001\n", [], "resolution"),
+    ("chart: torus\nresolution: 17\n", ["--resolution", "20001"], "resolution"),
+    ("mesh: 1000000\n", [], "mesh"),
+    ("family: {name: circle-breathing, samples: 1000000000}\n", [], "family.samples"),
+])
+def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
+                                                      doc, extra, fieldname):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the size guard let an oversized scenario through")
+
+    monkeypatch.setattr(cli, "_scenario_inputs", allocate)
+    command = "check-free" if "chart" in doc else "solve-global"
+    cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet", *extra])
+    assert code == 2
+    assert f"[{fieldname}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,doc,extra,fieldname", [
     ("solve-local", "resolution: 12\n", [], "resolution"),
     ("check-free", "", ["--resolution", "12"], "--resolution"),

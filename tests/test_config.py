@@ -1,5 +1,8 @@
 """Scenario loading, validation diagnostics, and canonical hashing."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,41 @@ def test_validation_names_the_field(tmp_path, doc, fieldname):
         load_scenario(_write(tmp_path, doc))
     assert exc.value.field == fieldname
     assert fieldname.split(".")[-1].strip("<>") in str(exc.value) or fieldname == "<document>"
+
+
+# each would allocate far past MAX_ALLOC_BYTES: only values the guard
+# rejects before anything is allocated
+OVERSIZED = [
+    ("command: check-free\nchart: torus\nresolution: 20001\n", "resolution"),
+    ("command: solve-global\nmanifold: torus\nresolution: 20001\n", "resolution"),
+    ("command: solve-global\nmesh: 1000000\n", "mesh"),
+    ("command: solve-global\nmanifold: torus\nresolution: 25\nmesh: 1000000\n", "mesh"),
+    ("command: solve-global\ncharts: 1000000000\n", "charts"),
+    ("command: solve-family\nfamily: {samples: 1000000000}\n", "family.samples"),
+    ("command: solve-global\nfamily: {name: circle-breathing, samples: 1000000000}\n",
+     "family.samples"),
+]
+
+
+@pytest.mark.parametrize("doc,fieldname", OVERSIZED)
+def test_size_guard_names_the_field(tmp_path, doc, fieldname):
+    with pytest.raises(ScenarioError, match="MiB limit") as exc:
+        load_scenario(_write(tmp_path, "name: x\n" + doc))
+    assert exc.value.field == fieldname
+
+
+def test_size_guard_passes_every_shipped_and_benchmark_scenario():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "configs").glob("*.yaml")):
+        load_scenario(path)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        parse_scenario(workloads.make_scenario(name, 1, 0))
+    # the guard bounds arrays, not resolution: an interval at the largest N passes
+    parse_scenario({"name": "x", "command": "solve-family", "resolution": 20001})
 
 
 def test_table_family_requires_path_and_global_command():

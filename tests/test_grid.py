@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoperturb.grid import (
+    _SWEEP_BLOCK,
     ScalarField,
     VecField,
     check_inequalities,
@@ -347,6 +348,107 @@ def test_seminorm_finds_single_node_spike_on_fine_grid():
     vals = np.zeros(g.num_nodes)
     vals[1234] = 1.0
     assert g.quotient_max(vals, 0.5) == pytest.approx(1.0 / g.spacing**0.5, rel=1e-15)
+
+
+def _lag_dpow(g, alpha):
+    """d^alpha of every 1-d lag 1..N-1, by the sweep's formula."""
+    return (g.spacing * np.sqrt(np.arange(1, g.num_nodes) ** 2)) ** alpha
+
+
+def exhaustive_lag_sweep(g, vals, alpha):
+    """1-d seminorm over every lag: the sweep's formulas, no stop rule, no skip."""
+    dpow = _lag_dpow(g, alpha)
+    return max(
+        float(np.max(np.abs(vals[lag:] - vals[:-lag]))) / dpow[lag - 1]
+        for lag in range(1, g.num_nodes)
+    )
+
+
+def _slope_field(kind, N):
+    n = np.arange(N)
+    x = -1.0 + (2.0 / (N - 1)) * n
+    if kind == "ramp":  # every quotient meets the slope bound; max at the longest lag
+        return 0.75 * x + 0.1
+    if kind == "tent":
+        return 1.0 - np.abs(x)
+    if kind == "sawtooth":  # the drops meet the slope bound at lag 1
+        return (n % 23) * 0.5
+    if kind == "zigzag":  # tight at every lag up to its half-period, beyond the first block
+        return np.abs((n % 120) - 60.0) * 0.25 + 0.01 * x
+    if kind == "adjacent-extrema":
+        vals = 0.1 * np.sin(3.0 * x)
+        vals[N // 2], vals[N // 2 + 1] = 2.0, -2.0
+        return vals
+    if kind == "spike":
+        vals = np.zeros(N)
+        vals[N // 3] = 1.0
+        return vals
+    return np.sin(2.5 * x + 0.3) + 0.2 * np.cos(7.0 * x)
+
+
+@pytest.mark.parametrize("N", [201, 801, 3201])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize(
+    "kind", ["ramp", "tent", "sawtooth", "zigzag", "adjacent-extrema", "spike", "smooth"]
+)
+def test_seminorm_is_bitwise_the_exhaustive_lag_sweep(N, alpha, kind):
+    g = make_grid(1, N)
+    vals = _slope_field(kind, N)
+    assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
+
+
+def _near_tie_field(g, alpha):
+    """A 1-d field whose maximum the slope bound misses without its margin.
+
+    Tent A rises by m1 per node for L nodes: its quotient q at lag L meets
+    the slope bound L*m1/d^alpha in exact arithmetic.  Tent B, on a small
+    pedestal, holds argmax v; its own lag-L pair reads seed, the largest
+    quotient below q.  L and m1 are picked so that the rounded bound
+    (L/d^alpha)*m1 is <= seed: without the margin, lag L is skipped.
+    Returns (vals, q, L).
+    """
+    dpow = _lag_dpow(g, alpha)
+    pedestal = 2.0**-10
+    for lag in range(50, 120):
+        dp = dpow[lag - 1]
+        for m1 in np.arange(3.0, 200.0, 2.0):
+            q = lag * m1 / dp
+            rise = lag * m1
+            while rise / dp >= q:
+                rise = np.nextafter(rise, 0.0)
+            if lag / dp * m1 > rise / dp:
+                continue
+            ramp = np.arange(lag + 1) * m1
+            tent_a = np.concatenate([ramp, ramp[-2::-1]])
+            tent_b = np.concatenate([pedestal + ramp[:-1], [pedestal + rise], pedestal + ramp[-2::-1]])
+            vals = np.zeros(g.num_nodes)
+            vals[2:2 + len(tent_a)] = tent_a
+            vals[4 * lag + 4:4 * lag + 4 + len(tent_b)] = tent_b
+            return vals, q, lag
+    raise AssertionError("no near tie found")
+
+
+@pytest.mark.parametrize("N", [801, 3201])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_seminorm_slope_skip_keeps_a_near_tie(N, alpha):
+    # fails if the 1e-12 margin is dropped or the skip passes one lag too far
+    g = make_grid(1, N)
+    vals, q, lag = _near_tie_field(g, alpha)
+    assert lag > _SWEEP_BLOCK // N  # past the first block of the sweep
+    assert np.argmax(vals) > 4 * lag  # the seed goes through tent B
+    assert exhaustive_lag_sweep(g, vals, alpha) == q
+    assert g.quotient_max(vals, alpha) == q
+
+
+def test_seminorm_power_table_is_keyed_on_alpha():
+    for dim, N in ((1, 801), (2, 33)):
+        g = make_grid(dim, N)
+        vals = np.sin(g.coords @ np.arange(2.0, dim + 2.0)) + 0.3 * g.coords[:, 0] ** 2
+        for alpha in (0.5, 0.3, 0.5):
+            ref = all_pairs_quotient(g.coords, vals, alpha)
+            assert g.quotient_max(vals, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            if dim == 1:
+                assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
 
 
 @settings(max_examples=20, deadline=None)
