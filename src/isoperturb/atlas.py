@@ -21,7 +21,7 @@ from .family import MetricFamily, adaptive_horizon, locate_failure
 from .family import build_manifold_family  # noqa: F401  (public here too)
 from .fixedpoint import IterationConfig, solve_fixed_point
 from .frame import NotFreeError, build_frame
-from .grid import SymTensorField, VecField, make_grid
+from .grid import SymTensorField, VecField, make_grid, sym_indices
 from .operators import Cutoff, radial_window
 from .spline import cubic_spline
 from .verify import periodic_derivative
@@ -187,7 +187,7 @@ def write_embedding_csv(path, coords, stages, t_values, coord_names):
 
 def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
                mesh=2048, config: IterationConfig = None,
-               cutoff_radii=GLUE_CUTOFF, dt_min=1e-3) -> GlobalSolution:
+               cutoff_radii=GLUE_CUTOFF) -> GlobalSolution:
     """Sequential chart-by-chart gluing of a global metric family.
 
     Stage 0 is the manifold's base embedding, EMBEDDINGS[atlas.manifold],
@@ -269,7 +269,7 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
             atlas, family, ts, pts, F_stages, stage_traces, stage_margins, float(ts[-1]),
         )
 
-    return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
+    return adaptive_horizon(run_pass, family.horizon, family.samples)
 
 
 # ------------------------------------------------------------ oracle
@@ -284,35 +284,20 @@ def pullback_residual(F, points, family: MetricFamily, t, atlas: Atlas = None,
     solver's own operators).  With atlas/upto_stage the target is the
     partial metric g(., 0) + sum_{j <= upto_stage} psi_j (g(., t) - g(., 0)).
     """
-    F = np.asarray(F, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = pts.shape[0]
+    npts, d = pts.shape
     target = family.evaluator(pts, t)
     if upto_stage is not None:
         if atlas is None:
             raise ValueError("pullback_residual: upto_stage needs the atlas")
         psi = atlas.partition(pts)
-        delta = family.evaluator(pts, t) - family.evaluator(pts, 0.0)
+        base = family.evaluator(pts, 0.0)
         covered = psi[:upto_stage].sum(axis=0)
-        target = family.evaluator(pts, 0.0) + covered[:, None] * delta
-    if pts.shape[1] == 1:  # circle stencils; the torus mesh is m x m
-        h = TWO_PI / npts
-        dF = periodic_derivative(F, h, 1)
-        pull = (dF * dF).sum(axis=1, keepdims=True)
-    else:
-        m = int(round(np.sqrt(npts)))
-        h = TWO_PI / m
-        Fg = F.reshape(m, m, -1)
-        du = periodic_derivative(Fg, h, 1, axis=0)
-        dv = periodic_derivative(Fg, h, 1, axis=1)
-        pull = np.stack(
-            [
-                (du * du).sum(axis=2).ravel(),
-                (du * dv).sum(axis=2).ravel(),
-                (dv * dv).sum(axis=2).ravel(),
-            ],
-            axis=1,
-        )
+        target = base + covered[:, None] * (target - base)
+    m = int(round(npts ** (1.0 / d)))  # mesh points per axis
+    F = np.asarray(F, dtype=float).reshape((m,) * d + (-1,))
+    dF = [periodic_derivative(F, TWO_PI / m, 1, axis=a).reshape(npts, -1) for a in range(d)]
+    pull = np.column_stack([(dF[i] * dF[j]).sum(axis=1) for i, j in sym_indices(d)])
     return float(np.max(np.abs(pull - target)))
 
 

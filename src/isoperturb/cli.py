@@ -88,8 +88,8 @@ def _iteration_config(scenario: Scenario) -> IterationConfig:
 
 def _scenario_inputs(scenario: Scenario) -> dict:
     """The runner's inputs besides the report: the family and the atlas, or
-    the chart's frame with the family, or with the cutoff and the bump of a
-    local solve.
+    the chart's frame with the family, its window and its cutoff, or with
+    the cutoff and the bump of a local solve.
 
     Built before any output exists; a family or an atlas that the builders
     reject is a config error on the `family` or the `charts` field, a chart
@@ -115,8 +115,11 @@ def _scenario_inputs(scenario: Scenario) -> dict:
     except ValueError as exc:
         raise ScenarioError(str(exc), field="family") from None
     if scenario.command == "solve-family":
-        _check_family_cutoff(scenario, fam)
-        return {"frame": frame, "family": fam}
+        window = chart_window(g, *(scenario.window or ()))
+        # cut None: solve_family's default cutoff
+        cut = Cutoff(g, *scenario.cutoff) if scenario.cutoff else None
+        _check_family_cutoff(fam, window, cut)
+        return {"frame": frame, "family": fam, "window": window, "cut": cut}
     try:
         atlas = build_atlas(scenario.manifold, scenario.charts)
     except ValueError as exc:
@@ -147,20 +150,13 @@ def _frame_for(chart, grid):
         raise ScenarioError(f"halfwidth: {exc}", field="halfwidth") from None
 
 
-def _window_and_cutoff(scenario: Scenario, grid):
-    """The solve-family window, and its cutoff (None: solve_family's default)."""
-    window = chart_window(grid, *(scenario.window or ()))
-    return window, (Cutoff(grid, *scenario.cutoff) if scenario.cutoff else None)
-
-
-def _check_family_cutoff(scenario: Scenario, fam):
+def _check_family_cutoff(fam, window, cut):
     """Reject a cutoff that is not flat wherever the windowed increment lives.
 
     Each sample's solve makes the same support check; making it here, for
     every t of the family, turns its failure into a config error on
     `cutoff`.  The default cutoff is flat beyond every accepted window.
     """
-    window, cut = _window_and_cutoff(scenario, fam.grid)
     if cut is None:
         return
     for t in fam.t_grid:
@@ -310,9 +306,8 @@ def _run_solve_local(scenario, report, frame, cut, f):
     return report.finish()
 
 
-def _run_solve_family(scenario, report, frame, family):
+def _run_solve_family(scenario, report, frame, family, window, cut):
     g = family.grid
-    window, cut = _window_and_cutoff(scenario, g)
     cfg = _iteration_config(scenario)
     try:
         sol = solve_family(frame, family, window=window, cutoff=cut, config=cfg)

@@ -32,6 +32,7 @@ from .verify import isometry_residual
 # scenario validation reads the same limits
 WINDOW_FLAT, WINDOW_SUPPORT = 0.5, 0.75
 MAX_HALVINGS = 20
+DT_MIN = 1e-3  # see adaptive_horizon
 
 
 @dataclass
@@ -64,13 +65,13 @@ class HorizonCollapse(RuntimeError):
         self.halvings = list(halvings)
 
 
-def adaptive_horizon(run_pass, horizon, samples, dt_min):
+def adaptive_horizon(run_pass, horizon, samples):
     """Run run_pass(ts) over samples + 1 uniform times on [0, horizon].
 
     Each SolveFailure (SmallnessViolation or StalledIteration) halves the
     horizon (same sample count) and restarts the pass; the result gets one
     Halving per failed pass as .halvings.  Raises HorizonCollapse, with the
-    same list, once the horizon drops below dt_min * samples, or after
+    same list, once the horizon drops below DT_MIN * samples, or after
     MAX_HALVINGS passes.
     """
     horizon = float(horizon)
@@ -81,9 +82,9 @@ def adaptive_horizon(run_pass, horizon, samples, dt_min):
         except SolveFailure as exc:
             halvings.append(Halving(horizon, exc.t, exc.stage, exc.trace))
             horizon *= 0.5
-            if horizon < dt_min * samples:
+            if horizon < DT_MIN * samples:
                 raise HorizonCollapse(
-                    f"horizon collapsed below {dt_min}*{samples}", horizon, halvings
+                    f"horizon collapsed below {DT_MIN}*{samples}", horizon, halvings
                 ) from None
         else:
             result.halvings = halvings
@@ -272,13 +273,13 @@ def windowed_increment(window: ScalarField, family: MetricFamily, t) -> SymTenso
 
 
 def solve_family(frame: ImmersionFrame, family: MetricFamily, window: ScalarField,
-                 cutoff=None, config: IterationConfig = None, dt_min=1e-3) -> FamilySolution:
+                 cutoff=None, config: IterationConfig = None) -> FamilySolution:
     """Per-sample independent fixed-point solves with adaptive horizon.
 
     frame is the chart's frame on the family's grid, and window (see
     chart_window) shapes the increment.  Returns a FamilySolution whose
     residuals come from the fourth-order oracle; raises HorizonCollapse
-    when halving drops the horizon below dt_min times the sample count.
+    when halving drops the horizon below DT_MIN times the sample count.
     """
     g = family.grid
     w = _window_field(window, g)
@@ -302,7 +303,7 @@ def solve_family(frame: ImmersionFrame, family: MetricFamily, window: ScalarFiel
             residuals[k], _ = isometry_residual(F, frame.F0, f)
         return FamilySolution(ts, us, traces, residuals, float(ts[-1]))
 
-    return adaptive_horizon(run_pass, family.horizon, family.samples, dt_min)
+    return adaptive_horizon(run_pass, family.horizon, family.samples)
 
 
 def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,

@@ -66,8 +66,9 @@ class PoissonSolver:
             arm = {}
             nbr = {}
             for key, (di, dj) in (("e", (1, 0)), ("w", (-1, 0)), ("n", (0, 1)), ("s", (0, -1))):
-                other = g._node_id.get((i + di, j + dj))
-                if other is not None:
+                # an interior node's lattice neighbours are on the lattice
+                other = g.node_index[i + di, j + dj]
+                if other >= 0:
                     arm[key] = 1.0
                     nbr[key] = other
                 else:
@@ -142,11 +143,7 @@ class PoissonSolver:
 
 
 def _solver_for(grid: Grid) -> PoissonSolver:
-    solver = getattr(grid, "_poisson_solver", None)
-    if solver is None:
-        solver = PoissonSolver(grid)
-        grid._poisson_solver = solver
-    return solver
+    return grid.cached("poisson_solver", lambda: PoissonSolver(grid))
 
 
 def solve_dirichlet(f: ScalarField) -> DirichletSolution:

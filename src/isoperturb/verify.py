@@ -10,7 +10,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .grid import Grid, SymTensorField, VecField, sym_indices
 
@@ -34,57 +33,30 @@ def _window_weights(offsets, order):
     return weights
 
 
-def _segment_rows(ids, h, order, window):
-    """(row, col, val) triplets for one contiguous segment of nodes."""
+def _segment_rows(ids, h, order):
+    """(rows, cols, vals) of the fourth-order derivative along one contiguous
+    segment of nodes: Grid.stencil_operator's segment for the oracle."""
+    rows, cols, vals = [], [], []
     k = len(ids)
-    out = []
-    if k == 1:
-        return out
-    w = min(window, k)
+    w = min(_D1_WINDOW if order == 1 else _D2_WINDOW, k)
     if w <= order:
-        return out
+        return rows, cols, vals
     for r in range(k):
         lo = min(max(r - w // 2, 0), k - w)
         offs = np.arange(lo, lo + w) - r
-        wts = _window_weights(tuple(offs.tolist()), order) / h**order
-        for o, c in zip(offs, wts):
-            out.append((ids[r], ids[r + o], c))
-    return out
-
-
-def _axis_matrix(grid: Grid, axis: int, order: int):
-    cache = getattr(grid, "_oracle_ops", None)
-    if cache is None:
-        cache = grid._oracle_ops = {}
-    key = (axis, order)
-    if key in cache:
-        return cache[key]
-    window = _D1_WINDOW if order == 1 else _D2_WINDOW
-    segments = grid.row_segments if axis == 0 else grid.col_segments
-    rows, cols, vals = [], [], []
-    for seg in segments:
-        for r, c, v in _segment_rows(seg, grid.spacing, order, window):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    m = csr_matrix((vals, (rows, cols)), shape=(grid.num_nodes, grid.num_nodes))
-    cache[key] = m
-    return m
+        rows += [ids[r]] * w
+        cols += list(ids[r + offs])
+        vals += list(_window_weights(tuple(offs.tolist()), order) / h**order)
+    return rows, cols, vals
 
 
 def oracle_derivative_matrix(grid: Grid, s):
     """Fourth-order derivative operator for multi-index s (|s| <= 2)."""
     if len(s) != grid.dim or any(k < 0 for k in s) or sum(s) > 2:
         raise ValueError(f"oracle supports multi-indices up to order 2, got {s}")
-    op = None
-    for ax, k in enumerate(s):
-        if k == 0:
-            continue
-        m = _axis_matrix(grid, ax, k)
-        op = m if op is None else op @ m
-    if op is None:
+    if sum(s) == 0:
         raise ValueError("oracle derivative order must be at least 1")
-    return op
+    return grid.stencil_operator(_segment_rows, tuple(int(k) for k in s))
 
 
 def oracle_gradients(F: VecField):

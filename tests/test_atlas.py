@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from isoperturb import atlas as atlas_module
 from isoperturb import embeddings
+from isoperturb import family as family_module
 from isoperturb.atlas import (
     Atlas,
     GlobalSolution,
@@ -454,13 +455,14 @@ def test_glue_halves_horizon_for_large_families():
     assert max(solution_residuals(sol)) <= 1e-3
 
 
-def test_glue_horizon_collapse():
+def test_glue_horizon_collapse(monkeypatch):
+    monkeypatch.setattr(family_module, "DT_MIN", 0.4)
     atlas = build_atlas("circle", 2)
     fam = build_manifold_family("circle-breathing", "circle", beta=2.0,
                                 horizon=1.0, samples=1)
     with pytest.raises(HorizonCollapse) as exc:
         glue_solve(fam, atlas, chart_resolution=201,
-                   mesh=128, config=SMOKE_CFG, dt_min=0.4)
+                   mesh=128, config=SMOKE_CFG)
     assert exc.value.horizon == 0.25
     # both failed passes are on record, each at its own largest t
     assert [(h.horizon, h.t, h.stage) for h in exc.value.halvings] == [

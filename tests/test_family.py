@@ -275,17 +275,19 @@ def test_samples_are_solved_from_the_largest_t(monkeypatch):
     assert sol.halvings == []
 
 
-def test_horizon_collapse():
+def test_horizon_collapse(monkeypatch):
+    monkeypatch.setattr(family_module, "DT_MIN", 0.04)
     g = make_grid(1, 201)
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=8, beta=10.0, bump_radius=0.4)
     with pytest.raises(HorizonCollapse) as exc:
         solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
-                     cutoff=Cutoff(g, 0.8, 0.95), config=CFG, dt_min=0.04)
+                     cutoff=Cutoff(g, 0.8, 0.95), config=CFG)
     assert exc.value.horizon == 0.25  # one halving allowed before 0.04*8
 
 
-def test_adaptive_horizon_exhausts_after_the_cap():
+def test_adaptive_horizon_exhausts_after_the_cap(monkeypatch):
+    monkeypatch.setattr(family_module, "DT_MIN", 0.0)
     seen = []
 
     def never_converges(ts):
@@ -293,7 +295,7 @@ def test_adaptive_horizon_exhausts_after_the_cap():
         raise StalledIteration("stalled")
 
     with pytest.raises(HorizonCollapse, match="exhausted") as exc:
-        adaptive_horizon(never_converges, 0.5, 4, dt_min=0.0)
+        adaptive_horizon(never_converges, 0.5, 4)
     assert len(seen) == MAX_HALVINGS
     assert len(exc.value.halvings) == MAX_HALVINGS
     assert all(len(ts) == 5 for ts in seen)  # sample count is preserved

@@ -20,6 +20,7 @@ from isoperturb.grid import (
     monitor_recurrence,
     random_waves,
 )
+from isoperturb.verify import oracle_derivative_matrix
 
 
 def brute_c0alpha(coords, vals, alpha):
@@ -102,6 +103,17 @@ def test_2d_segments_are_contiguous_and_consistent():
         total += len(seg)
     assert total == g.num_nodes
     assert sum(len(s) for s in g.col_segments) == g.num_nodes
+
+
+@pytest.mark.parametrize("dim, N", [(1, 17), (1, 40), (2, 17), (2, 24), (2, 33)])
+def test_node_index_inverts_lattice_index(dim, N):
+    g = make_grid(dim, N)
+    assert g.node_index.shape == (N,) * dim
+    nodes = tuple(g.lattice_index.T)
+    assert np.array_equal(g.node_index[nodes], np.arange(g.num_nodes))
+    off = np.ones(g.node_index.shape, dtype=bool)
+    off[nodes] = False
+    assert np.all(g.node_index[off] == -1)
 
 
 def test_to_lattice_roundtrip():
@@ -193,6 +205,10 @@ def test_laplacian_matches_sum_of_second_derivatives():
     # exactly the summed operator that the correction operators apply
     op = g.derivative_matrix((2, 0)) + g.derivative_matrix((0, 2))
     assert np.max(np.abs(lap.values - op @ f.values)) == 0.0
+    assert np.array_equal(laplacian(f).values, lap.values)  # from the grid's cache
+    g1 = make_grid(1, 33)
+    f1 = ScalarField(g1, np.sin(3.0 * g1.coords[:, 0]))
+    assert np.array_equal(laplacian(f1).values, g1.derivative_matrix((2,)) @ f1.values)
     # and the sum of the two second derivatives up to the order of addition
     ref = derivative(f, (2, 0)).values + derivative(f, (0, 2)).values
     assert np.max(np.abs(lap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -200,6 +216,42 @@ def test_laplacian_matches_sum_of_second_derivatives():
 
 # ---------------------------------------------------------------------------
 # Hoelder norms
+
+
+@pytest.mark.parametrize("oracle_first", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_oracle_and_solver_operators_stay_apart(dim, oracle_first):
+    indices = [(1,), (2,)] if dim == 1 else [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+    def build(g, family, s):
+        return oracle_derivative_matrix(g, s) if family == "oracle" else g.derivative_matrix(s)
+
+    order = ("oracle", "solver") if oracle_first else ("solver", "oracle")
+    g = make_grid(dim, 33)
+    for s in indices:
+        ops = {family: build(g, family, s) for family in order}
+        assert (ops["oracle"] != ops["solver"]).nnz > 0
+        for family, op in ops.items():
+            ref = build(make_grid(dim, 33), family, s)  # a fresh grid, one family only
+            assert np.array_equal(op.indptr, ref.indptr)
+            assert np.array_equal(op.indices, ref.indices)
+            assert np.array_equal(op.data, ref.data)
+            assert build(g, family, s) is op  # repeated calls share one object
+
+
+def test_grid_cache_builds_each_key_once():
+    g = make_grid(1, 17)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return object()
+
+    first = g.cached("probe", build)
+    assert g.cached("probe", build) is first
+    assert len(calls) == 1
+    assert g.derivative_matrix((0,)) is g.derivative_matrix((0,))
+    assert np.array_equal(g.derivative_matrix((0,)).toarray(), np.eye(17))  # s = 0 is the identity
 
 
 def test_holder_norm_of_coordinate_is_one_plus_sqrt2():

@@ -132,3 +132,27 @@ def test_every_stored_value_is_read_outside_the_tests():
     unread = [f"{module}:{line} {name}" for (module, name), line in sorted(_stored().items())
               if name.split(".")[1] not in loads]
     assert not unread, "stored but read only by tests: " + ", ".join(unread)
+
+
+def test_verify_imports_no_scipy():
+    """The oracle builds its operators through the grid, not scipy itself."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_only_grid_stores_state_on_a_grid():
+    """Everything cached per grid lives in Grid.cached, not in attributes
+    that other modules attach to a Grid (named `grid` or `g` by convention)."""
+    stores = []
+    for top in CALLER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            if path == PACKAGE / "grid.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id in ("grid", "g")):
+                    stores.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not stores, "attributes stored on a grid outside grid.py: " + ", ".join(stores)
