@@ -3,10 +3,20 @@
 A chart is the unit ball B_1(0) in R^n (n = 1 or 2) sampled on a uniform
 Cartesian lattice of spacing h = 2/(N-1).  For n = 1 the nodes are the N
 points of [-1, 1]; for n = 2 they are the lattice points inside the closed
-unit disk (rows and columns are contiguous segments by convexity).  All
-derivatives are 2nd-order stencils assembled once into cached sparse
-matrices.  Hoelder seminorms are exact: the maximum of
+unit disk (each lattice row and column meets it in one contiguous line of
+nodes, by convexity).  Hoelder seminorms are exact: the maximum of
 |v(x)-v(y)| / |x-y|^alpha over all pairs of distinct nodes.
+
+Every derivative weight in the package follows one rule: a node r of a
+lattice line of k nodes reads the window of `width` nodes that starts at
+clip(r - width//2, 0, k - width), with the exact weights of window_weights
+(divided by h or h*h).  Zero weights are left out, and a line shorter than
+the window gets no rows; on the disk those are only the one-node pole lines.
+A stencil family is its two widths, for orders 1 and 2: SOLVER_WIDTHS =
+(3, 4) gives the solver's 2nd-order stencils, central inside a line and
+one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
+4th-order ones.  Grid.stencil_operator composes a family's per-axis
+operators into the operator of any multi-index and caches both.
 
 The seminorm sweeps the lattice offsets shortest first and skips only the
 offsets that two bounds rule out, so its result is the all-pairs maximum
@@ -37,7 +47,8 @@ kept in the grid's one cache, Grid.cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,61 +96,30 @@ def sym_indices(dim):
 # ---------------------------------------------------------------------------
 # stencil assembly
 
+# (order-1, order-2) window widths of the solver's stencils: 2nd-order
+# central inside a line, 2nd-order one-sided at its ends
+SOLVER_WIDTHS = (3, 4)
 
-def _segment_triplets(ids, h, order):
-    """COO triplets for a 1-d derivative along one contiguous segment.
 
-    2nd-order central stencils inside, 2nd-order one-sided at the segment
-    ends.  Segments shorter than the stencil width degrade: length 2 uses a
-    first-order difference (order 1) or zeros (order 2); length 1 is zero.
+@lru_cache(maxsize=None)
+def window_weights(offsets, order):
+    """Exact weights of the order-th derivative at 0 on integer offsets.
+
+    offsets is a tuple.  The weight of o_j is order! times the x^order
+    coefficient of prod_{i != j} (x - o_i), over prod_{i != j} (o_j - o_i):
+    the derivative of the Lagrange basis polynomial of o_j, so the stencil
+    is exact on polynomials of degree < len(offsets).  Both parts are Python
+    integers, and one true division rounds each weight correctly.
     """
-    rows, cols, vals = [], [], []
-    k = len(ids)
-
-    def put(r, c, v):
-        rows.append(ids[r])
-        cols.append(ids[c])
-        vals.append(v)
-
-    if order == 1:
-        if k == 1:
-            return rows, cols, vals
-        if k == 2:
-            for r in (0, 1):
-                put(r, 0, -1.0 / h)
-                put(r, 1, 1.0 / h)
-            return rows, cols, vals
-        put(0, 0, -1.5 / h)
-        put(0, 1, 2.0 / h)
-        put(0, 2, -0.5 / h)
-        for r in range(1, k - 1):
-            put(r, r - 1, -0.5 / h)
-            put(r, r + 1, 0.5 / h)
-        put(k - 1, k - 3, 0.5 / h)
-        put(k - 1, k - 2, -2.0 / h)
-        put(k - 1, k - 1, 1.5 / h)
-        return rows, cols, vals
-
-    if order == 2:
-        h2 = h * h
-        if k <= 2:
-            return rows, cols, vals
-        if k == 3:
-            for r in range(3):
-                put(r, 0, 1.0 / h2)
-                put(r, 1, -2.0 / h2)
-                put(r, 2, 1.0 / h2)
-            return rows, cols, vals
-        for r, step in ((0, 1), (k - 1, -1)):
-            for off, coeff in zip((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)):
-                put(r, r + step * off, coeff / h2)
-        for r in range(1, k - 1):
-            put(r, r - 1, 1.0 / h2)
-            put(r, r, -2.0 / h2)
-            put(r, r + 1, 1.0 / h2)
-        return rows, cols, vals
-
-    raise ValueError(f"unsupported stencil order {order}")
+    weights = []
+    for j, oj in enumerate(offsets):
+        poly, den = [1], 1  # coefficients of prod (x - o_i), lowest degree first
+        for i, oi in enumerate(offsets):
+            if i != j:
+                poly = [b - oi * a for a, b in zip(poly + [0], [0] + poly)]
+                den *= oj - oi
+        weights.append(factorial(order) * poly[order] / den)
+    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +177,6 @@ class Grid:
             self.lattice_index = np.arange(N)[:, None]
             self.node_index = np.arange(N)
             self.interior_mask = np.abs(axis) < 1.0 - _EDGE_TOL
-            self.row_segments = [self.node_index]
-            self.col_segments = []
             return
 
         sq = axis * axis
@@ -212,9 +190,6 @@ class Grid:
         self.node_index[ii, jj] = np.arange(self.num_nodes)
         r = np.sqrt((self.coords**2).sum(axis=1))
         self.interior_mask = r < 1.0 - _EDGE_TOL
-        # rows and columns are contiguous segments by convexity
-        self.row_segments = [ids[ids >= 0] for ids in self.node_index.T if ids.max() >= 0]
-        self.col_segments = [ids[ids >= 0] for ids in self.node_index if ids.max() >= 0]
 
     # -- derivative operators ----------------------------------------------
 
@@ -225,38 +200,60 @@ class Grid:
             raise ValueError(f"multi-index s={s} has wrong length for dim={self.dim}")
         if any(k < 0 for k in s) or sum(s) > _MAX_ORDER:
             raise ValueError(f"unsupported derivative order s={s}; need 0 <= |s| <= {_MAX_ORDER}")
-        return self.stencil_operator(_segment_triplets, s)
+        return self.stencil_operator(SOLVER_WIDTHS, s)
 
-    def stencil_operator(self, segment, s):
+    def stencil_operator(self, widths, s):
         """Cached operator of the multi-index s in one stencil family.
 
-        segment(ids, h, order) gives the (rows, cols, vals) triplets of an
-        order-1 or order-2 derivative along one contiguous segment of node
-        ids; the solver's family is _segment_triplets, the oracle's is
-        verify._segment_rows.  Within an axis the order-2 blocks come first;
-        across axes, higher axes are applied first.  s = 0 is the identity.
+        A family is its window widths (order-1, order-2): SOLVER_WIDTHS for
+        the solver, verify.ORACLE_WIDTHS for the oracle.  Within an axis
+        the order-2 blocks come first; across axes, higher axes are applied
+        first.  s = 0 is the identity.
         """
         def compose():
             op = None
             for axis, k in enumerate(s):
                 while k > 0:
                     step = 2 if k >= 2 else 1
-                    m = self.cached((segment, axis, step), lambda: self._assemble(segment, axis, step))
+                    width = widths[step - 1]
+                    m = self.cached((widths, axis, step), lambda: self._assemble(width, axis, step))
                     op = m if op is None else op @ m
                     k -= step
             return sp.identity(self.num_nodes, format="csr") if op is None else op
 
-        return self.cached((segment, s), compose)
+        return self.cached((widths, s), compose)
 
-    def _assemble(self, segment, axis, order):
-        """CSR of segment's order-derivative along axis, over every segment."""
+    def _assemble(self, width, axis, order):
+        """CSR of the order-derivative along axis on windows of width nodes.
+
+        Node r of a lattice line of k nodes reads the width nodes from
+        clip(r - width//2, 0, k - width) on, with window_weights; zero
+        weights are left out, and a line shorter than width gets no rows.
+        The nodes are grouped by their window's first offset (at most width
+        groups), and each weight of each group is placed as one array block.
+        """
+        at = self.lattice_index
+        on = self.node_index >= 0
+        line = tuple(np.delete(at, axis, axis=1).T)  # the node's line, by its other coordinates
+        length = on.sum(axis=axis)[line]
+        pos = at[:, axis] - on.argmax(axis=axis)[line]
+        live = length >= width
+        first = np.clip(pos - width // 2, 0, length - width) - pos
+        scale = self.spacing if order == 1 else self.spacing * self.spacing
         rows, cols, vals = [], [], []
-        for seg in self.row_segments if axis == 0 else self.col_segments:
-            r, c, v = segment(seg, self.spacing, order)
-            rows += r
-            cols += c
-            vals += v
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.num_nodes, self.num_nodes)).tocsr()
+        for lo in np.unique(first[live]).tolist():
+            nodes = np.flatnonzero(live & (first == lo))
+            offsets = tuple(range(lo, lo + width))
+            for off, w in zip(offsets, window_weights(offsets, order)):
+                if w:
+                    target = at[nodes]
+                    target[:, axis] += off
+                    rows.append(nodes)
+                    cols.append(self.node_index[tuple(target.T)])
+                    vals.append(np.full(len(nodes), w / scale))
+        n = self.num_nodes
+        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        return sp.coo_matrix(data, shape=(n, n)).tocsr()
 
     # -- Hoelder seminorm ---------------------------------------------------
 

@@ -58,43 +58,38 @@ class PoissonSolver:
         h = g.spacing
         unknown = np.where(g.interior_mask)[0]
         self._interior = unknown
-        col_of = {int(n): k for k, n in enumerate(unknown)}
+        m = len(unknown)
+        col_of = np.full(g.num_nodes, -1)
+        col_of[unknown] = np.arange(m)
+        i, j = g.lattice_index[unknown].T
+        x, y = g.coords[unknown].T
+        k = np.arange(m)
+        h2 = h * h
         rows, cols, vals = [], [], []
-        for k, node in enumerate(unknown):
-            i, j = g.lattice_index[node]
-            x, y = g.coords[node]
-            arm = {}
-            nbr = {}
-            for key, (di, dj) in (("e", (1, 0)), ("w", (-1, 0)), ("n", (0, 1)), ("s", (0, -1))):
+        for pair in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
+            arms = []
+            for di, dj in pair:
                 # an interior node's lattice neighbours are on the lattice
                 other = g.node_index[i + di, j + dj]
-                if other >= 0:
-                    arm[key] = 1.0
-                    nbr[key] = other
+                # an arm cut by the circle: fraction of h inside the disk
+                if di != 0:
+                    cross = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - y * y)), di)
+                    theta = (cross - x) / (di * h)
                 else:
-                    # arm cut by the circle: fraction of h inside the disk
-                    if di != 0:
-                        cross = np.copysign(np.sqrt(max(0.0, 1.0 - y * y)), di)
-                        theta = (cross - x) / (di * h)
-                    else:
-                        cross = np.copysign(np.sqrt(max(0.0, 1.0 - x * x)), dj)
-                        theta = (cross - y) / (dj * h)
-                    arm[key] = max(float(theta), _MIN_ARM)
-                    nbr[key] = None
-            h2 = h * h
-            for a, b in (("e", "w"), ("n", "s")):
-                ta, tb = arm[a], arm[b]
-                rows.append(k)
-                cols.append(k)
-                vals.append(-2.0 / (ta * tb * h2))
-                for key, t in ((a, ta), (b, tb)):
-                    other = nbr[key]
-                    if other is not None and g.interior_mask[other]:
-                        rows.append(k)
-                        cols.append(col_of[int(other)])
-                        vals.append(2.0 / (t * (ta + tb) * h2))
-                    # lattice boundary nodes and circle crossings carry u = 0
-        m = len(unknown)
+                    cross = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - x * x)), dj)
+                    theta = (cross - y) / (dj * h)
+                arms.append((other, np.where(other >= 0, 1.0, np.maximum(theta, _MIN_ARM))))
+            ta, tb = arms[0][1], arms[1][1]
+            rows.append(k)
+            cols.append(k)
+            vals.append(-2.0 / (ta * tb * h2))
+            for other, t in arms:
+                # lattice boundary nodes and circle crossings carry u = 0
+                inner = (other >= 0) & g.interior_mask[other]
+                rows.append(k[inner])
+                cols.append(col_of[other[inner]])
+                vals.append((2.0 / (t * (ta + tb) * h2))[inner])
+        rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
         self._matrix = csr_matrix((vals, (rows, cols)), shape=(m, m))
         self._lu = splu(self._matrix.tocsc())
 

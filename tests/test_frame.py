@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.frame import NotFreeError, apply_frame, build_frame
-from isoperturb import verify as verify_module
-from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
+from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid, window_weights
 from isoperturb.verify import (
+    ORACLE_WIDTHS,
     isometry_residual,
     oracle_derivative_matrix,
     periodic_derivative,
@@ -43,24 +44,39 @@ def test_oracle_fourth_order_convergence():
     assert 10.0 < ratio < 24.0  # ~16 for a fourth-order method
 
 
-def test_oracle_assembly_solves_each_window_once(monkeypatch):
-    # an interval has 5 distinct first-derivative windows (the centred one
-    # and two one-sided ones at each end) and 6 second-derivative ones
-    verify_module._window_weights.cache_clear()
-    g = make_grid(1, 3201)
-    cached = [oracle_derivative_matrix(g, (k,)) for k in (1, 2)]
-    info = verify_module._window_weights.cache_info()
-    assert info.misses == 11
-    assert info.hits + info.misses == 2 * g.num_nodes
-    # the stencils are bit-identical to one Vandermonde solve per node
-    monkeypatch.setattr(verify_module, "_window_weights",
-                        verify_module._window_weights.__wrapped__)
-    fresh = make_grid(1, 3201)
-    for k, m in zip((1, 2), cached):
-        ref = oracle_derivative_matrix(fresh, (k,))
-        assert np.array_equal(m.indptr, ref.indptr)
-        assert np.array_equal(m.indices, ref.indices)
-        assert np.array_equal(m.data, ref.data)
+def _oracle_rows(g, axis, order):
+    """The oracle's operator built one node at a time: each row reads the
+    node's clamped window on its lattice line, zero weights left out."""
+    width = ORACLE_WIDTHS[order - 1]
+    scale = g.spacing if order == 1 else g.spacing * g.spacing
+    rows, cols, vals = [], [], []
+    for n, at in enumerate(g.lattice_index):
+        through = list(at)
+        through[axis] = slice(None)
+        line = g.node_index[tuple(through)]
+        start = int(np.argmax(line >= 0))
+        k, r = int(np.sum(line >= 0)), int(at[axis]) - start
+        if k < width:
+            continue
+        lo = min(max(r - width // 2, 0), k - width)
+        for q, w in enumerate(window_weights(tuple(range(lo - r, lo - r + width)), order)):
+            if w:
+                rows.append(n)
+                cols.append(line[start + lo + q])
+                vals.append(w / scale)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr()
+
+
+@pytest.mark.parametrize("dim, N", [(1, 3201), (2, 25)])
+def test_oracle_rows_match_a_per_row_reference(dim, N):
+    g = make_grid(dim, N)
+    for axis in range(dim):
+        for order in (1, 2):
+            s = tuple(order if a == axis else 0 for a in range(dim))
+            op, ref = oracle_derivative_matrix(g, s), _oracle_rows(g, axis, order)
+            assert np.array_equal(op.indptr, ref.indptr), s
+            assert np.array_equal(op.indices, ref.indices), s
+            assert np.array_equal(op.data, ref.data), s
 
 
 def test_oracle_rejects_high_order():
@@ -77,6 +93,20 @@ def test_periodic_derivative_fourth_order():
         d = periodic_derivative(np.sin(th), h, 1)
         errs.append(np.max(np.abs(d - np.cos(th))))
     assert 10.0 < errs[0] / errs[1] < 24.0
+
+
+@pytest.mark.parametrize("order, literal", [(1, [1.0, -8.0, 0.0, 8.0, -1.0]),
+                                            (2, [-1.0, 16.0, -30.0, 16.0, -1.0])])
+def test_periodic_weights_are_the_literal_five_point_stencils(order, literal):
+    weights = np.array(literal) / 12.0
+    assert np.array_equal(window_weights(tuple(range(-2, 3)), order), weights)
+    vals = np.random.default_rng(order).standard_normal((64, 3))
+    h = 2.0 * np.pi / 64
+    ref = np.zeros_like(vals)
+    for c, o in zip(weights, range(-2, 3)):
+        ref += c * np.roll(vals, -o, axis=0)
+    ref /= h if order == 1 else h * h
+    assert np.array_equal(periodic_derivative(vals, h, order), ref)
 
 
 def test_isometry_residual_frozen_scaling_example():

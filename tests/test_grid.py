@@ -1,13 +1,16 @@
 """Grid, stencil, and Hoelder-norm tests (with independent in-test oracles)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from isoperturb.grid import (
     _SWEEP_BLOCK,
+    SOLVER_WIDTHS,
     ScalarField,
     VecField,
     check_inequalities,
@@ -19,8 +22,9 @@ from isoperturb.grid import (
     make_grid,
     monitor_recurrence,
     random_waves,
+    window_weights,
 )
-from isoperturb.verify import oracle_derivative_matrix
+from isoperturb.verify import ORACLE_WIDTHS, oracle_derivative_matrix
 
 
 def brute_c0alpha(coords, vals, alpha):
@@ -95,14 +99,18 @@ def test_make_grid_validation_errors_name_the_field():
         make_grid(1, 10)
 
 
-def test_2d_segments_are_contiguous_and_consistent():
-    g = make_grid(2, 33)
-    total = 0
-    for seg in g.row_segments:
-        assert np.all(np.diff(seg) == 1)  # row nodes are contiguous ids
-        total += len(seg)
-    assert total == g.num_nodes
-    assert sum(len(s) for s in g.col_segments) == g.num_nodes
+def test_lattice_lines_are_contiguous_and_outlast_every_window():
+    # a line shorter than a stencil window gets no rows, so on every disk
+    # grid a line is either a one-node pole line or wider than any window
+    widest = max(SOLVER_WIDTHS + ORACLE_WIDTHS)
+    for N in range(17, 65):
+        g = make_grid(2, N)
+        for axis in (0, 1):
+            on = np.moveaxis(g.node_index, axis, -1) >= 0  # one lattice line per row
+            for line in on[on.any(axis=1)]:
+                run = np.flatnonzero(line)
+                assert np.all(np.diff(run) == 1), (N, axis)
+                assert len(run) == 1 or len(run) > widest, (N, axis, len(run))
 
 
 @pytest.mark.parametrize("dim, N", [(1, 17), (1, 40), (2, 17), (2, 24), (2, 33)])
@@ -134,6 +142,116 @@ def test_to_lattice_roundtrip():
 
 # ---------------------------------------------------------------------------
 # derivatives
+
+
+def _fraction_weights(offsets, order):
+    """Exact weights by Gaussian elimination in Fractions on the moment
+    equations sum_j w_j o_j^p = order! [p == order], p < len(offsets)."""
+    k = len(offsets)
+    a = [[Fraction(o) ** p for o in offsets] + [Fraction(math.factorial(order) if p == order else 0)]
+         for p in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(k):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [a[r][k] / a[r][r] for r in range(k)]
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_window_weights_are_the_correctly_rounded_exact_weights(width):
+    for order in (1, 2):
+        if order >= width:
+            continue
+        for first in range(1 - width, 1):  # every window of this width that holds 0
+            offsets = tuple(range(first, first + width))
+            exact = _fraction_weights(offsets, order)
+            assert window_weights(offsets, order) == tuple(float(w) for w in exact), offsets
+
+
+def _segment_triplets(ids, h, order):
+    """The hand-written 2nd-order solver stencils along one segment of ids,
+    as the solver assembled them before window_weights."""
+    rows, cols, vals = [], [], []
+    k = len(ids)
+
+    def put(r, c, v):
+        rows.append(ids[r])
+        cols.append(ids[c])
+        vals.append(v)
+
+    if order == 1:
+        if k == 1:
+            return rows, cols, vals
+        if k == 2:
+            for r in (0, 1):
+                put(r, 0, -1.0 / h)
+                put(r, 1, 1.0 / h)
+            return rows, cols, vals
+        put(0, 0, -1.5 / h)
+        put(0, 1, 2.0 / h)
+        put(0, 2, -0.5 / h)
+        for r in range(1, k - 1):
+            put(r, r - 1, -0.5 / h)
+            put(r, r + 1, 0.5 / h)
+        put(k - 1, k - 3, 0.5 / h)
+        put(k - 1, k - 2, -2.0 / h)
+        put(k - 1, k - 1, 1.5 / h)
+        return rows, cols, vals
+
+    h2 = h * h
+    if k <= 2:
+        return rows, cols, vals
+    if k == 3:
+        for r in range(3):
+            put(r, 0, 1.0 / h2)
+            put(r, 1, -2.0 / h2)
+            put(r, 2, 1.0 / h2)
+        return rows, cols, vals
+    for r, step in ((0, 1), (k - 1, -1)):
+        for off, coeff in zip((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)):
+            put(r, r + step * off, coeff / h2)
+    for r in range(1, k - 1):
+        put(r, r - 1, 1.0 / h2)
+        put(r, r, -2.0 / h2)
+        put(r, r + 1, 1.0 / h2)
+    return rows, cols, vals
+
+
+def _segment_operator(g, s):
+    """derivative_matrix(s) from _segment_triplets, one segment at a time."""
+    op = None
+    for axis, k in enumerate(s):
+        lines = [g.node_index] if g.dim == 1 else (g.node_index.T if axis == 0 else g.node_index)
+        while k > 0:
+            step = 2 if k >= 2 else 1
+            rows, cols, vals = [], [], []
+            for ids in lines:
+                if ids.max() < 0:
+                    continue  # a lattice line that misses the disk
+                r, c, v = _segment_triplets(ids[ids >= 0], g.spacing, step)
+                rows += r
+                cols += c
+                vals += v
+            m = sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr()
+            op = m if op is None else op @ m
+            k -= step
+    return sp.identity(g.num_nodes, format="csr") if op is None else op
+
+
+@pytest.mark.parametrize("dim, N", [(1, 17), (1, 201), (1, 2948), (2, 17), (2, 18), (2, 25)])
+def test_solver_stencils_are_the_hand_written_ones(dim, N):
+    # at N = 2948, h**2 != h*h, so dividing by h**2 would move the order-2 data
+    g = make_grid(dim, N)
+    for s in np.ndindex(*(5,) * dim):
+        if sum(s) > 4:
+            continue
+        op, ref = g.derivative_matrix(s), _segment_operator(g, s)
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(op, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, part)
 
 
 def test_d1_exact_on_quadratic_everywhere():

@@ -24,11 +24,11 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # _tree_sha256 of the output directory of each configs/<name>.yaml
 ARTIFACT_SHA256 = {
-    "breathing_chart": "e3057e5bbb97b47554342e969b506a6eb5b9bcd59f76f192a427851cf02175ab",
+    "breathing_chart": "c26e5e66b3479246de2056d317fc109773ffe7f12ec8beb35d0a64edb0dc6694",
     "check_free": "2068d05a7f5110cc565f3a9fa14bf1607f6e48d603fe7972993c52b0d4d9dfcf",
-    "circle_glue": "d3aaf4bf47b369d2d91f0c311f6e4545148635624f57f55089d164805ea9f2fa",
+    "circle_glue": "31d65b0187cb4bb841468748b50e26ab5d52aa65375a79d11f7ede6dabcb2870",
     "local_bump": "2e127bc8d9504b17ccad7e1c3ddac7bae3764b7b841ac41fb877fde5d8eb3641",
-    "torus_smoke": "89d05b1b7418be5c20fd910c2b90b8f426f541a19fa7b6c6285fd2765c20786c",
+    "torus_smoke": "9eef1a6898b21c8dba0f38337085d478c77063b00d234fba43068efa7fb5004c",
     "verify_appendix": "4ce5539c239ef4c91464ab1226e262ac9f72c8763e7b6831e6892d95fa02dafe",
 }
 
