@@ -300,7 +300,31 @@ def load_scenario(path) -> Scenario:
         line = mark.line + 1 if mark is not None else None
         where = f" (line {line})" if line is not None else ""
         raise ScenarioError(f"YAML syntax error{where}: {exc}", line=line)
-    return parse_scenario(raw)
+    scenario = parse_scenario(raw)
+    _import_for(scenario)
+    return scenario
+
+
+def _import_for(sc):
+    """Import the subpackages sc's run will call that no package module
+    imports, so that they load with the scenario and not in the middle of
+    a solve.
+
+    solve-global moves values through splines (scipy.linalg), and a
+    Dirichlet solve on a 2-d grid factorizes with scipy.sparse.linalg: the
+    torus manifold, or a torus chart under solve-local or solve-family.
+    Every other run calls no scipy code and loads none.  verify-appendix
+    draws its corpora from numpy.random, which numpy loads on first use.
+    """
+    if sc.command == "verify-appendix":
+        import numpy.random  # noqa: F401
+    if sc.command == "solve-global":
+        import scipy.linalg  # noqa: F401
+        two_d = sc.manifold == "torus"
+    else:
+        two_d = sc.chart == "torus" and sc.command in ("solve-local", "solve-family")
+    if two_d:
+        import scipy.sparse.linalg  # noqa: F401
 
 
 def scenario_hash(scenario: Scenario) -> str:

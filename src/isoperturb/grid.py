@@ -39,6 +39,26 @@ nodes p and q one of the corners (p_x, q_y), (q_x, p_y) is a node, and both
 legs of the L-path through it are row or column segments.  But there it
 skips only about 8% of the lags, so 2-d sweeps do not use it.
 
+Operators are CSROperator tables (indptr, indices, data), built with numpy
+alone, and every sum in them is taken in one fixed order, the order of
+scipy.sparse's CSR kernels, so each result is bitwise scipy's:
+
+- a per-axis operator is canonical: columns sorted within a row, none
+  repeated;
+- a product A @ B sums each entry from 0.0 over A's row in stored order
+  (then B's row), drops zero sums, and lists a row's columns in reverse
+  order of first touch (csr_matmat), so composed operators are not sorted;
+- a sum A + B of canonical operators merges each row by column and drops
+  zero sums (the canonical csr + csr);
+- A @ x sums each row's terms data[k] * x[indices[k]] from 0.0, left to
+  right in stored order (csr_matvec, and csr_matvecs column by column for
+  x of shape (nodes, q)); a NaN or inf in x reaches only the rows that
+  read it, and a NaN result carries the sign scipy's kernel gives it.
+
+Products and sums are taken once per grid (Grid.cached keeps them); @ runs
+on every solve, over the rows in order of length, one numpy pass per
+stored term.
+
 Everything built from a grid alone (the derivative operators of every
 stencil family, the Laplacian, the sweep lattice, the Dirichlet solver) is
 kept in the grid's one cache, Grid.cached.
@@ -47,11 +67,10 @@ kept in the grid's one cache, Grid.cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 _EDGE_TOL = 1e-12
@@ -91,6 +110,140 @@ class SymTensorField:
 def sym_indices(dim):
     """Lex-ordered (i, j) pairs with i <= j for symmetric tensors."""
     return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+# ---------------------------------------------------------------------------
+# operator tables
+
+
+class CSROperator:
+    """Square sparse operator in compressed sparse row form.
+
+    Row i holds the weights data[indptr[i]:indptr[i+1]] at the columns
+    indices[indptr[i]:indptr[i+1]], in stored order.  A @ x, A @ B and
+    A + B sum in the order the module docstring states.
+    """
+
+    def __init__(self, indptr, indices, data):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self._tiled = {}  # pass-table weights repeated for x of q columns, by q
+
+    def _rows(self):
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def __matmul__(self, other):
+        if isinstance(other, CSROperator):
+            return self._product(other)
+        x = np.asarray(other)
+        order, inverse, cols, weights, passes = self._passes
+        if x.ndim == 2:
+            # a weight per element: numpy broadcasts over a short last axis slowly
+            q = x.shape[1]
+            if q not in self._tiled:
+                self._tiled[q] = np.repeat(weights, q).reshape(-1, q)
+            weights = self._tiled[q]
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = weights * x.take(cols, axis=0)
+            acc = np.zeros(order.shape + x.shape[1:], dtype=terms.dtype)
+            for lo, m in passes:
+                acc[:m] += terms[lo:lo + m]
+            if np.isnan(acc).any():
+                # scipy hands x of one column to csr_matvec, wider x to csr_matvecs
+                acc = _nan_sum(np.zeros_like(acc), terms, passes, x.ndim == 2 and x.shape[1] > 1)
+        return acc.take(inverse, axis=0)
+
+    @cached_property
+    def _passes(self):
+        """The table @ reads: rows by descending length, so that the rows
+        with a k-th stored entry are a prefix of that order.
+
+        Returns (order, inverse, cols, weights, passes): order lists the
+        rows, inverse puts them back, and pass k = (lo, m) adds the k-th
+        terms weights[lo:lo+m] * x[cols[lo:lo+m]] to the first m rows of
+        order.  Every row is summed from 0.0 in stored order, with no
+        padding terms.
+        """
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        passes, at, lo = [], [], 0
+        for k in range(int(lengths.max(initial=0))):
+            m = int(np.count_nonzero(lengths > k))
+            passes.append((lo, m))
+            at.append(self.indptr[order[:m]] + k)
+            lo += m
+        at = np.concatenate(at) if at else np.zeros(0, dtype=np.intp)
+        cols = self.indices[at].astype(np.intp)
+        return order, np.argsort(order), cols, self.data[at], passes
+
+    def _product(self, other):
+        """self @ other, summed and ordered as csr_matmat does."""
+        n = len(self.indptr) - 1
+        counts = np.diff(other.indptr)[self.indices]
+        starts = np.cumsum(counts) - counts
+        # term t pairs self's entry entry[t] with other's entry at[t], in
+        # csr_matmat's order: self's entries as stored, then other's row of each
+        entry = np.repeat(np.arange(len(counts)), counts)
+        at = np.arange(counts.sum()) + np.repeat(other.indptr[self.indices] - starts, counts)
+        rows, cols = self._rows()[entry], other.indices[at]
+        first, sums = _accumulate(rows * n + cols, self.data[entry] * other.data[at])
+        rows, cols = rows[first], cols[first]
+        order = np.lexsort((-first, rows))  # by row, then reverse first touch
+        return _compressed(n, rows[order], cols[order], sums[order])
+
+    def __add__(self, other):
+        """self + other for canonical operands (the per-axis ones), as the
+        canonical csr + csr."""
+        n = len(self.indptr) - 1
+        rows = np.concatenate([self._rows(), other._rows()])
+        cols = np.concatenate([self.indices, other.indices])
+        first, sums = _accumulate(rows * n + cols, np.concatenate([self.data, other.data]))
+        return _compressed(n, rows[first], cols[first], sums)
+
+
+def _nan_sum(acc, terms, passes, last):
+    """Add the passes' terms to the zeros acc, with the NaN scipy's kernel leaves.
+
+    On x86-64, csr_matvec keeps the running sum once it is NaN, and
+    csr_matvecs (last=True) takes every NaN term as the new sum.  Each
+    addition here meets at most one NaN, so numpy's own pick between two
+    NaN operands (its vector body and its scalar tail pick differently)
+    never enters.
+    """
+    for lo, m in passes:
+        a, t = acc[:m], terms[lo:lo + m]
+        keep = np.isnan(t) if last else np.isnan(a)
+        acc[:m] = np.where(keep, t if last else a, a + t)
+    return acc
+
+
+def _accumulate(keys, terms):
+    """Sum terms by key, each sum from 0.0 in the terms' order.
+
+    Returns (first, sums) in ascending key order: first is the position of
+    each key's first term.
+    """
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
+    group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(order)]))
+    rank = np.arange(len(order)) - starts[group]
+    sums = np.zeros(len(starts))
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        sums[group[at]] += terms[order[at]]
+    return order[starts], sums
+
+
+def _compressed(n, rows, cols, vals):
+    """CSROperator of n rows from entries listed row by row; zeros are dropped.
+
+    Indices are int32, as scipy.sparse stores them at these sizes.
+    """
+    keep = vals != 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return CSROperator(indptr, cols[keep].astype(np.int32), vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +347,7 @@ class Grid:
     # -- derivative operators ----------------------------------------------
 
     def derivative_matrix(self, s):
-        """Sparse solver operator for the multi-index s (tuple of per-axis orders)."""
+        """The solver's CSROperator for the multi-index s (tuple of per-axis orders)."""
         s = tuple(int(k) for k in s)
         if len(s) != self.dim:
             raise ValueError(f"multi-index s={s} has wrong length for dim={self.dim}")
@@ -219,18 +372,22 @@ class Grid:
                     m = self.cached((widths, axis, step), lambda: self._assemble(width, axis, step))
                     op = m if op is None else op @ m
                     k -= step
-            return sp.identity(self.num_nodes, format="csr") if op is None else op
+            if op is None:
+                nodes = np.arange(self.num_nodes)
+                return _compressed(self.num_nodes, nodes, nodes, np.ones(self.num_nodes))
+            return op
 
         return self.cached((widths, s), compose)
 
     def _assemble(self, width, axis, order):
-        """CSR of the order-derivative along axis on windows of width nodes.
+        """Canonical operator of the order-derivative along axis on windows of width nodes.
 
         Node r of a lattice line of k nodes reads the width nodes from
         clip(r - width//2, 0, k - width) on, with window_weights; zero
         weights are left out, and a line shorter than width gets no rows.
         The nodes are grouped by their window's first offset (at most width
-        groups), and each weight of each group is placed as one array block.
+        groups), and each weight of each group is placed as one array block;
+        the blocks are then sorted by row and column.
         """
         at = self.lattice_index
         on = self.node_index >= 0
@@ -241,7 +398,7 @@ class Grid:
         first = np.clip(pos - width // 2, 0, length - width) - pos
         scale = self.spacing if order == 1 else self.spacing * self.spacing
         rows, cols, vals = [], [], []
-        for lo in np.unique(first[live]).tolist():
+        for lo in range(1 - width, 1):  # a window's first offset, from the node
             nodes = np.flatnonzero(live & (first == lo))
             offsets = tuple(range(lo, lo + width))
             for off, w in zip(offsets, window_weights(offsets, order)):
@@ -251,9 +408,9 @@ class Grid:
                     rows.append(nodes)
                     cols.append(self.node_index[tuple(target.T)])
                     vals.append(np.full(len(nodes), w / scale))
-        n = self.num_nodes
-        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        return sp.coo_matrix(data, shape=(n, n)).tocsr()
+        rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+        by_row = np.lexsort((cols, rows))  # a row's offsets are distinct: no duplicates
+        return _compressed(self.num_nodes, rows[by_row], cols[by_row], vals[by_row])
 
     # -- Hoelder seminorm ---------------------------------------------------
 
@@ -430,9 +587,10 @@ def holder_norms(fld, orders, alpha):
     Vector and tensor fields are measured as the sum of their component
     norms.  Each seminorm is the exact maximum over all pairs of distinct
     nodes (Grid.quotient_max), and each is taken once: the C^{0,alpha} part
-    of a component is shared by every order.  Every order is summed as if
-    alone: component by component, the C^{0,alpha} part first, then the
-    |s| = m parts in multi_indices order.
+    of a component is shared by every order, and each derivative is applied
+    to all components at once.  Every order is summed as if alone:
+    component by component, the C^{0,alpha} part first, then the |s| = m
+    parts in multi_indices order.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder_norm configuration error: alpha must be in (0,1), got alpha={alpha}")
@@ -442,14 +600,14 @@ def holder_norms(fld, orders, alpha):
     g = fld.grid
     vals = fld.values if fld.values.ndim == 2 else fld.values[:, None]
     totals = dict.fromkeys((int(m) for m in orders), 0.0)
+    derivs = {s: g.derivative_matrix(s) @ vals for m in totals for s in multi_indices(g.dim, m) if m > 0}
     for c in range(vals.shape[1]):
-        comp = vals[:, c]
-        base = _c0alpha(g, comp, alpha)
+        base = _c0alpha(g, vals[:, c], alpha)
         for m in totals:
             totals[m] += base
             if m > 0:
                 for s in multi_indices(g.dim, m):
-                    totals[m] += _c0alpha(g, g.derivative_matrix(s) @ comp, alpha)
+                    totals[m] += _c0alpha(g, derivs[s][:, c], alpha)
     return totals
 
 

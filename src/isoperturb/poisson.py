@@ -8,14 +8,14 @@ with `grid.laplacian` at interior nodes.
 n=1 uses exact double summation of the three-point operator (machine
 precision roundtrip); n=2 assembles unequal-arm five-point stencils at the
 circular boundary and factorizes once per grid (factorization is cached and
-reused across the many solves an iteration makes).
+reused across the many solves an iteration makes).  Only that 2-d assembly
+needs scipy, and it imports scipy.sparse there, so a run without a 2-d
+solve does not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from .grid import Grid, ScalarField, holder_norms, radial_bump
 
@@ -54,6 +54,9 @@ class PoissonSolver:
     # -- construction -------------------------------------------------
 
     def _assemble_disk(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import splu
+
         g = self.grid
         h = g.spacing
         unknown = np.where(g.interior_mask)[0]

@@ -8,10 +8,12 @@ coefficients, and the evaluation of its piecewise polynomial (half-open
 intervals, the last one closed, each cubic summed from its constant term
 up).  Importing scipy's interpolate package for it would also load
 scipy.optimize, special, fft and spatial, which nothing else here uses.
+scipy.linalg is imported by the solves that call it, so a run that builds
+no spline does not load it (config.load_scenario loads it up front for the
+commands that do).
 """
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 
 def cubic_spline(x, y, bc_type="not-a-knot", axis=0):
@@ -77,6 +79,8 @@ def _banded_system(dx, dxr, y, slope):
 
 
 def _not_a_knot_derivatives(x, dx, dxr, y, slope):
+    from scipy.linalg import solve_banded
+
     A, b = _banded_system(dx, dxr, y, slope)
     A[1, 0] = dx[1]
     A[0, 1] = x[2] - x[0]
@@ -94,6 +98,8 @@ def _not_a_knot_derivatives(x, dx, dxr, y, slope):
 def _parabola_derivatives(dx, dxr, y, slope):
     """Three knots: both not-a-knot conditions coincide, so the spline is the
     parabola through them."""
+    from scipy.linalg import solve
+
     A = np.zeros((3, 3))
     b = np.empty((3,) + y.shape[1:])
     A[0, 0] = A[0, 1] = A[2, 1] = A[2, 2] = 1
@@ -112,6 +118,8 @@ def _periodic_derivatives(dx, dxr, y, slope):
     """Knot n-1 is knot 0, so n-1 unknowns in a cyclic system: the (n-2) x
     (n-2) tridiagonal block is solved for the right side and for the corner
     column, and the last unknown follows from the last row."""
+    from scipy.linalg import solve_banded
+
     n = len(dx) + 1
     A, b = _banded_system(dx, dxr, y, slope)
     A = A[:, :-1]

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
-from isoperturb.frame import NotFreeError, apply_frame, build_frame
+from isoperturb.frame import NotFreeError, _median, apply_frame, build_frame
 from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid, window_weights
 from isoperturb.verify import (
     ORACLE_WIDTHS,
@@ -125,6 +125,15 @@ def test_isometry_residual_frozen_scaling_example():
 
 # ---------------------------------------------------------------------------
 # freeness margins (closed-form oracles)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (201, 3), (200, 2)])
+def test_median_is_numpys(shape):
+    # build_frame's freeness threshold reads it; np.median is the reference
+    v = np.random.default_rng(len(shape) + shape[0]).random(shape)
+    assert np.asarray(_median(v)).tobytes() == np.asarray(np.median(v)).tobytes()
+    v.flat[shape[0] // 2] = np.nan
+    assert np.isnan(_median(v)) and np.isnan(np.median(v))
 
 
 def test_parabola_margin_matches_closed_form():

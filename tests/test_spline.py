@@ -1,23 +1,16 @@
-"""The package's cubic spline against scipy's CubicSpline, bit for bit, and
-the import it saves.
+"""The package's cubic spline against scipy's CubicSpline, bit for bit (the
+import it saves is checked in test_imports.py).
 
 scipy.interpolate is imported here only as the reference: spline.cubic_spline
 promises the same doubles, so every comparison is of the raw bits (so -0.0
 and 0.0 differ), not a tolerance.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from isoperturb.spline import cubic_spline
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _bits(a):
@@ -78,16 +71,3 @@ def test_spline_keeps_signed_zeros_and_integer_input():
     for bc in ("not-a-knot", "periodic"):
         _assert_same(x, y, bc, 0, np.linspace(-1.0, 6.0, 29))
     _assert_same(x[:2], y[:2], "not-a-knot", 0, np.array([-1.0, 0.0, 0.5, 1.0, 2.0]))
-
-
-def test_package_imports_leave_out_interpolate_and_optimize():
-    # scipy.interpolate drags in scipy.optimize, special, fft and spatial: a
-    # third of every run's start-up; nothing in the package needs them
-    code = ("import sys, isoperturb.cli, isoperturb.config; "
-            "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
