@@ -95,21 +95,17 @@ def frame_matrix(source, grid: Grid = None):
         F0 = source
         # Nodes in segments too short to carry any stencil (single-node
         # rows/columns at the rim of a disk grid) get structurally empty
-        # operator rows.  Track them from the matrices themselves so the
-        # exclusion can never hide an embedding whose data degenerates.
+        # rows in a per-axis table.  Track them from the tables themselves
+        # so the exclusion can never hide an embedding whose data degenerates.
         dead = np.zeros(g.num_nodes, dtype=bool)
-        d1 = []
-        for ax in range(g.dim):
-            m = oracle_derivative_matrix(g, tuple(1 if a == ax else 0 for a in range(g.dim)))
-            dead |= np.diff(m.indptr) == 0
-            d1.append(m @ F0.values)
-        d2 = {}
-        for i, j in sym_indices(g.dim):
-            s = tuple((i == a) + (j == a) for a in range(g.dim))
+        rows = []
+        firsts = [tuple(int(a == ax) for a in range(g.dim)) for ax in range(g.dim)]
+        seconds = [tuple((i == a) + (j == a) for a in range(g.dim)) for i, j in sym_indices(g.dim)]
+        for s in firsts + seconds:
             m = oracle_derivative_matrix(g, s)
-            dead |= np.diff(m.indptr) == 0
-            d2[(i, j)] = m @ F0.values
-        rows = d1 + [d2[p] for p in sym_indices(g.dim)]
+            for f in m.factors:
+                dead |= np.diff(f.indptr) == 0
+            rows.append(m @ F0.values)
     else:
         if grid is None:
             raise ValueError("frame_matrix: a grid is required when building from a chart")

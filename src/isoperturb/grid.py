@@ -15,8 +15,8 @@ the window gets no rows; on the disk those are only the one-node pole lines.
 A stencil family is its two widths, for orders 1 and 2: SOLVER_WIDTHS =
 (3, 4) gives the solver's 2nd-order stencils, central inside a line and
 one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
-4th-order ones.  Grid.stencil_operator composes a family's per-axis
-operators into the operator of any multi-index and caches both.
+4th-order ones.  Grid.stencil_operator gives the operator of any
+multi-index as its family's per-axis tables and caches both.
 
 The seminorm sweeps the lattice offsets shortest first and skips only the
 offsets that two bounds rule out, so its result is the all-pairs maximum
@@ -39,29 +39,22 @@ nodes p and q one of the corners (p_x, q_y), (q_x, p_y) is a node, and both
 legs of the L-path through it are row or column segments.  But there it
 skips only about 8% of the lags, so 2-d sweeps do not use it.
 
-Operators are CSROperator tables (indptr, indices, data), built with numpy
-alone, and every sum in them is taken in one fixed order, the order of
-scipy.sparse's CSR kernels, so each result is bitwise scipy's:
+Each derivative operator D^s is a Stencil: the per-axis CSROperator
+tables (indptr, indices, data, numpy only) F_1, ..., F_k of its steps,
+applied in turn, D^s x = F_1(F_2(...F_k x)).  The factors are listed axis 0
+first, and within an axis the order-2 steps come before the order-1 step,
+so F_k acts on x first: for s = (3,), D^s x = D_2(D_1 x); for s = (1, 1),
+D_x(D_y x).  s = 0 has no factors and gives x + 0.0.  Each table is the
+canonical CSR of scipy.sparse (columns sorted within a row, none repeated),
+and F @ x sums each row's terms data[k] * x[indices[k]] from 0.0, left to
+right in stored order, as csr_matvec does (and csr_matvecs column by column
+for x of shape (nodes, q)), so every result but a NaN's sign is bitwise
+scipy's; a NaN or inf in x reaches only the rows that read it.  @ runs
+over the rows in order of length, one numpy pass per stored term.
 
-- a per-axis operator is canonical: columns sorted within a row, none
-  repeated;
-- a product A @ B sums each entry from 0.0 over A's row in stored order
-  (then B's row), drops zero sums, and lists a row's columns in reverse
-  order of first touch (csr_matmat), so composed operators are not sorted;
-- a sum A + B of canonical operators merges each row by column and drops
-  zero sums (the canonical csr + csr);
-- A @ x sums each row's terms data[k] * x[indices[k]] from 0.0, left to
-  right in stored order (csr_matvec, and csr_matvecs column by column for
-  x of shape (nodes, q)); a NaN or inf in x reaches only the rows that
-  read it, and a NaN result carries the sign scipy's kernel gives it.
-
-Products and sums are taken once per grid (Grid.cached keeps them); @ runs
-on every solve, over the rows in order of length, one numpy pass per
-stored term.
-
-Everything built from a grid alone (the derivative operators of every
-stencil family, the Laplacian, the sweep lattice, the Dirichlet solver) is
-kept in the grid's one cache, Grid.cached.
+Everything built from a grid alone (the tables and Stencils of every
+stencil family, the sweep lattice, the Dirichlet solver) is kept in the
+grid's one cache, Grid.cached.
 """
 
 from __future__ import annotations
@@ -117,11 +110,11 @@ def sym_indices(dim):
 
 
 class CSROperator:
-    """Square sparse operator in compressed sparse row form.
+    """One per-axis stencil table in compressed sparse row form.
 
     Row i holds the weights data[indptr[i]:indptr[i+1]] at the columns
-    indices[indptr[i]:indptr[i+1]], in stored order.  A @ x, A @ B and
-    A + B sum in the order the module docstring states.
+    indices[indptr[i]:indptr[i+1]], sorted.  A @ x sums in the order the
+    module docstring states.
     """
 
     def __init__(self, indptr, indices, data):
@@ -130,13 +123,8 @@ class CSROperator:
         self.data = data
         self._tiled = {}  # pass-table weights repeated for x of q columns, by q
 
-    def _rows(self):
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-
-    def __matmul__(self, other):
-        if isinstance(other, CSROperator):
-            return self._product(other)
-        x = np.asarray(other)
+    def __matmul__(self, x):
+        x = np.asarray(x)
         order, inverse, cols, weights, passes = self._passes
         if x.ndim == 2:
             # a weight per element: numpy broadcasts over a short last axis slowly
@@ -149,9 +137,6 @@ class CSROperator:
             acc = np.zeros(order.shape + x.shape[1:], dtype=terms.dtype)
             for lo, m in passes:
                 acc[:m] += terms[lo:lo + m]
-            if np.isnan(acc).any():
-                # scipy hands x of one column to csr_matvec, wider x to csr_matvecs
-                acc = _nan_sum(np.zeros_like(acc), terms, passes, x.ndim == 2 and x.shape[1] > 1)
         return acc.take(inverse, axis=0)
 
     @cached_property
@@ -177,73 +162,23 @@ class CSROperator:
         cols = self.indices[at].astype(np.intp)
         return order, np.argsort(order), cols, self.data[at], passes
 
-    def _product(self, other):
-        """self @ other, summed and ordered as csr_matmat does."""
-        n = len(self.indptr) - 1
-        counts = np.diff(other.indptr)[self.indices]
-        starts = np.cumsum(counts) - counts
-        # term t pairs self's entry entry[t] with other's entry at[t], in
-        # csr_matmat's order: self's entries as stored, then other's row of each
-        entry = np.repeat(np.arange(len(counts)), counts)
-        at = np.arange(counts.sum()) + np.repeat(other.indptr[self.indices] - starts, counts)
-        rows, cols = self._rows()[entry], other.indices[at]
-        first, sums = _accumulate(rows * n + cols, self.data[entry] * other.data[at])
-        rows, cols = rows[first], cols[first]
-        order = np.lexsort((-first, rows))  # by row, then reverse first touch
-        return _compressed(n, rows[order], cols[order], sums[order])
 
-    def __add__(self, other):
-        """self + other for canonical operands (the per-axis ones), as the
-        canonical csr + csr."""
-        n = len(self.indptr) - 1
-        rows = np.concatenate([self._rows(), other._rows()])
-        cols = np.concatenate([self.indices, other.indices])
-        first, sums = _accumulate(rows * n + cols, np.concatenate([self.data, other.data]))
-        return _compressed(n, rows[first], cols[first], sums)
+class Stencil:
+    """D^s as its per-axis tables F_1, ..., F_k (factors), applied in turn.
 
-
-def _nan_sum(acc, terms, passes, last):
-    """Add the passes' terms to the zeros acc, with the NaN scipy's kernel leaves.
-
-    On x86-64, csr_matvec keeps the running sum once it is NaN, and
-    csr_matvecs (last=True) takes every NaN term as the new sum.  Each
-    addition here meets at most one NaN, so numpy's own pick between two
-    NaN operands (its vector body and its scalar tail pick differently)
-    never enters.
+    D^s @ x = F_1 @ (F_2 @ (... F_k @ x)); with no factors (s = 0) it is
+    x + 0.0, what the identity table gives.
     """
-    for lo, m in passes:
-        a, t = acc[:m], terms[lo:lo + m]
-        keep = np.isnan(t) if last else np.isnan(a)
-        acc[:m] = np.where(keep, t if last else a, a + t)
-    return acc
 
+    def __init__(self, factors):
+        self.factors = factors
 
-def _accumulate(keys, terms):
-    """Sum terms by key, each sum from 0.0 in the terms' order.
-
-    Returns (first, sums) in ascending key order: first is the position of
-    each key's first term.
-    """
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
-    group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(order)]))
-    rank = np.arange(len(order)) - starts[group]
-    sums = np.zeros(len(starts))
-    for r in range(int(rank.max(initial=-1)) + 1):
-        at = rank == r
-        sums[group[at]] += terms[order[at]]
-    return order[starts], sums
-
-
-def _compressed(n, rows, cols, vals):
-    """CSROperator of n rows from entries listed row by row; zeros are dropped.
-
-    Indices are int32, as scipy.sparse stores them at these sizes.
-    """
-    keep = vals != 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return CSROperator(indptr, cols[keep].astype(np.int32), vals[keep])
+    def __matmul__(self, x):
+        if not self.factors:
+            return np.asarray(x) + 0.0
+        for f in reversed(self.factors):
+            x = f @ x
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +282,7 @@ class Grid:
     # -- derivative operators ----------------------------------------------
 
     def derivative_matrix(self, s):
-        """The solver's CSROperator for the multi-index s (tuple of per-axis orders)."""
+        """The solver's Stencil for the multi-index s (tuple of per-axis orders)."""
         s = tuple(int(k) for k in s)
         if len(s) != self.dim:
             raise ValueError(f"multi-index s={s} has wrong length for dim={self.dim}")
@@ -356,31 +291,27 @@ class Grid:
         return self.stencil_operator(SOLVER_WIDTHS, s)
 
     def stencil_operator(self, widths, s):
-        """Cached operator of the multi-index s in one stencil family.
+        """Cached Stencil of the multi-index s in one stencil family.
 
         A family is its window widths (order-1, order-2): SOLVER_WIDTHS for
-        the solver, verify.ORACLE_WIDTHS for the oracle.  Within an axis
-        the order-2 blocks come first; across axes, higher axes are applied
-        first.  s = 0 is the identity.
+        the solver, verify.ORACLE_WIDTHS for the oracle.  The factors are
+        the cached per-axis tables, in the order the module docstring
+        states.
         """
-        def compose():
-            op = None
+        def factors():
+            out = []
             for axis, k in enumerate(s):
                 while k > 0:
                     step = 2 if k >= 2 else 1
                     width = widths[step - 1]
-                    m = self.cached((widths, axis, step), lambda: self._assemble(width, axis, step))
-                    op = m if op is None else op @ m
+                    out.append(self.cached((widths, axis, step), lambda: self._assemble(width, axis, step)))
                     k -= step
-            if op is None:
-                nodes = np.arange(self.num_nodes)
-                return _compressed(self.num_nodes, nodes, nodes, np.ones(self.num_nodes))
-            return op
+            return Stencil(tuple(out))
 
-        return self.cached((widths, s), compose)
+        return self.cached((widths, s), factors)
 
     def _assemble(self, width, axis, order):
-        """Canonical operator of the order-derivative along axis on windows of width nodes.
+        """Canonical table of the order-derivative along axis on windows of width nodes.
 
         Node r of a lattice line of k nodes reads the width nodes from
         clip(r - width//2, 0, k - width) on, with window_weights; zero
@@ -410,7 +341,9 @@ class Grid:
                     vals.append(np.full(len(nodes), w / scale))
         rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
         by_row = np.lexsort((cols, rows))  # a row's offsets are distinct: no duplicates
-        return _compressed(self.num_nodes, rows[by_row], cols[by_row], vals[by_row])
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)  # int32, as scipy.sparse stores them
+        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
+        return CSROperator(indptr, cols[by_row].astype(np.int32), vals[by_row])
 
     # -- Hoelder seminorm ---------------------------------------------------
 
@@ -547,26 +480,19 @@ def make_grid(dim, resolution):
 def derivative(fld, s):
     """Discrete partial derivative for multi-index s, |s| <= 4.
 
-    Composition order within an axis applies the 2nd-derivative blocks first;
-    across axes, higher axes are applied first (matters only at the h^2
-    truncation level near boundaries).
+    The per-axis tables act in the order the module docstring states (it
+    matters only at the h^2 truncation level near boundaries).
     """
     op = fld.grid.derivative_matrix(s)
     return type(fld)(fld.grid, op @ fld.values)
 
 
 def laplacian(fld):
-    """Discrete Laplacian, applied as one summed second-derivative matrix."""
+    """Discrete Laplacian: D_xx @ x + D_yy @ x on the disk, D_xx @ x in 1-d."""
     g = fld.grid
-
-    def build():
-        op = None
-        for ax in range(g.dim):
-            m = g.derivative_matrix(tuple(2 if a == ax else 0 for a in range(g.dim)))
-            op = m if op is None else op + m
-        return op
-
-    return type(fld)(g, g.cached("laplacian", build) @ fld.values)
+    if g.dim == 1:
+        return type(fld)(g, g.derivative_matrix((2,)) @ fld.values)
+    return type(fld)(g, g.derivative_matrix((2, 0)) @ fld.values + g.derivative_matrix((0, 2)) @ fld.values)
 
 
 def _c0alpha(grid, vals, alpha):
@@ -682,16 +608,21 @@ def _sub_indices(beta):
 
 
 def leibniz_defect(grid, u, v, beta, mask=None):
-    """sup |D^beta(uv) - binomial expansion| on the (optionally masked) nodes."""
-    prod = ScalarField(grid, u.values * v.values)
-    lhs = derivative(prod, beta).values
+    """sup |D^beta(uv) - binomial expansion| on the (optionally masked) nodes.
+
+    u and v go in as the two columns of one field, so each D^gamma
+    (gamma <= beta) is applied once.
+    """
+    lhs = derivative(ScalarField(grid, u.values * v.values), beta).values
+    both = VecField(grid, np.column_stack([u.values, v.values]))
+    d = {gamma: derivative(both, gamma).values for gamma in _sub_indices(beta)}
     rhs = np.zeros_like(lhs)
     for gamma in _sub_indices(beta):
         coeff = 1.0
         for bi, gi in zip(beta, gamma):
             coeff *= comb(bi, gi)
         rest = tuple(b - g for b, g in zip(beta, gamma))
-        rhs += coeff * derivative(u, gamma).values * derivative(v, rest).values
+        rhs += coeff * d[gamma][:, 0] * d[rest][:, 1]
     err = np.abs(lhs - rhs)
     if mask is not None:
         err = err[mask]

@@ -21,6 +21,7 @@ from isoperturb.grid import (
     leibniz_defect,
     make_grid,
     monitor_recurrence,
+    radial_bump,
     random_waves,
     window_weights,
 )
@@ -220,9 +221,10 @@ def _segment_triplets(ids, h, order):
     return rows, cols, vals
 
 
-def _segment_operator(g, s):
-    """derivative_matrix(s) from _segment_triplets, one segment at a time."""
-    op = None
+def _segment_factors(g, s):
+    """derivative_matrix(s)'s per-axis factors from _segment_triplets, one
+    segment at a time: axis 0 first, order-2 steps before the order-1 step."""
+    factors = []
     for axis, k in enumerate(s):
         lines = [g.node_index] if g.dim == 1 else (g.node_index.T if axis == 0 else g.node_index)
         while k > 0:
@@ -235,23 +237,29 @@ def _segment_operator(g, s):
                 rows += r
                 cols += c
                 vals += v
-            m = sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr()
-            op = m if op is None else op @ m
+            factors.append(sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr())
             k -= step
-    return sp.identity(g.num_nodes, format="csr") if op is None else op
+    return factors
 
 
 @pytest.mark.parametrize("dim, N", [(1, 17), (1, 201), (1, 2948), (2, 17), (2, 18), (2, 25)])
 def test_solver_stencils_are_the_hand_written_ones(dim, N):
     # at N = 2948, h**2 != h*h, so dividing by h**2 would move the order-2 data
     g = make_grid(dim, N)
+    x = np.random.default_rng(N).standard_normal((g.num_nodes, 2))
     for s in np.ndindex(*(5,) * dim):
         if sum(s) > 4:
             continue
-        op, ref = g.derivative_matrix(s), _segment_operator(g, s)
-        for part in ("indptr", "indices", "data"):
-            got, want = getattr(op, part), getattr(ref, part)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, part)
+        op, refs = g.derivative_matrix(s), _segment_factors(g, s)
+        assert len(op.factors) == len(refs), s
+        for f, ref in zip(op.factors, refs):
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(f, part), getattr(ref, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, part)
+        want = x + 0.0
+        for ref in reversed(refs):  # the last factor acts first
+            want = ref @ want
+        assert (op @ x).tobytes() == want.tobytes(), s
 
 
 def test_d1_exact_on_quadratic_everywhere():
@@ -319,17 +327,43 @@ def test_laplacian_matches_sum_of_second_derivatives():
     g = make_grid(2, 33)
     x, y = g.coords[:, 0], g.coords[:, 1]
     f = ScalarField(g, np.sin(x) * np.cos(y))
-    lap = laplacian(f)
-    # exactly the summed operator that the correction operators apply
-    op = g.derivative_matrix((2, 0)) + g.derivative_matrix((0, 2))
-    assert np.max(np.abs(lap.values - op @ f.values)) == 0.0
-    assert np.array_equal(laplacian(f).values, lap.values)  # from the grid's cache
+    # exactly D_xx f + D_yy f, in that order
+    ref = derivative(f, (2, 0)).values + derivative(f, (0, 2)).values
+    assert laplacian(f).values.tobytes() == ref.tobytes()
     g1 = make_grid(1, 33)
     f1 = ScalarField(g1, np.sin(3.0 * g1.coords[:, 0]))
-    assert np.array_equal(laplacian(f1).values, g1.derivative_matrix((2,)) @ f1.values)
-    # and the sum of the two second derivatives up to the order of addition
-    ref = derivative(f, (2, 0)).values + derivative(f, (0, 2)).values
-    assert np.max(np.abs(lap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert laplacian(f1).values.tobytes() == (g1.derivative_matrix((2,)) @ f1.values).tobytes()
+
+
+def _longdouble_apply(op, x):
+    """op's float64 per-axis tables applied to x in np.longdouble, last factor first."""
+    y = x.astype(np.longdouble)
+    for f in reversed(op.factors):
+        n = len(f.indptr) - 1
+        out = np.zeros(n, dtype=np.longdouble)
+        np.add.at(out, np.repeat(np.arange(n), np.diff(f.indptr)), f.data.astype(np.longdouble) * y[f.indices])
+        y = out
+    return y
+
+
+@pytest.mark.parametrize("dim, N, s, bound", [
+    (1, 201, (4,), 1e-9), (1, 201, (3,), 1e-11), (2, 33, (1, 1), 2e-13), (2, 97, (1, 1), 2e-13),
+])
+def test_composed_derivatives_are_no_less_accurate(dim, N, s, bound):
+    """D^s @ u, its factors applied one by one in float64, against the same
+    float64 factors applied in np.longdouble, relative to max |D^s u|.
+
+    u is a bump of the elliptic monitors' kind: (1 - r^2/0.75^2)_+^4 times a
+    wave.  Where np.longdouble is float64 itself, the reference equals the
+    result and this passes trivially.
+    """
+    g = make_grid(dim, N)
+    x = g.coords[:, 0]
+    y = g.coords[:, 1] if dim == 2 else 0.0
+    u = radial_bump(g, 0.75, 4) * (0.3 + np.sin(3.0 * x + y) + x * x)
+    got = g.derivative_matrix(s) @ u
+    ref = _longdouble_apply(g.derivative_matrix(s), u)
+    assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +371,13 @@ def test_laplacian_matches_sum_of_second_derivatives():
 
 
 def _dense(op):
-    """The dense matrix of an operator's indptr, indices and data."""
-    n = len(op.indptr) - 1
-    out = np.zeros((n, n))
-    np.add.at(out, (np.repeat(np.arange(n), np.diff(op.indptr)), op.indices), op.data)
+    """The dense matrix of a Stencil: the product of its tables' dense matrices."""
+    n = op.factors[0].indptr.size - 1
+    out = np.eye(n)
+    for f in op.factors:
+        table = np.zeros((n, n))
+        np.add.at(table, (np.repeat(np.arange(n), np.diff(f.indptr)), f.indices), f.data)
+        out = out @ table
     return out
 
 
@@ -359,9 +396,11 @@ def test_oracle_and_solver_operators_stay_apart(dim, oracle_first):
         assert np.any(_dense(ops["oracle"]) != _dense(ops["solver"]))
         for family, op in ops.items():
             ref = build(make_grid(dim, 33), family, s)  # a fresh grid, one family only
-            assert np.array_equal(op.indptr, ref.indptr)
-            assert np.array_equal(op.indices, ref.indices)
-            assert np.array_equal(op.data, ref.data)
+            assert len(op.factors) == len(ref.factors)
+            for f, r in zip(op.factors, ref.factors):
+                assert np.array_equal(f.indptr, r.indptr)
+                assert np.array_equal(f.indices, r.indices)
+                assert np.array_equal(f.data, r.data)
             assert build(g, family, s) is op  # repeated calls share one object
 
 
@@ -377,7 +416,7 @@ def test_grid_cache_builds_each_key_once():
     assert g.cached("probe", build) is first
     assert len(calls) == 1
     assert g.derivative_matrix((0,)) is g.derivative_matrix((0,))
-    assert np.array_equal(_dense(g.derivative_matrix((0,))), np.eye(17))  # s = 0 is the identity
+    assert np.array_equal(g.derivative_matrix((0,)) @ np.eye(17), np.eye(17))  # s = 0 is the identity
 
 
 def test_holder_norm_of_coordinate_is_one_plus_sqrt2():

@@ -2,8 +2,9 @@
 
 The reports are frozen as repr strings and compared exactly: reusing a
 seminorm or a load potential must not move a single bit of any witness.
-The strings are those of the one-order-at-a-time computation (numpy 2.4,
-x86-64); a numpy whose sin/cos round differently changes them.  The counts
+The strings are those of the one-order-at-a-time computation, with each
+D^s applied as its per-axis tables in turn (numpy 2.4, x86-64); a numpy
+whose sin/cos round differently changes them.  The counts
 pin how many lag sweeps (Grid.quotient_max) and Dirichlet solves each call
 makes per sample.
 """
@@ -34,8 +35,8 @@ DISK_REPORT = (
     "'leibniz_max_err': 5.767637928477455e-14, 'embed_witness': 0.08949667974700459, "
     "'samples': 1, 'alpha': 0.5, 'scalar_bilinear_witness_m1': 0.146072794599921, "
     "'dot_bilinear_witness_m1': 0.03420313444537123, "
-    "'scalar_bilinear_witness_m2': 0.016871622279413242, "
-    "'dot_bilinear_witness_m2': 0.0049458871109291066}"
+    "'scalar_bilinear_witness_m2': 0.016871622279413252, "
+    "'dot_bilinear_witness_m2': 0.004945887110929103}"
 )
 
 CONTINUITY_REPORT = (
@@ -45,7 +46,7 @@ CONTINUITY_REPORT = (
 
 ELLIPTIC_REPORT = (
     "{'schauder_ratio': 1.1876290508174159, 'higher_order_ratio_m1': "
-    "0.8695465197790537, 'higher_order_ratio_m2': 0.9793992923423813, "
+    "0.8695465197787585, 'higher_order_ratio_m2': 0.9793992922075778, "
     "'linearity_defect': 5.551115123125783e-17, 'samples': 4, 'alpha': 0.5, "
     "'support_radius': 0.75}"
 )

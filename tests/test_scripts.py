@@ -28,8 +28,8 @@ ARTIFACT_SHA256 = {
     "check_free": "2068d05a7f5110cc565f3a9fa14bf1607f6e48d603fe7972993c52b0d4d9dfcf",
     "circle_glue": "31d65b0187cb4bb841468748b50e26ab5d52aa65375a79d11f7ede6dabcb2870",
     "local_bump": "2e127bc8d9504b17ccad7e1c3ddac7bae3764b7b841ac41fb877fde5d8eb3641",
-    "torus_smoke": "9eef1a6898b21c8dba0f38337085d478c77063b00d234fba43068efa7fb5004c",
-    "verify_appendix": "4ce5539c239ef4c91464ab1226e262ac9f72c8763e7b6831e6892d95fa02dafe",
+    "torus_smoke": "621aa2f91c7eae0eb085e307a0bda27616020b28167cfec27580b4db4b6963e2",
+    "verify_appendix": "1450999fbb0ae88115ceb48e00879d25e7fe77aaa357527eaf08bc977722006d",
 }
 
 
