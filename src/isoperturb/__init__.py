@@ -73,7 +73,7 @@ from .atlas import (
     pullback_residual,
     solution_residuals,
 )
-from .embeddings import circle_embedding, make_mesh, torus_embedding
+from .embeddings import base_embedding, make_mesh
 from .config import Scenario, load_scenario, scenario_hash
 
 __version__ = "0.1.0"
@@ -94,9 +94,9 @@ __all__ = [
     "MetricFamily", "FamilySolution", "HorizonCollapse", "build_family",
     "build_manifold_family", "chart_window", "windowed_increment",
     "solve_family", "stability_gap", "time_regularity_probe",
-    "Atlas", "GlobalSolution", "StageFailure", "build_atlas", "circle_embedding",
+    "Atlas", "GlobalSolution", "StageFailure", "base_embedding", "build_atlas",
     "decompose_metric", "glue_solve", "make_mesh", "pullback_residual",
-    "solution_residuals", "torus_embedding",
+    "solution_residuals",
     "Scenario", "load_scenario", "scenario_hash",
     "__version__",
 ]

@@ -31,12 +31,13 @@ from .config import (
     ScenarioError,
     Scenario,
     check_resolution,
+    check_seed,
     check_size,
     load_family_table,
     load_scenario,
     scenario_hash,
 )
-from .embeddings import CircleChart, ParabolaChart, TorusChart
+from .embeddings import CHARTS
 from .family import (
     HorizonCollapse,
     build_family,
@@ -71,15 +72,12 @@ STABILITY_BOUND = 1.1
 
 
 def _chart_for(scenario: Scenario):
-    if scenario.chart == "parabola":
-        return ParabolaChart()
-    chart = CircleChart if scenario.chart == "circle" else TorusChart
-    return chart(halfwidth=scenario.halfwidth)
+    chart = CHARTS[scenario.chart]
+    return chart() if scenario.halfwidth is None else chart(halfwidth=scenario.halfwidth)
 
 
 def _grid_for(scenario: Scenario):
-    dim = 2 if scenario.chart == "torus" else 1
-    return make_grid(dim, scenario.resolution)
+    return make_grid(CHARTS[scenario.chart].dim, scenario.resolution)
 
 
 def _iteration_config(scenario: Scenario) -> IterationConfig:
@@ -538,7 +536,7 @@ def main(argv=None) -> int:
                 field="command",
             )
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario.seed = check_seed(args.seed, "--seed")
         if args.resolution is not None:
             scenario.resolution = check_resolution(args.resolution, "--resolution")
             check_size(scenario)

@@ -17,21 +17,19 @@ import numpy as np
 import yaml
 
 from .atlas import PSI_SUPP
-from .embeddings import MAX_HALFWIDTH, CircleChart, ParabolaChart, TorusChart
+from .embeddings import CHARTS, MAX_HALFWIDTH, PHASES
 from .family import CHART_FAMILIES, GLOBAL_FAMILIES, WINDOW_FLAT, WINDOW_SUPPORT
 from .grid import MIN_RESOLUTION
 
 
 CHART_COMMANDS = ("check-free", "solve-local", "solve-family")  # they read `chart`
 COMMANDS = CHART_COMMANDS + ("solve-global", "verify-appendix")
-CHART_NAMES = ("parabola", "circle", "torus")
-MANIFOLDS = ("circle", "torus")
+CHART_NAMES = tuple(CHARTS)
+MANIFOLDS = tuple(PHASES)
 MAX_RESOLUTION = 20001
 # largest array group a scenario may allocate, in bytes: a disk grid's sweep
 # lattice, or the embedding paths a run holds until it writes them
 MAX_ALLOC_BYTES = 1 << 28
-_EMBEDDING_WIDTH = {"parabola": ParabolaChart.q, "circle": CircleChart.q,
-                    "torus": TorusChart.q}
 
 
 class ScenarioError(ValueError):
@@ -115,6 +113,13 @@ def check_resolution(value, fieldname):
     return value
 
 
+def check_seed(value, fieldname):
+    """Random seed: a non-negative integer."""
+    value = _as_int(value, fieldname)
+    _require(value >= 0, f"must be non-negative, got {value}", fieldname)
+    return value
+
+
 _SCENARIO_KEYS = {
     "name", "command", "seed", "resolution", "alpha", "chart", "halfwidth",
     "manifold", "charts", "mesh", "family", "amplitude", "bump_radius",
@@ -179,8 +184,7 @@ def parse_scenario(raw) -> Scenario:
              "command")
     sc = Scenario(name=raw["name"], command=raw["command"])
     if "seed" in raw:
-        sc.seed = _as_int(raw["seed"], "seed")
-        _require(sc.seed >= 0, "must be non-negative", "seed")
+        sc.seed = check_seed(raw["seed"], "seed")
     if "resolution" in raw:
         sc.resolution = check_resolution(raw["resolution"], "resolution")
     if "alpha" in raw:
@@ -261,11 +265,10 @@ def check_size(sc):
         shape = sc.chart
     else:
         return sc  # verify-appendix: an interval and the fixed 33-node disk
-    dim = 2 if shape == "torus" else 1
+    dim, width = CHARTS[shape].dim, CHARTS[shape].q
     N = sc.resolution
     if dim == 2:
         _check_bytes({"resolution": (2 * N - 1) * N}, "the disk grid's sweep lattice")
-    width = _EMBEDDING_WIDTH[shape]
     if sc.command == "solve-global":
         paths = {"mesh": sc.mesh**dim, "charts": sc.charts + 1}
     elif sc.command == "solve-family":
@@ -295,6 +298,8 @@ def load_scenario(path) -> Scenario:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"config file not found: {path}", field="--config")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"config file unreadable: {path}: {exc}", field="--config")
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
@@ -320,9 +325,9 @@ def _import_for(sc):
         import numpy.random  # noqa: F401
     if sc.command == "solve-global":
         import scipy.linalg  # noqa: F401
-        two_d = sc.manifold == "torus"
+        two_d = CHARTS[sc.manifold].dim == 2
     else:
-        two_d = sc.chart == "torus" and sc.command in ("solve-local", "solve-family")
+        two_d = CHARTS[sc.chart].dim == 2 and sc.command in ("solve-local", "solve-family")
     if two_d:
         import scipy.sparse.linalg  # noqa: F401
 
@@ -343,6 +348,9 @@ def load_family_table(path):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except FileNotFoundError:
         raise ScenarioError(f"family table not found: {path}", field="family.table")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"family table unreadable: {path}: {exc}",
+                            field="family.table")
     except ValueError as exc:
         raise ScenarioError(f"family table is not numeric CSV: {exc}",
                             field="family.table")

@@ -1,67 +1,82 @@
-"""Base embeddings used as free starting maps.
+"""Base embeddings used as free starting maps, and the charts built on them.
 
-Each chart object evaluates the embedding and its first/second parameter
-derivatives analytically on a grid, plus the metric it induces.  Charts map
-the reference domain (interval/disk of radius 1) into the manifold:
+Each manifold is one phase table in PHASES.  A phase is the sum of the
+angles it lists, and the base embedding maps the angles to one (cos, sin)
+pair per phase: theta -> (cos, sin)(theta) on the circle, and
+(u, v) -> (cos, sin)(u, v, u + v) into R^6 on the hexagonal torus.  The
+table also gives the dimension, the flat metric the embedding induces
+(g_ij counts the phases that hold both i and j), the ambient dimension q
+(two per phase) and every derivative.
 
-  ParabolaChart   x -> (x, x^2)                      open-curve demo chart
-  CircleChart     x -> (cos(c x + t0), sin(c x + t0))  arc of the unit circle
-  TorusChart      (x,y) -> R^6 product-of-phases map   torus patch
+Charts map the reference domain (interval/disk of radius 1) into R^q:
+
+  ParabolaChart   x -> (x, x^2)                       open-curve demo chart
+  CircleChart     arc of the unit circle
+  TorusChart      torus patch
 
 The circle/torus charts are AngleCharts: x -> center + c x into the
-manifold's angles, followed by the manifold's base embedding (EMBEDDINGS).
-The `halfwidth` c scales the chart coordinate so the domain radius 1 covers
-an angular radius c, and induced metrics pick up the corresponding c
-factors.  The same charts make up the atlases of atlas.py.
+manifold's angles, followed by the base embedding.  The `halfwidth` c
+scales the chart coordinate so the domain radius 1 covers an angular
+radius c, and induced metrics and derivatives pick up the corresponding
+c factors.  The same charts make up the atlases of atlas.py.
 """
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField
+from .grid import Grid, SymTensorField, VecField, sym_indices
 
 
 # circle and torus charts need a halfwidth in (0, MAX_HALFWIDTH)
 MAX_HALFWIDTH = np.pi
-# metric components, ordered (0,0), (0,1), (1,1), that the base embeddings
+TWO_PI = 2.0 * np.pi
+# the angles each phase sums.  The torus's product-of-circles phases u, v
+# alone are NOT free (the mixed second derivative vanishes identically);
+# the coupled phase u+v restores a full rank-5 derivative row set.
+PHASES = {"circle": ((0,),), "torus": ((0,), (1,), (0, 1))}
+DIMS = {name: 1 + max(map(max, phases)) for name, phases in PHASES.items()}
+# metric components, ordered as sym_indices, that the base embeddings
 # induce in manifold angles: d(theta)^2 on the circle, the flat
 # [[2,1],[1,2]] metric on the hexagonal torus
-BASE_METRICS = {"circle": np.array([1.0]), "torus": np.array([2.0, 1.0, 2.0])}
-TWO_PI = 2.0 * np.pi
+BASE_METRICS = {
+    name: np.array([float(sum(i in p and j in p for p in phases))
+                    for i, j in sym_indices(DIMS[name])])
+    for name, phases in PHASES.items()
+}
 
 
 def make_mesh(manifold, mesh):
     """Uniform periodic mesh in manifold angles: (npts, d) points."""
     th = np.linspace(0.0, TWO_PI, mesh, endpoint=False)
-    if manifold == "circle":
-        return th[:, None]
-    U, V = np.meshgrid(th, th, indexing="ij")
-    return np.column_stack([U.ravel(), V.ravel()])
+    axes = np.meshgrid(*[th] * DIMS[manifold], indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
 
 
-def circle_embedding(points):
-    """Unit circle: angles theta -> (cos theta, sin theta)."""
-    th = np.asarray(points, dtype=float).reshape(-1)
-    return np.column_stack([np.cos(th), np.sin(th)])
+def base_embedding(manifold, points, s=()):
+    """The manifold's base embedding at points (m, d) in its angles: one
+    (cos, sin) pair per phase.
 
-
-def torus_embedding(points):
-    """Hexagonal flat torus into R^6: angles (u, v) -> phases of u, v and u+v."""
-    pts = np.asarray(points, dtype=float)
-    u, v = pts[:, 0], pts[:, 1]
-    s = u + v
-    return np.column_stack(
-        [np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.cos(s), np.sin(s)]
-    )
-
-
-# the base embedding of each manifold, on points in its angles
-EMBEDDINGS = {"circle": circle_embedding, "torus": torus_embedding}
+    With a multi-index s, its derivative D^s in the angles instead: per
+    phase the |s|-th derivative of (cos, sin), or zero where s reads an
+    angle the phase lacks.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, DIMS[manifold])
+    cols = []
+    for p in PHASES[manifold]:
+        th = pts[:, list(p)].sum(axis=1)
+        if any(k and a not in p for a, k in enumerate(s)):
+            cols += [np.zeros_like(th)] * 2
+            continue
+        pair = (np.cos(th), np.sin(th))
+        for _ in range(sum(s)):
+            pair = (-pair[1], pair[0])
+        cols += pair
+    return np.column_stack(cols)
 
 
 class ParabolaChart:
     """Plane curve (x, x^2); simplest free start for interval problems."""
 
-    q = 2
+    q, dim = 2, 1
 
     def angles(self, grid: Grid):
         return grid.coords
@@ -70,12 +85,11 @@ class ParabolaChart:
         x = grid.coords[:, 0]
         return VecField(grid, np.column_stack([x, x * x]))
 
-    def d1(self, grid: Grid, axis=0):
+    def derivative(self, grid: Grid, s):
+        """D^s of evaluate for s = (1,) or (2,)."""
         x = grid.coords[:, 0]
-        return np.column_stack([np.ones_like(x), 2.0 * x])
-
-    def d2(self, grid: Grid, i=0, j=0):
-        x = grid.coords[:, 0]
+        if s == (1,):
+            return np.column_stack([np.ones_like(x), 2.0 * x])
         return np.column_stack([np.zeros_like(x), np.full_like(x, 2.0)])
 
     def base_metric(self, grid: Grid) -> SymTensorField:
@@ -86,10 +100,13 @@ class ParabolaChart:
 class AngleChart:
     """A chart x -> center + halfwidth * x into the angles of a manifold.
 
-    A subclass names its manifold (the key of EMBEDDINGS and BASE_METRICS),
-    its dimension, its default halfwidth and its ambient dimension q, and
-    supplies the analytic derivative rows d1/d2.
+    A subclass names its manifold (a key of PHASES) and its default
+    halfwidth; its dimension and its ambient dimension q come from the
+    manifold's phases.
     """
+
+    def __init_subclass__(cls):
+        cls.q, cls.dim = 2 * len(PHASES[cls.manifold]), DIMS[cls.manifold]
 
     def __init__(self, center=0.0, halfwidth=None):
         halfwidth = self.default_halfwidth if halfwidth is None else halfwidth
@@ -121,7 +138,11 @@ class AngleChart:
         return np.sqrt((self._offset(points) ** 2).sum(axis=1)) / self.halfwidth
 
     def evaluate(self, grid: Grid) -> VecField:
-        return VecField(grid, EMBEDDINGS[self.manifold](self.angles(grid)))
+        return VecField(grid, base_embedding(self.manifold, self.angles(grid)))
+
+    def derivative(self, grid: Grid, s):
+        """D^s of evaluate: halfwidth^|s| times the angle derivative."""
+        return self.halfwidth ** sum(s) * base_embedding(self.manifold, self.angles(grid), s)
 
     def base_metric(self, grid: Grid) -> SymTensorField:
         vals = self.halfwidth**2 * BASE_METRICS[self.manifold]
@@ -131,52 +152,16 @@ class AngleChart:
 class CircleChart(AngleChart):
     """Arc of the unit circle: x -> (cos, sin)(center + halfwidth * x)."""
 
-    q, manifold, dim = 2, "circle", 1
+    manifold = "circle"
     default_halfwidth = 3.0 * np.pi / 4.0
-
-    def d1(self, grid: Grid, axis=0):
-        th = self.angles(grid)[:, 0]
-        c = self.halfwidth
-        return np.column_stack([-c * np.sin(th), c * np.cos(th)])
-
-    def d2(self, grid: Grid, i=0, j=0):
-        th = self.angles(grid)[:, 0]
-        c2 = self.halfwidth**2
-        return np.column_stack([-c2 * np.cos(th), -c2 * np.sin(th)])
 
 
 class TorusChart(AngleChart):
-    """Torus patch into R^6: phases (u, v, u+v) with u,v = center + c*(x,y).
+    """Torus patch into R^6: phases (u, v, u+v) with u,v = center + c*(x,y)."""
 
-    The product-of-circles map is NOT free (its mixed second derivative
-    vanishes identically); adding the coupled phase u+v restores a full
-    rank-5 derivative row set everywhere.
-    """
-
-    q, manifold, dim = 6, "torus", 2
+    manifold = "torus"
     default_halfwidth = 3.0
 
-    def d1(self, grid: Grid, axis=0):
-        u, v = self.angles(grid).T
-        s = u + v
-        c = self.halfwidth
-        z = np.zeros_like(u)
-        if axis == 0:
-            cols = [-c * np.sin(u), c * np.cos(u), z, z, -c * np.sin(s), c * np.cos(s)]
-        else:
-            cols = [z, z, -c * np.sin(v), c * np.cos(v), -c * np.sin(s), c * np.cos(s)]
-        return np.column_stack(cols)
 
-    def d2(self, grid: Grid, i=0, j=0):
-        u, v = self.angles(grid).T
-        s = u + v
-        c2 = self.halfwidth**2
-        z = np.zeros_like(u)
-        tail = [-c2 * np.cos(s), -c2 * np.sin(s)]
-        if i == 0 and j == 0:
-            cols = [-c2 * np.cos(u), -c2 * np.sin(u), z, z] + tail
-        elif i == 1 and j == 1:
-            cols = [z, z, -c2 * np.cos(v), -c2 * np.sin(v)] + tail
-        else:
-            cols = [z, z, z, z] + tail
-        return np.column_stack(cols)
+# every chart a scenario can name
+CHARTS = {"parabola": ParabolaChart, "circle": CircleChart, "torus": TorusChart}

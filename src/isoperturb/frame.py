@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField, sym_indices
+from .grid import Grid, SymTensorField, VecField, multi_indices
 from .verify import oracle_derivative_matrix
 
 _FREE_EPS_REL = 1e-6
@@ -84,37 +84,34 @@ def _row_count(dim):
 
 
 def frame_matrix(source, grid: Grid = None):
-    """Assemble (F0, A) from a chart (analytic rows) or VecField (stencils).
+    """Assemble (F0, A, dead) from a chart or a sampled VecField.
 
-    Chart objects supply exact derivative rows; for plain sampled
-    embeddings the rows come from fourth-order difference stencils, so the
-    row error stays below the residual budget of downstream checks.
+    A's rows are D^s F0 for |s| = 1, then |s| = 2, in multi_indices order:
+    exact from chart.derivative, or from fourth-order difference stencils
+    for a sampled embedding, so the row error stays below the residual
+    budget of downstream checks.
     """
-    if isinstance(source, VecField):
-        g = source.grid
-        F0 = source
-        # Nodes in segments too short to carry any stencil (single-node
-        # rows/columns at the rim of a disk grid) get structurally empty
-        # rows in a per-axis table.  Track them from the tables themselves
-        # so the exclusion can never hide an embedding whose data degenerates.
-        dead = np.zeros(g.num_nodes, dtype=bool)
-        rows = []
-        firsts = [tuple(int(a == ax) for a in range(g.dim)) for ax in range(g.dim)]
-        seconds = [tuple((i == a) + (j == a) for a in range(g.dim)) for i, j in sym_indices(g.dim)]
-        for s in firsts + seconds:
-            m = oracle_derivative_matrix(g, s)
-            for f in m.factors:
-                dead |= np.diff(f.indptr) == 0
-            rows.append(m @ F0.values)
+    sampled = isinstance(source, VecField)
+    if sampled:
+        g, F0 = source.grid, source
+    elif grid is None:
+        raise ValueError("frame_matrix: a grid is required when building from a chart")
     else:
-        if grid is None:
-            raise ValueError("frame_matrix: a grid is required when building from a chart")
-        g = grid
-        F0 = source.evaluate(g)
-        dead = np.zeros(g.num_nodes, dtype=bool)
-        rows = [source.d1(g, ax) for ax in range(g.dim)] + [
-            source.d2(g, i, j) for i, j in sym_indices(g.dim)
-        ]
+        g, F0 = grid, source.evaluate(grid)
+    # Nodes in segments too short to carry any stencil (single-node
+    # rows/columns at the rim of a disk grid) get structurally empty rows
+    # in a per-axis table.  Track them from the tables themselves so the
+    # exclusion can never hide an embedding whose data degenerates.
+    dead = np.zeros(g.num_nodes, dtype=bool)
+    rows = []
+    for s in multi_indices(g.dim, 1) + multi_indices(g.dim, 2):
+        if not sampled:
+            rows.append(source.derivative(g, s))
+            continue
+        m = oracle_derivative_matrix(g, s)
+        for f in m.factors:
+            dead |= np.diff(f.indptr) == 0
+        rows.append(m @ F0.values)
     a = np.stack(rows, axis=1)  # (nodes, rows, q)
     need = _row_count(g.dim)
     if a.shape[2] < need:

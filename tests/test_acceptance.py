@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from isoperturb.atlas import build_atlas, build_manifold_family, glue_solve, solution_residuals
-from isoperturb.embeddings import CircleChart, ParabolaChart, circle_embedding
+from isoperturb.embeddings import CircleChart, ParabolaChart, base_embedding
 from isoperturb.family import build_family, chart_window, solve_family, \
     stability_gap, time_regularity_probe
 from isoperturb.fixedpoint import (
@@ -207,7 +207,7 @@ def test_criterion_8_global_gluing(glue_solution):
     pou_defect = float(np.max(np.abs(atlas.partition(theta).sum(axis=0) - 1.0)))
     finals = solution_residuals(sol)
     worst = float(max(finals))
-    base_exact = bool(np.all(sol.F[0] == circle_embedding(sol.mesh_points)))
+    base_exact = bool(np.all(sol.F[0] == base_embedding("circle", sol.mesh_points)))
     margins = [(m, e) for ms in sol.stage_margins for m, e in ms]
     free_ok = all(m > e for m, e in margins)
     ok = (pou_defect <= 1e-10 and worst <= 1e-5 and base_exact

@@ -32,8 +32,7 @@ from isoperturb.atlas import (
     solution_residuals,
     write_embedding_csv,
 )
-from isoperturb.embeddings import EMBEDDINGS, CircleChart, TorusChart, circle_embedding, \
-    torus_embedding
+from isoperturb.embeddings import CircleChart, TorusChart, base_embedding
 from isoperturb.family import HorizonCollapse, MetricFamily
 from isoperturb.fixedpoint import IterationConfig
 from isoperturb.grid import make_grid
@@ -94,7 +93,7 @@ def test_atlas_charts_are_the_analytic_charts(manifold, num_charts, chart_type, 
     g = make_grid(dim, 41 if dim == 1 else 17)
     for chart in build_atlas(manifold, num_charts).charts:
         assert type(chart) is chart_type and chart.manifold == manifold
-        want = EMBEDDINGS[manifold](chart.to_manifold(g.coords))
+        want = base_embedding(manifold, chart.to_manifold(g.coords))
         assert np.array_equal(chart.evaluate(g).values, want)
         assert np.array_equal(chart.angles(g), chart.to_manifold(g.coords))
 
@@ -218,9 +217,9 @@ def test_make_mesh_shapes():
 
 def test_pullback_oracle_on_exact_embeddings():
     fam = build_manifold_family("constant", "circle", horizon=1.0, samples=1)
-    r512 = pullback_residual(circle_embedding(make_mesh("circle", 512)),
+    r512 = pullback_residual(base_embedding("circle", make_mesh("circle", 512)),
                              make_mesh("circle", 512), fam, 0.0)
-    r2048 = pullback_residual(circle_embedding(make_mesh("circle", 2048)),
+    r2048 = pullback_residual(base_embedding("circle", make_mesh("circle", 2048)),
                               make_mesh("circle", 2048), fam, 0.0)
     assert r512 <= 5e-9          # pure fourth-order stencil error
     assert r2048 <= 1e-11
@@ -228,14 +227,14 @@ def test_pullback_oracle_on_exact_embeddings():
 
     famT = build_manifold_family("constant", "torus", horizon=1.0, samples=1)
     ptsT = make_mesh("torus", 48)
-    assert pullback_residual(torus_embedding(ptsT), ptsT, famT, 0.0) <= 1e-4
+    assert pullback_residual(base_embedding("torus", ptsT), ptsT, famT, 0.0) <= 1e-4
 
 
 def test_pullback_oracle_flags_scaled_embedding():
     # F = 1.1 F0 multiplies the pullback by 1.21: residual 0.21 * max g
     fam = build_manifold_family("constant", "circle", horizon=1.0, samples=1)
     pts = make_mesh("circle", 512)
-    r = pullback_residual(1.1 * circle_embedding(pts), pts, fam, 0.0)
+    r = pullback_residual(1.1 * base_embedding("circle", pts), pts, fam, 0.0)
     assert r == pytest.approx(0.21, abs=1e-6)
 
 
@@ -243,7 +242,7 @@ def test_pullback_partial_target_needs_atlas():
     fam = build_manifold_family("constant", "circle", horizon=1.0, samples=1)
     pts = make_mesh("circle", 64)
     with pytest.raises(ValueError, match="atlas"):
-        pullback_residual(circle_embedding(pts), pts, fam, 0.0, upto_stage=1)
+        pullback_residual(base_embedding("circle", pts), pts, fam, 0.0, upto_stage=1)
 
 
 # ------------------------------------------------------------ transfers
@@ -321,7 +320,7 @@ def test_glue_constant_family_is_identity():
     fam = build_manifold_family("constant", "circle", horizon=1.0, samples=2)
     sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
-    F0 = circle_embedding(sol.mesh_points)
+    F0 = base_embedding("circle", sol.mesh_points)
     assert sol.horizon_used == 1.0
     for Fs in sol.F_stages:
         for k in range(len(sol.t_grid)):
@@ -333,7 +332,7 @@ def test_glue_breathing_contract(breathing_glue):
     # adaptive halving lands on a quarter horizon, keeping all samples
     assert sol.horizon_used == 0.25
     assert len(sol.t_grid) == 3
-    F0 = circle_embedding(sol.mesh_points)
+    F0 = base_embedding("circle", sol.mesh_points)
     assert np.all(sol.F[0] == F0)
     res = solution_residuals(sol)
     assert res[0] <= 5e-9       # t = 0: pure mesh discretization
@@ -439,7 +438,7 @@ def test_glue_builds_the_stage_1_frame_once(monkeypatch):
     assert [(h.horizon, h.stage) for h in sol.halvings] == [(0.5, 1)]
     assert sol.horizon_used == 0.25
     assert len(built) == 1 + 3
-    stage_1 = circle_embedding(atlas.charts[0].to_manifold(make_grid(1, 201).coords))
+    stage_1 = base_embedding("circle", atlas.charts[0].to_manifold(make_grid(1, 201).coords))
     assert [np.array_equal(vals, stage_1) for vals in built] == [True] + 3 * [False]
 
 
@@ -474,11 +473,12 @@ def test_glue_rejects_degenerate_embedding(monkeypatch):
     fam = build_manifold_family("circle-breathing", "circle", beta=0.05,
                                 horizon=1.0, samples=1)
 
-    def squashed(points):  # rank-deficient: second component constant
+    def squashed(manifold, points, s=()):  # rank-deficient: second component constant
         th = np.asarray(points, dtype=float).reshape(-1)
         return np.column_stack([np.cos(th), np.zeros_like(th)])
 
-    monkeypatch.setitem(embeddings.EMBEDDINGS, "circle", squashed)
+    monkeypatch.setattr(embeddings, "base_embedding", squashed)
+    monkeypatch.setattr(atlas_module, "base_embedding", squashed)
     with pytest.raises(StageFailure) as exc:
         glue_solve(fam, atlas, chart_resolution=201, mesh=128, config=SMOKE_CFG)
     assert exc.value.stage == 1
@@ -576,7 +576,7 @@ def test_glue_torus_smoke():
     sol = glue_solve(fam, atlas, chart_resolution=25,
                      mesh=48, config=IterationConfig(tol=1e-7))
     assert sol.horizon_used == 0.25
-    F0 = torus_embedding(sol.mesh_points)
+    F0 = base_embedding("torus", sol.mesh_points)
     assert np.all(sol.F[0] == F0)
     res = solution_residuals(sol)
     assert res[0] <= 1e-4      # coarse-mesh stencil baseline
@@ -596,7 +596,7 @@ def test_glue_torus_refined():
     sol = glue_solve(fam, atlas, chart_resolution=49,
                      mesh=96, config=IterationConfig(tol=1e-7))
     assert sol.horizon_used == 0.25
-    assert np.all(sol.F[0] == torus_embedding(sol.mesh_points))
+    assert np.all(sol.F[0] == base_embedding("torus", sol.mesh_points))
     res = solution_residuals(sol)
     assert res[0] <= 5e-6      # measured 2.4e-6
     assert max(res) <= 2e-4    # measured 1.43e-4

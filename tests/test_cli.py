@@ -331,6 +331,8 @@ def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypa
     ("solve-family", "chart: circle\nhalfwidth: 1.0e-9\nresolution: 101\n", [], "halfwidth"),
     ("check-free", "chart: parabola\nhalfwidth: 2.0\nresolution: 101\n", [], "halfwidth"),
     ("solve-global", "halfwidth: 1.0\n", [], "halfwidth"),
+    ("verify-appendix", "", ["--seed", "-1"], "--seed"),
+    ("check-free", "", ["--seed", "-1"], "--seed"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
@@ -340,7 +342,9 @@ def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, do
     # the table, whose g reaches -2 at t = 1, to halve its way to a pass;
     # bump_power -1 gives inf/NaN metric components and 0 a bump that fills
     # the chart, both ending in exit 1; a halfwidth that no circle or torus
-    # chart reads was recorded and ignored, with exit 0)
+    # chart reads was recorded and ignored, with exit 0; --seed -1 was
+    # recorded by check-free with exit 0, and failed verify-appendix with
+    # exit 3)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
     doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")

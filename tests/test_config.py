@@ -66,9 +66,16 @@ def test_yaml_syntax_error_carries_line(tmp_path):
     assert "line" in str(exc.value)
 
 
-def test_missing_file_is_a_scenario_error():
+def test_missing_file_is_a_scenario_error(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("/definitely/not/here.yaml")
+    # a directory, and a file that is not UTF-8, were tracebacks
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"name: caf\xe9\ncommand: solve-local\n")
+    for path in (tmp_path, bad):
+        with pytest.raises(ScenarioError, match="unreadable") as info:
+            load_scenario(path)
+        assert info.value.field == "--config"
 
 
 @pytest.mark.parametrize("doc,fieldname", [
@@ -172,6 +179,12 @@ def test_family_table_loading(tmp_path):
 def test_family_table_rejects_bad_input(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_family_table(tmp_path / "missing.csv")
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"t,g\xe9\n0.0,1.0\n1.0,1.0\n")
+    for path in (tmp_path, bad):  # a directory, a file that is not UTF-8
+        with pytest.raises(ScenarioError, match="unreadable") as info:
+            load_family_table(path)
+        assert info.value.field == "family.table"
     p = tmp_path / "short.csv"
     p.write_text("t,g\n0.0,1.0\n")
     with pytest.raises(ScenarioError, match="2 rows"):

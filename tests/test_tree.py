@@ -21,6 +21,8 @@ import ast
 import re
 from pathlib import Path
 
+from isoperturb.embeddings import CHARTS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "isoperturb"
 CALLER_DIRS = ("src", "scripts", "perfbench")
@@ -175,3 +177,23 @@ def test_only_grid_stores_state_on_a_grid():
                         and isinstance(node.value, ast.Name) and node.value.id in ("grid", "g")):
                     stores.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.value.id}.{node.attr}")
     assert not stores, "attributes stored on a grid outside grid.py: " + ", ".join(stores)
+
+
+def _name_comparisons(source):
+    """Lines of source that compare against a chart or manifold name literal."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                if any(isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                       and leaf.value in CHARTS for leaf in ast.walk(operand)):
+                    yield node.lineno
+
+
+def test_the_cli_and_the_config_read_shapes_from_the_chart_table():
+    """cli.py and config.py learn a chart's dimension and width from
+    embeddings.CHARTS, never by comparing its name against a string."""
+    assert list(_name_comparisons('dim = 2 if scenario.chart == "torus" else 1')) == [1]
+    assert list(_name_comparisons('two_d = sc.chart in ("circle", "torus")')) == [1]
+    found = [f"{module}:{line}" for module in ("cli.py", "config.py")
+             for line in _name_comparisons((PACKAGE / module).read_text())]
+    assert not found, "chart or manifold name compared as a string: " + ", ".join(found)
