@@ -263,8 +263,7 @@ def _run_check_free(scenario, report):
         report.check("freeness-margin", exc.margin, 0.0, ok=False, mode=">")
         return report.finish()
     report.record(margin=frame.freeness_margin, eps_free=frame.eps_free, q=frame.q,
-                  identity_defect=frame.identity_defect,
-                  excluded_nodes=frame.excluded_nodes, nodes=g.num_nodes)
+                  identity_defect=frame.identity_defect, nodes=g.num_nodes)
     report.check("freeness-margin", frame.freeness_margin, frame.eps_free, mode=">")
     report.check("frame-identity-defect", frame.identity_defect, 1e-10)
     return report.finish()

@@ -49,19 +49,13 @@ class ImmersionFrame:
         Minimum over nodes of the smallest singular value of A.
     eps_free : float
         The threshold the margin was accepted against: 1e-6 times the
-        median row norm of A over the live nodes.
+        median row norm of A.
     q : int
         Ambient dimension.
     identity_defect : float
         max over nodes of |A Theta - I| (verified <= 1e-10 at build).
     F0 : VecField
         The embedding the frame was built from.
-    excluded_nodes : int
-        Nodes whose sampled stencil rows are identically zero (only the
-        four pole nodes of a 2-d disk grid, where a row/column holds a
-        single node).  Theta is zero there, so fields produced through
-        the frame vanish at those nodes; they are outside every cutoff
-        support used by the solver and carry no data.
     """
 
     grid: Grid
@@ -72,7 +66,6 @@ class ImmersionFrame:
     q: int
     identity_defect: float
     F0: VecField
-    excluded_nodes: int = 0
 
     @property
     def rows(self):
@@ -84,7 +77,7 @@ def _row_count(dim):
 
 
 def frame_matrix(source, grid: Grid = None):
-    """Assemble (F0, A, dead) from a chart or a sampled VecField.
+    """Assemble (F0, A) from a chart or a sampled VecField.
 
     A's rows are D^s F0 for |s| = 1, then |s| = 2, in multi_indices order:
     exact from chart.derivative, or from fourth-order difference stencils
@@ -98,20 +91,10 @@ def frame_matrix(source, grid: Grid = None):
         raise ValueError("frame_matrix: a grid is required when building from a chart")
     else:
         g, F0 = grid, source.evaluate(grid)
-    # Nodes in segments too short to carry any stencil (single-node
-    # rows/columns at the rim of a disk grid) get structurally empty rows
-    # in a per-axis table.  Track them from the tables themselves so the
-    # exclusion can never hide an embedding whose data degenerates.
-    dead = np.zeros(g.num_nodes, dtype=bool)
-    rows = []
-    for s in multi_indices(g.dim, 1) + multi_indices(g.dim, 2):
-        if not sampled:
-            rows.append(source.derivative(g, s))
-            continue
-        m = oracle_derivative_matrix(g, s)
-        for f in m.factors:
-            dead |= np.diff(f.indptr) == 0
-        rows.append(m @ F0.values)
+    rows = [
+        oracle_derivative_matrix(g, s) @ F0.values if sampled else source.derivative(g, s)
+        for s in multi_indices(g.dim, 1) + multi_indices(g.dim, 2)
+    ]
     a = np.stack(rows, axis=1)  # (nodes, rows, q)
     need = _row_count(g.dim)
     if a.shape[2] < need:
@@ -119,7 +102,7 @@ def frame_matrix(source, grid: Grid = None):
             f"frame dimension error: embedding has q={a.shape[2]} components but "
             f"n(n+3)/2 = {need} independent rows are required"
         )
-    return F0, a, dead
+    return F0, a
 
 
 def _median(values):
@@ -139,13 +122,11 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
     Rejects embeddings whose margin falls at/below 1e-6 times the median
     row norm; warns when any node's normal matrix is badly conditioned.
     """
-    F0, a, dead = frame_matrix(source, grid)
-    live = ~dead
+    F0, a = frame_matrix(source, grid)
     svals = np.linalg.svd(a, compute_uv=False)
-    live_idx = np.flatnonzero(live)
-    node = int(live_idx[np.argmin(svals[live, -1])])
+    node = int(np.argmin(svals[:, -1]))
     margin = float(svals[node, -1])
-    row_norms = np.linalg.norm(a[live], axis=2)
+    row_norms = np.linalg.norm(a, axis=2)
     eps_free = _FREE_EPS_REL * float(_median(row_norms))
     if margin <= eps_free:
         raise NotFreeError(
@@ -154,7 +135,7 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
             margin=margin,
             node=node,
         )
-    aat = a[live] @ np.transpose(a[live], (0, 2, 1))
+    aat = a @ np.transpose(a, (0, 2, 1))
     cond = float(np.max(np.linalg.cond(aat)))
     if cond > _COND_WARN:
         warnings.warn(
@@ -163,9 +144,8 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
             RuntimeWarning,
             stacklevel=2,
         )
-    theta = np.zeros((a.shape[0], a.shape[2], a.shape[1]))
-    theta[live] = np.transpose(np.linalg.solve(aat, a[live]), (0, 2, 1))
-    ident = a[live] @ theta[live]
+    theta = np.transpose(np.linalg.solve(aat, a), (0, 2, 1))
+    ident = a @ theta
     eye = np.eye(a.shape[1])[None, :, :]
     defect = float(np.max(np.abs(ident - eye)))
     if defect > _IDENTITY_TOL:
@@ -174,11 +154,7 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
             margin=margin,
             node=node,
         )
-    grid_out = F0.grid
-    return ImmersionFrame(
-        grid_out, a, theta, margin, eps_free, a.shape[2], defect, F0,
-        excluded_nodes=int(np.count_nonzero(dead)),
-    )
+    return ImmersionFrame(F0.grid, a, theta, margin, eps_free, a.shape[2], defect, F0)
 
 
 def apply_frame(frame: ImmersionFrame, h: VecField, f: SymTensorField) -> VecField:

@@ -31,7 +31,9 @@ class DirichletSolution:
     Attributes
     ----------
     u : ScalarField
-        Solution with u = 0 at boundary nodes.
+        Solution.  On the interval u = 0 at the two end nodes; on the disk
+        u = 0 enters through the arms that the circle cuts, and no node
+        carries it.
     residual_sup : float
         max |L u - f| over interior nodes, where L is the solver's own
         discrete Laplacian (unequal-arm stencils near the circle for n=2).
@@ -59,20 +61,16 @@ class PoissonSolver:
 
         g = self.grid
         h = g.spacing
-        unknown = np.where(g.interior_mask)[0]
-        self._interior = unknown
-        m = len(unknown)
-        col_of = np.full(g.num_nodes, -1)
-        col_of[unknown] = np.arange(m)
-        i, j = g.lattice_index[unknown].T
-        x, y = g.coords[unknown].T
+        m = g.num_nodes  # every node of the open disk is an unknown
+        i, j = g.lattice_index.T
+        x, y = g.coords.T
         k = np.arange(m)
         h2 = h * h
         rows, cols, vals = [], [], []
         for pair in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
             arms = []
             for di, dj in pair:
-                # an interior node's lattice neighbours are on the lattice
+                # a disk node's lattice neighbours are on the lattice
                 other = g.node_index[i + di, j + dj]
                 # an arm cut by the circle: fraction of h inside the disk
                 if di != 0:
@@ -87,10 +85,10 @@ class PoissonSolver:
             cols.append(k)
             vals.append(-2.0 / (ta * tb * h2))
             for other, t in arms:
-                # lattice boundary nodes and circle crossings carry u = 0
-                inner = (other >= 0) & g.interior_mask[other]
+                # a circle crossing carries u = 0
+                inner = other >= 0
                 rows.append(k[inner])
-                cols.append(col_of[other[inner]])
+                cols.append(other[inner])
                 vals.append((2.0 / (t * (ta + tb) * h2))[inner])
         rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
         self._matrix = csr_matrix((vals, (rows, cols)), shape=(m, m))
@@ -110,16 +108,13 @@ class PoissonSolver:
             lap = g.derivative_matrix((2,)) @ u
             res = float(np.max(np.abs(lap[self._interior] - fv[self._interior])))
         else:
-            u = np.zeros(g.num_nodes)
-            rhs = fv[self._interior]
-            sol = self._lu.solve(rhs)
-            if not np.all(np.isfinite(sol)):
+            u = self._lu.solve(fv)
+            if not np.all(np.isfinite(u)):
                 raise RuntimeError(
                     "solve_dirichlet: factorization produced non-finite values "
                     f"(matrix may be near-singular; nnz={self._matrix.nnz})"
                 )
-            u[self._interior] = sol
-            res = float(np.max(np.abs(self._matrix @ sol - rhs)))
+            res = float(np.max(np.abs(self._matrix @ u - fv)))
         return DirichletSolution(ScalarField(g, u), res)
 
     def _solve_interval(self, fv):

@@ -245,6 +245,15 @@ def test_sampled_embedding_frame_matches_analytic():
     assert abs(analytic.freeness_margin - sampled.freeness_margin) < 1e-5
 
 
+@pytest.mark.parametrize("N, tol", [(25, 1e-2), (97, 1e-4)])
+def test_sampled_torus_frame_margin_is_the_charts(N, tol):
+    # the chart's rows have smallest singular value 3 at every point; every
+    # node of the disk carries full oracle rows, so the sampled margin
+    # converges to it
+    frame = build_frame(TorusChart((0.0, 0.0), 3.0).evaluate(make_grid(2, N)))
+    assert abs(frame.freeness_margin - 3.0) < tol
+
+
 # ---------------------------------------------------------------------------
 # chart sanity
 
@@ -264,19 +273,22 @@ def test_chart_base_metrics():
     assert np.all(tm.values[:, 2] == 18.0)
 
 
-@pytest.mark.parametrize("chart,resolution", [
-    (CircleChart(0.5, 2.0), 401), (TorusChart((0.5, -0.3), 2.0), 97)], ids=["circle", "torus"])
-def test_chart_derivatives_match_oracle_stencils(chart, resolution):
-    # every |s| = 1, 2 row, (1, 1) included.  On the disk only inside radius
-    # 3/4, which holds every cutoff support: near the rim a line can be too
-    # short to carry an oracle row at all
-    g = make_grid(chart.dim, resolution)
-    inside = g.radius() <= (1.0 if g.dim == 1 else 0.75)
-    F = chart.evaluate(g)
+@pytest.mark.parametrize("chart,resolutions", [
+    (CircleChart(0.5, 2.0), (101, 201, 401)), (TorusChart((0.5, -0.3), 2.0), (25, 49, 97))],
+    ids=["circle", "torus"])
+def test_chart_derivatives_match_oracle_stencils(chart, resolutions):
+    # every |s| = 1, 2 row, (1, 1) included, at every node: each row's error
+    # falls at least 4x per halving of h (16x for the 4th-order rows, 8x for
+    # the composed (1, 1)); on the interval the finest grid also meets tol
     for order, tol in ((1, 1e-6), (2, 1e-4)):
-        for s in multi_indices(g.dim, order):
-            num = oracle_derivative_matrix(g, s) @ F.values
-            assert np.max(np.abs(num - chart.derivative(g, s))[inside]) < tol, s
+        for s in multi_indices(chart.dim, order):
+            err = []
+            for N in resolutions:
+                g = make_grid(chart.dim, N)
+                num = oracle_derivative_matrix(g, s) @ chart.evaluate(g).values
+                err.append(np.max(np.abs(num - chart.derivative(g, s))))
+            assert all(a >= 4.0 * b for a, b in zip(err, err[1:])), (s, err)
+            assert chart.dim == 2 or err[-1] < tol, (s, err)
 
 
 def test_chart_validation():

@@ -80,6 +80,7 @@ def test_make_grid_1d_basic():
 
 
 def test_make_grid_2d_node_count_matches_brute_force_scan():
+    # the open disk: no node on the circle
     for N in (33, 65):
         g = make_grid(2, N)
         h = 2.0 / (N - 1)
@@ -87,10 +88,10 @@ def test_make_grid_2d_node_count_matches_brute_force_scan():
         for i in range(N):
             for j in range(N):
                 x, y = -1.0 + i * h, -1.0 + j * h
-                if x * x + y * y <= 1.0 + 1e-12:
+                if math.sqrt(x * x + y * y) < 1.0 - 1e-12:
                     count += 1
         assert g.num_nodes == count
-        assert np.all(np.sqrt((g.coords**2).sum(axis=1)) <= 1.0 + 1e-12)
+        assert np.all(np.sqrt((g.coords**2).sum(axis=1)) < 1.0 - 1e-12)
 
 
 def test_make_grid_validation_errors_name_the_field():
@@ -101,8 +102,7 @@ def test_make_grid_validation_errors_name_the_field():
 
 
 def test_lattice_lines_are_contiguous_and_outlast_every_window():
-    # a line shorter than a stencil window gets no rows, so on every disk
-    # grid a line is either a one-node pole line or wider than any window
+    # every row of every stencil carries its full window
     widest = max(SOLVER_WIDTHS + ORACLE_WIDTHS)
     for N in range(17, 65):
         g = make_grid(2, N)
@@ -111,7 +111,13 @@ def test_lattice_lines_are_contiguous_and_outlast_every_window():
             for line in on[on.any(axis=1)]:
                 run = np.flatnonzero(line)
                 assert np.all(np.diff(run) == 1), (N, axis)
-                assert len(run) == 1 or len(run) > widest, (N, axis, len(run))
+                assert len(run) > widest, (N, axis, len(run))
+
+
+def test_a_line_shorter_than_its_window_raises():
+    # the shortest lines of the N = 17 disk hold 7 nodes
+    with pytest.raises(ValueError, match="shorter than the window"):
+        make_grid(2, 17)._assemble(8, 0, 1)
 
 
 @pytest.mark.parametrize("dim, N", [(1, 17), (1, 40), (2, 17), (2, 24), (2, 33)])
@@ -295,11 +301,8 @@ def test_mixed_derivative_exact_on_xy():
     x, y = g.coords[:, 0], g.coords[:, 1]
     f = ScalarField(g, x * y)
     dxy = derivative(f, (1, 1))
-    # composed stencils degrade where a neighbour sits on a very short
-    # row/column segment; restrict the exactness claim to the inner disk
-    ok = np.sqrt((g.coords**2).sum(axis=1)) <= 0.75
-    assert np.max(np.abs(dxy.values[ok] - 1.0)) < 1e-10
-    assert np.all(np.isfinite(dxy.values))
+    # every node, the rim's one-sided windows included
+    assert np.max(np.abs(dxy.values - 1.0)) < 1e-10
 
 
 def test_high_order_composed_stencils():
@@ -612,6 +615,35 @@ def test_seminorm_is_bitwise_the_exhaustive_lag_sweep(N, alpha, kind):
     g = make_grid(1, N)
     vals = _slope_field(kind, N)
     assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
+
+
+def exhaustive_pair_sweep(g, vals, alpha):
+    """Seminorm over every node pair: |dv| / (h sqrt(di^2 + dj^2))^alpha,
+    the sweep's formulas, no stop rule."""
+    best = 0.0
+    for k in range(g.num_nodes - 1):
+        step = g.lattice_index[k + 1:] - g.lattice_index[k]
+        dpow = (g.spacing * np.sqrt((step * step).sum(axis=1))) ** alpha
+        best = max(best, float(np.max(np.abs(vals[k + 1:] - vals[k]) / dpow)))
+    return best
+
+
+@pytest.mark.parametrize("N", [17, 18, 33])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("kind", ["ramp", "saddle", "rim-spike", "random"])
+def test_disk_seminorm_is_bitwise_the_exhaustive_pair_sweep(N, alpha, kind):
+    g = make_grid(2, N)
+    x, y = g.coords.T
+    if kind == "ramp":
+        vals = 0.75 * x - 0.5 * y
+    elif kind == "saddle":
+        vals = x * y
+    elif kind == "rim-spike":  # at the rim node of largest x on the row of largest y
+        vals = np.zeros(g.num_nodes)
+        vals[-1] = 1.0
+    else:
+        vals = np.random.default_rng(N).standard_normal(g.num_nodes)
+    assert g.quotient_max(vals, alpha) == exhaustive_pair_sweep(g, vals, alpha)
 
 
 def _near_tie_field(g, alpha):

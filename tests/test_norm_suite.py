@@ -31,12 +31,12 @@ INTERVAL_REPORT = (
 )
 
 DISK_REPORT = (
-    "{'product_violations': 0, 'product_max_ratio': 0.47088757871217146, "
-    "'leibniz_max_err': 5.767637928477455e-14, 'embed_witness': 0.08949667974700459, "
-    "'samples': 1, 'alpha': 0.5, 'scalar_bilinear_witness_m1': 0.146072794599921, "
-    "'dot_bilinear_witness_m1': 0.03420313444537123, "
-    "'scalar_bilinear_witness_m2': 0.016871622279413252, "
-    "'dot_bilinear_witness_m2': 0.004945887110929103}"
+    "{'product_violations': 0, 'product_max_ratio': 0.47479602813085037, "
+    "'leibniz_max_err': 4.0975112833623836e-13, 'embed_witness': 0.47157412678366545, "
+    "'samples': 1, 'alpha': 0.5, 'scalar_bilinear_witness_m1': 0.22175764500504225, "
+    "'dot_bilinear_witness_m1': 0.055855602399765246, "
+    "'scalar_bilinear_witness_m2': 0.1498227679562563, "
+    "'dot_bilinear_witness_m2': 0.04349130548739565}"
 )
 
 CONTINUITY_REPORT = (

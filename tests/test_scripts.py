@@ -25,12 +25,17 @@ CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # _tree_sha256 of the output directory of each configs/<name>.yaml
 ARTIFACT_SHA256 = {
     "breathing_chart": "c26e5e66b3479246de2056d317fc109773ffe7f12ec8beb35d0a64edb0dc6694",
-    "check_free": "2068d05a7f5110cc565f3a9fa14bf1607f6e48d603fe7972993c52b0d4d9dfcf",
+    "check_free": "d7b3ef8e4526c1a9df6b59bde454b2cb4d1785d01fc6a3123b33dd61da819b0f",
     "circle_glue": "31d65b0187cb4bb841468748b50e26ab5d52aa65375a79d11f7ede6dabcb2870",
     "local_bump": "2e127bc8d9504b17ccad7e1c3ddac7bae3764b7b841ac41fb877fde5d8eb3641",
-    "torus_smoke": "621aa2f91c7eae0eb085e307a0bda27616020b28167cfec27580b4db4b6963e2",
-    "verify_appendix": "1450999fbb0ae88115ceb48e00879d25e7fe77aaa357527eaf08bc977722006d",
+    "torus_smoke": "80ccfaefee39a75e36e5e942e5ec667d7f8e4830c3f5c0a7263f29e61149912d",
+    "verify_appendix": "c33546a5e849e4af94d5557152502a35c09d852a6191ecdb96c6f877c7cefd30",
 }
+
+
+def _files(root):
+    """The (relative posix path, bytes) pairs of the files under root, sorted."""
+    return sorted((p.relative_to(root).as_posix(), p.read_bytes()) for p in root.rglob("*") if p.is_file())
 
 
 def _tree_sha256(root):
@@ -39,13 +44,17 @@ def _tree_sha256(root):
     Each pair enters as the path in posix form, a NUL, the byte count as 8
     little-endian bytes, then the bytes themselves.
     """
-    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
     h = hashlib.sha256()
-    for rel, path in files:
-        data = path.read_bytes()
+    for rel, data in _files(root):
         h.update(rel.encode() + b"\0" + len(data).to_bytes(8, "little"))
         h.update(data)
     return h.hexdigest()
+
+
+def _file_listing(root):
+    """One line per file under root, "<sha256 of its bytes>  <relative path>",
+    so that a moved pin names the files that moved."""
+    return "\n".join(f"{hashlib.sha256(data).hexdigest()}  {rel}" for rel, data in _files(root))
 
 
 def test_scripts_found():
@@ -75,4 +84,5 @@ def test_shipped_config_passes(config, tmp_path):
     assert summary["status"] == "pass"
     assert summary["criteria"]
     assert all(c["pass"] for c in summary["criteria"]), summary["criteria"]
-    assert _tree_sha256(out) == ARTIFACT_SHA256[config.stem]
+    tree = _tree_sha256(out)
+    assert tree == ARTIFACT_SHA256[config.stem], f"tree {tree}\n{_file_listing(out)}"
