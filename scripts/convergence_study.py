@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
-from isoperturb.atlas import build_atlas, build_manifold_family, glue_solve, solution_residuals
+from isoperturb.atlas import build_atlas, glue_solve, solution_residuals
 from isoperturb.embeddings import ParabolaChart
+from isoperturb.family import build_manifold_family
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.frame import build_frame
 from isoperturb.grid import ScalarField, make_grid

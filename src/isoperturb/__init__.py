@@ -9,94 +9,3 @@ On top of the single-chart solve it ships time-dependent metric families
 atlas with stage-by-stage gluing, a discrete Hoelder-norm calculus with a
 verified inequality suite, and a scenario-driven CLI.
 """
-
-from .grid import (
-    Grid,
-    ScalarField,
-    VecField,
-    SymTensorField,
-    make_grid,
-    derivative,
-    laplacian,
-    holder_norm,
-    holder_norms,
-    check_inequalities,
-    monitor_recurrence,
-)
-from .poisson import DirichletSolution, PoissonSolver, solve_dirichlet
-from .operators import (
-    Cutoff,
-    smoothstep,
-    quadratic_load,
-    load_potentials,
-    tangential_correction,
-    potential_coupling_term,
-    gradient_product_term,
-    normal_correction,
-)
-from .frame import (
-    ImmersionFrame,
-    NotFreeError,
-    frame_matrix,
-    build_frame,
-    apply_frame,
-)
-from .fixedpoint import (
-    IterationConfig,
-    IterationTrace,
-    SolveFailure,
-    SmallnessViolation,
-    StalledIteration,
-    fixed_point_map,
-    solve_fixed_point,
-    local_perturb,
-)
-from .family import (
-    MetricFamily,
-    FamilySolution,
-    HorizonCollapse,
-    build_family,
-    build_manifold_family,
-    chart_window,
-    windowed_increment,
-    solve_family,
-    stability_gap,
-    time_regularity_probe,
-)
-from .atlas import (
-    Atlas,
-    GlobalSolution,
-    StageFailure,
-    build_atlas,
-    decompose_metric,
-    glue_solve,
-    pullback_residual,
-    solution_residuals,
-)
-from .embeddings import base_embedding, make_mesh
-from .config import Scenario, load_scenario, scenario_hash
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Grid", "ScalarField", "VecField", "SymTensorField",
-    "make_grid", "derivative", "laplacian", "holder_norm", "holder_norms",
-    "check_inequalities", "monitor_recurrence",
-    "DirichletSolution", "PoissonSolver", "solve_dirichlet",
-    "Cutoff", "smoothstep", "quadratic_load", "load_potentials",
-    "tangential_correction", "potential_coupling_term",
-    "gradient_product_term", "normal_correction",
-    "ImmersionFrame", "NotFreeError", "frame_matrix",
-    "build_frame", "apply_frame",
-    "IterationConfig", "IterationTrace", "SolveFailure", "SmallnessViolation",
-    "StalledIteration", "fixed_point_map", "solve_fixed_point",
-    "local_perturb",
-    "MetricFamily", "FamilySolution", "HorizonCollapse", "build_family",
-    "build_manifold_family", "chart_window", "windowed_increment",
-    "solve_family", "stability_gap", "time_regularity_probe",
-    "Atlas", "GlobalSolution", "StageFailure", "base_embedding", "build_atlas",
-    "decompose_metric", "glue_solve", "make_mesh", "pullback_residual",
-    "solution_residuals",
-    "Scenario", "load_scenario", "scenario_hash",
-    "__version__",
-]

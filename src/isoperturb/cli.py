@@ -477,20 +477,23 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario, out_dir, quiet=False) -> int:
-    """Execute one validated scenario, writing artifacts under out_dir.
+    """Execute one validated scenario, writing artifacts under out_dir, and
+    return its exit code (see the module docstring).
 
     Raises ScenarioError, with nothing written, if its family or its atlas
-    is rejected.
+    is rejected.  Any other error during the run is recorded in
+    summary.json and returns 3.
     """
     inputs = _scenario_inputs(scenario)
-    return _RUNNERS[scenario.command](scenario, _open_report(scenario, out_dir, quiet),
-                                      **inputs)
-
-
-def _open_report(scenario, out_dir, quiet):
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "embeddings"), exist_ok=True)
-    return RunReport(scenario, out_dir, quiet)
+    report = RunReport(scenario, out_dir, quiet)
+    try:
+        return _RUNNERS[scenario.command](scenario, report, **inputs)
+    except Exception as exc:  # neither a config error nor a recorded failure
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return report.finish(error=exc)
 
 
 def _check_out_dir(out_dir):
@@ -541,18 +544,11 @@ def main(argv=None) -> int:
             check_size(scenario)
         out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
         _check_out_dir(out_dir)
-        inputs = _scenario_inputs(scenario)
+        return run_scenario(scenario, out_dir, args.quiet)
     except ScenarioError as exc:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
-    report = _open_report(scenario, out_dir, args.quiet)
-    try:
-        return _RUNNERS[scenario.command](scenario, report, **inputs)
-    except Exception as exc:  # neither a config error nor a recorded failure
-        message = " ".join(str(exc).splitlines())
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return report.finish(error=exc)
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def _check_f_support(cut: Cutoff, f: SymTensorField):
     if np.any(np.abs(f.values[outside]) > 0.0):
         worst = float(np.max(np.abs(f.values[outside])))
         raise ValueError(
-            "fixed_point_map: f must be supported inside the cutoff's flat "
+            "solve_fixed_point: f must be supported inside the cutoff's flat "
             f"radius {cut.flat_radius} (found |f|={worst:.3e} outside)"
         )
 
@@ -119,9 +119,10 @@ def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField, v: Ve
                     potentials) -> VecField:
     """One application of the update map -E(P(v), f/2 - Q(v)/2).
 
-    potentials are the load potentials of v (operators.load_potentials).
+    potentials are the load potentials of v (operators.load_potentials);
+    f must be supported inside cut's flat radius, which solve_fixed_point
+    checks once before its first step.
     """
-    _check_f_support(cut, f)
     p = tangential_correction(cut, v, potentials)
     q = normal_correction(cut, v, potentials)
     rhs = SymTensorField(f.grid, 0.5 * f.values - 0.5 * q.values)
@@ -159,12 +160,12 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)
-        if trace.increments and len(trace.increments) >= 2:
-            prev = trace.increments[-2]
-            if prev > 0.0:
-                ratio = inc / prev
-                trace.ratios.append(ratio)
-                strikes = strikes + 1 if ratio > RATIO_CAP else 0
+        if trace.iterations >= 2:
+            # increments[-2] > tol > 0: a smaller one has returned, a NaN
+            # one has failed the bound check
+            ratio = inc / trace.increments[-2]
+            trace.ratios.append(ratio)
+            strikes = strikes + 1 if ratio > RATIO_CAP else 0
         if not norm <= bound * (1.0 + BOUND_SLACK):
             trace.status = "diverged"
             raise SmallnessViolation(

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -268,7 +268,6 @@ class Grid:
             self.num_nodes = N
             self.lattice_index = np.arange(N)[:, None]
             self.node_index = np.arange(N)
-            self.interior_mask = np.abs(axis) < 1.0 - _EDGE_TOL
             return
 
         sq = axis * axis
@@ -281,7 +280,6 @@ class Grid:
         # node_index[i, j] is the node at lattice point (i, j), -1 off the disk
         self.node_index = np.full((N, N), -1)
         self.node_index[ii, jj] = np.arange(self.num_nodes)
-        self.interior_mask = np.ones(self.num_nodes, dtype=bool)
 
     # -- derivative operators ----------------------------------------------
 
@@ -608,15 +606,6 @@ def _random_vec(grid, rng, q=2):
     return VecField(grid, np.column_stack(cols))
 
 
-def _sub_indices(beta):
-    """All gamma <= beta componentwise."""
-    ranges = [range(b + 1) for b in beta]
-    out = [()]
-    for r in ranges:
-        out = [g + (k,) for g in out for k in r]
-    return out
-
-
 def leibniz_defect(grid, u, v, beta):
     """sup |D^beta(uv) - binomial expansion| over the nodes.
 
@@ -625,12 +614,11 @@ def leibniz_defect(grid, u, v, beta):
     """
     lhs = derivative(ScalarField(grid, u.values * v.values), beta).values
     both = VecField(grid, np.column_stack([u.values, v.values]))
-    d = {gamma: derivative(both, gamma).values for gamma in _sub_indices(beta)}
+    sub = list(np.ndindex(*(b + 1 for b in beta)))  # every gamma <= beta
+    d = {gamma: derivative(both, gamma).values for gamma in sub}
     rhs = np.zeros_like(lhs)
-    for gamma in _sub_indices(beta):
-        coeff = 1.0
-        for bi, gi in zip(beta, gamma):
-            coeff *= comb(bi, gi)
+    for gamma in sub:
+        coeff = float(prod(comb(bi, gi) for bi, gi in zip(beta, gamma)))
         rest = tuple(b - g for b, g in zip(beta, gamma))
         rhs += coeff * d[gamma][:, 0] * d[rest][:, 1]
     return float(np.max(np.abs(lhs - rhs)))

@@ -35,8 +35,9 @@ class DirichletSolution:
         u = 0 enters through the arms that the circle cuts, and no node
         carries it.
     residual_sup : float
-        max |L u - f| over interior nodes, where L is the solver's own
-        discrete Laplacian (unequal-arm stencils near the circle for n=2).
+        max |L u - f| over the unknowns (nodes 1:-1 of the interval, every
+        node of the disk), where L is the solver's own discrete Laplacian
+        (unequal-arm stencils near the circle for n=2).
     """
 
     u: ScalarField
@@ -50,8 +51,6 @@ class PoissonSolver:
         self.grid = grid
         if grid.dim == 2:
             self._assemble_disk()
-        else:
-            self._interior = np.where(grid.interior_mask)[0]
 
     # -- construction -------------------------------------------------
 
@@ -101,12 +100,12 @@ class PoissonSolver:
         if f.grid is not g:
             raise ValueError("solve_dirichlet: field grid does not match solver grid")
         fv = np.asarray(f.values, dtype=float)
-        if not np.all(np.isfinite(fv[g.interior_mask])):
-            raise ValueError("solve_dirichlet: f is not finite on interior nodes")
+        if not np.all(np.isfinite(fv)):
+            raise ValueError("solve_dirichlet: f is not finite")
         if g.dim == 1:
             u = self._solve_interval(fv)
             lap = g.derivative_matrix((2,)) @ u
-            res = float(np.max(np.abs(lap[self._interior] - fv[self._interior])))
+            res = float(np.max(np.abs(lap[1:-1] - fv[1:-1])))
         else:
             u = self._lu.solve(fv)
             if not np.all(np.isfinite(u)):

@@ -10,16 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from isoperturb.atlas import build_atlas, build_manifold_family, glue_solve, solution_residuals
+from isoperturb.atlas import build_atlas, glue_solve, solution_residuals
 from isoperturb.embeddings import CircleChart, ParabolaChart, base_embedding
-from isoperturb.family import build_family, chart_window, solve_family, \
+from isoperturb.family import build_family, build_manifold_family, chart_window, solve_family, \
     stability_gap, time_regularity_probe
-from isoperturb.fixedpoint import (
-    Cutoff,
-    IterationConfig,
-    bump_perturbation,
-    local_perturb,
-)
+from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.frame import NotFreeError, build_frame
 from isoperturb.grid import (
     ScalarField,
@@ -28,6 +23,7 @@ from isoperturb.grid import (
     make_grid,
     monitor_recurrence,
 )
+from isoperturb.operators import Cutoff
 from isoperturb.poisson import solve_dirichlet
 
 

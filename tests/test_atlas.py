@@ -24,16 +24,14 @@ from isoperturb.atlas import (
     GlobalSolution,
     StageFailure,
     build_atlas,
-    build_manifold_family,
     decompose_metric,
     glue_solve,
-    make_mesh,
     pullback_residual,
     solution_residuals,
     write_embedding_csv,
 )
-from isoperturb.embeddings import CircleChart, TorusChart, base_embedding
-from isoperturb.family import HorizonCollapse, MetricFamily
+from isoperturb.embeddings import CircleChart, TorusChart, base_embedding, make_mesh
+from isoperturb.family import HorizonCollapse, MetricFamily, build_manifold_family
 from isoperturb.fixedpoint import IterationConfig
 from isoperturb.grid import make_grid
 from isoperturb.operators import smoothstep

@@ -13,6 +13,7 @@ import pytest
 
 from isoperturb import cli
 from isoperturb.cli import main
+from isoperturb.config import load_scenario
 
 FREE_CFG = """
 name: free-small
@@ -485,16 +486,21 @@ def test_unexpected_error_exits_3_with_summary(tmp_path, capsys, monkeypatch):
         raise RuntimeError("disk on fire")
 
     monkeypatch.setitem(cli._RUNNERS, "check-free", boom)
+    cfg = _cfg(tmp_path, FREE_CFG)
     out = tmp_path / "out"
-    code = main(["check-free", "--config", _cfg(tmp_path, FREE_CFG), "--out", str(out)])
-    assert code == 3
+    code = main(["check-free", "--config", cfg, "--out", str(out)])
+    # run_scenario, the one runner call under main, ends the same way
+    direct = tmp_path / "direct"
+    direct_code = cli.run_scenario(load_scenario(cfg), str(direct), quiet=True)
+    assert code == direct_code == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert captured.err.splitlines() == ["error: RuntimeError: disk on fire"]
-    s = _summary(out)
-    assert s["status"] == "error"
-    assert s["error"] == {"type": "RuntimeError", "message": "disk on fire"}
-    assert s["results"] == {"margin": 1.0}
+    assert captured.err.splitlines() == ["error: RuntimeError: disk on fire"] * 2
+    for run in (out, direct):
+        s = _summary(run)
+        assert s["status"] == "error"
+        assert s["error"] == {"type": "RuntimeError", "message": "disk on fire"}
+        assert s["results"] == {"margin": 1.0}
 
 
 def test_report_merges_runs(tmp_path, local_run):

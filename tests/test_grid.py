@@ -75,8 +75,6 @@ def test_make_grid_1d_basic():
     assert g.num_nodes == 101
     assert abs(g.spacing - 0.02) < 1e-15
     assert g.coords[0, 0] == -1.0 and g.coords[-1, 0] == 1.0
-    assert g.interior_mask.sum() == 99
-    assert list(np.flatnonzero(~g.interior_mask)) == [0, 100]
 
 
 def test_make_grid_2d_node_count_matches_brute_force_scan():

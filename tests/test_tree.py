@@ -15,6 +15,10 @@ load.
 
 Both matches are by identifier only, so they can miss an unused name that
 is also used elsewhere; they never flag a used one.
+
+Every module-level import in src/isoperturb must be used in its module:
+callers import each name from the module that defines it, so no module
+imports a name only to pass it on.
 """
 
 import ast
@@ -134,6 +138,34 @@ def test_every_stored_value_is_read_outside_the_tests():
     unread = [f"{module}:{line} {name}" for (module, name), line in sorted(_stored().items())
               if name.split(".")[1] not in loads]
     assert not unread, "stored but read only by tests: " + ", ".join(unread)
+
+
+# the one name imported to be read from the importing module: the benchmark
+# oracle (perfbench/oracle.py) reads atlas.build_manifold_family
+REEXPORTED = {("atlas.py", "build_manifold_family")}
+
+
+def _module_imports(tree):
+    """(line, bound name) of each module-level import, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_used_in_its_module():
+    imported, unused = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for line, name in _module_imports(tree):
+            imported.add((path.name, name))
+            if name not in used and (path.name, name) not in REEXPORTED:
+                unused.append(f"{path.name}:{line} {name}")
+    assert REEXPORTED <= imported
+    assert not unused, "imported but not used in the module: " + ", ".join(unused)
 
 
 # the modules whose functions may import scipy: the spline and 2-d Dirichlet
