@@ -237,6 +237,8 @@ def table_family(manifold, t_values, components, horizon=1.0, samples=8) -> Metr
     if components.shape[1] != want:
         raise ValueError(f"family table has {components.shape[1]} component columns; "
                          f"the {manifold} needs {want}")
+    if t_values[0] > 1e-12:
+        raise ValueError(f"family table starts at t={t_values[0]}, after t=0")
     if horizon > t_values[-1] + 1e-12:
         raise ValueError(f"family table ends at t={t_values[-1]} but the horizon is {horizon}")
     spline = cubic_spline(t_values, components)

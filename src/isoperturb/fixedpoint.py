@@ -93,12 +93,6 @@ class IterationTrace:
         more = math.log(self.tol / self.increments[-1]) / math.log(self.ratios[-1])
         return self.iterations + max(0, math.ceil(more))
 
-    @property
-    def asymptotic_ratio(self):
-        if not self.ratios:
-            return 0.0
-        return float(max(self.ratios[-2:]))
-
     def passes_recurrence_monitor(self):
         """Lemma-style check: every |v_k| <= a0 + 2C with a0=0, C=bound/2."""
         return monitor_recurrence(0.0, self.bound / 2.0, self.norms)

@@ -14,8 +14,8 @@ over all pairs of distinct nodes.
 Every derivative weight in the package follows one rule: a node r of a
 lattice line of k nodes reads the window of `width` nodes that starts at
 clip(r - width//2, 0, k - width), with the exact weights of window_weights
-(divided by h or h*h).  Zero weights are left out, and every row carries
-its full window, so every D^s is exact to its order at every node.
+(divided by h or h*h).  Every row carries its full window, so every D^s
+is exact to its order at every node.
 A stencil family is its two widths, for orders 1 and 2: SOLVER_WIDTHS =
 (3, 4) gives the solver's 2nd-order stencils, central inside a line and
 one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
@@ -43,18 +43,20 @@ nodes p and q one of the corners (p_x, q_y), (q_x, p_y) is a node, and both
 legs of the L-path through it are row or column segments.  But there it
 skips only about 8% of the lags, so 2-d sweeps do not use it.
 
-Each derivative operator D^s is a Stencil: the per-axis CSROperator
-tables (indptr, indices, data, numpy only) F_1, ..., F_k of its steps,
-applied in turn, D^s x = F_1(F_2(...F_k x)).  The factors are listed axis 0
-first, and within an axis the order-2 steps come before the order-1 step,
-so F_k acts on x first: for s = (3,), D^s x = D_2(D_1 x); for s = (1, 1),
-D_x(D_y x).  s = 0 has no factors and gives x + 0.0.  Each table is the
-canonical CSR of scipy.sparse (columns sorted within a row, none repeated),
-and F @ x sums each row's terms data[k] * x[indices[k]] from 0.0, left to
-right in stored order, as csr_matvec does (and csr_matvecs column by column
-for x of shape (nodes, q)), so every result but a NaN's sign is bitwise
-scipy's; a NaN or inf in x reaches only the rows that read it.  @ runs
-over the rows in order of length, one numpy pass per stored term.
+Each derivative operator D^s is a Stencil: the per-axis WindowTables
+F_1, ..., F_k of its steps (numpy only), applied in turn,
+D^s x = F_1(F_2(...F_k x)).  The factors are listed axis 0 first, and
+within an axis the order-2 steps come before the order-1 step, so F_k acts
+on x first: for s = (3,), D^s x = D_2(D_1 x); for s = (1, 1), D_x(D_y x).
+s = 0 has no factors and gives x + 0.0.  A table is the rule itself: two
+(width, nodes) arrays, each node's window as node indices (cols, ascending)
+and its weights, where a zero weight reads column num_nodes, a pad slot
+that holds 0.0.  F @ x sums each node's terms weights[k] * x[cols[k]] from
++0.0, k = 0, 1, ... in turn.  On the nonzero terms that is csr_matvec's
+order (and csr_matvecs' column by column for x of shape (nodes, q)), and a
++-0.0 term cannot change a sum that starts from +0.0, so every result but
+a NaN's sign is bitwise scipy's on the table's nonzero triplets; a NaN or
+inf in x reaches only the rows that weigh it.
 
 Everything built from a grid alone (the tables and Stencils of every
 stencil family, the sweep lattice, the Dirichlet solver) is kept in the
@@ -64,7 +66,7 @@ grid's one cache, Grid.cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import numpy as np
@@ -113,58 +115,37 @@ def sym_indices(dim):
 # operator tables
 
 
-class CSROperator:
-    """One per-axis stencil table in compressed sparse row form.
+class WindowTable:
+    """One per-axis stencil table as its nodes' windows.
 
-    Row i holds the weights data[indptr[i]:indptr[i+1]] at the columns
-    indices[indptr[i]:indptr[i+1]], sorted.  A @ x sums in the order the
-    module docstring states.
+    cols and weights are (width, nodes) arrays: node i's row is
+    sum_k weights[k, i] * x[cols[k, i]].  A zero weight reads column
+    num_nodes, a pad slot that @ appends to x as 0.0.  A @ x sums in the
+    order the module docstring states.
     """
 
-    def __init__(self, indptr, indices, data):
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self._tiled = {}  # pass-table weights repeated for x of q columns, by q
+    def __init__(self, cols, weights):
+        self.cols = cols
+        self.weights = weights
+        self._tiled = {}  # weights repeated for x of q columns, by q
 
     def __matmul__(self, x):
         x = np.asarray(x)
-        order, inverse, cols, weights, passes = self._passes
+        weights = self.weights
         if x.ndim == 2:
             # a weight per element: numpy broadcasts over a short last axis slowly
             q = x.shape[1]
             if q not in self._tiled:
-                self._tiled[q] = np.repeat(weights, q).reshape(-1, q)
+                self._tiled[q] = np.repeat(weights, q).reshape(*weights.shape, q)
             weights = self._tiled[q]
+        padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])
         with np.errstate(invalid="ignore", over="ignore"):
-            terms = weights * x.take(cols, axis=0)
-            acc = np.zeros(order.shape + x.shape[1:], dtype=terms.dtype)
-            for lo, m in passes:
-                acc[:m] += terms[lo:lo + m]
-        return acc.take(inverse, axis=0)
-
-    @cached_property
-    def _passes(self):
-        """The table @ reads: rows by descending length, so that the rows
-        with a k-th stored entry are a prefix of that order.
-
-        Returns (order, inverse, cols, weights, passes): order lists the
-        rows, inverse puts them back, and pass k = (lo, m) adds the k-th
-        terms weights[lo:lo+m] * x[cols[lo:lo+m]] to the first m rows of
-        order.  Every row is summed from 0.0 in stored order, with no
-        padding terms.
-        """
-        lengths = np.diff(self.indptr)
-        order = np.argsort(-lengths, kind="stable")
-        passes, at, lo = [], [], 0
-        for k in range(int(lengths.max(initial=0))):
-            m = int(np.count_nonzero(lengths > k))
-            passes.append((lo, m))
-            at.append(self.indptr[order[:m]] + k)
-            lo += m
-        at = np.concatenate(at) if at else np.zeros(0, dtype=np.intp)
-        cols = self.indices[at].astype(np.intp)
-        return order, np.argsort(order), cols, self.data[at], passes
+            terms = padded.take(self.cols, axis=0)
+            terms *= weights
+            acc = np.zeros(terms.shape[1:], dtype=terms.dtype)
+            for term in terms:
+                acc += term
+        return acc
 
 
 class Stencil:
@@ -313,15 +294,13 @@ class Grid:
         return self.cached((widths, s), factors)
 
     def _assemble(self, width, axis, order):
-        """Canonical table of the order-derivative along axis on windows of width nodes.
+        """WindowTable of the order-derivative along axis on windows of width nodes.
 
         Node r of a lattice line of k nodes reads the width nodes from
-        clip(r - width//2, 0, k - width) on, with window_weights; zero
-        weights are left out.  A line shorter than width raises ValueError
-        (on the open disk none is; see the module docstring).
-        The nodes are grouped by their window's first offset (at most width
-        groups), and each weight of each group is placed as one array block;
-        the blocks are then sorted by row and column.
+        clip(r - width//2, 0, k - width) on, with window_weights; a zero
+        weight reads the pad slot instead.  A line shorter than width
+        raises ValueError (on the open disk none is; see the module
+        docstring).
         """
         at = self.lattice_index
         on = self.node_index >= 0
@@ -330,24 +309,16 @@ class Grid:
         if length.min() < width:
             raise ValueError(f"a lattice line of {length.min()} nodes is shorter than the window of {width}")
         pos = at[:, axis] - on.argmax(axis=axis)[line]
-        first = np.clip(pos - width // 2, 0, length - width) - pos
+        first = np.clip(pos - width // 2, 0, length - width) - pos  # the window's first offset, from the node
         scale = self.spacing if order == 1 else self.spacing * self.spacing
-        rows, cols, vals = [], [], []
-        for lo in range(1 - width, 1):  # a window's first offset, from the node
-            nodes = np.flatnonzero(first == lo)
-            offsets = tuple(range(lo, lo + width))
-            for off, w in zip(offsets, window_weights(offsets, order)):
-                if w:
-                    target = at[nodes]
-                    target[:, axis] += off
-                    rows.append(nodes)
-                    cols.append(self.node_index[tuple(target.T)])
-                    vals.append(np.full(len(nodes), w / scale))
-        rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-        by_row = np.lexsort((cols, rows))  # a row's offsets are distinct: no duplicates
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)  # int32, as scipy.sparse stores them
-        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
-        return CSROperator(indptr, cols[by_row].astype(np.int32), vals[by_row])
+        # one row of weights per first offset, 1 - width .. 0
+        block = np.array([window_weights(tuple(range(lo, lo + width)), order) for lo in range(1 - width, 1)]) / scale
+        weights = block[first + width - 1].T
+        target = list(at.T)
+        target[axis] = target[axis] + first + np.arange(width)[:, None]
+        cols = self.node_index[tuple(target)]
+        cols[weights == 0.0] = self.num_nodes
+        return WindowTable(cols, weights)
 
     # -- Hoelder seminorm ---------------------------------------------------
 

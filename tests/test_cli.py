@@ -334,6 +334,7 @@ def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypa
     ("solve-global", "halfwidth: 1.0\n", [], "halfwidth"),
     ("verify-appendix", "", ["--seed", "-1"], "--seed"),
     ("check-free", "", ["--seed", "-1"], "--seed"),
+    ("solve-global", "family: {name: table, table: {tmp}/late.csv}\n", [], "family"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
@@ -345,8 +346,10 @@ def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, do
     # the chart, both ending in exit 1; a halfwidth that no circle or torus
     # chart reads was recorded and ignored, with exit 0; --seed -1 was
     # recorded by check-free with exit 0, and failed verify-appendix with
-    # exit 3)
+    # exit 3; a table that starts after t = 0 was extrapolated back to
+    # g(0), halved twice and exited 1)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
+    (tmp_path / "late.csv").write_text("t,g\n0.5,1.0\n1.0,1.02\n1.5,1.04\n")
     doc = doc.replace("{tmp}", str(tmp_path))
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
     out = tmp_path / "out"

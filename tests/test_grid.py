@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from test_operator_tables import _triplets
 
 from isoperturb.grid import (
     _SWEEP_BLOCK,
@@ -257,9 +258,10 @@ def test_solver_stencils_are_the_hand_written_ones(dim, N):
         op, refs = g.derivative_matrix(s), _segment_factors(g, s)
         assert len(op.factors) == len(refs), s
         for f, ref in zip(op.factors, refs):
-            for part in ("indptr", "indices", "data"):
-                got, want = getattr(f, part), getattr(ref, part)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, part)
+            rows, cols, data = _triplets(f)
+            coo = ref.tocoo()  # canonical CSR order
+            assert np.array_equal(rows, coo.row) and np.array_equal(cols, coo.col), s
+            assert data.dtype == coo.data.dtype and data.tobytes() == coo.data.tobytes(), s
         want = x + 0.0
         for ref in reversed(refs):  # the last factor acts first
             want = ref @ want
@@ -340,9 +342,9 @@ def _longdouble_apply(op, x):
     """op's float64 per-axis tables applied to x in np.longdouble, last factor first."""
     y = x.astype(np.longdouble)
     for f in reversed(op.factors):
-        n = len(f.indptr) - 1
-        out = np.zeros(n, dtype=np.longdouble)
-        np.add.at(out, np.repeat(np.arange(n), np.diff(f.indptr)), f.data.astype(np.longdouble) * y[f.indices])
+        rows, cols, data = _triplets(f)
+        out = np.zeros(len(y), dtype=np.longdouble)
+        np.add.at(out, rows, data.astype(np.longdouble) * y[cols])
         y = out
     return y
 
@@ -373,11 +375,12 @@ def test_composed_derivatives_are_no_less_accurate(dim, N, s, bound):
 
 def _dense(op):
     """The dense matrix of a Stencil: the product of its tables' dense matrices."""
-    n = op.factors[0].indptr.size - 1
+    n = op.factors[0].cols.shape[1]
     out = np.eye(n)
     for f in op.factors:
+        rows, cols, data = _triplets(f)
         table = np.zeros((n, n))
-        np.add.at(table, (np.repeat(np.arange(n), np.diff(f.indptr)), f.indices), f.data)
+        np.add.at(table, (rows, cols), data)
         out = out @ table
     return out
 
@@ -399,9 +402,8 @@ def test_oracle_and_solver_operators_stay_apart(dim, oracle_first):
             ref = build(make_grid(dim, 33), family, s)  # a fresh grid, one family only
             assert len(op.factors) == len(ref.factors)
             for f, r in zip(op.factors, ref.factors):
-                assert np.array_equal(f.indptr, r.indptr)
-                assert np.array_equal(f.indices, r.indices)
-                assert np.array_equal(f.data, r.data)
+                for got, want in zip(_triplets(f), _triplets(r)):
+                    assert np.array_equal(got, want)
             assert build(g, family, s) is op  # repeated calls share one object
 
 

@@ -1,14 +1,14 @@
 """The package's operator tables against scipy.sparse, bit for bit.
 
-Each per-axis grid.CSROperator is scipy's canonical CSR: the same indptr,
-indices and data as scipy's COO -> CSR of the table's own triplets, given
-in a shuffled order.  Its @ is csr_matvec (and csr_matvecs for x of
-several columns): the same doubles, inf and -0.0 included.  A NaN result is
-compared by position only, as numpy's additions need not give it the sign
-scipy's kernels do.  Each operator D^s is its per-axis tables applied last
-factor first, and is compared with scipy's matrices of the same axes and
-orders applied in that order.  scipy.sparse is imported here only as the
-reference.
+Each per-axis grid.WindowTable's nonzero weights, read in canonical CSR
+order, are the rows, columns and data of scipy's COO -> CSR of those
+triplets, given in a shuffled order, and its zero weights read only the pad
+slot.  Its @ is csr_matvec (and csr_matvecs for x of several columns): the
+same doubles, inf and -0.0 included.  A NaN result is compared by position
+only, as numpy's additions need not give it the sign scipy's kernels do.
+Each operator D^s is its per-axis tables applied last factor first, and is
+compared with scipy's matrices of the same axes and orders applied in that
+order.  scipy.sparse is imported here only as the reference.
 """
 
 import numpy as np
@@ -18,7 +18,9 @@ import scipy.sparse as sp
 from isoperturb.grid import SOLVER_WIDTHS, ScalarField, VecField, derivative, laplacian, make_grid, multi_indices
 from isoperturb.verify import ORACLE_WIDTHS
 
-CASES = [(1, 17), (1, 18), (1, 201), (1, 3201), (2, 17), (2, 18), (2, 25), (2, 97)]
+# at N = 2948, h**2 != h*h; disks of 33 and 65 nodes a side are verify-appendix's
+# and the convergence study's
+CASES = [(1, 17), (1, 18), (1, 201), (1, 2948), (1, 3201), (2, 17), (2, 18), (2, 25), (2, 33), (2, 65), (2, 97)]
 
 
 def _same(got, want):
@@ -30,11 +32,17 @@ def _same(got, want):
     return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def _reference_axis(op, n, rng):
-    """scipy's COO -> CSR of op's own triplets, fed in a shuffled order."""
-    rows = np.repeat(np.arange(n), np.diff(op.indptr))
+def _triplets(table):
+    """(rows, columns, data) of table's nonzero weights, in canonical CSR order."""
+    keep = table.weights.T != 0
+    return np.nonzero(keep)[0], table.cols.T[keep], table.weights.T[keep]
+
+
+def _reference_axis(table, n, rng):
+    """scipy's COO -> CSR of table's own triplets, fed in a shuffled order."""
+    rows, cols, data = _triplets(table)
     p = rng.permutation(len(rows))
-    return sp.coo_matrix((op.data[p], (rows[p], op.indices[p])), shape=(n, n)).tocsr()
+    return sp.coo_matrix((data[p], (rows[p], cols[p])), shape=(n, n)).tocsr()
 
 
 def _apply(refs, x):
@@ -83,8 +91,10 @@ def test_operators_and_products_are_scipys_bit_for_bit(dim, N):
                 assert len(op.factors) == len(pairs), label
                 for table, (want, ref) in zip(op.factors, pairs):
                     assert table is want, label
-                    for part in ("indptr", "indices", "data"):
-                        assert _same(getattr(table, part), getattr(ref, part)), (label, part)
+                    rows, cols, data = _triplets(table)
+                    coo = ref.tocoo()  # canonical CSR order
+                    assert np.array_equal(rows, coo.row) and np.array_equal(cols, coo.col), label
+                    assert _same(data, coo.data), label
                 refs = [ref for _, ref in pairs] or [sp.identity(n, format="csr")]
                 for v in (x, x[:, 0], x[:, :1], x[:, :2], finite, finite[:, 0], zeros, zeros[:, 0]):
                     assert _same(op @ v, _apply(refs, v)), (label, v.shape)
@@ -116,11 +126,23 @@ def test_a_nonfinite_entry_reaches_only_the_rows_that_read_it():
         bad_node = g.num_nodes // 3
         readers = np.array([bad_node])
         for f in reversed(op.factors):  # the rows that read bad_node through each table in turn
-            rows = np.repeat(np.arange(g.num_nodes), np.diff(f.indptr))
-            readers = np.unique(rows[np.isin(f.indices, readers)])
+            rows, cols, _ = _triplets(f)
+            readers = np.unique(rows[np.isin(cols, readers)])
         for bad in (np.nan, np.inf):
             x = g.coords.sum(axis=1)
             x[bad_node] = bad
             y = op @ x
             assert not np.isfinite(y[readers]).any(), (s, bad)
             assert np.isfinite(np.delete(y, readers)).all(), (s, bad)
+
+
+@pytest.mark.parametrize("dim, N", CASES)
+def test_a_zero_weight_reads_only_the_pad_slot(dim, N):
+    g = make_grid(dim, N)
+    for widths in (SOLVER_WIDTHS, ORACLE_WIDTHS):
+        for axis in range(dim):
+            for order in (1, 2):
+                (table,) = g.stencil_operator(widths, tuple(order if a == axis else 0 for a in range(dim))).factors
+                zero = table.weights == 0.0
+                assert np.array_equal(table.cols == g.num_nodes, zero), (widths, axis, order)
+                assert table.cols[~zero].min() >= 0 and table.cols[~zero].max() < g.num_nodes, (widths, axis, order)

@@ -31,10 +31,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "isoperturb"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# README acceptance criterion 4 is stated in terms of this property, and
-# only the acceptance gate reads it
-EXEMPT = {("fixedpoint.py", "asymptotic_ratio")}
-
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
@@ -75,11 +71,8 @@ def _references():
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    defined = list(_definitions())
-    assert EXEMPT <= {(module, name) for module, _, name in defined}
     refs = _references()
-    orphans = [f"{module}:{line} {name}" for module, line, name in defined
-               if name not in refs and (module, name) not in EXEMPT]
+    orphans = [f"{module}:{line} {name}" for module, line, name in _definitions() if name not in refs]
     assert not orphans, "defined but referred to only by tests: " + ", ".join(orphans)
 
 
