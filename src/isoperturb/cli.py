@@ -447,13 +447,15 @@ def _run_report(out_dir, quiet):
     sample_dir = os.path.join(out_dir, "report_embeddings")
     os.makedirs(sample_dir, exist_ok=True)
     wrote = []
-    for run_name, e in entries:
+    for run_name, _ in entries:
         emb_dir = os.path.join(out_dir, run_name, "embeddings")
         if not os.path.isdir(emb_dir):
             continue
         for fname in sorted(os.listdir(emb_dir)):
             src = os.path.join(emb_dir, fname)
-            dst = os.path.join(sample_dir, f"{e['scenario']}_{fname}")
+            # named after the run's directory: unique under out_dir, where
+            # two runs may share a scenario name
+            dst = os.path.join(sample_dir, f"{run_name}_{fname}")
             with open(src) as fin, open(dst, "w") as fout:
                 for i, line in enumerate(fin):
                     if i > 256:

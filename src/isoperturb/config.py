@@ -23,7 +23,20 @@ from .grid import MIN_RESOLUTION
 
 
 CHART_COMMANDS = ("check-free", "solve-local", "solve-family")  # they read `chart`
-COMMANDS = CHART_COMMANDS + ("solve-global", "verify-appendix")
+# the scenario keys each command's run reads, besides _COMMON_KEYS, which
+# every command reads; parse_scenario rejects any other key
+_COMMON_KEYS = {"name", "command", "seed", "resolution", "out"}
+READS = {
+    "check-free": ("chart", "halfwidth"),
+    "solve-local": ("chart", "halfwidth", "amplitude", "bump_radius", "alpha",
+                    "iteration_tol", "residual_tol", "cutoff"),
+    "solve-family": ("chart", "halfwidth", "family", "window", "alpha",
+                     "iteration_tol", "residual_tol", "cutoff"),
+    "solve-global": ("manifold", "charts", "mesh", "family", "alpha",
+                     "iteration_tol", "residual_tol", "cutoff"),
+    "verify-appendix": ("alpha", "appendix_samples"),
+}
+COMMANDS = tuple(READS)
 CHART_NAMES = tuple(CHARTS)
 MANIFOLDS = tuple(PHASES)
 MAX_RESOLUTION = 20001
@@ -120,12 +133,7 @@ def check_seed(value, fieldname):
     return value
 
 
-_SCENARIO_KEYS = {
-    "name", "command", "seed", "resolution", "alpha", "chart", "halfwidth",
-    "manifold", "charts", "mesh", "family", "amplitude", "bump_radius",
-    "cutoff", "window", "iteration_tol", "residual_tol", "appendix_samples",
-    "out",
-}
+_SCENARIO_KEYS = _COMMON_KEYS.union(*READS.values())
 _FAMILY_KEYS = {"name", "beta", "horizon", "samples", "bump_radius",
                 "bump_power", "table"}
 
@@ -183,6 +191,10 @@ def parse_scenario(raw) -> Scenario:
              f"unknown command {raw['command']!r}; expected one of {list(COMMANDS)}",
              "command")
     sc = Scenario(name=raw["name"], command=raw["command"])
+    unread = sorted(set(raw) - _COMMON_KEYS - set(READS[sc.command]))
+    if unread:
+        raise ScenarioError(f"{unread[0]}: a {sc.command} run does not read it",
+                            field=unread[0])
     if "seed" in raw:
         sc.seed = check_seed(raw["seed"], "seed")
     if "resolution" in raw:
@@ -197,9 +209,9 @@ def parse_scenario(raw) -> Scenario:
         sc.chart = raw["chart"]
     if "halfwidth" in raw and raw["halfwidth"] is not None:
         # only the chart of a manifold (circle or torus) has a halfwidth
-        _require(sc.chart in MANIFOLDS and sc.command in CHART_COMMANDS,
-                 f"only a circle or torus chart of {list(CHART_COMMANDS)} reads it; "
-                 f"got chart {sc.chart!r} under {sc.command!r}", "halfwidth")
+        _require(sc.chart in MANIFOLDS,
+                 f"only a circle or torus chart reads it; got chart {sc.chart!r}",
+                 "halfwidth")
         sc.halfwidth = _as_number(raw["halfwidth"], "halfwidth")
         _require(0.0 < sc.halfwidth < MAX_HALFWIDTH,
                  f"must be in (0, pi), got {sc.halfwidth}", "halfwidth")

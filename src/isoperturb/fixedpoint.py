@@ -117,7 +117,7 @@ def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField, v: Ve
     f must be supported inside cut's flat radius, which solve_fixed_point
     checks once before its first step.
     """
-    p = tangential_correction(cut, v, potentials)
+    p = tangential_correction(cut, potentials)
     q = normal_correction(cut, v, potentials)
     rhs = SymTensorField(f.grid, 0.5 * f.values - 0.5 * q.values)
     e = apply_frame(frame, p, rhs)

@@ -4,12 +4,12 @@ Everything here is a pointwise/elliptic combination of a compactly
 supported cutoff `a`, a candidate normal field `v` (q components), and
 zero-boundary Poisson solves.  The central objects:
 
-  quadratic_load          2 da (Lv . v) + a (Lv . dv)         (per axis)
-  load_potentials         zero-boundary inverse Laplacian of each load
-  tangential_correction   a * potential                        (per axis)
-  potential_coupling_term a dw + 3 da w symmetrized            (pairwise)
-  gradient_product_term   the quadratic form in (v, dv, a, da) (pairwise)
-  normal_correction       gradient_product_term - potential_coupling_term
+  quadratic_load         2 da_i (Lv . v) + a (Lv . D_i v)     (per axis)
+  load_potentials        zero-boundary inverse Laplacian of each load
+  tangential_correction  a * potential                       (per axis)
+  normal_correction      the product quadratic in (v, dv, a, da) minus
+                         the coupling a dw + 3 da w, both symmetrized
+                         (pairwise; the formula is in its docstring)
 
 Every term carries a factor of a or of da, so the corrections vanish
 identically outside the cutoff support; in particular the normal
@@ -20,7 +20,8 @@ back to it at machine precision.
 import numpy as np
 
 from .grid import (
-    Grid, ScalarField, SymTensorField, VecField, holder_norm, laplacian, random_waves, sym_indices,
+    Grid, ScalarField, SymTensorField, VecField, holder_norm, laplacian, multi_indices, random_waves,
+    sym_indices,
 )
 from .poisson import solve_dirichlet
 
@@ -68,8 +69,10 @@ class Cutoff:
 
     Attributes
     ----------
-    a : ScalarField
-        The cutoff values (exactly 1.0 / 0.0 on the flat/outside regions).
+    values : ndarray, shape (num_nodes,)
+        The cutoff a (exactly 1.0 / 0.0 on the flat/outside regions).
+    grad : list of ndarray, shape (num_nodes,)
+        grad[i] is the analytic partial derivative da/dx_i.
     """
 
     def __init__(self, grid: Grid, flat_radius=0.5, support_radius=0.75):
@@ -82,111 +85,68 @@ class Cutoff:
         self.flat_radius = float(flat_radius)
         self.support_radius = float(support_radius)
         r = grid.radius()
-        self.a = ScalarField(grid, radial_window(r, self.flat_radius, self.support_radius))
+        self.values = radial_window(r, self.flat_radius, self.support_radius)
         width = self.support_radius - self.flat_radius
         s = (r - self.flat_radius) / width
         # analytic radial gradient: da/dx_i = -S'(s)/width * x_i/r
         slope = -smoothstep_slope(s) / width
         safe_r = np.where(r > 0.0, r, 1.0)
-        self._grad = [
-            ScalarField(grid, slope * grid.coords[:, ax] / safe_r) for ax in range(grid.dim)
-        ]
-
-    def gradient(self, axis) -> ScalarField:
-        """Analytic partial derivative of the cutoff along `axis`."""
-        return self._grad[axis]
-
-    @property
-    def values(self):
-        return self.a.values
-
-
-def _check_pair(cut: Cutoff, v: VecField):
-    if v.grid is not cut.grid:
-        raise ValueError("operator dimension error: v lives on a different grid than the cutoff")
-
-
-def _check_axes(grid, i, j):
-    if not (0 <= i <= j < grid.dim):
-        raise ValueError(f"operator axes must satisfy 0 <= i <= j < {grid.dim}, got ({i},{j})")
+        self.grad = [slope * grid.coords[:, ax] / safe_r for ax in range(grid.dim)]
 
 
 def _d1(grid, axis):
-    return grid.derivative_matrix(tuple(1 if a == axis else 0 for a in range(grid.dim)))
+    return grid.derivative_matrix(multi_indices(grid.dim, 1)[axis])
 
 
-def quadratic_load(cut: Cutoff, v: VecField, axis: int) -> ScalarField:
-    """Load along one axis: 2 da (Lv . v) + a (Lv . dv); quadratic in v."""
-    _check_pair(cut, v)
-    _check_axes(cut.grid, axis, axis)
+def quadratic_load(cut: Cutoff, v: VecField):
+    """The per-axis loads 2 da_i (Lv . v) + a (Lv . D_i v), quadratic in v."""
     g = cut.grid
     lap_v = laplacian(v).values
-    dv = _d1(g, axis) @ v.values
-    da = cut.gradient(axis).values
-    vals = 2.0 * da * np.sum(lap_v * v.values, axis=1) + cut.values * np.sum(lap_v * dv, axis=1)
-    return ScalarField(g, vals)
+    lap_dot_v = np.sum(lap_v * v.values, axis=1)
+    return [
+        ScalarField(g, 2.0 * cut.grad[i] * lap_dot_v
+                    + cut.values * np.sum(lap_v * (_d1(g, i) @ v.values), axis=1))
+        for i in range(g.dim)
+    ]
 
 
 def load_potentials(cut: Cutoff, v: VecField):
     """Zero-boundary potentials of the per-axis loads, and their largest solve residual."""
-    sols = [solve_dirichlet(quadratic_load(cut, v, ax)) for ax in range(cut.grid.dim)]
+    sols = [solve_dirichlet(load) for load in quadratic_load(cut, v)]
     return [s.u for s in sols], max(s.residual_sup for s in sols)
 
 
-def tangential_correction(cut: Cutoff, v: VecField, potentials) -> VecField:
+def tangential_correction(cut: Cutoff, potentials) -> VecField:
     """Per-axis correction a * potential (n components)."""
-    _check_pair(cut, v)
-    cols = [cut.values * wi.values for wi in potentials]
-    return VecField(cut.grid, np.column_stack(cols))
-
-
-def potential_coupling_term(cut: Cutoff, v: VecField, i: int, j: int, potentials) -> ScalarField:
-    """Symmetrized potential coupling: a dw + 3 da w in both axis orders."""
-    _check_pair(cut, v)
-    _check_axes(cut.grid, i, j)
-    g = cut.grid
-    a = cut.values
-    vals = (
-        a * (_d1(g, i) @ potentials[j].values)
-        + a * (_d1(g, j) @ potentials[i].values)
-        + 3.0 * cut.gradient(i).values * potentials[j].values
-        + 3.0 * cut.gradient(j).values * potentials[i].values
-    )
-    return ScalarField(g, vals)
-
-
-def gradient_product_term(cut: Cutoff, v: VecField, i: int, j: int) -> ScalarField:
-    """Quadratic form 4 da da (v.v) + 2 a da (dv.v) x2 + a^2 (dv.dv)."""
-    _check_pair(cut, v)
-    _check_axes(cut.grid, i, j)
-    g = cut.grid
-    a = cut.values
-    dai, daj = cut.gradient(i).values, cut.gradient(j).values
-    dvi = _d1(g, i) @ v.values
-    dvj = _d1(g, j) @ v.values
-    vals = (
-        4.0 * dai * daj * np.sum(v.values * v.values, axis=1)
-        + 2.0 * a * dai * np.sum(dvj * v.values, axis=1)
-        + 2.0 * a * daj * np.sum(dvi * v.values, axis=1)
-        + a * a * np.sum(dvi * dvj, axis=1)
-    )
-    return ScalarField(g, vals)
+    return VecField(cut.grid, np.column_stack([cut.values * w.values for w in potentials]))
 
 
 def normal_correction(cut: Cutoff, v: VecField, potentials) -> SymTensorField:
-    """Pairwise correction tensor (gradient product minus coupling).
+    """Pairwise correction tensor: a gradient product minus a coupling.
 
+    With dv_i = D_i v, dw_ij = D_i w_j (w the potentials) and da_i the
+    cutoff's analytic gradient, component (i, j) of sym_indices is
+      4 da_i da_j (v.v) + 2 a da_i (dv_j.v) + 2 a da_j (dv_i.v) + a^2 (dv_i.dv_j)
+      - (a dw_ij + a dw_ji + 3 da_i w_j + 3 da_j w_i).
     Every term carries a or da, so the tensor vanishes outside the cutoff
     support and has exactly zero boundary values; its discrete Laplacian
     (grid.laplacian) therefore inverts back to it.
     """
-    _check_pair(cut, v)
     g = cut.grid
+    a, da, vv = cut.values, cut.grad, v.values
+    w = [p.values for p in potentials]
+    dv = [_d1(g, i) @ vv for i in range(g.dim)]
+    dw = [[_d1(g, i) @ wj for wj in w] for i in range(g.dim)]
     cols = []
     for i, j in sym_indices(g.dim):
-        u2 = gradient_product_term(cut, v, i, j)
-        u1 = potential_coupling_term(cut, v, i, j, potentials)
-        cols.append(u2.values - u1.values)
+        product = (
+            4.0 * da[i] * da[j] * np.sum(vv * vv, axis=1)
+            + 2.0 * a * da[i] * np.sum(dv[j] * vv, axis=1)
+            + 2.0 * a * da[j] * np.sum(dv[i] * vv, axis=1)
+            + a * a * np.sum(dv[i] * dv[j], axis=1)
+        )
+        coupling = a * dw[i][j] + a * dw[j][i] + 3.0 * da[i] * w[j] + 3.0 * da[j] * w[i]
+        cols.append(product - coupling)
     return SymTensorField(g, np.column_stack(cols))
 
 
@@ -216,8 +176,8 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
         ) * holder_norm(diff, 2, alpha)
         if size < 1e-14:
             continue
-        for ax in range(g.dim):
-            dn = quadratic_load(cut, v1, ax).values - quadratic_load(cut, v2, ax).values
+        for n1, n2 in zip(quadratic_load(cut, v1), quadratic_load(cut, v2)):
+            dn = n1.values - n2.values
             out["load"] = max(
                 out["load"], holder_norm(ScalarField(g, dn), 0, alpha) / size
             )
@@ -229,8 +189,8 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
         for k in range(dq.values.shape[1]):
             dm = laplacian(ScalarField(g, dq.values[:, k]))
             out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha) / size)
-        p1 = tangential_correction(cut, v1, w1)
-        p2 = tangential_correction(cut, v2, w2)
+        p1 = tangential_correction(cut, w1)
+        p2 = tangential_correction(cut, w2)
         dp = VecField(g, p1.values - p2.values)
         out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha) / size)
     out["samples"] = samples

@@ -11,7 +11,7 @@ periodic derivative reads the centred five-node window of the same weights.
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField, sym_indices, window_weights
+from .grid import Grid, SymTensorField, VecField, multi_indices, sym_indices, window_weights
 
 # (order-1, order-2) window widths: exact through degrees 4 and 5 -> O(h^4)
 ORACLE_WIDTHS = (5, 6)
@@ -29,7 +29,7 @@ def oracle_derivative_matrix(grid: Grid, s):
 def oracle_gradients(F: VecField):
     """Per-axis fourth-order first derivatives of a vector field."""
     g = F.grid
-    return [oracle_derivative_matrix(g, tuple(1 if a == ax else 0 for a in range(g.dim))) @ F.values for ax in range(g.dim)]
+    return [oracle_derivative_matrix(g, s) @ F.values for s in multi_indices(g.dim, 1)]
 
 
 def isometry_residual(F: VecField, F0: VecField, f: SymTensorField):

@@ -335,6 +335,10 @@ def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypa
     ("verify-appendix", "", ["--seed", "-1"], "--seed"),
     ("check-free", "", ["--seed", "-1"], "--seed"),
     ("solve-global", "family: {name: table, table: {tmp}/late.csv}\n", [], "family"),
+    ("check-free", "window: [0.6, 0.7]\n", [], "window"),
+    ("solve-local", "mesh: 64\n", [], "mesh"),
+    ("solve-global", "amplitude: 0.02\n", [], "amplitude"),
+    ("verify-appendix", "family: {name: constant}\n", [], "family"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
@@ -347,7 +351,8 @@ def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, do
     # chart reads was recorded and ignored, with exit 0; --seed -1 was
     # recorded by check-free with exit 0, and failed verify-appendix with
     # exit 3; a table that starts after t = 0 was extrapolated back to
-    # g(0), halved twice and exited 1)
+    # g(0), halved twice and exited 1; a key that the command never reads,
+    # such as window under check-free, was recorded and ignored, with exit 0)
     (tmp_path / "neg.csv").write_text("t,g\n0.0,1.0\n0.5,-0.5\n1.0,-2.0\n")
     (tmp_path / "late.csv").write_text("t,g\n0.5,1.0\n1.0,1.02\n1.5,1.04\n")
     doc = doc.replace("{tmp}", str(tmp_path))
@@ -524,6 +529,17 @@ def test_report_merges_runs(tmp_path, local_run):
     assert all(r["status"] == "pass" for r in rep["runs"])
     sampled = os.listdir(root / "report_embeddings")
     assert any(name.endswith("local.csv") for name in sampled)
+
+
+def test_report_keeps_the_samples_of_runs_that_share_a_scenario_name(tmp_path):
+    root = tmp_path / "runs"
+    for run, amplitude in (("a", "0.01"), ("b", "0.0")):
+        cfg = _cfg(tmp_path, LOCAL_FAST_CFG.replace("amplitude: 0.01", f"amplitude: {amplitude}"))
+        assert main(["solve-local", "--config", cfg, "--out", str(root / run), "--quiet"]) == 0
+    assert main(["report", "--out", str(root), "--quiet"]) == 0
+    sampled = root / "report_embeddings"
+    assert sorted(os.listdir(sampled)) == ["a_local.csv", "b_local.csv"]
+    assert (sampled / "a_local.csv").read_bytes() != (sampled / "b_local.csv").read_bytes()
 
 
 def test_report_on_empty_dir_exits_2(tmp_path, capsys):

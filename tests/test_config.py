@@ -101,6 +101,7 @@ def test_missing_file_is_a_scenario_error(tmp_path):
     ("name: x\ncommand: solve-family\nfamily: {samples: 0}\n", "family.samples"),
     ("name: x\ncommand: solve-family\nfamily: {horizon: -1.0}\n", "family.horizon"),
     ("name: x\ncommand: solve-local\nfamily: {nope: 1}\n", "family"),
+    ("name: x\ncommand: solve-family\nfamily: {nope: 1}\n", "family"),
 ], ids=lambda v: v if isinstance(v, str) and "\n" not in v else None)
 def test_validation_names_the_field(tmp_path, doc, fieldname):
     with pytest.raises(ScenarioError) as exc:

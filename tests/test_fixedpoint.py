@@ -123,7 +123,7 @@ def verify_identity(frame, cut, v, f):
     """
     g = f.grid
     potentials, _ = load_potentials(cut, v)
-    p = tangential_correction(cut, v, potentials)
+    p = tangential_correction(cut, potentials)
     q = normal_correction(cut, v, potentials)
     n = g.dim
     r1 = 0.0

@@ -1,24 +1,35 @@
 """Correction-operator tests.
 
 The load/coupling/product coefficients are validated against the two
-continuum identities they were built to satisfy:
-    d_i(a^2 v) . d_j(a^2 v)            = a^2 * gradient_product_term_ij
-    d_j(a^3 w_i) + d_i(a^3 w_j)        = a^2 * potential_coupling_term_ij
-whose discrete defect must shrink at second order.
+continuum identities they were built to satisfy, for n = 1 (i = j = 0):
+    d(a^2 v) . d(a^2 v)   = a^2 * normal_correction(v, w = 0)
+    2 d(a^3 w)            = -a^2 * normal_correction(v = 0, w)
+whose discrete defect must shrink at second order.  With w = 0 the
+coupling part of the normal correction is +-0, and with v = 0 its product
+part is, so each side reads one part bit for bit (up to the sign of a
+zero).
+
+The operators are also compared, byte for byte, with a reference kept
+below: the per-axis load and the per-pair product and coupling terms
+they were written as before each derivative was taken once.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoperturb.grid import ScalarField, VecField, derivative, laplacian, make_grid, sym_indices
+from isoperturb import grid as grid_module
+from isoperturb.embeddings import ParabolaChart, TorusChart
+from isoperturb.fixedpoint import bump_perturbation, fixed_point_map
+from isoperturb.frame import build_frame
+from isoperturb.grid import (
+    ScalarField, VecField, derivative, laplacian, make_grid, sym_indices,
+)
 from isoperturb.operators import (
     Cutoff,
     continuity_witnesses,
-    gradient_product_term,
     load_potentials,
     normal_correction,
-    potential_coupling_term,
     quadratic_load,
     smoothstep,
     smoothstep_slope,
@@ -82,8 +93,8 @@ def test_cutoff_gradient_matches_grid_derivative():
     for N in (401, 801):
         g = make_grid(1, N)
         cut = Cutoff(g)
-        d_grid = derivative(cut.a, (1,)).values
-        errs.append(np.max(np.abs(d_grid - cut.gradient(0).values)))
+        d_grid = derivative(ScalarField(g, cut.values), (1,)).values
+        errs.append(np.max(np.abs(d_grid - cut.grad[0])))
     assert errs[0] < 0.05
     assert 2.5 < errs[0] / errs[1] < 6.0  # second-order shrinkage
 
@@ -93,7 +104,7 @@ def test_cutoff_2d_gradient_is_radial():
     cut = Cutoff(g)
     x, y = g.coords[:, 0], g.coords[:, 1]
     # tangential component of the gradient vanishes analytically
-    tang = cut.gradient(0).values * (-y) + cut.gradient(1).values * x
+    tang = cut.grad[0] * (-y) + cut.grad[1] * x
     assert np.max(np.abs(tang)) < 1e-12
 
 
@@ -113,9 +124,9 @@ def test_load_vanishes_for_zero_and_constant_fields():
     g = make_grid(1, 201)
     cut = Cutoff(g)
     zero = VecField(g, np.zeros((g.num_nodes, 3)))
-    assert np.all(quadratic_load(cut, zero, 0).values == 0.0)
+    assert np.all(quadratic_load(cut, zero)[0].values == 0.0)
     const = VecField(g, np.tile([1.0, -2.0, 0.5], (g.num_nodes, 1)))
-    assert np.max(np.abs(quadratic_load(cut, const, 0).values)) < 1e-9
+    assert np.max(np.abs(quadratic_load(cut, const)[0].values)) < 1e-9
 
 
 @settings(max_examples=15, deadline=None)
@@ -124,31 +135,25 @@ def test_load_is_quadratic_in_v(lam):
     g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
-    n1 = quadratic_load(cut, VecField(g, lam * v.values), 0).values
-    n2 = lam * lam * quadratic_load(cut, v, 0).values
+    n1 = quadratic_load(cut, VecField(g, lam * v.values))[0].values
+    n2 = lam * lam * quadratic_load(cut, v)[0].values
     assert np.max(np.abs(n1 - n2)) <= 1e-10 * max(1.0, np.max(np.abs(n2)))
-
-
-def test_load_grid_mismatch_rejected():
-    g1 = make_grid(1, 101)
-    g2 = make_grid(1, 51)
-    with pytest.raises(ValueError, match="grid"):
-        quadratic_load(Cutoff(g1), smooth_vec(g2), 0)
-
-
-def test_axis_order_validated():
-    g = make_grid(2, 33)
-    cut = Cutoff(g)
-    v = smooth_vec(g)
-    w, _ = load_potentials(cut, v)
-    with pytest.raises(ValueError, match="axes"):
-        potential_coupling_term(cut, v, 1, 0, w)
-    with pytest.raises(ValueError, match="axes"):
-        gradient_product_term(cut, v, 0, 2)
 
 
 # ---------------------------------------------------------------------------
 # coefficient oracles: the two continuum identities
+
+
+def product_part(cut, v):
+    """The gradient-product part of Q(v): Q(v) with zero potentials."""
+    zero = [ScalarField(cut.grid, np.zeros(cut.grid.num_nodes))] * cut.grid.dim
+    return normal_correction(cut, v, zero).values
+
+
+def coupling_part(cut, w):
+    """The coupling part of Q: -Q(0) with potentials w."""
+    zero = VecField(cut.grid, np.zeros((cut.grid.num_nodes, 3)))
+    return -normal_correction(cut, zero, w).values
 
 
 def identity_defects(N):
@@ -162,13 +167,13 @@ def identity_defects(N):
     # product identity: d(a^2 v) . d(a^2 v) = a^2 * u2
     dav = d1 @ (a2[:, None] * v.values)
     lhs2 = np.sum(dav * dav, axis=1)
-    rhs2 = a2 * gradient_product_term(cut, v, 0, 0).values
+    rhs2 = a2 * product_part(cut, v)[:, 0]
     e2 = np.max(np.abs(lhs2 - rhs2)) / max(1.0, np.max(np.abs(lhs2)))
 
     # coupling identity: 2 d(a^3 w) = a^2 * u1 (n=1, i=j=0)
     w, _ = load_potentials(cut, v)
     lhs1 = 2.0 * (d1 @ (a3 * w[0].values))
-    rhs1 = a2 * potential_coupling_term(cut, v, 0, 0, potentials=w).values
+    rhs1 = a2 * coupling_part(cut, w)[:, 0]
     e1 = np.max(np.abs(lhs1 - rhs1)) / max(1.0, np.max(np.abs(lhs1)))
     return e1, e2
 
@@ -187,7 +192,7 @@ def test_product_term_reduces_to_dv_dot_dv_on_flat_region():
     g = make_grid(1, 401)
     cut = Cutoff(g)
     v = smooth_vec(g)
-    u2 = gradient_product_term(cut, v, 0, 0).values
+    u2 = product_part(cut, v)[:, 0]
     dv = g.derivative_matrix((1,)) @ v.values
     ref = np.sum(dv * dv, axis=1)
     flat = g.radius() <= 0.5 - 2.0 * g.spacing
@@ -205,15 +210,12 @@ def test_all_corrections_vanish_exactly_outside_support():
         v = smooth_vec(g)
         outside = g.radius() >= 0.75
         w, _ = load_potentials(cut, v)
-        p = tangential_correction(cut, v, potentials=w)
+        p = tangential_correction(cut, potentials=w)
         q = normal_correction(cut, v, potentials=w)
         assert np.all(p.values[outside] == 0.0)
         assert np.all(q.values[outside] == 0.0)
-        for i, j in sym_indices(dim):
-            u1 = potential_coupling_term(cut, v, i, j, potentials=w)
-            u2 = gradient_product_term(cut, v, i, j)
-            assert np.all(u1.values[outside] == 0.0)
-            assert np.all(u2.values[outside] == 0.0)
+        assert np.all(coupling_part(cut, w)[outside] == 0.0)
+        assert np.all(product_part(cut, v)[outside] == 0.0)
 
 
 def test_laplacian_of_correction_inverts_back_exactly():
@@ -237,7 +239,7 @@ def test_correction_zero_for_zero_field():
     zero = VecField(g, np.zeros((g.num_nodes, 3)))
     w, _ = load_potentials(cut, zero)
     assert np.all(normal_correction(cut, zero, w).values == 0.0)
-    assert np.all(tangential_correction(cut, zero, w).values == 0.0)
+    assert np.all(tangential_correction(cut, w).values == 0.0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -247,8 +249,8 @@ def test_tangential_correction_quadratic_homogeneity(lam):
     cut = Cutoff(g)
     v = smooth_vec(g)
     lam_v = VecField(g, lam * v.values)
-    p1 = tangential_correction(cut, lam_v, load_potentials(cut, lam_v)[0]).values
-    p2 = lam * lam * tangential_correction(cut, v, load_potentials(cut, v)[0]).values
+    p1 = tangential_correction(cut, load_potentials(cut, lam_v)[0]).values
+    p2 = lam * lam * tangential_correction(cut, load_potentials(cut, v)[0]).values
     assert np.max(np.abs(p1 - p2)) <= 1e-10 * max(1.0, np.max(np.abs(p2)))
 
 
@@ -258,3 +260,107 @@ def test_continuity_witnesses_finite():
     for key in ("load", "laplacian", "tangential", "normal"):
         assert np.isfinite(rep[key])
         assert rep[key] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the operators as they were written per axis and per pair, bit for bit
+
+UNIT = {1: [(1,)], 2: [(1, 0), (0, 1)]}
+
+
+def reference_load(cut, v, axis):
+    g = cut.grid
+    lap_v = laplacian(v).values
+    dv = g.derivative_matrix(UNIT[g.dim][axis]) @ v.values
+    da = cut.grad[axis]
+    return 2.0 * da * np.sum(lap_v * v.values, axis=1) + cut.values * np.sum(lap_v * dv, axis=1)
+
+
+def reference_coupling(cut, i, j, potentials):
+    g = cut.grid
+    a = cut.values
+    return (
+        a * (g.derivative_matrix(UNIT[g.dim][i]) @ potentials[j].values)
+        + a * (g.derivative_matrix(UNIT[g.dim][j]) @ potentials[i].values)
+        + 3.0 * cut.grad[i] * potentials[j].values
+        + 3.0 * cut.grad[j] * potentials[i].values
+    )
+
+
+def reference_product(cut, v, i, j):
+    g = cut.grid
+    a = cut.values
+    dai, daj = cut.grad[i], cut.grad[j]
+    dvi = g.derivative_matrix(UNIT[g.dim][i]) @ v.values
+    dvj = g.derivative_matrix(UNIT[g.dim][j]) @ v.values
+    return (
+        4.0 * dai * daj * np.sum(v.values * v.values, axis=1)
+        + 2.0 * a * dai * np.sum(dvj * v.values, axis=1)
+        + 2.0 * a * daj * np.sum(dvi * v.values, axis=1)
+        + a * a * np.sum(dvi * dvj, axis=1)
+    )
+
+
+def reference_normal(cut, v, potentials):
+    cols = [reference_product(cut, v, i, j) - reference_coupling(cut, i, j, potentials)
+            for i, j in sym_indices(cut.grid.dim)]
+    return np.column_stack(cols)
+
+
+def reference_tangential(cut, potentials):
+    return np.column_stack([cut.values * w.values for w in potentials])
+
+
+def smooth_field(grid, q):
+    """q smooth columns, each a different product of a sine and a cosine."""
+    x = grid.coords[:, 0]
+    y = grid.coords[:, 1] if grid.dim == 2 else 0.0
+    return VecField(grid, np.column_stack([
+        np.sin((k + 1) * x + 0.3 * k) * np.cos(0.5 * k * y + 0.2) for k in range(q)
+    ]))
+
+
+def assert_same_bytes(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim,N", [(1, 201), (2, 17), (2, 33)])
+@pytest.mark.parametrize("field", ["smooth-2", "smooth-3", "smooth-6", "random"])
+def test_operators_are_the_per_axis_and_per_pair_reference_bit_for_bit(dim, N, field):
+    g = make_grid(dim, N)
+    cut = Cutoff(g, 0.4, 0.85)
+    if field == "random":
+        v = VecField(g, np.random.default_rng(7).standard_normal((g.num_nodes, 3)))
+    else:
+        v = smooth_field(g, int(field.split("-")[1]))
+    for axis, load in enumerate(quadratic_load(cut, v)):
+        assert_same_bytes(load.values, reference_load(cut, v, axis))
+    w, _ = load_potentials(cut, v)
+    assert_same_bytes(tangential_correction(cut, w).values, reference_tangential(cut, w))
+    assert_same_bytes(normal_correction(cut, v, w).values, reference_normal(cut, v, w))
+
+
+@pytest.mark.parametrize("chart,dim,N,products", [
+    (ParabolaChart(), 1, 201, 5),
+    (TorusChart(), 2, 17, 10),
+])
+def test_one_update_step_takes_each_derivative_once(monkeypatch, chart, dim, N, products):
+    # one load_potentials and one fixed_point_map: the Laplacian and D_i v
+    # in the loads, then D_i v and every D_i w_j in Q (the interval's
+    # Dirichlet solve adds one product of its own)
+    g = make_grid(dim, N)
+    frame = build_frame(chart, g)
+    cut = Cutoff(g)
+    f = bump_perturbation(g, 0.01, 0.4)
+    v = VecField(g, 1e-3 * smooth_field(g, frame.q).values)
+    calls = []
+    matmul = grid_module.Stencil.__matmul__
+
+    def counted(self, x):
+        calls.append(self)
+        return matmul(self, x)
+
+    monkeypatch.setattr(grid_module.Stencil, "__matmul__", counted)
+    fixed_point_map(frame, cut, f, v, load_potentials(cut, v)[0])
+    assert len(calls) == products
