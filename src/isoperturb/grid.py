@@ -59,8 +59,8 @@ a NaN's sign is bitwise scipy's on the table's nonzero triplets; a NaN or
 inf in x reaches only the rows that weigh it.
 
 Everything built from a grid alone (the tables and Stencils of every
-stencil family, the sweep lattice, the Dirichlet solver) is kept in the
-grid's one cache, Grid.cached.
+stencil family, the sweep lattice, the 1-d sweep's block buffer, the
+Dirichlet solver) is kept in the grid's one cache, Grid.cached.
 """
 
 from __future__ import annotations
@@ -391,6 +391,22 @@ class Grid:
         Both bounds hold in exact arithmetic and the seed is a pair quotient
         computed as the sweep computes it, so the result is bit-identical
         to the sweep over every offset (see the module docstring).
+
+        A 1-d block's shifts are consecutive, so its rows are a slice of
+        moved, and their differences go into one (step, N) buffer cached on
+        the grid: no block allocates.  A fresh block (256 KiB at N = 3201)
+        lies above malloc's mmap threshold, so each one would be mapped,
+        faulted in and unmapped again.  Both ways into the buffer give the
+        same bits: np.subtract straight from the strided rows takes one
+        pass, but once three rows fit numpy's ufunc buffer (np.getbufsize(),
+        8192 elements, so N <= 2730) numpy first copies them through it,
+        and a plain copy, then the subtraction in place, is cheaper there
+        (about 0.7 against 0.8-1.1 ns per element; above, 0.66 against 0.5;
+        numpy 2.4).  2-d blocks keep the fancy index moved[shifts[block]]:
+        their shifts are not consecutive, and a per-shift loop into a
+        buffer gave the same bits but took 967 us against 350 us per sweep
+        at N = 25 and 2593 us against 1131 us at N = 33; it wins only at a
+        size no scenario runs (88.9 ms against 100.9 ms at N = 97).
         """
         padded, moved, slots, shifts, _ = self._lags()
         dpow, slope = self._lag_powers(alpha)
@@ -398,6 +414,7 @@ class Grid:
         padded[slots] = vals
         base = moved[0]
         step = max(1, _SWEEP_BLOCK // (padded.size - len(moved) + 1))  # slots one view spans
+        buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape))) if self.dim == 1 else None
         best, k = 0.0, 0
         while k < len(shifts) and osc / dpow[k] > best:
             if k == step and slope is not None:
@@ -408,8 +425,17 @@ class Grid:
                 if k == len(shifts) or osc / dpow[k] <= best:
                     break
             block = slice(k, k + step)
-            diff = moved[shifts[block]]
-            diff -= base
+            if buf is None:
+                diff = moved[shifts[block]]
+                diff -= base
+            else:
+                n = len(shifts[block])  # the last block may be short
+                rows, diff = moved[shifts[k]:shifts[k] + n], buf[:n]
+                if 3 * len(base) > np.getbufsize():
+                    np.subtract(rows, base, out=diff)
+                else:
+                    np.copyto(diff, rows)
+                    diff -= base
             np.abs(diff, out=diff)
             # NaN marks a slot off the ball; fmax skips it
             lag_max = np.fmax.reduce(diff.reshape(len(diff), -1), axis=1)

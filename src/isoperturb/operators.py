@@ -176,12 +176,14 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
         ) * holder_norm(diff, 2, alpha)
         if size < 1e-14:
             continue
-        for n1, n2 in zip(quadratic_load(cut, v1), quadratic_load(cut, v2)):
+        loads1, loads2 = quadratic_load(cut, v1), quadratic_load(cut, v2)
+        for n1, n2 in zip(loads1, loads2):
             dn = n1.values - n2.values
             out["load"] = max(
                 out["load"], holder_norm(ScalarField(g, dn), 0, alpha) / size
             )
-        (w1, _), (w2, _) = load_potentials(cut, v1), load_potentials(cut, v2)
+        w1 = [solve_dirichlet(n).u for n in loads1]
+        w2 = [solve_dirichlet(n).u for n in loads2]
         q1 = normal_correction(cut, v1, w1)
         q2 = normal_correction(cut, v2, w2)
         dq = SymTensorField(g, q1.values - q2.values)

@@ -1,6 +1,7 @@
 """Grid, stencil, and Hoelder-norm tests (with independent in-test oracles)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -698,6 +699,45 @@ def test_seminorm_power_table_is_keyed_on_alpha():
             assert g.quotient_max(vals, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
             if dim == 1:
                 assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
+
+
+def _ripple(g, c=0.01):
+    """A ramp with an alternating ripple: m1 is large, so the slope bound
+    skips few lags, and the largest quotients sit at long lags.  At N = 201
+    the sweep reaches the short last block (shifts 164..200); at N = 3201
+    it runs hundreds of blocks."""
+    return g.coords[:, 0] + c * (-1.0) ** np.arange(g.num_nodes)
+
+
+@pytest.mark.parametrize("N", [801, 3201])
+def test_seminorm_block_buffer_allocates_no_block(N):
+    # a 1-d block's differences go into the grid's cached buffer (copied in
+    # at N = 801, subtracted straight in at N = 3201): once the grid is
+    # warm, a sweep of many blocks allocates less than one block
+    g = make_grid(1, N)
+    vals = _ripple(g)
+    g.quotient_max(vals, 0.5)
+    block_bytes = (_SWEEP_BLOCK // g.num_nodes) * g.num_nodes * 8
+    tracemalloc.start()
+    try:
+        q = g.quotient_max(vals, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == exhaustive_lag_sweep(g, vals, 0.5)
+    assert peak < block_bytes
+
+
+@pytest.mark.parametrize("N", [201, 3201])
+def test_seminorm_block_buffer_carries_nothing_between_sweeps(N):
+    # one grid, one buffer: each sweep of each field and alpha must read only
+    # its own differences, also from a short last block
+    g = make_grid(1, N)
+    fields = [_ripple(g), _slope_field("spike", N), _ripple(g, 0.05), _slope_field("smooth", N),
+              np.full(N, 0.25), _slope_field("zigzag", N), -_ripple(g, 0.001)]
+    for vals in fields:
+        for alpha in (0.05, 0.5, 0.95):
+            assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
 
 
 @settings(max_examples=20, deadline=None)
