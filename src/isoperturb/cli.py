@@ -174,14 +174,18 @@ def _write_json(path, payload):
 
 
 def _write_trace_csv(path, trace):
-    """One row per step; ratio is its increment over the previous one (empty on row 0)."""
+    """One row per step; ratio is its increment over the previous one (empty on row 0).
+
+    norm is the certified upper bound on the iterate's norm, and norm_exact
+    is 1 where it is the exact norm, 0 where it is the bound alone.
+    """
     ratios = [None] + trace.ratios
     with open(path, "w") as fh:
-        fh.write("iteration,norm,increment,ratio,poisson_residual\n")
+        fh.write("iteration,norm,increment,ratio,poisson_residual,norm_exact\n")
         for i in range(trace.iterations):
             vals = (trace.norms[i], trace.increments[i], ratios[i], trace.poisson_residuals[i])
             cells = ["" if x is None else repr(float(x)) for x in vals]
-            fh.write(",".join([str(i)] + cells) + "\n")
+            fh.write(",".join([str(i)] + cells + [str(int(trace.norm_exact[i]))]) + "\n")
 
 
 def _record_halvings(report, halvings):

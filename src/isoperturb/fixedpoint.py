@@ -15,8 +15,14 @@ f supported where a == 1 this is the requested perturbation f itself.
 
 Iterations start at v = 0, stop when the C^{2,alpha} increment drops below
 tolerance, enforce the a-priori bound |v_k| <= |E(0,f)| (1 + 1e-6) at every
-step, and abort with a smallness violation when contraction is lost.  A run
-that cannot reach the tolerance within MAX_ITER steps, even at the best of
+step, and abort with a smallness violation when contraction is lost.  The
+bound is checked on a certified upper bound U_k >= |v_k|: U_0 = |v_0| is the
+first increment, and U_k = (U_{k-1} + |v_k - v_{k-1}|)(1 + 1e-12) because
+the C^{2,alpha} norm is subadditive.  Only when U_k fails the tighter of the
+bound check and the recurrence monitor is the exact |v_k| taken, and U_k
+reset to it.  So every check decides as the exact norms would, and a step
+takes one norm, its increment's, unless it falls back.  A run that cannot
+reach the tolerance within MAX_ITER steps, even at the best of
 its last three increment ratios, stops early (fail-fast).  The limits of
 that rule are the module constants below.
 """
@@ -35,6 +41,9 @@ MAX_ITER = 60  # steps before a run counts as stalled
 RATIO_CAP = 0.9  # an increment ratio above this is a strike ...
 RATIO_STRIKES = 3  # ... and this many in a row lose contraction
 BOUND_SLACK = 1e-6  # relative slack of the a-priori bound
+# rounding slack on U_k = (U_{k-1} + |v_k - v_{k-1}|): the norms' subadditivity
+# holds in exact arithmetic, and each computed norm carries its own rounding
+NORM_MARGIN = 1.0 + 1e-12
 
 
 class SolveFailure(RuntimeError):
@@ -69,9 +78,14 @@ class IterationConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of a fixed-point run."""
+    """Per-step record of a fixed-point run.
+
+    norms[k] is a certified upper bound on the iterate's C^{2,alpha} norm
+    |v_k|; norm_exact[k] is True where it is |v_k| itself (always on row 0).
+    """
 
     norms: list = field(default_factory=list)
+    norm_exact: list = field(default_factory=list)
     increments: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
     poisson_residuals: list = field(default_factory=list)
@@ -94,7 +108,11 @@ class IterationTrace:
         return self.iterations + max(0, math.ceil(more))
 
     def passes_recurrence_monitor(self):
-        """Lemma-style check: every |v_k| <= a0 + 2C with a0=0, C=bound/2."""
+        """Lemma-style check: every |v_k| <= a0 + 2C with a0=0, C=bound/2.
+
+        It reads the certified norms, which decide as the exact ones would:
+        solve_fixed_point takes |v_k| wherever its bound fails this check.
+        """
         return monitor_recurrence(0.0, self.bound / 2.0, self.norms)
 
 
@@ -134,6 +152,12 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     once inc * rho**(steps left) > tol with rho the smallest of the last
     three ratios.  The smallest, because early ratios oscillate: the largest
     would stop runs that converge.
+
+    The bound check and the trace's norms read the certified U_k of the
+    module docstring.  The exact |v_k| is taken only when
+    not U_k <= min(bound (1 + BOUND_SLACK), bound + 1e-12), the recurrence
+    monitor's threshold being the second term; a NaN fails that test, so it
+    still reaches the exact norm and "diverged".
     """
     cfg = config or IterationConfig()
     if cfg.tol <= 0:
@@ -143,17 +167,25 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
     bound = holder_norm(apply_frame(frame, zero_h, f), 2, cfg.alpha)
     trace = IterationTrace(bound=bound, tol=cfg.tol)
+    # the tighter of the bound check and passes_recurrence_monitor
+    exact_above = min(bound * (1.0 + BOUND_SLACK), bound + 1e-12)
     v = VecField(g, np.zeros((g.num_nodes, frame.q)))
     strikes = 0
     for _ in range(MAX_ITER):
         potentials, pois = load_potentials(cut, v)
         v_new = fixed_point_map(frame, cut, f, v, potentials)
         inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha)
-        # the first step starts from v = 0, where v_new - v is v_new bit for bit
-        norm = inc if trace.iterations == 0 else holder_norm(v_new, 2, cfg.alpha)
+        if trace.iterations == 0:
+            # the first step starts from v = 0, where v_new - v is v_new bit for bit
+            norm, exact = inc, True
+        else:
+            norm, exact = (trace.norms[-1] + inc) * NORM_MARGIN, False
+            if not norm <= exact_above:
+                norm, exact = holder_norm(v_new, 2, cfg.alpha), True
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)
+        trace.norm_exact.append(exact)
         if trace.iterations >= 2:
             # increments[-2] > tol > 0: a smaller one has returned, a NaN
             # one has failed the bound check

@@ -153,6 +153,8 @@ def test_criterion_3_frame_identity():
 def test_criterion_4_contraction(local_solve):
     tr = local_solve["rep"]["trace"]
     elapsed = local_solve["elapsed"]
+    # tr.norms are certified upper bounds on the iterates' norms, so the
+    # bound held on them holds on the exact norms too
     bound_ok = all(n <= tr.bound * (1.0 + 1e-6) for n in tr.norms)
     ratio = max(tr.ratios[-2:])  # the larger of the last two increment ratios
     ok = (ratio <= 0.6 and bound_ok
@@ -184,6 +186,7 @@ def test_criterion_7_time_family(family_solution):
     elapsed = family_solution["elapsed"]
     u0 = float(np.max(np.abs(sol.us[0].values)))
     worst = float(max(sol.residuals))
+    # certified upper bounds on the iterates' norms: they imply the exact check
     bound_ok = all(n <= tr.bound * (1.0 + 1e-6)
                    for tr in sol.traces[1:] for n in tr.norms)
     probe = time_regularity_probe(sol, r_max=2)
@@ -223,6 +226,8 @@ def test_criterion_9_recurrence_monitor(local_solve, stability_pair,
     for stage in glue_solution["sol"].stage_traces:
         traces += list(stage)
     converged = [tr for tr in traces if tr.status == "converged"]
+    # the envelope is checked on certified upper bounds on |v_k|, which
+    # imply it for the exact norms
     ok = all(monitor_recurrence(0.0, tr.bound / 2.0, tr.norms)
              for tr in converged)
     assert _line(9, ok, f"all {len(converged)} converging traces obey the "

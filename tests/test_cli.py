@@ -133,7 +133,7 @@ def test_solve_local_artifacts_and_schema(local_run):
     assert len(stability) == 1 and stability[0]["pass"]
 
     trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
-    assert trace[0] == "iteration,norm,increment,ratio,poisson_residual"
+    assert trace[0] == "iteration,norm,increment,ratio,poisson_residual,norm_exact"
     assert len(trace) > 2
 
     emb = open(os.path.join(out, "embeddings", "local.csv")).read().splitlines()
@@ -188,7 +188,7 @@ def test_solve_local_load_too_large_to_contract_exits_1(tmp_path):
     assert s["status"] == "fail"
     assert "a-priori bound violated" in s["failure"]
     trace = open(os.path.join(out, "traces", "iteration.csv")).read().splitlines()
-    assert trace[0] == "iteration,norm,increment,ratio,poisson_residual"
+    assert trace[0] == "iteration,norm,increment,ratio,poisson_residual,norm_exact"
     assert len(trace) > 1
 
 
@@ -427,7 +427,7 @@ def test_solve_global_records_every_halving(tmp_path):
     for j, h in enumerate(halvings):
         path = os.path.join(out, "traces", "rejected", f"halving_{j:02d}.csv")
         rows = open(path).read().splitlines()
-        assert rows[0] == "iteration,norm,increment,ratio,poisson_residual"
+        assert rows[0] == "iteration,norm,increment,ratio,poisson_residual,norm_exact"
         assert len(rows) == 1 + h["iterations"]
 
 

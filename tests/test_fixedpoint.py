@@ -6,14 +6,19 @@ must return exactly -E(0, f/2) and the first trace norm must be exactly
 half the a-priori bound.  The calibrated bump scenario then freezes the
 measured residual/iteration/ratio windows, and the safeguard paths
 (divergence, fail-fast, stall, support mismatch) are driven to their
-exceptions.
+exceptions.  The trace's norms are certified upper bounds on the iterates'
+norms; replaying the iterates by hand checks them against the exact norms,
+on a run that takes the exact fallback too.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoperturb import fixedpoint
+from isoperturb import grid as grid_module
 from isoperturb.embeddings import ParabolaChart
 from isoperturb.fixedpoint import (
     MAX_ITER,
@@ -42,6 +47,14 @@ def bump_setup():
     cut = Cutoff(g, 0.5, 0.9)
     f = bump_perturbation(g, 0.01)
     return g, frame, cut, f
+
+
+@pytest.fixture(scope="module")
+def oscillating_setup():
+    # configs/local_bump.yaml
+    g = make_grid(1, 401)
+    frame = build_frame(ParabolaChart(), g)
+    return g, frame, Cutoff(g), bump_perturbation(g, 0.01, 0.5), IterationConfig(tol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +103,57 @@ def test_bump_scenario_frozen_windows(bump_solution):
     for n in trace.norms:
         assert n <= trace.bound * (1 + 1e-6)
     assert trace.passes_recurrence_monitor()
+
+
+def replay_certified_norms(frame, cut, f, trace, alpha=0.5):
+    """Retrace a run's iterates by hand; check each recorded norm against |v_k|.
+
+    Every row holds exact <= recorded <= bound (1 + 1e-6); rows marked
+    exact, row 0 always among them, hold the exact norm itself.
+    """
+    g = f.grid
+    v = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    assert trace.norm_exact[0]
+    assert len(trace.norm_exact) == len(trace.norms) == trace.iterations
+    for k in range(trace.iterations):
+        v = fixed_point_map(frame, cut, f, v, load_potentials(cut, v)[0])
+        exact = holder_norm(v, 2, alpha)
+        assert exact <= trace.norms[k] <= trace.bound * (1 + 1e-6), k
+        if trace.norm_exact[k]:
+            assert trace.norms[k] == exact, k
+
+
+def test_certified_norms_bound_the_exact_ones(bump_setup, bump_solution):
+    g, frame, cut, f = bump_setup
+    replay_certified_norms(frame, cut, f, bump_solution[1])
+
+
+def test_certified_norms_bound_the_exact_ones_where_the_fallback_runs(oscillating_setup):
+    # configs/local_bump.yaml: step 1's ratio 0.93 lifts U_1 to 1.93 |v_0|,
+    # past the bound 2 |v_0| at step 2, which takes the exact norm
+    g, frame, cut, f, cfg = oscillating_setup
+    _, trace = solve_fixed_point(frame, cut, f, cfg)
+    assert [k for k, exact in enumerate(trace.norm_exact) if exact] == [0, 2]
+    replay_certified_norms(frame, cut, f, trace)
+
+
+def test_one_norm_per_step_and_one_per_fallback(bump_setup, monkeypatch):
+    # the bound, then each step's increment; the iterate's own norm only
+    # where the certified bound falls back to it (the exact check took one
+    # per step after the first: 20 for these 10 steps)
+    g, frame, cut, f = bump_setup
+    calls = []
+    norms = grid_module.holder_norms
+
+    def counted(fld, orders, alpha):
+        calls.append(orders)
+        return norms(fld, orders, alpha)
+
+    monkeypatch.setattr(grid_module, "holder_norms", counted)
+    _, trace = solve_fixed_point(frame, cut, f)
+    fallbacks = sum(trace.norm_exact[1:])
+    assert len(calls) == 1 + trace.iterations + fallbacks
+    assert (trace.iterations, fallbacks, len(calls)) == (10, 0, 11)
 
 
 def test_halving_amplitude_halves_the_solution(bump_setup):
@@ -177,6 +241,30 @@ def test_oversized_increment_violates_smallness(bump_setup):
         solve_fixed_point(frame, cut, bump_perturbation(g, 10.0))
     assert exc.value.trace.status == "diverged"
     assert exc.value.trace.iterations == 2  # second sweep overshoots
+    # the certified bound failed, so the exact norm decided the divergence
+    assert exc.value.trace.norm_exact == [True, True]
+    assert exc.value.trace.norms[1] > exc.value.trace.bound * (1 + 1e-6)
+
+
+def test_nan_iterate_diverges(bump_setup, monkeypatch):
+    # a NaN fails every comparison: it must still reach the bound check's
+    # "diverged", not pass as a certified bound
+    g, frame, cut, f = bump_setup
+    steps = []
+    step = fixedpoint.fixed_point_map
+
+    def nan_at_step_3(*args):
+        steps.append(None)
+        v = step(*args)
+        return VecField(g, np.full_like(v.values, np.nan)) if len(steps) == 3 else v
+
+    monkeypatch.setattr(fixedpoint, "fixed_point_map", nan_at_step_3)
+    with pytest.raises(SmallnessViolation, match="a-priori bound violated") as exc:
+        solve_fixed_point(frame, cut, f)
+    trace = exc.value.trace
+    assert trace.status == "diverged"
+    assert trace.iterations == 3
+    assert math.isnan(trace.norms[-1]) and math.isnan(trace.increments[-1])
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +297,7 @@ def test_borderline_contraction_fails_fast(borderline_setup):
     assert min(increments) > tol
     ratios = np.array(increments[1:]) / np.array(increments[:-1])
     assert ratios[1:].max() < 0.9  # one strike at most: only the budget stops it
+    replay_certified_norms(frame, cut, f, trace)
 
 
 def test_borderline_contraction_stalls(borderline_setup, monkeypatch):
@@ -221,14 +310,12 @@ def test_borderline_contraction_stalls(borderline_setup, monkeypatch):
     assert exc.value.trace.iterations == 3
 
 
-def test_fail_fast_spares_an_oscillating_run_that_converges():
+def test_fail_fast_spares_an_oscillating_run_that_converges(oscillating_setup):
     # configs/local_bump.yaml: the early ratios oscillate (0.93, 0.29,
     # 0.48), so inc * max(last three)**(steps left) overshoots tol at step 4
     # of a run that converges in 27; the min of the last three does not
-    g = make_grid(1, 401)
-    frame = build_frame(ParabolaChart(), g)
-    cfg = IterationConfig(tol=1e-9)
-    _, trace = solve_fixed_point(frame, Cutoff(g), bump_perturbation(g, 0.01, 0.5), cfg)
+    g, frame, cut, f, cfg = oscillating_setup
+    _, trace = solve_fixed_point(frame, cut, f, cfg)
     assert trace.status == "converged"
     assert trace.iterations == 27
     max_rule = [

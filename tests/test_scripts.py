@@ -24,11 +24,11 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # _tree_sha256 of the output directory of each configs/<name>.yaml
 ARTIFACT_SHA256 = {
-    "breathing_chart": "c26e5e66b3479246de2056d317fc109773ffe7f12ec8beb35d0a64edb0dc6694",
+    "breathing_chart": "b3cb05397c18a16ddee3fff8dd016d85b99d0ab67fae3b7d4d5775a31155c158",
     "check_free": "d7b3ef8e4526c1a9df6b59bde454b2cb4d1785d01fc6a3123b33dd61da819b0f",
-    "circle_glue": "31d65b0187cb4bb841468748b50e26ab5d52aa65375a79d11f7ede6dabcb2870",
-    "local_bump": "2e127bc8d9504b17ccad7e1c3ddac7bae3764b7b841ac41fb877fde5d8eb3641",
-    "torus_smoke": "80ccfaefee39a75e36e5e942e5ec667d7f8e4830c3f5c0a7263f29e61149912d",
+    "circle_glue": "2c236c2b3b4ee1e7e29bac1a76f82b44f6d15c96fc1ab27d9dafdc8bd198f206",
+    "local_bump": "cebdd6f816b878ec99f08fa184f1fef71995991c6b90e169e279734ca25d7e91",
+    "torus_smoke": "f492ba103e58fdff21481894745148e59d5badeba74a887d61d89f432405dbe0",
     "verify_appendix": "c33546a5e849e4af94d5557152502a35c09d852a6191ecdb96c6f877c7cefd30",
 }
 
