@@ -327,21 +327,12 @@ def _import_for(sc):
     imports, so that they load with the scenario and not in the middle of
     a solve.
 
-    solve-global moves values through splines (scipy.linalg), and a
-    Dirichlet solve on a 2-d grid factorizes with scipy.sparse.linalg: the
-    torus manifold, or a torus chart under solve-local or solve-family.
-    Every other run calls no scipy code and loads none.  verify-appendix
-    draws its corpora from numpy.random, which numpy loads on first use.
+    verify-appendix draws its corpora from numpy.random, which numpy loads
+    on first use.  No run needs scipy: the spline solves and the 2-d
+    Dirichlet factorization are the package's own, in numpy.
     """
     if sc.command == "verify-appendix":
         import numpy.random  # noqa: F401
-    if sc.command == "solve-global":
-        import scipy.linalg  # noqa: F401
-        two_d = CHARTS[sc.manifold].dim == 2
-    else:
-        two_d = CHARTS[sc.chart].dim == 2 and sc.command in ("solve-local", "solve-family")
-    if two_d:
-        import scipy.sparse.linalg  # noqa: F401
 
 
 def scenario_hash(scenario: Scenario) -> str:

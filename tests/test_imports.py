@@ -1,5 +1,6 @@
-"""What a run imports: scipy loads with the scenario that calls it, never
-in the middle of a solve, and not at all where nothing calls it.
+"""What a run imports: no run loads any scipy module, neither with the
+scenario nor in the middle of a solve.  The spline solves and the 2-d
+Dirichlet factorization are the package's own, in numpy.
 
 Each run goes through isoperturb.cli.main in a fresh interpreter, so that
 sys.modules shows exactly what the package loaded: once after
@@ -67,14 +68,11 @@ _SMALL = {
                     "family": {"samples": 1, "horizon": 0.25}},
     "torus_smoke": {},
 }
-_NEEDS_SCIPY = {"circle_glue", "torus_smoke"}
 
 
 def test_package_imports_leave_out_interpolate_and_optimize(tmp_path):
-    # scipy.interpolate drags in scipy.optimize, special, fft and spatial;
-    # nothing in the package needs them.  Only the glue runs need scipy at
-    # all (spline solves, and the 2-d Dirichlet factorization on the torus),
-    # and they load it with the scenario.
+    # no shipped config loads scipy at all: the glue's spline solves and the
+    # torus's Dirichlet factorization are numpy code
     for name, small in _SMALL.items():
         doc = yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text())
         for key, value in small.items():
@@ -87,12 +85,7 @@ def test_package_imports_leave_out_interpolate_and_optimize(tmp_path):
         record, stderr, summary = _fresh_run(tmp_path / name, doc)
         assert record["code"] == 0 and summary["status"] == "pass", (name, _failed(summary))
         assert "Traceback" not in stderr, name
-        assert not {"scipy.interpolate", "scipy.optimize"} & set(record["after_run"]), name
-        if name in _NEEDS_SCIPY:
-            assert "scipy.linalg" in record["after_load"], name
-            assert record["after_run"] == record["after_load"], name
-        else:
-            assert record["after_run"] == [], name
+        assert record["after_load"] == record["after_run"] == [], name
 
 
 _TABLE = {"name": "table-small", "command": "solve-global", "manifold": "circle",
@@ -125,4 +118,4 @@ def test_paths_no_pin_reaches_import_scipy_only_at_load(tmp_path, doc, code, fai
     assert record["code"] == code
     assert _failed(summary) == failed
     assert "Traceback" not in stderr
-    assert record["after_run"] == record["after_load"]
+    assert record["after_load"] == record["after_run"] == []

@@ -1,11 +1,18 @@
-"""Dirichlet-solver tests with analytic and manufactured-solution oracles."""
+"""Dirichlet-solver tests with analytic and manufactured-solution oracles.
+
+The disk's block LU is also compared with scipy's sparse LU (splu) of the
+same matrix, which it replaced; scipy.sparse is imported here only as that
+reference.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from isoperturb.grid import ScalarField, laplacian, make_grid
-from isoperturb.poisson import elliptic_monitors, solve_dirichlet
+from isoperturb.poisson import _solver_for, _supported_sample, elliptic_monitors, solve_dirichlet
 
 
 def interval_grid(N):
@@ -75,8 +82,6 @@ def test_nonfinite_rhs_rejected():
 
 def test_grid_mismatch_rejected():
     g1, g2 = interval_grid(101), interval_grid(51)
-    from isoperturb.poisson import _solver_for
-
     with pytest.raises(ValueError, match="grid"):
         _solver_for(g1).solve(ScalarField(g2, np.zeros(g2.num_nodes)))
 
@@ -126,9 +131,48 @@ def test_disk_laplacian_of_quadratic():
 
 def test_solver_factorization_cached_per_grid():
     g = disk_grid(33)
-    from isoperturb.poisson import _solver_for
-
     assert _solver_for(g) is _solver_for(g)
+
+
+def _splu_of(table, m):
+    """scipy's splu of the m x m matrix whose five-point table is table."""
+    live = table.cols < m  # a zero weight on the pad slot is no entry
+    rows = np.broadcast_to(np.arange(m), table.cols.shape)
+    return splu(sp.csc_matrix((table.weights[live], (rows[live], table.cols[live])),
+                              shape=(m, m)))
+
+
+@pytest.mark.parametrize("N", [17, 25, 33, 49])
+def test_disk_block_lu_agrees_with_splu(N):
+    g = disk_grid(N)
+    table = _solver_for(g)._matrix
+    lu = _splu_of(table, g.num_nodes)
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    phi = 1.0 - x * x - y * y
+    rng = np.random.default_rng(N)
+    # the manufactured forcings above, the monitors' supported samples and
+    # unstructured right sides
+    loads = [-12.0 * (x * x - y * y),
+             -4.0 * np.sin(x + 2.0 * y) - (4.0 * x + 8.0 * y) * np.cos(x + 2.0 * y)
+             - 5.0 * phi * np.sin(x + 2.0 * y)]
+    loads += [_supported_sample(g, rng).values for _ in range(4)]
+    loads += [rng.normal(size=g.num_nodes) for _ in range(4)]
+    for f in loads:
+        sol = solve_dirichlet(ScalarField(g, f))
+        ref = lu.solve(f)
+        assert np.max(np.abs(sol.u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # both residuals as the solver measures its own
+        assert sol.residual_sup <= 2.0 * np.max(np.abs(table @ ref - f))
+
+
+@pytest.mark.parametrize("N", [17, 25, 33, 49])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_disk_nonfinite_rhs_rejected(bad, N):
+    g = disk_grid(N)
+    f = np.zeros(g.num_nodes)
+    f[g.num_nodes // 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_dirichlet(ScalarField(g, f))
 
 
 @settings(max_examples=15, deadline=None)

@@ -28,7 +28,7 @@ ARTIFACT_SHA256 = {
     "check_free": "d7b3ef8e4526c1a9df6b59bde454b2cb4d1785d01fc6a3123b33dd61da819b0f",
     "circle_glue": "2c236c2b3b4ee1e7e29bac1a76f82b44f6d15c96fc1ab27d9dafdc8bd198f206",
     "local_bump": "cebdd6f816b878ec99f08fa184f1fef71995991c6b90e169e279734ca25d7e91",
-    "torus_smoke": "f492ba103e58fdff21481894745148e59d5badeba74a887d61d89f432405dbe0",
+    "torus_smoke": "a423138aaed92202ebf1cbab5e892c4750f22e92791b6782ffc562b2c43b6406",
     "verify_appendix": "c33546a5e849e4af94d5557152502a35c09d852a6191ecdb96c6f877c7cefd30",
 }
 

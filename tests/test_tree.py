@@ -161,32 +161,22 @@ def test_every_import_is_used_in_its_module():
     assert not unused, "imported but not used in the module: " + ", ".join(unused)
 
 
-# the modules whose functions may import scipy: the spline and 2-d Dirichlet
-# solves that call it, and the scenario loader that imports it for them
-SCIPY_IMPORTERS = {"spline.py", "poisson.py", "config.py"}
-
-
-def test_scipy_is_imported_only_inside_the_functions_that_call_it():
-    """No module imports scipy when it is imported, so a run that calls no
-    scipy code loads none; the oracle and the grid build their operators
-    with numpy alone."""
+def test_no_module_under_src_imports_scipy():
+    """No module under src/ imports scipy, at module level or in a function:
+    the oracle, the grid, the splines and the Dirichlet solves are numpy
+    alone, so no run loads it (tests/test_imports.py runs them)."""
     misplaced = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        in_function = {id(n) for f in ast.walk(tree)
-                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                       for n in ast.walk(f)}
-        for node in ast.walk(tree):
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            if (any(name.split(".")[0] == "scipy" for name in names)
-                    and (id(node) not in in_function or path.name not in SCIPY_IMPORTERS)):
-                misplaced.append(f"{path.name}:{node.lineno}")
-    assert not misplaced, "scipy imported at module level or outside the solves: " + ", ".join(misplaced)
+            if any(name.split(".")[0] == "scipy" for name in names):
+                misplaced.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not misplaced, "scipy imported under src/: " + ", ".join(misplaced)
 
 
 def test_only_grid_stores_state_on_a_grid():
