@@ -136,7 +136,9 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
             node=node,
         )
     aat = a @ np.transpose(a, (0, 2, 1))
-    cond = float(np.max(np.linalg.cond(aat)))
+    # A A^T has the squared singular values of A: its 2-norm condition
+    # number is (s_max / s_min)^2, so the one SVD above serves both checks
+    cond = float(np.max((svals[:, 0] / svals[:, -1]) ** 2))
     if cond > _COND_WARN:
         warnings.warn(
             f"frame normal matrix condition {cond:.2e} exceeds {_COND_WARN:.0e}; "

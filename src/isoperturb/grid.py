@@ -23,19 +23,28 @@ one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
 multi-index as its family's per-axis tables and caches both.
 
 The seminorm sweeps the lattice offsets shortest first and skips only the
-offsets that two bounds rule out, so its result is the all-pairs maximum
+offsets that three bounds rule out, so its result is the all-pairs maximum
 bit for bit:
 
 - above, |v(x)-v(y)| <= max v - min v, so once (max v - min v) / d^alpha
   <= best no longer offset can raise the maximum and the sweep stops;
+- above, per lag (1-d only), from cell extrema: the nodes fall into at
+  most 64 cells of b consecutive nodes, and a pair l nodes apart lies in
+  two cells l//b or l//b + 1 apart, so its |dv| is at most the largest
+  gap, max of one cell minus min of the other, over the cell pairs that
+  far apart.  Once the largest such bound over d^alpha at every lag from
+  the current one on is <= best, the sweep stops.  Float subtraction and
+  division round monotonically, so each bound, as computed, is at least
+  every quotient the sweep computes at its lag, and it needs no margin;
 - below (1-d only), |v(x+l)-v(x)| <= l*m1 with m1 the largest
   nearest-neighbour step, so an offset of l nodes with
   l*m1*(1 + 1e-12) / d^alpha <= best cannot raise it either.  The bound
   holds in exact arithmetic; the 1e-12 margin covers rounding, and a tie
   with best does not change a maximum.
 
-Before it skips, a 1-d sweep that outlasts its first block seeds best with
-the quotients of the pairs through argmax v and argmin v.  They are
+The two 1-d bounds start once a sweep outlasts its first block.  Before it
+skips, such a sweep seeds best with the quotients of the pairs through
+argmax v and argmin v.  They are
 quotients of real node pairs, computed as the sweep computes them (|dv|
 first, then one division by d^alpha), so the seed is a value the sweep
 itself could return.  The slope bound holds on the disk as well: for disk
@@ -59,8 +68,8 @@ a NaN's sign is bitwise scipy's on the table's nonzero triplets; a NaN or
 inf in x reaches only the rows that weigh it.
 
 Everything built from a grid alone (the tables and Stencils of every
-stencil family, the sweep lattice, the 1-d sweep's block buffer, the
-Dirichlet solver) is kept in the grid's one cache, Grid.cached.
+stencil family, the sweep lattice, the 1-d sweep's block buffer and cell
+table, the Dirichlet solver) is kept in the grid's one cache, Grid.cached.
 """
 
 from __future__ import annotations
@@ -76,6 +85,14 @@ _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
 _SWEEP_BLOCK = 1 << 15  # flat lattice slots spanned per block of the lag sweep
 _SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
+# Cells of the 1-d tail bound: their (cells, 2 cells) gap table is at most
+# 64 KiB, and the whole bound costs less than one block of the sweep at
+# N = 801 (about 30 against 42 us).  The bound at a lag also counts pairs
+# up to two cells longer, so more cells tighten it, at a quadratic cost.
+_TAIL_CELLS = 64
+# A sweep builds the tail bound only if the extrema bound leaves it more
+# blocks than this: below that the bound cannot save its own cost.
+_TAIL_BLOCKS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +392,36 @@ class Grid:
 
         return self.cached(("lag_powers", alpha), build)
 
+    def _lag_gaps(self, vals):
+        """Per 1-d lag l = k + 1, a bound gaps[k] >= |v[i+l] - v[i]| for every i.
+
+        The nodes fall into at most _TAIL_CELLS cells of b consecutive nodes
+        (the last may hold fewer, which gives the extrema of padding it with
+        v[-1]).  A pair l nodes apart lies in cells l//b or l//b + 1 apart,
+        and its |dv| is at most the larger gap between the two cells, max of
+        one minus min of the other.  C[c] is the
+        largest such gap over the cell pairs c apart, and gaps[k] =
+        max(C[l//b], C[l//b + 1]).  Rounding is monotone, so each gap as
+        computed is at least every |dv| the sweep computes at that lag.
+        """
+        def build():
+            N = self.resolution
+            b = -(-N // _TAIL_CELLS)
+            starts = np.arange(0, N, b)
+            n = len(starts)
+            # table[I, I + c] for c = 0..n is a diagonal read; columns >= n hold -inf
+            table = np.full((n, 2 * n), -np.inf)
+            diagonals = as_strided(table, shape=(n, n + 1),
+                                   strides=(table.strides[0] + table.strides[1], table.strides[1]))
+            return starts, np.arange(1, N) // b, table, diagonals
+
+        starts, lag_cells, table, diagonals = self.cached("lag_cells", build)
+        hi, lo = np.maximum.reduceat(vals, starts), np.minimum.reduceat(vals, starts)
+        gap = hi - lo[:, None]  # gap[I, J] = max v(J) - min v(I)
+        np.fmax(gap, gap.T, out=table[:, :len(starts)])
+        C = np.fmax.reduce(diagonals, axis=0)  # C[n] = -inf: no cells lie n apart
+        return np.fmax(C[:-1], C[1:])[lag_cells]
+
     def quotient_max(self, vals, alpha):
         """Exact max over all node pairs of |v(x)-v(y)| / |x-y|^alpha.
 
@@ -388,9 +435,14 @@ class Grid:
         quotients of every pair through argmax v and through argmin v, then
         skips the short offsets the slope bound rules out:
         lag * m1 * (1 + 1e-12) / d^alpha <= best, m1 = max |v[k+1] - v[k]|.
-        Both bounds hold in exact arithmetic and the seed is a pair quotient
-        computed as the sweep computes it, so the result is bit-identical
-        to the sweep over every offset (see the module docstring).
+        If the extrema bound would still leave it more than _TAIL_BLOCKS
+        blocks, the sweep then builds the tail bound, tail[k] = the largest
+        _lag_gaps(vals)[j] / d^alpha over the offsets j >= k, and from there
+        on stops once tail[k] <= best in its place; it is never looser.
+        The bounds hold for the values as computed and the seed is a pair
+        quotient computed as the sweep computes it, so the result is
+        bit-identical to the sweep over every offset (see the module
+        docstring).
 
         A 1-d block's shifts are consecutive, so its rows are a slice of
         moved, and their differences go into one (step, N) buffer cached on
@@ -399,14 +451,15 @@ class Grid:
         faulted in and unmapped again.  Both ways into the buffer give the
         same bits: np.subtract straight from the strided rows takes one
         pass, but once three rows fit numpy's ufunc buffer (np.getbufsize(),
-        8192 elements, so N <= 2730) numpy first copies them through it,
-        and a plain copy, then the subtraction in place, is cheaper there
-        (about 0.7 against 0.8-1.1 ns per element; above, 0.66 against 0.5;
-        numpy 2.4).  2-d blocks keep the fancy index moved[shifts[block]]:
-        their shifts are not consecutive, and a per-shift loop into a
-        buffer gave the same bits but took 967 us against 350 us per sweep
-        at N = 25 and 2593 us against 1131 us at N = 33; it wins only at a
-        size no scenario runs (88.9 ms against 100.9 ms at N = 97).
+        8192 elements, so N <= 2730; read once per sweep) numpy first copies
+        them through it, and a plain copy, then the subtraction in place, is
+        cheaper there (about 0.7 against 0.8-1.1 ns per element; above, 0.66
+        against 0.5; numpy 2.4).  2-d blocks keep the fancy index
+        moved[shifts[block]]: their shifts are not consecutive, and a
+        per-shift loop into a buffer gave the same bits but took 967 us
+        against 350 us per sweep at N = 25 and 2593 us against 1131 us at
+        N = 33; it wins only at a size no scenario runs (88.9 ms against
+        100.9 ms at N = 97).
         """
         padded, moved, slots, shifts, _ = self._lags()
         dpow, slope = self._lag_powers(alpha)
@@ -414,24 +467,31 @@ class Grid:
         padded[slots] = vals
         base = moved[0]
         step = max(1, _SWEEP_BLOCK // (padded.size - len(moved) + 1))  # slots one view spans
-        buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape))) if self.dim == 1 else None
-        best, k = 0.0, 0
-        while k < len(shifts) and osc / dpow[k] > best:
+        if self.dim == 1:
+            buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape)))
+            straight = 3 * len(base) > np.getbufsize()
+        best, k, tail = 0.0, 0, None
+        while k < len(shifts) and (osc / dpow[k] if tail is None else tail[k]) > best:
             if k == step and slope is not None:
-                # past the first block: seed, then skip what the slope bound rules out
+                # past the first block: seed, skip what the slope bound rules
+                # out, and bound the tail if the extrema leave many blocks
                 best = max(best, _extrema_seed(vals, dpow, slots))
                 live = slope[k:] * (m1 * _SLOPE_MARGIN) > best
                 k += int(np.argmax(live)) if live.any() else len(live)
-                if k == len(shifts) or osc / dpow[k] <= best:
-                    break
+                far = k + _TAIL_BLOCKS * step
+                if far < len(shifts) and osc / dpow[far] > best:
+                    tail = self._lag_gaps(vals) / dpow
+                    np.maximum.accumulate(tail[::-1], out=tail[::-1])
+                slope = None  # seeded: back to the stop test at the new k
+                continue
             block = slice(k, k + step)
-            if buf is None:
+            if self.dim == 2:
                 diff = moved[shifts[block]]
                 diff -= base
             else:
                 n = len(shifts[block])  # the last block may be short
                 rows, diff = moved[shifts[k]:shifts[k] + n], buf[:n]
-                if 3 * len(base) > np.getbufsize():
+                if straight:
                     np.subtract(rows, base, out=diff)
                 else:
                     np.copyto(diff, rows)

@@ -1,10 +1,13 @@
 """Frame, embedding, and verification-oracle tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from test_operator_tables import _triplets
 
+from isoperturb import frame as frame_module
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.frame import NotFreeError, _median, apply_frame, build_frame
 from isoperturb.grid import (
@@ -189,6 +192,25 @@ def test_torus_chart_is_free():
     assert frame.freeness_margin > 0.1
     assert frame.identity_defect <= 1e-10
     assert frame.rows == 5 and frame.q == 6
+
+
+@pytest.mark.parametrize("chart,dim,N", [(TorusChart((0.5, -0.3), 2.0), 2, 25),
+                                         (CircleChart(0.0, 3.0 * np.pi / 4.0), 1, 801)])
+def test_condition_warning_reads_the_normal_matrix(monkeypatch, chart, dim, N):
+    # the warning's condition number is cond(A A^T), taken from A's singular values
+    g = make_grid(dim, N)
+    a = build_frame(chart, g).A
+    cond = float(np.max(np.linalg.cond(a @ np.transpose(a, (0, 2, 1)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_frame(chart, g)
+    monkeypatch.setattr(frame_module, "_COND_WARN", cond * (1.0 - 1e-9))
+    with pytest.warns(RuntimeWarning, match="condition"):
+        build_frame(chart, g)
+    monkeypatch.setattr(frame_module, "_COND_WARN", cond * (1.0 + 1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_frame(chart, g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from test_operator_tables import _triplets
 
 from isoperturb.grid import (
     _SWEEP_BLOCK,
+    _TAIL_CELLS,
     SOLVER_WIDTHS,
     ScalarField,
     VecField,
@@ -604,14 +605,20 @@ def _slope_field(kind, N):
         vals = np.zeros(N)
         vals[N // 3] = 1.0
         return vals
+    if kind == "bump-pair":
+        # opposite bumps far apart, like the solution components of a chart
+        # family: the best lag lies inside one bump, while max v - min v
+        # spans both, so only the tail bound stops the sweep near it
+        return np.exp(-(((x - 0.7) / 0.1) ** 2)) - np.exp(-(((x + 0.7) / 0.1) ** 2))
     return np.sin(2.5 * x + 0.3) + 0.2 * np.cos(7.0 * x)
+
+
+_SLOPE_KINDS = ["ramp", "tent", "sawtooth", "zigzag", "adjacent-extrema", "spike", "smooth", "bump-pair"]
 
 
 @pytest.mark.parametrize("N", [201, 801, 3201])
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
-@pytest.mark.parametrize(
-    "kind", ["ramp", "tent", "sawtooth", "zigzag", "adjacent-extrema", "spike", "smooth"]
-)
+@pytest.mark.parametrize("kind", _SLOPE_KINDS)
 def test_seminorm_is_bitwise_the_exhaustive_lag_sweep(N, alpha, kind):
     g = make_grid(1, N)
     vals = _slope_field(kind, N)
@@ -738,6 +745,50 @@ def test_seminorm_block_buffer_carries_nothing_between_sweeps(N):
     for vals in fields:
         for alpha in (0.05, 0.5, 0.95):
             assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
+
+
+@pytest.mark.parametrize("N", [17, 18, 63, 64, 65, 201, 801, 3201])
+def test_lag_gaps_bound_every_lag(N):
+    # below, at and above the cell count, and N not a multiple of the cell size
+    g = make_grid(1, N)
+    fields = [_slope_field(kind, N) for kind in _SLOPE_KINDS]
+    fields += [_ripple(g), np.random.default_rng(N).standard_normal(N)]
+    for vals in fields:
+        gaps = g._lag_gaps(vals)
+        for lag in range(1, N):
+            assert gaps[lag - 1] >= np.max(np.abs(vals[lag:] - vals[:-lag]))
+
+
+def _ramp_step(N, lag, cell):
+    """0, then a ramp of `lag` nodes up to 1 at the first node of cell
+    `cell`, then a slow rise to 1 + 1e-3 at the last node.  The steepest
+    pair is the ramp's own ends, `lag` nodes apart; with lag not a multiple
+    of the cell size b they lie lag//b + 1 cells apart.  argmax v is the
+    last node and argmin v the first, so the seed misses that pair."""
+    b = -(-N // _TAIL_CELLS)
+    top = cell * b
+    n = np.arange(N, dtype=float)
+    vals = np.clip((n - (top - lag)) / lag, 0.0, 1.0)
+    vals[top:] += 1e-3 * (n[top:] - top) / (N - 1 - top)
+    return vals, top - lag, top
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_tail_bound_reads_the_next_cell_offset(monkeypatch, alpha):
+    # fails if the tail bound leaves out the pairs lag//b + 1 cells apart
+    N, lag = 3201, 104
+    g = make_grid(1, N)
+    b = -(-N // _TAIL_CELLS)
+    vals, lo, hi = _ramp_step(N, lag, 4)
+    assert lag % b and hi // b - lo // b == lag // b + 1
+    dpow = _lag_dpow(g, alpha)
+    q = exhaustive_lag_sweep(g, vals, alpha)
+    assert q == (vals[hi] - vals[lo]) / dpow[lag - 1]
+    built = []
+    lag_gaps = g._lag_gaps
+    monkeypatch.setattr(g, "_lag_gaps", lambda v: built.append(1) or lag_gaps(v))
+    assert g.quotient_max(vals, alpha) == q
+    assert built == [1]  # the sweep built the tail bound and stopped on it
 
 
 @settings(max_examples=20, deadline=None)
