@@ -19,7 +19,7 @@ from isoperturb.embeddings import ParabolaChart
 from isoperturb.family import build_manifold_family
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.frame import build_frame
-from isoperturb.grid import ScalarField, make_grid
+from isoperturb.grid import make_grid
 from isoperturb.poisson import solve_dirichlet
 
 
@@ -31,8 +31,8 @@ def poisson_orders():
     for N in (51, 101, 201):
         g = make_grid(1, N)
         x = g.coords[:, 0]
-        sol = solve_dirichlet(ScalarField(g, -np.pi**2 * np.sin(np.pi * x)))
-        err = float(np.max(np.abs(sol.u.values - np.sin(np.pi * x))))
+        sol = solve_dirichlet(g, -np.pi**2 * np.sin(np.pi * x))
+        err = float(np.max(np.abs(sol.u - np.sin(np.pi * x))))
         errs.append(err)
         print(f"  N={N:>4}  sup error {err:.5e}")
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
@@ -45,9 +45,8 @@ def poisson_orders():
         x, y = g.coords[:, 0], g.coords[:, 1]
         r2 = x * x + y * y
         u_ex = np.sin(np.pi * x) * np.cos(np.pi * y) * (1.0 - r2)
-        f = ScalarField(g, _disk_laplacian(x, y))
-        sol = solve_dirichlet(f)
-        err = float(np.max(np.abs(sol.u.values - u_ex)))
+        sol = solve_dirichlet(g, _disk_laplacian(x, y))
+        err = float(np.max(np.abs(sol.u - u_ex)))
         errs2.append(err)
         print(f"  N={N:>4}  sup error {err:.5e}")
     order2 = float(np.log2(errs2[0] / errs2[1]))

@@ -21,7 +21,7 @@ from .family import MetricFamily, adaptive_horizon, locate_failure
 from .family import build_manifold_family  # noqa: F401  (perfbench's oracle reads it here)
 from .fixedpoint import IterationConfig, solve_fixed_point
 from .frame import NotFreeError, build_frame
-from .grid import SymTensorField, VecField, make_grid, sym_indices
+from .grid import make_grid, sym_indices
 from .operators import Cutoff, radial_window
 from .spline import cubic_spline
 from .verify import periodic_derivative
@@ -208,7 +208,7 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
     increments = decompose_metric(atlas, family)
     atlas.partition(pts)  # raises early if the mesh is not covered
     try:
-        first_frame = build_frame(atlas.charts[0].evaluate(g_chart))
+        first_frame = build_frame(atlas.charts[0].evaluate(g_chart), g_chart)
     except NotFreeError as exc:
         raise StageFailure(f"stage 1 lost freeness at t=0.0: {exc}", stage=1) from exc
 
@@ -234,7 +234,7 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
                                   [(0, 1)] * d + [(0, 0)], mode="wrap")
                 chart_vals = _spline([th_ext] * d, periodic, chart_th, "periodic")
                 try:
-                    frames.append(build_frame(VecField(g_chart, chart_vals[nodes])))
+                    frames.append(build_frame(chart_vals[nodes], g_chart))
                 except NotFreeError as exc:
                     lost = (t, exc)
                     break
@@ -243,10 +243,10 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
             # the largest t first: its increment is the largest, and the
             # likeliest to fail the pass
             for k in reversed(range(len(frames))):
-                f = SymTensorField(g_chart, increment(g_chart.coords, ts[k]))
+                f = increment(g_chart.coords, ts[k])
                 with locate_failure(ts[k], stage=i):
                     v, traces_i[k] = solve_fixed_point(frames[k], cut, f, config)
-                u_chart = a2[:, None] * v.values
+                u_chart = a2[:, None] * v
                 if np.any(u_chart):
                     u_mesh = _spline([g_chart.axis] * d, g_chart.to_lattice(u_chart),
                                      mesh_x, "not-a-knot")

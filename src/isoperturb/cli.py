@@ -274,7 +274,7 @@ def _run_check_free(scenario, report):
 
 
 def _run_solve_local(scenario, report, frame, cut, f):
-    g = f.grid
+    g = frame.grid
     cfg = _iteration_config(scenario)
     trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
     try:
@@ -283,10 +283,9 @@ def _run_solve_local(scenario, report, frame, cut, f):
         _write_trace_csv(trace_path, exc.trace)
         return report.finish(failure=str(exc))
     _write_trace_csv(trace_path, rep["trace"])
-    F = frame.F0.values + u.values
     write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "local.csv"),
-        g.coords, [[frame.F0.values], [F]], [0.0],
+        g.coords, [[frame.F0], [frame.F0 + u]], [0.0],
         ("x", "y")[: g.dim],
     )
     report.record(residual_sup=rep["residual_sup"], u_norm=rep["u_norm"],
@@ -318,14 +317,13 @@ def _run_solve_family(scenario, report, frame, family, window, cut):
         return report.finish(failure=f"horizon collapsed at {exc.horizon}")
     _record_halvings(report, sol.halvings)
     r_max = min(2, (len(sol.t_grid) - 1) // 2)
-    probe = time_regularity_probe(sol, r_max=r_max) if r_max >= 1 else {"orders": {}}
+    probe = time_regularity_probe(sol, g, r_max=r_max) if r_max >= 1 else {"orders": {}}
     ratios = [probe["orders"][r]["ratio"] for r in probe["orders"]]
     for k, tr in enumerate(sol.traces):
         _write_trace_csv(
             os.path.join(report.out_dir, "traces", f"sample_{k:02d}.csv"), tr
         )
-    stages = [[frame.F0.values for _ in sol.t_grid],
-              [frame.F0.values + u.values for u in sol.us]]
+    stages = [[frame.F0 for _ in sol.t_grid], [frame.F0 + u for u in sol.us]]
     write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "family.csv"),
         g.coords, stages, list(sol.t_grid), ("x", "y")[: g.dim],
@@ -333,10 +331,10 @@ def _run_solve_family(scenario, report, frame, family, window, cut):
     report.record(
         horizon_used=sol.horizon_used,
         residuals=[float(r) for r in sol.residuals],
-        u0_max=float(np.max(np.abs(sol.us[0].values))),
+        u0_max=float(np.max(np.abs(sol.us[0]))),
         probe=probe,
     )
-    report.check("initial-sample-is-zero", float(np.max(np.abs(sol.us[0].values))), 0.0)
+    report.check("initial-sample-is-zero", float(np.max(np.abs(sol.us[0]))), 0.0)
     report.check("max-sample-residual", float(max(sol.residuals)), scenario.residual_tol)
     if ratios:
         report.check("probe-ratio", float(max(ratios)), 2.0)

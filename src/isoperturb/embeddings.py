@@ -23,7 +23,7 @@ c factors.  The same charts make up the atlases of atlas.py.
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField, sym_indices
+from .grid import Grid, sym_indices
 
 
 # circle and torus charts need a halfwidth in (0, MAX_HALFWIDTH)
@@ -81,9 +81,10 @@ class ParabolaChart:
     def angles(self, grid: Grid):
         return grid.coords
 
-    def evaluate(self, grid: Grid) -> VecField:
+    def evaluate(self, grid: Grid):
+        """The embedding at the nodes, (nodes, q)."""
         x = grid.coords[:, 0]
-        return VecField(grid, np.column_stack([x, x * x]))
+        return np.column_stack([x, x * x])
 
     def derivative(self, grid: Grid, s):
         """D^s of evaluate for s = (1,) or (2,)."""
@@ -92,9 +93,10 @@ class ParabolaChart:
             return np.column_stack([np.ones_like(x), 2.0 * x])
         return np.column_stack([np.zeros_like(x), np.full_like(x, 2.0)])
 
-    def base_metric(self, grid: Grid) -> SymTensorField:
+    def base_metric(self, grid: Grid):
+        """The induced metric at the nodes, (nodes, n(n+1)/2)."""
         x = grid.coords[:, 0]
-        return SymTensorField(grid, (1.0 + 4.0 * x * x)[:, None])
+        return (1.0 + 4.0 * x * x)[:, None]
 
 
 class AngleChart:
@@ -137,16 +139,16 @@ class AngleChart:
         """Chart radius |to_chart(points)|, taken as |offset| / halfwidth."""
         return np.sqrt((self._offset(points) ** 2).sum(axis=1)) / self.halfwidth
 
-    def evaluate(self, grid: Grid) -> VecField:
-        return VecField(grid, base_embedding(self.manifold, self.angles(grid)))
+    def evaluate(self, grid: Grid):
+        return base_embedding(self.manifold, self.angles(grid))
 
     def derivative(self, grid: Grid, s):
         """D^s of evaluate: halfwidth^|s| times the angle derivative."""
         return self.halfwidth ** sum(s) * base_embedding(self.manifold, self.angles(grid), s)
 
-    def base_metric(self, grid: Grid) -> SymTensorField:
+    def base_metric(self, grid: Grid):
         vals = self.halfwidth**2 * BASE_METRICS[self.manifold]
-        return SymTensorField(grid, np.tile(vals, (grid.num_nodes, 1)))
+        return np.tile(vals, (grid.num_nodes, 1))
 
 
 class CircleChart(AngleChart):

@@ -22,7 +22,7 @@ import numpy as np
 from .embeddings import BASE_METRICS, make_mesh
 from .fixedpoint import IterationConfig, IterationTrace, SolveFailure, solve_fixed_point
 from .frame import ImmersionFrame, apply_frame
-from .grid import Grid, ScalarField, SymTensorField, VecField, holder_norm, multi_indices, radial_bump
+from .grid import Grid, VecField, holder_norm, multi_indices, radial_bump
 from .operators import Cutoff, radial_window
 from .spline import cubic_spline
 from .verify import isometry_residual
@@ -127,15 +127,15 @@ class MetricFamily:
     def t_grid(self):
         return np.linspace(0.0, self.horizon, self.samples + 1)
 
-    def sample(self, t) -> SymTensorField:
-        """g(., t) on the grid of a chart family."""
-        return SymTensorField(self.grid, self.evaluator(self.grid.coords, float(t)))
+    def sample(self, t):
+        """g(., t) on the grid of a chart family, (nodes, n(n+1)/2)."""
+        return self.evaluator(self.grid.coords, float(t))
 
 
 @dataclass
 class FamilySolution:
     t_grid: np.ndarray
-    us: list
+    us: list  # u = a^2 v at each t, (nodes, q) arrays on the family's grid
     traces: list
     residuals: list
     horizon_used: float
@@ -185,7 +185,7 @@ def build_family(name, grid: Grid, base, horizon=1.0, samples=8, beta=0.05,
     `base` is the chart: g(0) is its base_metric, and a shared scale reads
     its angles (on the torus the first angle).
     """
-    base_vals = base.base_metric(grid).values
+    base_vals = base.base_metric(grid)
 
     if name == "bump-breathing":
         prof = radial_bump(grid, bump_radius, bump_power)
@@ -251,31 +251,28 @@ def table_family(manifold, t_values, components, horizon=1.0, samples=8) -> Metr
     return fam
 
 
-def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT) -> ScalarField:
-    """Pinned chart window: identically 1 on B_flat, 0 outside B_support."""
-    return ScalarField(grid, radial_window(grid.radius(), flat, support))
+def chart_window(grid: Grid, flat=WINDOW_FLAT, support=WINDOW_SUPPORT):
+    """Pinned chart window at the nodes: identically 1 on B_flat, 0 outside B_support."""
+    return radial_window(grid.radius(), flat, support)
 
 
-def _window_field(window: ScalarField, grid):
+def _window_field(window, grid):
     r = grid.radius()
-    if np.any(window.values[r <= WINDOW_FLAT] != 1.0):
+    if np.any(window[r <= WINDOW_FLAT] != 1.0):
         raise ValueError("windowed_increment: window must be exactly 1 on the half ball")
-    if np.any(window.values[r >= WINDOW_SUPPORT] != 0.0):
+    if np.any(window[r >= WINDOW_SUPPORT] != 0.0):
         raise ValueError("windowed_increment: window support must stay inside radius 3/4")
     return window
 
 
-def windowed_increment(window: ScalarField, family: MetricFamily, t) -> SymTensorField:
-    """ghat(.,t) = window * (g(.,t) - g(.,0)); exactly zero at t = 0."""
-    g = family.grid
-    w = _window_field(window, g)
-    gt = family.sample(t).values
-    g0 = family.sample(0.0).values
-    return SymTensorField(g, w.values[:, None] * (gt - g0))
+def windowed_increment(window, family: MetricFamily, t):
+    """ghat(.,t) = window * (g(.,t) - g(.,0)) on the family's grid; exactly zero at t = 0."""
+    w = _window_field(window, family.grid)
+    return w[:, None] * (family.sample(t) - family.sample(0.0))
 
 
-def solve_family(frame: ImmersionFrame, family: MetricFamily, window: ScalarField,
-                 cutoff=None, config: IterationConfig = None) -> FamilySolution:
+def solve_family(frame: ImmersionFrame, family: MetricFamily, window, cutoff=None,
+                 config: IterationConfig = None) -> FamilySolution:
     """Per-sample independent fixed-point solves with adaptive horizon.
 
     frame is the chart's frame on the family's grid, and window (see
@@ -300,16 +297,16 @@ def solve_family(frame: ImmersionFrame, family: MetricFamily, window: ScalarFiel
             f = windowed_increment(w, family, ts[k])
             with locate_failure(ts[k]):
                 v, traces[k] = solve_fixed_point(frame, cut, f, config)
-            us[k] = VecField(g, a2[:, None] * v.values)
-            F = VecField(g, frame.F0.values + us[k].values)
-            residuals[k], _ = isometry_residual(F, frame.F0, f)
+            us[k] = a2[:, None] * v
+            residuals[k], _ = isometry_residual(VecField(g, frame.F0 + us[k]),
+                                                VecField(g, frame.F0), f)
         return FamilySolution(ts, us, traces, residuals, float(ts[-1]))
 
     return adaptive_horizon(run_pass, family.horizon, family.samples)
 
 
-def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
-                  v1: VecField, f2: SymTensorField, config: IterationConfig = None):
+def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1, v1, f2,
+                  config: IterationConfig = None):
     """Compare two solves against the frame response to their difference.
 
     v1 is the fixed point already solved for f1 with this frame, cutoff and
@@ -319,11 +316,10 @@ def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
     """
     v2, trace = solve_fixed_point(frame, cut, f2, config)
     alpha = (config or IterationConfig()).alpha
-    g = f1.grid
-    gap = holder_norm(VecField(g, v1.values - v2.values), 2, alpha)
-    zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
-    diff = SymTensorField(g, f1.values - f2.values)
-    denom = holder_norm(apply_frame(frame, zero_h, diff), 2, alpha)
+    g = frame.grid
+    gap = holder_norm(VecField(g, v1 - v2), 2, alpha)
+    zero_h = np.zeros((g.num_nodes, g.dim))
+    denom = holder_norm(VecField(g, apply_frame(frame, zero_h, f1 - f2)), 2, alpha)
     ratio = gap / denom if denom > 1e-14 else 0.0
     return {
         "gap": gap,
@@ -333,8 +329,10 @@ def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1: SymTensorField,
     }
 
 
-def time_regularity_probe(solution: FamilySolution, r_max=2) -> dict:
+def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict:
     """Divided-difference boundedness of u (and du) across a dt refinement.
+
+    grid is the one the solution's fields live on (the family's).
 
     For each order r <= r_max, the sup of the r-th divided difference on
     the native grid is compared with the one on every-other-sample grid;
@@ -348,12 +346,11 @@ def time_regularity_probe(solution: FamilySolution, r_max=2) -> dict:
             f"time_regularity_probe configuration error: need >= {2 * r_max + 1} "
             f"time samples for order {r_max}, got {K1}"
         )
-    g = solution.us[0].grid
     dt = float(solution.t_grid[1] - solution.t_grid[0])
-    stacks = [np.stack([u.values for u in solution.us], axis=0)]  # (K+1, nodes, q)
-    for s_idx in multi_indices(g.dim, 1) + multi_indices(g.dim, 2):
-        m = g.derivative_matrix(s_idx)
-        stacks.append(np.stack([m @ u.values for u in solution.us], axis=0))
+    stacks = [np.stack(solution.us, axis=0)]  # (K+1, nodes, q)
+    for s_idx in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
+        m = grid.derivative_matrix(s_idx)
+        stacks.append(np.stack([m @ u for u in solution.us], axis=0))
     report = {"orders": {}}
     for r in range(1, r_max + 1):
         native = max(float(np.max(np.abs(np.diff(st, r, axis=0) / dt**r))) for st in stacks)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame import ImmersionFrame, apply_frame
-from .grid import SymTensorField, VecField, holder_norm, monitor_recurrence, radial_bump
+from .grid import VecField, holder_norm, monitor_recurrence, radial_bump
 from .operators import Cutoff, load_potentials, normal_correction, tangential_correction
 from .verify import isometry_residual
 
@@ -116,19 +116,17 @@ class IterationTrace:
         return monitor_recurrence(0.0, self.bound / 2.0, self.norms)
 
 
-def _check_f_support(cut: Cutoff, f: SymTensorField):
-    r = f.grid.radius()
-    outside = r > cut.flat_radius + 1e-12
-    if np.any(np.abs(f.values[outside]) > 0.0):
-        worst = float(np.max(np.abs(f.values[outside])))
+def _check_f_support(cut: Cutoff, f):
+    outside = cut.grid.radius() > cut.flat_radius + 1e-12
+    if np.any(np.abs(f[outside]) > 0.0):
+        worst = float(np.max(np.abs(f[outside])))
         raise ValueError(
             "solve_fixed_point: f must be supported inside the cutoff's flat "
             f"radius {cut.flat_radius} (found |f|={worst:.3e} outside)"
         )
 
 
-def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField, v: VecField,
-                    potentials) -> VecField:
+def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f, v, potentials):
     """One application of the update map -E(P(v), f/2 - Q(v)/2).
 
     potentials are the load potentials of v (operators.load_potentials);
@@ -137,14 +135,14 @@ def fixed_point_map(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField, v: Ve
     """
     p = tangential_correction(cut, potentials)
     q = normal_correction(cut, v, potentials)
-    rhs = SymTensorField(f.grid, 0.5 * f.values - 0.5 * q.values)
-    e = apply_frame(frame, p, rhs)
-    return VecField(f.grid, -e.values)
+    return -apply_frame(frame, p, 0.5 * f - 0.5 * q)
 
 
-def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
-                      config: IterationConfig = None):
+def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f, config: IterationConfig = None):
     """Iterate from v=0 to the fixed point; returns (v, trace).
+
+    f is the (nodes, n(n+1)/2) metric change and v a (nodes, q) array, both
+    on the frame's grid.
 
     Raises SmallnessViolation when the a-priori bound trips or the
     increment ratio exceeds RATIO_CAP RATIO_STRIKES times in a row, and
@@ -163,25 +161,25 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
     if cfg.tol <= 0:
         raise ValueError(f"solve_fixed_point: tol must be positive, got {cfg.tol}")
     _check_f_support(cut, f)
-    g = f.grid
-    zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
-    bound = holder_norm(apply_frame(frame, zero_h, f), 2, cfg.alpha)
+    g = frame.grid
+    zero_h = np.zeros((g.num_nodes, g.dim))
+    bound = holder_norm(VecField(g, apply_frame(frame, zero_h, f)), 2, cfg.alpha)
     trace = IterationTrace(bound=bound, tol=cfg.tol)
     # the tighter of the bound check and passes_recurrence_monitor
     exact_above = min(bound * (1.0 + BOUND_SLACK), bound + 1e-12)
-    v = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    v = np.zeros((g.num_nodes, frame.q))
     strikes = 0
     for _ in range(MAX_ITER):
         potentials, pois = load_potentials(cut, v)
         v_new = fixed_point_map(frame, cut, f, v, potentials)
-        inc = holder_norm(VecField(g, v_new.values - v.values), 2, cfg.alpha)
+        inc = holder_norm(VecField(g, v_new - v), 2, cfg.alpha)
         if trace.iterations == 0:
             # the first step starts from v = 0, where v_new - v is v_new bit for bit
             norm, exact = inc, True
         else:
             norm, exact = (trace.norms[-1] + inc) * NORM_MARGIN, False
             if not norm <= exact_above:
-                norm, exact = holder_norm(v_new, 2, cfg.alpha), True
+                norm, exact = holder_norm(VecField(g, v_new), 2, cfg.alpha), True
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)
         trace.norms.append(norm)
@@ -230,33 +228,29 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f: SymTensorField,
 
 
 def bump_perturbation(grid, amplitude, radius=0.5):
-    """Compactly supported bump tensor: first component amp*(1-(r/R)^2)^4."""
-    prof = amplitude * radial_bump(grid, radius, 4)
-    comps = grid.dim * (grid.dim + 1) // 2
-    vals = np.zeros((grid.num_nodes, comps))
-    vals[:, 0] = prof
-    return SymTensorField(grid, vals)
+    """Compactly supported bump tensor, (nodes, n(n+1)/2): first component
+    amp*(1-(r/R)^2)^4, the others zero."""
+    vals = np.zeros((grid.num_nodes, grid.dim * (grid.dim + 1) // 2))
+    vals[:, 0] = amplitude * radial_bump(grid, radius, 4)
+    return vals
 
 
-def local_perturb(frame: ImmersionFrame, f: SymTensorField, config: IterationConfig = None,
-                  cutoff=None):
+def local_perturb(frame: ImmersionFrame, f, config: IterationConfig = None, cutoff=None):
     """End-to-end local solve around frame.F0: returns (u, report) with u = a^2 v.
 
     The report carries the oracle isometry residual of F0 + u against
     target f, the support scan, norm bounds, the fixed point v and its
     iteration trace.
     """
-    g = f.grid
+    g = frame.grid
     cut = cutoff or Cutoff(g)
-    r = g.radius()
     v, trace = solve_fixed_point(frame, cut, f, config)
     a2 = cut.values**2
-    u = VecField(g, a2[:, None] * v.values)
-    F = VecField(g, frame.F0.values + u.values)
-    residual_sup, _ = isometry_residual(F, frame.F0, f)
-    outside = r >= cut.support_radius
-    support_leak = float(np.max(np.abs(u.values[outside]))) if np.any(outside) else 0.0
-    u_norm = holder_norm(u, 2, (config or IterationConfig()).alpha)
+    u = a2[:, None] * v
+    residual_sup, _ = isometry_residual(VecField(g, frame.F0 + u), VecField(g, frame.F0), f)
+    outside = g.radius() >= cut.support_radius
+    support_leak = float(np.max(np.abs(u[outside]))) if np.any(outside) else 0.0
+    u_norm = holder_norm(VecField(g, u), 2, (config or IterationConfig()).alpha)
     report = {
         "residual_sup": residual_sup,
         "support_leak": support_leak,

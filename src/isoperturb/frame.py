@@ -9,7 +9,9 @@ prescribes inner products against those rows:
   A(x) . (Theta(x) . z) = z        for any row-coefficient vector z.
 
 `apply_frame` uses this to build the unique combination E(h, f) whose
-products with dF0 are h and with d2F0 are f.
+products with dF0 are h and with d2F0 are f.  A field is its (nodes, k)
+array, read on the frame's grid; the package pairs it with a grid (as a
+ScalarField or VecField) only to measure it.
 """
 
 import warnings
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField, multi_indices
+from .grid import Grid, multi_indices
 from .verify import oracle_derivative_matrix
 
 _FREE_EPS_REL = 1e-6
@@ -54,7 +56,7 @@ class ImmersionFrame:
         Ambient dimension.
     identity_defect : float
         max over nodes of |A Theta - I| (verified <= 1e-10 at build).
-    F0 : VecField
+    F0 : ndarray, shape (nodes, q)
         The embedding the frame was built from.
     """
 
@@ -65,7 +67,7 @@ class ImmersionFrame:
     eps_free: float
     q: int
     identity_defect: float
-    F0: VecField
+    F0: np.ndarray
 
     @property
     def rows(self):
@@ -76,27 +78,22 @@ def _row_count(dim):
     return dim * (dim + 3) // 2
 
 
-def frame_matrix(source, grid: Grid = None):
-    """Assemble (F0, A) from a chart or a sampled VecField.
+def frame_matrix(source, grid: Grid):
+    """Assemble (F0, A) on grid from a chart or a sampled (nodes, q) array.
 
     A's rows are D^s F0 for |s| = 1, then |s| = 2, in multi_indices order:
     exact from chart.derivative, or from fourth-order difference stencils
     for a sampled embedding, so the row error stays below the residual
     budget of downstream checks.
     """
-    sampled = isinstance(source, VecField)
-    if sampled:
-        g, F0 = source.grid, source
-    elif grid is None:
-        raise ValueError("frame_matrix: a grid is required when building from a chart")
-    else:
-        g, F0 = grid, source.evaluate(grid)
+    sampled = isinstance(source, np.ndarray)
+    F0 = source if sampled else source.evaluate(grid)
     rows = [
-        oracle_derivative_matrix(g, s) @ F0.values if sampled else source.derivative(g, s)
-        for s in multi_indices(g.dim, 1) + multi_indices(g.dim, 2)
+        oracle_derivative_matrix(grid, s) @ F0 if sampled else source.derivative(grid, s)
+        for s in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2)
     ]
     a = np.stack(rows, axis=1)  # (nodes, rows, q)
-    need = _row_count(g.dim)
+    need = _row_count(grid.dim)
     if a.shape[2] < need:
         raise ValueError(
             f"frame dimension error: embedding has q={a.shape[2]} components but "
@@ -116,7 +113,7 @@ def _median(values):
     return np.mean(v[mid:mid + 1] if v.size % 2 else v[mid - 1:mid + 1])
 
 
-def build_frame(source, grid: Grid = None) -> ImmersionFrame:
+def build_frame(source, grid: Grid) -> ImmersionFrame:
     """Build the frame and its verified pointwise right inverse.
 
     Rejects embeddings whose margin falls at/below 1e-6 times the median
@@ -156,20 +153,17 @@ def build_frame(source, grid: Grid = None) -> ImmersionFrame:
             margin=margin,
             node=node,
         )
-    return ImmersionFrame(F0.grid, a, theta, margin, eps_free, a.shape[2], defect, F0)
+    return ImmersionFrame(grid, a, theta, margin, eps_free, a.shape[2], defect, F0)
 
 
-def apply_frame(frame: ImmersionFrame, h: VecField, f: SymTensorField) -> VecField:
-    """Field E(h,f) with dF0.E = h (per axis) and d2F0.E = f (per pair)."""
-    g = frame.grid
-    hv, fv = h.values, f.values
-    if hv.shape[0] != g.num_nodes or fv.shape[0] != g.num_nodes:
+def apply_frame(frame: ImmersionFrame, h, f):
+    """E(h,f), shape (nodes, q), with dF0.E = h (per axis, (nodes, n)) and
+    d2F0.E = f (per pair, (nodes, n(n+1)/2))."""
+    if h.shape[0] != frame.grid.num_nodes or f.shape[0] != frame.grid.num_nodes:
         raise ValueError("apply_frame: fields do not live on the frame's grid")
-    if hv.shape[1] + fv.shape[1] != frame.rows:
+    if h.shape[1] + f.shape[1] != frame.rows:
         raise ValueError(
             f"apply_frame: need {frame.rows} row coefficients, got "
-            f"{hv.shape[1]} + {fv.shape[1]}"
+            f"{h.shape[1]} + {f.shape[1]}"
         )
-    z = np.concatenate([hv, fv], axis=1)
-    out = np.einsum("nqr,nr->nq", frame.Theta, z)
-    return VecField(g, out)
+    return np.einsum("nqr,nr->nq", frame.Theta, np.concatenate([h, f], axis=1))

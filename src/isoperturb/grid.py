@@ -1,5 +1,9 @@
 """Chart grids, discrete fields, and the Hoelder-norm calculus.
 
+A field is its (nodes,) or (nodes, k) array, read on the grid its caller
+already holds; ScalarField and VecField pair it with a grid only to be
+measured (holder_norm, holder_norms, verify.isometry_residual).
+
 A chart is the unit ball B_1(0) in R^n (n = 1 or 2) sampled on a uniform
 Cartesian lattice of spacing h = 2/(N-1).  For n = 1 the nodes are the N
 points of [-1, 1]; for n = 2 they are the lattice points of the open unit
@@ -101,7 +105,7 @@ _TAIL_BLOCKS = 3
 
 @dataclass
 class ScalarField:
-    """Scalar values at the grid nodes, shape (num_nodes,)."""
+    """Scalar values at the grid nodes, shape (num_nodes,), to be measured."""
 
     grid: "Grid"
     values: np.ndarray
@@ -109,15 +113,7 @@ class ScalarField:
 
 @dataclass
 class VecField:
-    """R^q-valued field, shape (num_nodes, q); q >= n(n+3)/2 for embeddings."""
-
-    grid: "Grid"
-    values: np.ndarray
-
-
-@dataclass
-class SymTensorField:
-    """Symmetric 2-tensor field, n(n+1)/2 components in lex order (i <= j)."""
+    """Columns of values at the grid nodes, shape (num_nodes, k), to be measured."""
 
     grid: "Grid"
     values: np.ndarray
@@ -542,22 +538,11 @@ def make_grid(dim, resolution):
 # derivative / laplacian / norms
 
 
-def derivative(fld, s):
-    """Discrete partial derivative for multi-index s, |s| <= 4.
-
-    The per-axis tables act in the order the module docstring states (it
-    matters only at the h^2 truncation level near boundaries).
-    """
-    op = fld.grid.derivative_matrix(s)
-    return type(fld)(fld.grid, op @ fld.values)
-
-
-def laplacian(fld):
+def laplacian(g, x):
     """Discrete Laplacian: D_xx @ x + D_yy @ x on the disk, D_xx @ x in 1-d."""
-    g = fld.grid
     if g.dim == 1:
-        return type(fld)(g, g.derivative_matrix((2,)) @ fld.values)
-    return type(fld)(g, g.derivative_matrix((2, 0)) @ fld.values + g.derivative_matrix((0, 2)) @ fld.values)
+        return g.derivative_matrix((2,)) @ x
+    return g.derivative_matrix((2, 0)) @ x + g.derivative_matrix((0, 2)) @ x
 
 
 def _c0alpha(grid, vals, alpha):
@@ -631,7 +616,7 @@ def _random_scalar(grid, rng):
     else:
         y = grid.coords[:, 1]
         basis = [np.ones_like(x), x, y, np.sin(np.pi * x) * np.cos(y), x * y, np.cos(x + 2.0 * y)]
-    return ScalarField(grid, sum(ci * bi for ci, bi in zip(c, basis)))
+    return sum(ci * bi for ci, bi in zip(c, basis))
 
 
 def random_waves(grid, rng, count):
@@ -652,15 +637,14 @@ def _random_affine(grid, rng):
     x = grid.coords[:, 0]
     if grid.dim == 1:
         a, b = rng.uniform(-2.0, 2.0, 2)
-        return ScalarField(grid, a + b * x)
+        return a + b * x
     y = grid.coords[:, 1]
     a, b, c, d = rng.uniform(-2.0, 2.0, 4)
-    return ScalarField(grid, a + b * x + c * y + d * x * y)
+    return a + b * x + c * y + d * x * y
 
 
 def _random_vec(grid, rng, q=2):
-    cols = [_random_scalar(grid, rng).values for _ in range(q)]
-    return VecField(grid, np.column_stack(cols))
+    return np.column_stack([_random_scalar(grid, rng) for _ in range(q)])
 
 
 def leibniz_defect(grid, u, v, beta):
@@ -669,10 +653,10 @@ def leibniz_defect(grid, u, v, beta):
     u and v go in as the two columns of one field, so each D^gamma
     (gamma <= beta) is applied once.
     """
-    lhs = derivative(ScalarField(grid, u.values * v.values), beta).values
-    both = VecField(grid, np.column_stack([u.values, v.values]))
+    lhs = grid.derivative_matrix(beta) @ (u * v)
+    both = np.column_stack([u, v])
     sub = list(np.ndindex(*(b + 1 for b in beta)))  # every gamma <= beta
-    d = {gamma: derivative(both, gamma).values for gamma in sub}
+    d = {gamma: grid.derivative_matrix(gamma) @ both for gamma in sub}
     rhs = np.zeros_like(lhs)
     for gamma in sub:
         coeff = float(prod(comb(bi, gi) for bi, gi in zip(beta, gamma)))
@@ -710,13 +694,13 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         _random_scalar(grid, rng)  # discarded: keeps w1 and w2 on their seeded draws
         w1 = _random_vec(grid, rng)
         w2 = _random_vec(grid, rng)
-        uv = ScalarField(grid, u.values * v.values)
-        dot = ScalarField(grid, (w1.values * w2.values).sum(axis=1))
         # one table of C^{0,alpha}, C^{1,alpha}, C^{2,alpha} norms per field;
         # every witness below reads it
-        nu, nv, nuv, nw1, nw2, ndot = (
-            holder_norms(f, (0, 1, 2), alpha) for f in (u, v, uv, w1, w2, dot)
+        nu, nv, nuv, ndot = (
+            holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
+            for f in (u, v, u * v, (w1 * w2).sum(axis=1))
         )
+        nw1, nw2 = (holder_norms(VecField(grid, w), (0, 1, 2), alpha) for w in (w1, w2))
 
         # product inequality, exact by shared-pair-set construction
         lhs = nuv[0]
@@ -733,7 +717,7 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         # composed order-3/4 stencils amplify float64 roundoff by 1/h^4,
         # which alone exceeds the 1e-10 consistency budget
         for beta in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
-            scale = max(1.0, float(np.max(np.abs(ua.values * va.values))))
+            scale = max(1.0, float(np.max(np.abs(ua * va))))
             report["leibniz_max_err"] = max(
                 report["leibniz_max_err"], leibniz_defect(grid, ua, va, beta) / scale
             )

@@ -1,8 +1,8 @@
 """Nonlinear correction operators driving the embedding update.
 
 Everything here is a pointwise/elliptic combination of a compactly
-supported cutoff `a`, a candidate normal field `v` (q components), and
-zero-boundary Poisson solves.  The central objects:
+supported cutoff `a`, a candidate normal field `v` (a (nodes, q) array on
+the cutoff's grid), and zero-boundary Poisson solves.  The central objects:
 
   quadratic_load         2 da_i (Lv . v) + a (Lv . D_i v)     (per axis)
   load_potentials        zero-boundary inverse Laplacian of each load
@@ -20,8 +20,7 @@ back to it at machine precision.
 import numpy as np
 
 from .grid import (
-    Grid, ScalarField, SymTensorField, VecField, holder_norm, laplacian, multi_indices, random_waves,
-    sym_indices,
+    Grid, ScalarField, VecField, holder_norm, laplacian, multi_indices, random_waves, sym_indices,
 )
 from .poisson import solve_dirichlet
 
@@ -98,30 +97,29 @@ def _d1(grid, axis):
     return grid.derivative_matrix(multi_indices(grid.dim, 1)[axis])
 
 
-def quadratic_load(cut: Cutoff, v: VecField):
-    """The per-axis loads 2 da_i (Lv . v) + a (Lv . D_i v), quadratic in v."""
+def quadratic_load(cut: Cutoff, v):
+    """The per-axis loads 2 da_i (Lv . v) + a (Lv . D_i v), quadratic in v (nodes, q)."""
     g = cut.grid
-    lap_v = laplacian(v).values
-    lap_dot_v = np.sum(lap_v * v.values, axis=1)
+    lap_v = laplacian(g, v)
+    lap_dot_v = np.sum(lap_v * v, axis=1)
     return [
-        ScalarField(g, 2.0 * cut.grad[i] * lap_dot_v
-                    + cut.values * np.sum(lap_v * (_d1(g, i) @ v.values), axis=1))
+        2.0 * cut.grad[i] * lap_dot_v + cut.values * np.sum(lap_v * (_d1(g, i) @ v), axis=1)
         for i in range(g.dim)
     ]
 
 
-def load_potentials(cut: Cutoff, v: VecField):
+def load_potentials(cut: Cutoff, v):
     """Zero-boundary potentials of the per-axis loads, and their largest solve residual."""
-    sols = [solve_dirichlet(load) for load in quadratic_load(cut, v)]
+    sols = [solve_dirichlet(cut.grid, load) for load in quadratic_load(cut, v)]
     return [s.u for s in sols], max(s.residual_sup for s in sols)
 
 
-def tangential_correction(cut: Cutoff, potentials) -> VecField:
-    """Per-axis correction a * potential (n components)."""
-    return VecField(cut.grid, np.column_stack([cut.values * w.values for w in potentials]))
+def tangential_correction(cut: Cutoff, potentials):
+    """Per-axis correction a * potential, shape (nodes, n)."""
+    return np.column_stack([cut.values * w for w in potentials])
 
 
-def normal_correction(cut: Cutoff, v: VecField, potentials) -> SymTensorField:
+def normal_correction(cut: Cutoff, v, potentials):
     """Pairwise correction tensor: a gradient product minus a coupling.
 
     With dv_i = D_i v, dw_ij = D_i w_j (w the potentials) and da_i the
@@ -130,24 +128,23 @@ def normal_correction(cut: Cutoff, v: VecField, potentials) -> SymTensorField:
       - (a dw_ij + a dw_ji + 3 da_i w_j + 3 da_j w_i).
     Every term carries a or da, so the tensor vanishes outside the cutoff
     support and has exactly zero boundary values; its discrete Laplacian
-    (grid.laplacian) therefore inverts back to it.
+    (grid.laplacian) therefore inverts back to it.  Shape (nodes, n(n+1)/2).
     """
     g = cut.grid
-    a, da, vv = cut.values, cut.grad, v.values
-    w = [p.values for p in potentials]
-    dv = [_d1(g, i) @ vv for i in range(g.dim)]
+    a, da, w = cut.values, cut.grad, potentials
+    dv = [_d1(g, i) @ v for i in range(g.dim)]
     dw = [[_d1(g, i) @ wj for wj in w] for i in range(g.dim)]
     cols = []
     for i, j in sym_indices(g.dim):
         product = (
-            4.0 * da[i] * da[j] * np.sum(vv * vv, axis=1)
-            + 2.0 * a * da[i] * np.sum(dv[j] * vv, axis=1)
-            + 2.0 * a * da[j] * np.sum(dv[i] * vv, axis=1)
+            4.0 * da[i] * da[j] * np.sum(v * v, axis=1)
+            + 2.0 * a * da[i] * np.sum(dv[j] * v, axis=1)
+            + 2.0 * a * da[j] * np.sum(dv[i] * v, axis=1)
             + a * a * np.sum(dv[i] * dv[j], axis=1)
         )
         coupling = a * dw[i][j] + a * dw[j][i] + 3.0 * da[i] * w[j] + 3.0 * da[j] * w[i]
         cols.append(product - coupling)
-    return SymTensorField(g, np.column_stack(cols))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -168,33 +165,29 @@ def continuity_witnesses(cut: Cutoff, samples=20, alpha=0.5, seed=0):
     g = cut.grid
     out = {"load": 0.0, "laplacian": 0.0, "tangential": 0.0, "normal": 0.0}
     for _ in range(samples):
-        v1 = VecField(g, cut.values[:, None] * random_waves(g, rng, 3))
-        v2 = VecField(g, cut.values[:, None] * random_waves(g, rng, 3))
-        diff = VecField(g, v1.values - v2.values)
+        v1 = cut.values[:, None] * random_waves(g, rng, 3)
+        v2 = cut.values[:, None] * random_waves(g, rng, 3)
         size = (
-            holder_norm(v1, 2, alpha) + holder_norm(v2, 2, alpha)
-        ) * holder_norm(diff, 2, alpha)
+            holder_norm(VecField(g, v1), 2, alpha) + holder_norm(VecField(g, v2), 2, alpha)
+        ) * holder_norm(VecField(g, v1 - v2), 2, alpha)
         if size < 1e-14:
             continue
         loads1, loads2 = quadratic_load(cut, v1), quadratic_load(cut, v2)
         for n1, n2 in zip(loads1, loads2):
-            dn = n1.values - n2.values
             out["load"] = max(
-                out["load"], holder_norm(ScalarField(g, dn), 0, alpha) / size
+                out["load"], holder_norm(ScalarField(g, n1 - n2), 0, alpha) / size
             )
-        w1 = [solve_dirichlet(n).u for n in loads1]
-        w2 = [solve_dirichlet(n).u for n in loads2]
-        q1 = normal_correction(cut, v1, w1)
-        q2 = normal_correction(cut, v2, w2)
-        dq = SymTensorField(g, q1.values - q2.values)
-        out["normal"] = max(out["normal"], holder_norm(dq, 2, alpha) / size)
-        for k in range(dq.values.shape[1]):
-            dm = laplacian(ScalarField(g, dq.values[:, k]))
-            out["laplacian"] = max(out["laplacian"], holder_norm(dm, 0, alpha) / size)
-        p1 = tangential_correction(cut, w1)
-        p2 = tangential_correction(cut, w2)
-        dp = VecField(g, p1.values - p2.values)
-        out["tangential"] = max(out["tangential"], holder_norm(dp, 2, alpha) / size)
+        w1 = [solve_dirichlet(g, n).u for n in loads1]
+        w2 = [solve_dirichlet(g, n).u for n in loads2]
+        dq = normal_correction(cut, v1, w1) - normal_correction(cut, v2, w2)
+        out["normal"] = max(out["normal"], holder_norm(VecField(g, dq), 2, alpha) / size)
+        for k in range(dq.shape[1]):
+            dm = laplacian(g, dq[:, k])
+            out["laplacian"] = max(
+                out["laplacian"], holder_norm(ScalarField(g, dm), 0, alpha) / size
+            )
+        dp = tangential_correction(cut, w1) - tangential_correction(cut, w2)
+        out["tangential"] = max(out["tangential"], holder_norm(VecField(g, dp), 2, alpha) / size)
     out["samples"] = samples
     out["alpha"] = alpha
     return out

@@ -1,5 +1,8 @@
 """Dirichlet solves for the Poisson equation on the interval / unit disk.
 
+A field is its (nodes,) array, read on the solver's grid; ScalarField pairs
+it with the grid only to be measured (the elliptic monitors' norms).
+
 The zero-boundary inverse Laplacian is the workhorse behind the correction
 operators: every potential in the pipeline is a solve against the grid's
 own second-difference operator, so the inverse is built to be consistent
@@ -31,7 +34,7 @@ class DirichletSolution:
 
     Attributes
     ----------
-    u : ScalarField
+    u : ndarray, shape (num_nodes,)
         Solution.  On the interval u = 0 at the two end nodes; on the disk
         u = 0 enters through the arms that the circle cuts, and no node
         carries it.
@@ -41,7 +44,7 @@ class DirichletSolution:
         (unequal-arm stencils near the circle for n=2).
     """
 
-    u: ScalarField
+    u: np.ndarray
     residual_sup: float
 
 
@@ -90,11 +93,12 @@ class PoissonSolver:
 
     # -- solving -------------------------------------------------------
 
-    def solve(self, f: ScalarField) -> DirichletSolution:
+    def solve(self, f) -> DirichletSolution:
         g = self.grid
-        if f.grid is not g:
-            raise ValueError("solve_dirichlet: field grid does not match solver grid")
-        fv = np.asarray(f.values, dtype=float)
+        fv = np.asarray(f, dtype=float)
+        if fv.shape != (g.num_nodes,):
+            raise ValueError(f"solve_dirichlet: f has shape {fv.shape}, the grid needs "
+                             f"({g.num_nodes},)")
         if not np.all(np.isfinite(fv)):
             raise ValueError("solve_dirichlet: f is not finite")
         if g.dim == 1:
@@ -109,7 +113,7 @@ class PoissonSolver:
                     "(matrix may be near-singular)"
                 )
             res = float(np.max(np.abs(self._matrix @ u - fv)))
-        return DirichletSolution(ScalarField(g, u), res)
+        return DirichletSolution(u, res)
 
     def _solve_interval(self, fv):
         # exact inverse of the interior three-point operator with u(+-1)=0:
@@ -178,9 +182,9 @@ def _solver_for(grid: Grid) -> PoissonSolver:
     return grid.cached("poisson_solver", lambda: PoissonSolver(grid))
 
 
-def solve_dirichlet(f: ScalarField) -> DirichletSolution:
+def solve_dirichlet(grid: Grid, f) -> DirichletSolution:
     """Solve (Laplacian u) = f on the grid with u = 0 on the boundary."""
-    return _solver_for(f.grid).solve(f)
+    return _solver_for(grid).solve(f)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,7 @@ def _supported_sample(grid, rng):
     else:
         y = grid.coords[:, 1]
         wave = c[0] + c[1] * np.sin(2.0 * x + y) + c[2] * x * y
-    return ScalarField(grid, prof * wave)
+    return prof * wave
 
 
 def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
@@ -214,11 +218,11 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     fields = []
     for _ in range(samples):
         f = _supported_sample(grid, rng)
-        nf = holder_norms(f, (0, 1, 2), alpha)
+        nf = holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
         if nf[0] < 1e-14:
             continue
         sol = solver.solve(f)
-        nu = holder_norms(sol.u, (2, 3, 4), alpha)
+        nu = holder_norms(ScalarField(grid, sol.u), (2, 3, 4), alpha)
         schauder = max(schauder, nu[2] / nf[0])
         for m in (1, 2):
             higher[m] = max(higher[m], nu[m + 2] / nf[m])
@@ -228,8 +232,8 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     if len(fields) >= 2:
         fa, fb = fields[-2], fields[-1]
         a, b = 1.7, -0.4
-        mixed = solver.solve(ScalarField(grid, a * fa.values + b * fb.values)).u.values
-        sep = a * solver.solve(fa).u.values + b * solver.solve(fb).u.values
+        mixed = solver.solve(a * fa + b * fb).u
+        sep = a * solver.solve(fa).u + b * solver.solve(fb).u
         scale = max(1.0, float(np.max(np.abs(sep))))
         lin = float(np.max(np.abs(mixed - sep))) / scale
     return {

@@ -7,11 +7,13 @@ the solver's one stencil rule (see grid) and differs from it only in its
 window widths, ORACLE_WIDTHS = (5, 6): five- and six-node windows, one-sided
 at the ends of a line, with the exact weights of grid.window_weights.  The
 periodic derivative reads the centred five-node window of the same weights.
+A field is its (nodes, k) array; a VecField pairs it with a grid only to be
+measured, as isometry_residual's embeddings F and F0 are.
 """
 
 import numpy as np
 
-from .grid import Grid, SymTensorField, VecField, multi_indices, sym_indices, window_weights
+from .grid import Grid, VecField, multi_indices, sym_indices, window_weights
 
 # (order-1, order-2) window widths: exact through degrees 4 and 5 -> O(h^4)
 ORACLE_WIDTHS = (5, 6)
@@ -26,27 +28,29 @@ def oracle_derivative_matrix(grid: Grid, s):
     return grid.stencil_operator(ORACLE_WIDTHS, tuple(int(k) for k in s))
 
 
-def oracle_gradients(F: VecField):
-    """Per-axis fourth-order first derivatives of a vector field."""
-    g = F.grid
-    return [oracle_derivative_matrix(g, s) @ F.values for s in multi_indices(g.dim, 1)]
+def oracle_gradients(grid: Grid, x):
+    """Per-axis fourth-order first derivatives of a (nodes, q) field."""
+    return [oracle_derivative_matrix(grid, s) @ x for s in multi_indices(grid.dim, 1)]
 
 
-def isometry_residual(F: VecField, F0: VecField, f: SymTensorField):
-    """sup and field of  dF.dF - dF0.dF0 - f  over all index pairs.
+def isometry_residual(F: VecField, F0: VecField, f):
+    """(sup, residual) of  dF.dF - dF0.dF0 - f  over all index pairs.
+
+    f and the residual are (nodes, n(n+1)/2) arrays on F's grid, in
+    sym_indices order.
 
     All derivatives are the oracle's own fourth-order stencils; nothing is
     reused from the solve that produced F.
     """
     g = F.grid
-    dF = oracle_gradients(F)
-    dF0 = oracle_gradients(F0)
+    dF = oracle_gradients(g, F.values)
+    dF0 = oracle_gradients(g, F0.values)
     cols = []
     for k, (i, j) in enumerate(sym_indices(g.dim)):
         got = np.sum(dF[i] * dF[j], axis=1) - np.sum(dF0[i] * dF0[j], axis=1)
-        cols.append(got - f.values[:, k])
-    res = SymTensorField(g, np.column_stack(cols))
-    return float(np.max(np.abs(res.values))), res
+        cols.append(got - f[:, k])
+    res = np.column_stack(cols)
+    return float(np.max(np.abs(res))), res
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,7 @@ from isoperturb.family import build_family, build_manifold_family, chart_window,
     stability_gap, time_regularity_probe
 from isoperturb.fixedpoint import IterationConfig, bump_perturbation, local_perturb
 from isoperturb.frame import NotFreeError, build_frame
-from isoperturb.grid import (
-    ScalarField,
-    VecField,
-    check_inequalities,
-    make_grid,
-    monitor_recurrence,
-)
+from isoperturb.grid import check_inequalities, make_grid, monitor_recurrence
 from isoperturb.operators import Cutoff
 from isoperturb.poisson import solve_dirichlet
 
@@ -74,7 +68,7 @@ def family_solution():
     sol = solve_family(build_frame(chart, g), fam, window=chart_window(g, 0.5, 0.75),
                        cutoff=Cutoff(g, 0.5, 0.9),
                        config=IterationConfig(tol=1e-9))
-    return {"sol": sol, "elapsed": time.time() - t0}
+    return {"sol": sol, "elapsed": time.time() - t0, "grid": g}
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +91,8 @@ def test_criterion_1_poisson_order():
     for N in (51, 101, 201):
         g = make_grid(1, N)
         x = g.coords[:, 0]
-        sol = solve_dirichlet(ScalarField(g, -np.pi**2 * np.sin(np.pi * x)))
-        errs.append(float(np.max(np.abs(sol.u.values - np.sin(np.pi * x)))))
+        sol = solve_dirichlet(g, -np.pi**2 * np.sin(np.pi * x))
+        errs.append(float(np.max(np.abs(sol.u - np.sin(np.pi * x)))))
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
 
     errs2 = []
@@ -108,8 +102,8 @@ def test_criterion_1_poisson_order():
         s, c = np.sin(x + 2.0 * y), np.cos(x + 2.0 * y)
         phi = 1.0 - x * x - y * y
         f = -4.0 * s - (4.0 * x + 8.0 * y) * c - 5.0 * phi * s
-        sol = solve_dirichlet(ScalarField(g, f))
-        errs2.append(float(np.max(np.abs(sol.u.values - phi * s))))
+        sol = solve_dirichlet(g, f)
+        errs2.append(float(np.max(np.abs(sol.u - phi * s))))
     orders.append(float(np.log2(errs2[0] / errs2[1])))
     elapsed = time.time() - t0
 
@@ -141,7 +135,7 @@ def test_criterion_3_frame_identity():
     for chart in (ParabolaChart(), CircleChart()):
         defects.append(build_frame(chart, g).identity_defect)
     x = g.coords[:, 0]
-    flat = VecField(g, np.stack([x, np.zeros_like(x)], axis=1))
+    flat = np.stack([x, np.zeros_like(x)], axis=1)
     with pytest.raises(NotFreeError) as exc:
         build_frame(flat, g)
     ok = max(defects) <= 1e-10 and exc.value.margin == 0.0
@@ -184,12 +178,12 @@ def test_criterion_6_stability(stability_pair):
 def test_criterion_7_time_family(family_solution):
     sol = family_solution["sol"]
     elapsed = family_solution["elapsed"]
-    u0 = float(np.max(np.abs(sol.us[0].values)))
+    u0 = float(np.max(np.abs(sol.us[0])))
     worst = float(max(sol.residuals))
     # certified upper bounds on the iterates' norms: they imply the exact check
     bound_ok = all(n <= tr.bound * (1.0 + 1e-6)
                    for tr in sol.traces[1:] for n in tr.norms)
-    probe = time_regularity_probe(sol, r_max=2)
+    probe = time_regularity_probe(sol, family_solution["grid"], r_max=2)
     ratios = [row["ratio"] for row in probe["orders"].values()]
     ok = (u0 == 0.0 and worst <= 1e-6 and bound_ok
           and all(r <= 2.0 for r in ratios) and elapsed < 120.0)

@@ -92,7 +92,7 @@ def test_atlas_charts_are_the_analytic_charts(manifold, num_charts, chart_type, 
     for chart in build_atlas(manifold, num_charts).charts:
         assert type(chart) is chart_type and chart.manifold == manifold
         want = base_embedding(manifold, chart.to_manifold(g.coords))
-        assert np.array_equal(chart.evaluate(g).values, want)
+        assert np.array_equal(chart.evaluate(g), want)
         assert np.array_equal(chart.angles(g), chart.to_manifold(g.coords))
 
 
@@ -398,7 +398,7 @@ def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
 
     def recording(frame, cut, f, config=None):
         v, trace = solve(frame, cut, f, config)
-        calls.append((float(np.max(np.abs(f.values))), trace))
+        calls.append((float(np.max(np.abs(f))), trace))
         return v, trace
 
     monkeypatch.setattr(atlas_module, "solve_fixed_point", recording)
@@ -423,9 +423,9 @@ def test_glue_builds_the_stage_1_frame_once(monkeypatch):
     built = []
     build = atlas_module.build_frame
 
-    def recording(source):
-        built.append(source.values)
-        return build(source)
+    def recording(source, grid):
+        built.append(source)
+        return build(source, grid)
 
     monkeypatch.setattr(atlas_module, "build_frame", recording)
     atlas = build_atlas("circle", 2)

@@ -30,7 +30,7 @@ from isoperturb.family import (
 from isoperturb.fixedpoint import (IterationConfig, StalledIteration, bump_perturbation,
                                    solve_fixed_point)
 from isoperturb.frame import build_frame
-from isoperturb.grid import ScalarField, SymTensorField, VecField, make_grid
+from isoperturb.grid import make_grid
 from isoperturb.operators import Cutoff
 
 
@@ -46,14 +46,14 @@ def test_chart_window_pinned_regions():
     g = make_grid(1, 401)
     w = chart_window(g)
     r = g.radius()
-    assert np.all(w.values[r <= 0.5] == 1.0)
-    assert np.all(w.values[r >= 0.75] == 0.0)
+    assert np.all(w[r <= 0.5] == 1.0)
+    assert np.all(w[r >= 0.75] == 0.0)
     mid = (r > 0.5) & (r < 0.75)
-    assert np.all((w.values[mid] > 0) & (w.values[mid] < 1))
+    assert np.all((w[mid] > 0) & (w[mid] < 1))
     # radially monotone on the right half
     right = g.coords[:, 0] >= 0
     order = np.argsort(g.coords[right, 0])
-    vals = w.values[right][order]
+    vals = w[right][order]
     assert np.all(np.diff(vals) <= 1e-15)
 
 
@@ -71,7 +71,7 @@ def test_windowed_increment_zero_at_t0_is_exact():
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=4, beta=0.01, bump_radius=0.4)
     ghat = windowed_increment(chart_window(g), fam, 0.0)
-    assert np.all(ghat.values == 0.0)  # IEEE: psi*(g - g) is exactly zero
+    assert np.all(ghat == 0.0)  # IEEE: psi*(g - g) is exactly zero
 
 
 def test_windowed_increment_hand_product():
@@ -80,12 +80,12 @@ def test_windowed_increment_hand_product():
     fam = build_family("uniform-scale", g, base=ParabolaChart(), horizon=1.0,
                        samples=4, beta=0.2)
     t = 0.75
-    base = ParabolaChart().base_metric(g).values
-    expected = w.values[:, None] * ((1.0 + 0.2 * t) * base - base)
+    base = ParabolaChart().base_metric(g)
+    expected = w[:, None] * ((1.0 + 0.2 * t) * base - base)
     got = windowed_increment(w, fam, t)
-    assert np.max(np.abs(got.values - expected)) == 0.0
+    assert np.max(np.abs(got - expected)) == 0.0
     # support is pinned by the window
-    assert np.all(got.values[g.radius() >= 0.75] == 0.0)
+    assert np.all(got[g.radius() >= 0.75] == 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -95,10 +95,10 @@ def test_windowed_increment_support_property(t):
     w = chart_window(g)
     fam = build_family("uniform-scale", g, base=FLAT, horizon=0.5, samples=2, beta=0.3)
     ghat = windowed_increment(w, fam, t)
-    assert np.all(ghat.values[g.radius() >= 0.75] == 0.0)
-    assert np.all(np.isfinite(ghat.values))
-    expected = w.values * ((1.0 + 0.3 * t) - 1.0)
-    assert np.max(np.abs(ghat.values[:, 0] - expected)) <= 1e-14
+    assert np.all(ghat[g.radius() >= 0.75] == 0.0)
+    assert np.all(np.isfinite(ghat))
+    expected = w * ((1.0 + 0.3 * t) - 1.0)
+    assert np.max(np.abs(ghat[:, 0] - expected)) <= 1e-14
 
 
 # ---------------------------------------------------------------- families
@@ -107,7 +107,7 @@ def test_windowed_increment_support_property(t):
 def test_constant_family_is_constant():
     g = make_grid(1, 101)
     fam = build_family("constant", g, base=FLAT, horizon=1.0, samples=3)
-    assert np.all(fam.sample(0.7).values == fam.sample(0.0).values)
+    assert np.all(fam.sample(0.7) == fam.sample(0.0))
     assert positivity_margin(fam, g.coords) == 1.0
     assert np.all(fam.t_grid == np.linspace(0.0, 1.0, 4))
 
@@ -118,7 +118,7 @@ def test_uniform_scale_values_and_margin():
                        samples=4, beta=0.5)
     x = g.coords[:, 0]
     expected = (1.0 + 0.5 * 0.25) * (1.0 + 4.0 * x**2)
-    assert np.max(np.abs(fam.sample(0.25).values[:, 0] - expected)) == 0.0
+    assert np.max(np.abs(fam.sample(0.25)[:, 0] - expected)) == 0.0
     # min over t of min_x (1+beta*t)(1+4x^2) is at t=0, x=0
     assert positivity_margin(fam, g.coords) == 1.0
 
@@ -127,8 +127,8 @@ def test_bump_breathing_touches_only_first_component():
     g = make_grid(2, 33)
     fam = build_family("bump-breathing", g, base=TorusChart(), horizon=1.0, samples=2,
                        beta=0.3, bump_radius=0.4)
-    g0 = fam.sample(0.0).values
-    g1 = fam.sample(1.0).values
+    g0 = fam.sample(0.0)
+    g1 = fam.sample(1.0)
     assert np.all(g1[:, 1] == g0[:, 1])
     assert np.all(g1[:, 2] == g0[:, 2])
     r2 = (g.coords**2).sum(axis=1)
@@ -145,7 +145,7 @@ def test_circle_breathing_needs_circle_chart():
     th = chart.angles(g)[:, 0]
     c2 = (0.75 * np.pi) ** 2
     expected = (1.0 + 0.05 * 1.0 * 0.5 * (1.0 + np.cos(th))) * c2
-    assert np.max(np.abs(fam.sample(1.0).values[:, 0] - expected)) < 1e-12
+    assert np.max(np.abs(fam.sample(1.0)[:, 0] - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["constant", "uniform-scale", "circle-breathing"])
@@ -162,7 +162,7 @@ def test_chart_and_global_families_agree(name, chart, dim):
     c2 = chart.halfwidth**2
     for t in (0.0, 0.5, 1.0):
         want = c2 * glob.evaluator(pts, t)
-        got = fam.sample(t).values
+        got = fam.sample(t)
         assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
@@ -188,9 +188,12 @@ def test_family_validation():
 # ---------------------------------------------------------------- solves
 
 
+BREATHING_GRID = make_grid(1, 401)
+
+
 @pytest.fixture(scope="module")
 def breathing_solution():
-    g = make_grid(1, 401)
+    g = BREATHING_GRID
     fam = build_family("bump-breathing", g, base=ParabolaChart(), horizon=0.5,
                        samples=4, beta=0.01, bump_radius=0.4)
     sol = solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
@@ -201,7 +204,7 @@ def breathing_solution():
 def test_breathing_solution_contract(breathing_solution):
     sol = breathing_solution
     assert sol.horizon_used == 0.5  # no halving at this amplitude
-    assert np.all(sol.us[0].values == 0.0)  # t=0 increment solves to zero
+    assert np.all(sol.us[0] == 0.0)  # t=0 increment solves to zero
     assert max(sol.residuals) < 1e-7  # measured 2.96e-8 at N=401
     assert all(tr.status == "converged" for tr in sol.traces)
     assert all(tr.iterations <= 10 for tr in sol.traces)  # measured max 7
@@ -217,7 +220,7 @@ def test_breathing_solution_residuals_grow_with_t(breathing_solution):
 
 
 def test_regularity_probe_on_solution(breathing_solution):
-    rep = time_regularity_probe(breathing_solution)
+    rep = time_regularity_probe(breathing_solution, BREATHING_GRID)
     for r in (1, 2):
         assert rep["orders"][r]["ratio"] <= 2.0
         assert np.isfinite(rep["orders"][r]["native"])
@@ -258,7 +261,7 @@ def test_samples_are_solved_from_the_largest_t(monkeypatch):
 
     def recording(frame, cut, f, config=None):
         v, trace = solve(frame, cut, f, config)
-        calls.append((float(np.max(np.abs(f.values))), trace))
+        calls.append((float(np.max(np.abs(f))), trace))
         return v, trace
 
     monkeypatch.setattr(family_module, "solve_fixed_point", recording)
@@ -336,7 +339,7 @@ def test_stability_gap_identical_inputs_is_zero():
     cut = Cutoff(g, 0.5, 0.9)
     f = bump_perturbation(g, 0.01)
     v, _ = solve_fixed_point(frame, cut, f, CFG)
-    rep = stability_gap(frame, cut, f, v, SymTensorField(g, f.values.copy()), CFG)
+    rep = stability_gap(frame, cut, f, v, f.copy(), CFG)
     assert rep["gap"] == 0.0
     assert rep["ratio"] == 0.0
 
@@ -344,9 +347,11 @@ def test_stability_gap_identical_inputs_is_zero():
 # ---------------------------------------------------------------- probe
 
 
-def _fake_solution(t_grid, stack_fn, q=3, nodes_grid=None):
-    g = nodes_grid or make_grid(1, 51)
-    us = [VecField(g, np.full((g.num_nodes, q), stack_fn(t))) for t in t_grid]
+PROBE_GRID = make_grid(1, 51)
+
+
+def _fake_solution(t_grid, stack_fn, q=3):
+    us = [np.full((PROBE_GRID.num_nodes, q), stack_fn(t)) for t in t_grid]
     return FamilySolution(np.asarray(t_grid), us, [], [], float(t_grid[-1]), None)
 
 
@@ -356,7 +361,7 @@ def test_probe_quadratic_hand_oracle():
     T, K = 1.0, 8
     tg = np.linspace(0.0, T, K + 1)
     sol = _fake_solution(tg, lambda t: t * t)
-    rep = time_regularity_probe(sol)
+    rep = time_regularity_probe(sol, PROBE_GRID)
     dt = T / K
     assert rep["orders"][2]["native"] == 2.0
     assert rep["orders"][2]["coarse"] == 2.0
@@ -369,7 +374,7 @@ def test_probe_quadratic_hand_oracle():
 def test_probe_zero_solution_guard():
     tg = np.linspace(0.0, 1.0, 9)
     sol = _fake_solution(tg, lambda t: 0.0)
-    rep = time_regularity_probe(sol)
+    rep = time_regularity_probe(sol, PROBE_GRID)
     assert rep["orders"][1]["ratio"] == 1.0  # guarded 0/0
     assert rep["orders"][2]["ratio"] == 1.0
 
@@ -378,7 +383,7 @@ def test_probe_preconditions():
     tg = np.linspace(0.0, 1.0, 9)
     sol = _fake_solution(tg, lambda t: t)
     with pytest.raises(ValueError, match="r_max"):
-        time_regularity_probe(sol, r_max=3)
+        time_regularity_probe(sol, PROBE_GRID, r_max=3)
     short = _fake_solution(np.linspace(0.0, 1.0, 4), lambda t: t)
     with pytest.raises(ValueError, match="time samples"):
-        time_regularity_probe(short)
+        time_regularity_probe(short, PROBE_GRID)

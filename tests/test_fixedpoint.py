@@ -31,7 +31,7 @@ from isoperturb.fixedpoint import (
     solve_fixed_point,
 )
 from isoperturb.frame import apply_frame, build_frame
-from isoperturb.grid import SymTensorField, VecField, holder_norm, make_grid, sym_indices
+from isoperturb.grid import VecField, holder_norm, make_grid, sym_indices
 from isoperturb.operators import (
     Cutoff,
     load_potentials,
@@ -69,12 +69,11 @@ def bump_solution(bump_setup):
 
 def test_first_sweep_is_exact_frame_response(bump_setup):
     g, frame, cut, f = bump_setup
-    v0 = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    v0 = np.zeros((g.num_nodes, frame.q))
     got = fixed_point_map(frame, cut, f, v0, load_potentials(cut, v0)[0])
-    half_f = SymTensorField(g, 0.5 * f.values)
-    zero_h = VecField(g, np.zeros((g.num_nodes, g.dim)))
-    expected = -apply_frame(frame, zero_h, half_f).values
-    assert np.all(got.values == expected)  # Q(0) and P(0) vanish exactly
+    zero_h = np.zeros((g.num_nodes, g.dim))
+    expected = -apply_frame(frame, zero_h, 0.5 * f)
+    assert np.all(got == expected)  # Q(0) and P(0) vanish exactly
 
 
 def test_first_norm_is_half_the_bound(bump_solution):
@@ -84,11 +83,11 @@ def test_first_norm_is_half_the_bound(bump_solution):
 
 def test_zero_increment_converges_immediately(bump_setup):
     g, frame, cut, _ = bump_setup
-    f0 = SymTensorField(g, np.zeros((g.num_nodes, 1)))
+    f0 = np.zeros((g.num_nodes, 1))
     v, trace = solve_fixed_point(frame, cut, f0)
     assert trace.iterations == 1
     assert trace.status == "converged"
-    assert np.all(v.values == 0.0)
+    assert np.all(v == 0.0)
 
 
 # ------------------------------------------------------- calibrated bump
@@ -111,13 +110,13 @@ def replay_certified_norms(frame, cut, f, trace, alpha=0.5):
     Every row holds exact <= recorded <= bound (1 + 1e-6); rows marked
     exact, row 0 always among them, hold the exact norm itself.
     """
-    g = f.grid
-    v = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    g = frame.grid
+    v = np.zeros((g.num_nodes, frame.q))
     assert trace.norm_exact[0]
     assert len(trace.norm_exact) == len(trace.norms) == trace.iterations
     for k in range(trace.iterations):
         v = fixed_point_map(frame, cut, f, v, load_potentials(cut, v)[0])
-        exact = holder_norm(v, 2, alpha)
+        exact = holder_norm(VecField(g, v), 2, alpha)
         assert exact <= trace.norms[k] <= trace.bound * (1 + 1e-6), k
         if trace.norm_exact[k]:
             assert trace.norms[k] == exact, k
@@ -160,7 +159,7 @@ def test_halving_amplitude_halves_the_solution(bump_setup):
     g, frame, cut, f = bump_setup
     v1, _ = solve_fixed_point(frame, cut, f)
     v2, _ = solve_fixed_point(frame, cut, bump_perturbation(g, 0.005))
-    ratio = holder_norm(v2, 2, 0.5) / holder_norm(v1, 2, 0.5)
+    ratio = holder_norm(VecField(g, v2), 2, 0.5) / holder_norm(VecField(g, v1), 2, 0.5)
     assert 0.47 <= ratio <= 0.53  # measured 0.4994; nonlinearity is tiny
 
 
@@ -173,9 +172,9 @@ def test_local_perturb_report(bump_setup):
     assert 0.45 <= report["bound_ratio"] <= 0.55  # measured 0.50
     assert report["iterations"] <= 12
     assert report["monitor_ok"]
-    assert u.values.shape == (g.num_nodes, 2)
+    assert u.shape == (g.num_nodes, 2)
     # u vanishes identically outside the cutoff support
-    assert np.all(u.values[g.radius() >= 0.9] == 0.0)
+    assert np.all(u[g.radius() >= 0.9] == 0.0)
 
 
 def verify_identity(frame, cut, v, f):
@@ -185,34 +184,34 @@ def verify_identity(frame, cut, v, f):
     normal_constraint     : sup |d2F0 . v + f/2 - Q/2| per index pair
     isometry              : sup |dF.dF - dF0.dF0 - a^2 f|, module stencils
     """
-    g = f.grid
+    g = frame.grid
     potentials, _ = load_potentials(cut, v)
     p = tangential_correction(cut, potentials)
     q = normal_correction(cut, v, potentials)
     n = g.dim
     r1 = 0.0
     for i in range(n):
-        got = np.sum(frame.A[:, i, :] * v.values, axis=1) + p.values[:, i]
+        got = np.sum(frame.A[:, i, :] * v, axis=1) + p[:, i]
         r1 = max(r1, float(np.max(np.abs(got))))
     r2 = 0.0
     for k in range(frame.rows - n):
         got = (
-            np.sum(frame.A[:, n + k, :] * v.values, axis=1)
-            + 0.5 * f.values[:, k]
-            - 0.5 * q.values[:, k]
+            np.sum(frame.A[:, n + k, :] * v, axis=1)
+            + 0.5 * f[:, k]
+            - 0.5 * q[:, k]
         )
         r2 = max(r2, float(np.max(np.abs(got))))
     a2 = cut.values**2
-    F = VecField(g, frame.F0.values + a2[:, None] * v.values)
+    F = frame.F0 + a2[:, None] * v
     r3 = 0.0
     d1 = [g.derivative_matrix(tuple(1 if a == ax else 0 for a in range(n))) for ax in range(n)]
-    dF = [m @ F.values for m in d1]
-    dF0 = [m @ frame.F0.values for m in d1]
+    dF = [m @ F for m in d1]
+    dF0 = [m @ frame.F0 for m in d1]
     for k, (i, j) in enumerate(sym_indices(n)):
         got = (
             np.sum(dF[i] * dF[j], axis=1)
             - np.sum(dF0[i] * dF0[j], axis=1)
-            - a2 * f.values[:, k]
+            - a2 * f[:, k]
         )
         r3 = max(r3, float(np.max(np.abs(got))))
     return {"tangential_constraint": r1, "normal_constraint": r2, "isometry": r3}
@@ -226,7 +225,7 @@ def test_verify_identity_at_fixed_point(bump_setup, bump_solution):
     assert rep["normal_constraint"] < 1e-12  # measured 9.2e-16
     assert rep["isometry"] < 1e-5  # 2nd-order internal stencils, measured 4e-6
     # away from the fixed point the constraints are macroscopic
-    rep0 = verify_identity(frame, cut, VecField(g, np.zeros_like(v.values)), f)
+    rep0 = verify_identity(frame, cut, np.zeros_like(v), f)
     assert rep0["tangential_constraint"] == 0.0  # P(0) = 0 exactly
     assert rep0["normal_constraint"] == 0.005  # sup |f/2| at the bump peak
     assert rep0["isometry"] == 0.01  # sup |a^2 f| with a = 1 there
@@ -256,7 +255,7 @@ def test_nan_iterate_diverges(bump_setup, monkeypatch):
     def nan_at_step_3(*args):
         steps.append(None)
         v = step(*args)
-        return VecField(g, np.full_like(v.values, np.nan)) if len(steps) == 3 else v
+        return np.full_like(v, np.nan) if len(steps) == 3 else v
 
     monkeypatch.setattr(fixedpoint, "fixed_point_map", nan_at_step_3)
     with pytest.raises(SmallnessViolation, match="a-priori bound violated") as exc:
@@ -287,11 +286,11 @@ def test_borderline_contraction_fails_fast(borderline_setup):
     # the stop was right: MAX_ITER steps of the map, taken by hand, retrace
     # the run and never bring the increment down to tol
     tol = IterationConfig().tol
-    v = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    v = np.zeros((g.num_nodes, frame.q))
     increments = []
     for _ in range(MAX_ITER):
         v_new = fixed_point_map(frame, cut, f, v, load_potentials(cut, v)[0])
-        increments.append(holder_norm(VecField(g, v_new.values - v.values), 2, 0.5))
+        increments.append(holder_norm(VecField(g, v_new - v), 2, 0.5))
         v = v_new
     assert increments[: trace.iterations] == trace.increments
     assert min(increments) > tol
@@ -348,10 +347,8 @@ def test_first_sweep_scales_linearly(lam):
     frame = build_frame(ParabolaChart(), g)
     cut = Cutoff(g)
     f = bump_perturbation(g, 0.01)
-    v0 = VecField(g, np.zeros((g.num_nodes, frame.q)))
+    v0 = np.zeros((g.num_nodes, frame.q))
     w, _ = load_potentials(cut, v0)
-    base = fixed_point_map(frame, cut, f, v0, w).values
-    scaled = fixed_point_map(
-        frame, cut, SymTensorField(g, lam * f.values), v0, w
-    ).values
+    base = fixed_point_map(frame, cut, f, v0, w)
+    scaled = fixed_point_map(frame, cut, lam * f, v0, w)
     assert np.max(np.abs(scaled - lam * base)) <= 1e-13 * max(1.0, lam)

@@ -10,9 +10,7 @@ from test_operator_tables import _triplets
 from isoperturb import frame as frame_module
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.frame import NotFreeError, _median, apply_frame, build_frame
-from isoperturb.grid import (
-    ScalarField, SymTensorField, VecField, make_grid, multi_indices, window_weights,
-)
+from isoperturb.grid import VecField, make_grid, multi_indices, window_weights
 from isoperturb.verify import (
     ORACLE_WIDTHS,
     isometry_residual,
@@ -123,12 +121,11 @@ def test_isometry_residual_frozen_scaling_example():
     g = make_grid(1, 201)
     chart = ParabolaChart()
     F0 = chart.evaluate(g)
-    F = VecField(g, 1.1 * F0.values)
-    zero = SymTensorField(g, np.zeros((g.num_nodes, 1)))
-    sup, res = isometry_residual(F, F0, zero)
+    zero = np.zeros((g.num_nodes, 1))
+    sup, res = isometry_residual(VecField(g, 1.1 * F0), VecField(g, F0), zero)
     assert abs(sup - 0.21 * 5.0) < 1e-9
     expected = 0.21 * (1.0 + 4.0 * g.coords[:, 0] ** 2)
-    assert np.max(np.abs(res.values[:, 0] - expected)) < 1e-9
+    assert np.max(np.abs(res[:, 0] - expected)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +165,9 @@ def test_circle_margin_is_halfwidth():
 def test_degenerate_line_rejected_with_zero_margin():
     g = make_grid(1, 101)
     x = g.coords[:, 0]
-    flat = VecField(g, np.column_stack([x, np.zeros_like(x)]))
+    flat = np.column_stack([x, np.zeros_like(x)])
     with pytest.raises(NotFreeError) as exc:
-        build_frame(flat)
+        build_frame(flat, g)
     assert exc.value.margin < 1e-10
 
 
@@ -179,11 +176,9 @@ def test_product_torus_lacks_components():
     g = make_grid(2, 33)
     c = 3.0
     x, y = g.coords[:, 0], g.coords[:, 1]
-    prod = VecField(
-        g, np.column_stack([np.cos(c * x), np.sin(c * x), np.cos(c * y), np.sin(c * y)])
-    )
+    prod = np.column_stack([np.cos(c * x), np.sin(c * x), np.cos(c * y), np.sin(c * y)])
     with pytest.raises(ValueError, match=r"n\(n\+3\)/2 = 5"):
-        build_frame(prod)
+        build_frame(prod, g)
 
 
 def test_torus_chart_is_free():
@@ -236,36 +231,36 @@ def test_apply_frame_reconstructs_prescribed_products():
     g = make_grid(1, 201)
     frame = build_frame(ParabolaChart(), g)
     rng = np.random.default_rng(11)
-    h = VecField(g, rng.standard_normal((g.num_nodes, 1)))
-    f = SymTensorField(g, rng.standard_normal((g.num_nodes, 1)))
+    h = rng.standard_normal((g.num_nodes, 1))
+    f = rng.standard_normal((g.num_nodes, 1))
     e = apply_frame(frame, h, f)
     # products against the analytic rows recover (h, f) pointwise
-    got_h = np.sum(frame.A[:, 0, :] * e.values, axis=1)
-    got_f = np.sum(frame.A[:, 1, :] * e.values, axis=1)
-    assert np.max(np.abs(got_h - h.values[:, 0])) < 1e-9
-    assert np.max(np.abs(got_f - f.values[:, 0])) < 1e-9
+    got_h = np.sum(frame.A[:, 0, :] * e, axis=1)
+    got_f = np.sum(frame.A[:, 1, :] * e, axis=1)
+    assert np.max(np.abs(got_h - h[:, 0])) < 1e-9
+    assert np.max(np.abs(got_f - f[:, 0])) < 1e-9
 
 
 def test_apply_frame_zero_maps_to_zero():
     g = make_grid(1, 101)
     frame = build_frame(ParabolaChart(), g)
     z = np.zeros((g.num_nodes, 1))
-    e = apply_frame(frame, VecField(g, z), SymTensorField(g, z))
-    assert np.all(e.values == 0.0)
+    e = apply_frame(frame, z, z)
+    assert np.all(e == 0.0)
 
 
 def test_apply_frame_shape_validation():
     g = make_grid(1, 101)
     frame = build_frame(ParabolaChart(), g)
     with pytest.raises(ValueError, match="row coefficients"):
-        apply_frame(frame, VecField(g, np.zeros((g.num_nodes, 2))), SymTensorField(g, np.zeros((g.num_nodes, 1))))
+        apply_frame(frame, np.zeros((g.num_nodes, 2)), np.zeros((g.num_nodes, 1)))
 
 
 def test_sampled_embedding_frame_matches_analytic():
     g = make_grid(1, 201)
     chart = CircleChart(0.0, 3.0 * np.pi / 4.0)
     analytic = build_frame(chart, g)
-    sampled = build_frame(chart.evaluate(g))
+    sampled = build_frame(chart.evaluate(g), g)
     assert np.max(np.abs(analytic.A - sampled.A)) < 1e-5
     assert abs(analytic.freeness_margin - sampled.freeness_margin) < 1e-5
 
@@ -275,7 +270,8 @@ def test_sampled_torus_frame_margin_is_the_charts(N, tol):
     # the chart's rows have smallest singular value 3 at every point; every
     # node of the disk carries full oracle rows, so the sampled margin
     # converges to it
-    frame = build_frame(TorusChart((0.0, 0.0), 3.0).evaluate(make_grid(2, N)))
+    g = make_grid(2, N)
+    frame = build_frame(TorusChart((0.0, 0.0), 3.0).evaluate(g), g)
     assert abs(frame.freeness_margin - 3.0) < tol
 
 
@@ -287,15 +283,15 @@ def test_chart_base_metrics():
     g1 = make_grid(1, 101)
     x = g1.coords[:, 0]
     pm = ParabolaChart().base_metric(g1)
-    assert np.max(np.abs(pm.values[:, 0] - (1.0 + 4.0 * x * x))) < 1e-12
+    assert np.max(np.abs(pm[:, 0] - (1.0 + 4.0 * x * x))) < 1e-12
     c = 3.0 * np.pi / 4.0
     cm = CircleChart(0.0, c).base_metric(g1)
-    assert np.all(cm.values == c * c)
+    assert np.all(cm == c * c)
     g2 = make_grid(2, 33)
     tm = TorusChart((0.0, 0.0), 3.0).base_metric(g2)
-    assert np.all(tm.values[:, 0] == 18.0)
-    assert np.all(tm.values[:, 1] == 9.0)
-    assert np.all(tm.values[:, 2] == 18.0)
+    assert np.all(tm[:, 0] == 18.0)
+    assert np.all(tm[:, 1] == 9.0)
+    assert np.all(tm[:, 2] == 18.0)
 
 
 @pytest.mark.parametrize("chart,resolutions", [
@@ -310,7 +306,7 @@ def test_chart_derivatives_match_oracle_stencils(chart, resolutions):
             err = []
             for N in resolutions:
                 g = make_grid(chart.dim, N)
-                num = oracle_derivative_matrix(g, s) @ chart.evaluate(g).values
+                num = oracle_derivative_matrix(g, s) @ chart.evaluate(g)
                 err.append(np.max(np.abs(num - chart.derivative(g, s))))
             assert all(a >= 4.0 * b for a, b in zip(err, err[1:])), (s, err)
             assert chart.dim == 2 or err[-1] < tol, (s, err)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from isoperturb.grid import SOLVER_WIDTHS, ScalarField, VecField, derivative, laplacian, make_grid, multi_indices
+from isoperturb.grid import SOLVER_WIDTHS, laplacian, make_grid, multi_indices
 from isoperturb.verify import ORACLE_WIDTHS
 
 # at N = 2948, h**2 != h*h; disks of 33 and 65 nodes a side are verify-appendix's
@@ -111,11 +111,11 @@ def test_laplacian_and_derivatives_apply_scipys_sums(dim, N):
     refs = [_reference_axis(g.derivative_matrix(tuple(2 if a == ax else 0 for a in range(dim))).factors[0],
                             n, np.random.default_rng(ax)) for ax in range(dim)]
     want = refs[0] @ x if dim == 1 else refs[0] @ x + refs[1] @ x
-    assert _same(laplacian(VecField(g, x)).values, want)
-    assert _same(laplacian(ScalarField(g, x[:, 3])).values, want[:, 3])
+    assert _same(laplacian(g, x), want)
+    assert _same(laplacian(g, x[:, 3]), want[:, 3])
     s = (3,) if dim == 1 else (1, 1)
     tables = g.derivative_matrix(s).factors
-    got = derivative(VecField(g, x), s).values
+    got = g.derivative_matrix(s) @ x
     assert _same(got, _apply([_reference_axis(t, n, np.random.default_rng(0)) for t in tables], x))
 
 

@@ -23,7 +23,7 @@ from isoperturb.embeddings import ParabolaChart, TorusChart
 from isoperturb.fixedpoint import bump_perturbation, fixed_point_map
 from isoperturb.frame import build_frame
 from isoperturb.grid import (
-    ScalarField, VecField, derivative, laplacian, make_grid, sym_indices,
+    laplacian, make_grid, sym_indices,
 )
 from isoperturb.operators import (
     Cutoff,
@@ -45,7 +45,7 @@ def smooth_vec(grid, q=3):
     else:
         y = grid.coords[:, 1]
         cols = [np.sin(x + y), np.cos(2.0 * x), x * y]
-    return VecField(grid, np.column_stack(cols[:q]))
+    return np.column_stack(cols[:q])
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_cutoff_gradient_matches_grid_derivative():
     for N in (401, 801):
         g = make_grid(1, N)
         cut = Cutoff(g)
-        d_grid = derivative(ScalarField(g, cut.values), (1,)).values
+        d_grid = g.derivative_matrix((1,)) @ cut.values
         errs.append(np.max(np.abs(d_grid - cut.grad[0])))
     assert errs[0] < 0.05
     assert 2.5 < errs[0] / errs[1] < 6.0  # second-order shrinkage
@@ -123,10 +123,10 @@ def test_cutoff_validation():
 def test_load_vanishes_for_zero_and_constant_fields():
     g = make_grid(1, 201)
     cut = Cutoff(g)
-    zero = VecField(g, np.zeros((g.num_nodes, 3)))
-    assert np.all(quadratic_load(cut, zero)[0].values == 0.0)
-    const = VecField(g, np.tile([1.0, -2.0, 0.5], (g.num_nodes, 1)))
-    assert np.max(np.abs(quadratic_load(cut, const)[0].values)) < 1e-9
+    zero = np.zeros((g.num_nodes, 3))
+    assert np.all(quadratic_load(cut, zero)[0] == 0.0)
+    const = np.tile([1.0, -2.0, 0.5], (g.num_nodes, 1))
+    assert np.max(np.abs(quadratic_load(cut, const)[0])) < 1e-9
 
 
 @settings(max_examples=15, deadline=None)
@@ -135,8 +135,8 @@ def test_load_is_quadratic_in_v(lam):
     g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
-    n1 = quadratic_load(cut, VecField(g, lam * v.values))[0].values
-    n2 = lam * lam * quadratic_load(cut, v)[0].values
+    n1 = quadratic_load(cut, lam * v)[0]
+    n2 = lam * lam * quadratic_load(cut, v)[0]
     assert np.max(np.abs(n1 - n2)) <= 1e-10 * max(1.0, np.max(np.abs(n2)))
 
 
@@ -146,14 +146,14 @@ def test_load_is_quadratic_in_v(lam):
 
 def product_part(cut, v):
     """The gradient-product part of Q(v): Q(v) with zero potentials."""
-    zero = [ScalarField(cut.grid, np.zeros(cut.grid.num_nodes))] * cut.grid.dim
-    return normal_correction(cut, v, zero).values
+    zero = [np.zeros(cut.grid.num_nodes)] * cut.grid.dim
+    return normal_correction(cut, v, zero)
 
 
 def coupling_part(cut, w):
     """The coupling part of Q: -Q(0) with potentials w."""
-    zero = VecField(cut.grid, np.zeros((cut.grid.num_nodes, 3)))
-    return -normal_correction(cut, zero, w).values
+    zero = np.zeros((cut.grid.num_nodes, 3))
+    return -normal_correction(cut, zero, w)
 
 
 def identity_defects(N):
@@ -165,14 +165,14 @@ def identity_defects(N):
     d1 = g.derivative_matrix((1,))
 
     # product identity: d(a^2 v) . d(a^2 v) = a^2 * u2
-    dav = d1 @ (a2[:, None] * v.values)
+    dav = d1 @ (a2[:, None] * v)
     lhs2 = np.sum(dav * dav, axis=1)
     rhs2 = a2 * product_part(cut, v)[:, 0]
     e2 = np.max(np.abs(lhs2 - rhs2)) / max(1.0, np.max(np.abs(lhs2)))
 
     # coupling identity: 2 d(a^3 w) = a^2 * u1 (n=1, i=j=0)
     w, _ = load_potentials(cut, v)
-    lhs1 = 2.0 * (d1 @ (a3 * w[0].values))
+    lhs1 = 2.0 * (d1 @ (a3 * w[0]))
     rhs1 = a2 * coupling_part(cut, w)[:, 0]
     e1 = np.max(np.abs(lhs1 - rhs1)) / max(1.0, np.max(np.abs(lhs1)))
     return e1, e2
@@ -193,7 +193,7 @@ def test_product_term_reduces_to_dv_dot_dv_on_flat_region():
     cut = Cutoff(g)
     v = smooth_vec(g)
     u2 = product_part(cut, v)[:, 0]
-    dv = g.derivative_matrix((1,)) @ v.values
+    dv = g.derivative_matrix((1,)) @ v
     ref = np.sum(dv * dv, axis=1)
     flat = g.radius() <= 0.5 - 2.0 * g.spacing
     assert np.max(np.abs(u2[flat] - ref[flat])) < 1e-12
@@ -212,8 +212,8 @@ def test_all_corrections_vanish_exactly_outside_support():
         w, _ = load_potentials(cut, v)
         p = tangential_correction(cut, potentials=w)
         q = normal_correction(cut, v, potentials=w)
-        assert np.all(p.values[outside] == 0.0)
-        assert np.all(q.values[outside] == 0.0)
+        assert np.all(p[outside] == 0.0)
+        assert np.all(q[outside] == 0.0)
         assert np.all(coupling_part(cut, w)[outside] == 0.0)
         assert np.all(product_part(cut, v)[outside] == 0.0)
 
@@ -226,20 +226,20 @@ def test_laplacian_of_correction_inverts_back_exactly():
         cut = Cutoff(g)
         v = smooth_vec(g)
         q = normal_correction(cut, v, load_potentials(cut, v)[0])
-        scale = max(1.0, np.max(np.abs(q.values)))
-        for k in range(q.values.shape[1]):
-            m = laplacian(ScalarField(g, q.values[:, k]))
-            back = solve_dirichlet(m).u.values
-            assert np.max(np.abs(back - q.values[:, k])) < 1e-10 * scale
+        scale = max(1.0, np.max(np.abs(q)))
+        for k in range(q.shape[1]):
+            m = laplacian(g, q[:, k])
+            back = solve_dirichlet(g, m).u
+            assert np.max(np.abs(back - q[:, k])) < 1e-10 * scale
 
 
 def test_correction_zero_for_zero_field():
     g = make_grid(1, 101)
     cut = Cutoff(g)
-    zero = VecField(g, np.zeros((g.num_nodes, 3)))
+    zero = np.zeros((g.num_nodes, 3))
     w, _ = load_potentials(cut, zero)
-    assert np.all(normal_correction(cut, zero, w).values == 0.0)
-    assert np.all(tangential_correction(cut, w).values == 0.0)
+    assert np.all(normal_correction(cut, zero, w) == 0.0)
+    assert np.all(tangential_correction(cut, w) == 0.0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -248,9 +248,9 @@ def test_tangential_correction_quadratic_homogeneity(lam):
     g = make_grid(1, 101)
     cut = Cutoff(g)
     v = smooth_vec(g)
-    lam_v = VecField(g, lam * v.values)
-    p1 = tangential_correction(cut, load_potentials(cut, lam_v)[0]).values
-    p2 = lam * lam * tangential_correction(cut, load_potentials(cut, v)[0]).values
+    lam_v = lam * v
+    p1 = tangential_correction(cut, load_potentials(cut, lam_v)[0])
+    p2 = lam * lam * tangential_correction(cut, load_potentials(cut, v)[0])
     assert np.max(np.abs(p1 - p2)) <= 1e-10 * max(1.0, np.max(np.abs(p2)))
 
 
@@ -270,20 +270,20 @@ UNIT = {1: [(1,)], 2: [(1, 0), (0, 1)]}
 
 def reference_load(cut, v, axis):
     g = cut.grid
-    lap_v = laplacian(v).values
-    dv = g.derivative_matrix(UNIT[g.dim][axis]) @ v.values
+    lap_v = laplacian(g, v)
+    dv = g.derivative_matrix(UNIT[g.dim][axis]) @ v
     da = cut.grad[axis]
-    return 2.0 * da * np.sum(lap_v * v.values, axis=1) + cut.values * np.sum(lap_v * dv, axis=1)
+    return 2.0 * da * np.sum(lap_v * v, axis=1) + cut.values * np.sum(lap_v * dv, axis=1)
 
 
 def reference_coupling(cut, i, j, potentials):
     g = cut.grid
     a = cut.values
     return (
-        a * (g.derivative_matrix(UNIT[g.dim][i]) @ potentials[j].values)
-        + a * (g.derivative_matrix(UNIT[g.dim][j]) @ potentials[i].values)
-        + 3.0 * cut.grad[i] * potentials[j].values
-        + 3.0 * cut.grad[j] * potentials[i].values
+        a * (g.derivative_matrix(UNIT[g.dim][i]) @ potentials[j])
+        + a * (g.derivative_matrix(UNIT[g.dim][j]) @ potentials[i])
+        + 3.0 * cut.grad[i] * potentials[j]
+        + 3.0 * cut.grad[j] * potentials[i]
     )
 
 
@@ -291,12 +291,12 @@ def reference_product(cut, v, i, j):
     g = cut.grid
     a = cut.values
     dai, daj = cut.grad[i], cut.grad[j]
-    dvi = g.derivative_matrix(UNIT[g.dim][i]) @ v.values
-    dvj = g.derivative_matrix(UNIT[g.dim][j]) @ v.values
+    dvi = g.derivative_matrix(UNIT[g.dim][i]) @ v
+    dvj = g.derivative_matrix(UNIT[g.dim][j]) @ v
     return (
-        4.0 * dai * daj * np.sum(v.values * v.values, axis=1)
-        + 2.0 * a * dai * np.sum(dvj * v.values, axis=1)
-        + 2.0 * a * daj * np.sum(dvi * v.values, axis=1)
+        4.0 * dai * daj * np.sum(v * v, axis=1)
+        + 2.0 * a * dai * np.sum(dvj * v, axis=1)
+        + 2.0 * a * daj * np.sum(dvi * v, axis=1)
         + a * a * np.sum(dvi * dvj, axis=1)
     )
 
@@ -308,16 +308,16 @@ def reference_normal(cut, v, potentials):
 
 
 def reference_tangential(cut, potentials):
-    return np.column_stack([cut.values * w.values for w in potentials])
+    return np.column_stack([cut.values * w for w in potentials])
 
 
 def smooth_field(grid, q):
     """q smooth columns, each a different product of a sine and a cosine."""
     x = grid.coords[:, 0]
     y = grid.coords[:, 1] if grid.dim == 2 else 0.0
-    return VecField(grid, np.column_stack([
+    return np.column_stack([
         np.sin((k + 1) * x + 0.3 * k) * np.cos(0.5 * k * y + 0.2) for k in range(q)
-    ]))
+    ])
 
 
 def assert_same_bytes(got, ref):
@@ -331,14 +331,14 @@ def test_operators_are_the_per_axis_and_per_pair_reference_bit_for_bit(dim, N, f
     g = make_grid(dim, N)
     cut = Cutoff(g, 0.4, 0.85)
     if field == "random":
-        v = VecField(g, np.random.default_rng(7).standard_normal((g.num_nodes, 3)))
+        v = np.random.default_rng(7).standard_normal((g.num_nodes, 3))
     else:
         v = smooth_field(g, int(field.split("-")[1]))
     for axis, load in enumerate(quadratic_load(cut, v)):
-        assert_same_bytes(load.values, reference_load(cut, v, axis))
+        assert_same_bytes(load, reference_load(cut, v, axis))
     w, _ = load_potentials(cut, v)
-    assert_same_bytes(tangential_correction(cut, w).values, reference_tangential(cut, w))
-    assert_same_bytes(normal_correction(cut, v, w).values, reference_normal(cut, v, w))
+    assert_same_bytes(tangential_correction(cut, w), reference_tangential(cut, w))
+    assert_same_bytes(normal_correction(cut, v, w), reference_normal(cut, v, w))
 
 
 @pytest.mark.parametrize("chart,dim,N,products", [
@@ -353,7 +353,7 @@ def test_one_update_step_takes_each_derivative_once(monkeypatch, chart, dim, N, 
     frame = build_frame(chart, g)
     cut = Cutoff(g)
     f = bump_perturbation(g, 0.01, 0.4)
-    v = VecField(g, 1e-3 * smooth_field(g, frame.q).values)
+    v = 1e-3 * smooth_field(g, frame.q)
     calls = []
     matmul = grid_module.Stencil.__matmul__
 

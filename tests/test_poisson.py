@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
-from isoperturb.grid import ScalarField, laplacian, make_grid
+from isoperturb.grid import laplacian, make_grid
 from isoperturb.poisson import _solver_for, _supported_sample, elliptic_monitors, solve_dirichlet
 
 
@@ -33,14 +33,14 @@ def test_interval_sine_matches_sharp_eigen_oracle():
     for N in (51, 101, 201):
         g = interval_grid(N)
         x = g.coords[:, 0]
-        sol = solve_dirichlet(ScalarField(g, -np.pi**2 * np.sin(np.pi * x)))
-        err = np.max(np.abs(sol.u.values - np.sin(np.pi * x)))
+        sol = solve_dirichlet(g, -np.pi**2 * np.sin(np.pi * x))
+        err = np.max(np.abs(sol.u - np.sin(np.pi * x)))
         h = g.spacing
         pred = (np.pi**2 * h * h / (4.0 * np.sin(np.pi * h / 2.0) ** 2) - 1.0) * np.max(
             np.abs(np.sin(np.pi * x))
         )
         assert abs(err - pred) < 1e-8 * pred
-        assert np.all(sol.u.values[[0, -1]] == 0.0)
+        assert np.all(sol.u[[0, -1]] == 0.0)
         assert sol.residual_sup < 1e-10
 
 
@@ -49,8 +49,8 @@ def test_interval_observed_order_is_two():
     for N in (51, 101, 201):
         g = interval_grid(N)
         x = g.coords[:, 0]
-        sol = solve_dirichlet(ScalarField(g, -np.pi**2 * np.sin(np.pi * x)))
-        errs.append(np.max(np.abs(sol.u.values - np.sin(np.pi * x))))
+        sol = solve_dirichlet(g, -np.pi**2 * np.sin(np.pi * x))
+        errs.append(np.max(np.abs(sol.u - np.sin(np.pi * x))))
     for e0, e1 in zip(errs, errs[1:]):
         order = np.log2(e0 / e1)
         assert 1.8 <= order <= 2.2
@@ -60,16 +60,16 @@ def test_interval_roundtrip_laplacian_recovers_f():
     g = interval_grid(401)
     x = g.coords[:, 0]
     f = np.sin(3.0 * x) + 0.5 * x * x
-    sol = solve_dirichlet(ScalarField(g, f))
-    lap = laplacian(sol.u).values
+    sol = solve_dirichlet(g, f)
+    lap = laplacian(g, sol.u)
     inner = slice(1, -1)
     assert np.max(np.abs(lap[inner] - f[inner])) < 1e-9
 
 
 def test_zero_rhs_gives_zero_solution():
     g = interval_grid(101)
-    sol = solve_dirichlet(ScalarField(g, np.zeros(g.num_nodes)))
-    assert np.max(np.abs(sol.u.values)) == 0.0
+    sol = solve_dirichlet(g, np.zeros(g.num_nodes))
+    assert np.max(np.abs(sol.u)) == 0.0
 
 
 def test_nonfinite_rhs_rejected():
@@ -77,13 +77,16 @@ def test_nonfinite_rhs_rejected():
     bad = np.zeros(g.num_nodes)
     bad[g.num_nodes // 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        solve_dirichlet(ScalarField(g, bad))
+        solve_dirichlet(g, bad)
 
 
 def test_grid_mismatch_rejected():
-    g1, g2 = interval_grid(101), interval_grid(51)
-    with pytest.raises(ValueError, match="grid"):
-        _solver_for(g1).solve(ScalarField(g2, np.zeros(g2.num_nodes)))
+    # a field is its array: one sampled on another grid has the wrong length
+    for g1, g2 in ((interval_grid(101), interval_grid(51)), (disk_grid(25), disk_grid(17))):
+        with pytest.raises(ValueError, match="shape"):
+            solve_dirichlet(g1, np.zeros(g2.num_nodes))
+        with pytest.raises(ValueError, match="shape"):
+            solve_dirichlet(g1, np.zeros((g1.num_nodes, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +101,9 @@ def test_disk_quartic_recovery_with_measured_superconvergence():
     for N in (33, 65):
         g = disk_grid(N)
         x, y = g.coords[:, 0], g.coords[:, 1]
-        sol = solve_dirichlet(ScalarField(g, -12.0 * (x * x - y * y)))
+        sol = solve_dirichlet(g, -12.0 * (x * x - y * y))
         ue = (1.0 - x * x - y * y) * (x * x - y * y)
-        errs[N] = np.max(np.abs(sol.u.values - ue))
+        errs[N] = np.max(np.abs(sol.u - ue))
         assert sol.residual_sup < 1e-10
     assert errs[33] < 3e-4
     assert 5.5 < errs[33] / errs[65] < 8.5
@@ -114,8 +117,8 @@ def test_disk_generic_observed_order_is_two():
         s, c = np.sin(x + 2.0 * y), np.cos(x + 2.0 * y)
         phi = 1.0 - x * x - y * y
         f = -4.0 * s - (4.0 * x + 8.0 * y) * c - 5.0 * phi * s
-        sol = solve_dirichlet(ScalarField(g, f))
-        errs.append(np.max(np.abs(sol.u.values - phi * s)))
+        sol = solve_dirichlet(g, f)
+        errs.append(np.max(np.abs(sol.u - phi * s)))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2
 
@@ -123,10 +126,10 @@ def test_disk_generic_observed_order_is_two():
 def test_disk_laplacian_of_quadratic():
     g = disk_grid(33)
     x, y = g.coords[:, 0], g.coords[:, 1]
-    lap = laplacian(ScalarField(g, x * x + y * y))
-    assert np.max(np.abs(lap.values - 4.0)) < 1e-9
-    lap0 = laplacian(ScalarField(g, np.full(g.num_nodes, 3.7)))
-    assert np.max(np.abs(lap0.values)) < 1e-12
+    lap = laplacian(g, x * x + y * y)
+    assert np.max(np.abs(lap - 4.0)) < 1e-9
+    lap0 = laplacian(g, np.full(g.num_nodes, 3.7))
+    assert np.max(np.abs(lap0)) < 1e-12
 
 
 def test_solver_factorization_cached_per_grid():
@@ -155,12 +158,12 @@ def test_disk_block_lu_agrees_with_splu(N):
     loads = [-12.0 * (x * x - y * y),
              -4.0 * np.sin(x + 2.0 * y) - (4.0 * x + 8.0 * y) * np.cos(x + 2.0 * y)
              - 5.0 * phi * np.sin(x + 2.0 * y)]
-    loads += [_supported_sample(g, rng).values for _ in range(4)]
+    loads += [_supported_sample(g, rng) for _ in range(4)]
     loads += [rng.normal(size=g.num_nodes) for _ in range(4)]
     for f in loads:
-        sol = solve_dirichlet(ScalarField(g, f))
+        sol = solve_dirichlet(g, f)
         ref = lu.solve(f)
-        assert np.max(np.abs(sol.u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(sol.u - ref)) <= 1e-13 * np.max(np.abs(ref))
         # both residuals as the solver measures its own
         assert sol.residual_sup <= 2.0 * np.max(np.abs(table @ ref - f))
 
@@ -172,7 +175,7 @@ def test_disk_nonfinite_rhs_rejected(bad, N):
     f = np.zeros(g.num_nodes)
     f[g.num_nodes // 3] = bad
     with pytest.raises(ValueError, match="finite"):
-        solve_dirichlet(ScalarField(g, f))
+        solve_dirichlet(g, f)
 
 
 @settings(max_examples=15, deadline=None)
@@ -181,10 +184,8 @@ def test_solve_is_linear(a, b):
     g = interval_grid(101)
     x = g.coords[:, 0]
     f1, f2 = np.sin(2.0 * x), np.cos(x) * x
-    mixed = solve_dirichlet(ScalarField(g, a * f1 + b * f2)).u.values
-    sep = a * solve_dirichlet(ScalarField(g, f1)).u.values + b * solve_dirichlet(
-        ScalarField(g, f2)
-    ).u.values
+    mixed = solve_dirichlet(g, a * f1 + b * f2).u
+    sep = a * solve_dirichlet(g, f1).u + b * solve_dirichlet(g, f2).u
     assert np.max(np.abs(mixed - sep)) <= 1e-10 * max(1.0, np.max(np.abs(sep)))
 
 

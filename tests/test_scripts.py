@@ -3,7 +3,10 @@ configs/ through the CLI, and each script in scripts/ as a program.
 
 Each config's artifacts are pinned by one sha256, so a change that means to
 keep them byte-identical is checked to; a change that means to move them
-updates the pin and names the moved files in CHANGES.md.
+updates the pin and names the moved files in CHANGES.md.  The benchmark's
+oracle (perfbench/oracle.py) reads the same runs back: each solve config's
+reported residual is the one it recomputes from the embedding CSV the run
+wrote.  Each config runs once per module.
 """
 
 import hashlib
@@ -20,6 +23,11 @@ from isoperturb.cli import main
 from isoperturb.config import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+# the benchmark's modules import as perfbench/tests/conftest.py imports them
+if str(ROOT / "perfbench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+import oracle  # noqa: E402
+
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # _tree_sha256 of the output directory of each configs/<name>.yaml
@@ -73,16 +81,54 @@ def test_demo_script_passes(script):
     assert "[PASS]" in proc.stdout
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_passes(config, tmp_path):
-    out = tmp_path / "out"
-    code = main([load_scenario(str(config)).command, "--config", str(config),
-                 "--out", str(out), "--quiet"])
-    assert code == 0
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory):
+    """run(config) -> (exit code, output directory) of the config's CLI run,
+    made on the first call and shared by every later one."""
+    runs = {}
+
+    def run(config):
+        if config.stem not in runs:
+            out = tmp_path_factory.mktemp(config.stem) / "out"
+            code = main([load_scenario(str(config)).command, "--config", str(config),
+                         "--out", str(out), "--quiet"])
+            runs[config.stem] = code, out
+        return runs[config.stem]
+
+    return run
+
+
+def _summary(out):
     with open(out / "summary.json") as fh:
-        summary = json.load(fh)
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_passes(config, shipped_run):
+    code, out = shipped_run(config)
+    assert code == 0
+    summary = _summary(out)
     assert summary["status"] == "pass"
     assert summary["criteria"]
     assert all(c["pass"] for c in summary["criteria"]), summary["criteria"]
     tree = _tree_sha256(out)
     assert tree == ARTIFACT_SHA256[config.stem], f"tree {tree}\n{_file_listing(out)}"
+
+
+# the criterion that reports each solve config's residual
+REPORTED_RESIDUAL = {
+    "breathing_chart": "max-sample-residual",
+    "circle_glue": "max-final-residual",
+    "torus_smoke": "max-final-residual",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(REPORTED_RESIDUAL))
+def test_oracle_rederives_the_reported_residual(stem, shipped_run):
+    config = ROOT / "configs" / f"{stem}.yaml"
+    code, out = shipped_run(config)
+    assert code == 0
+    residual, problems = oracle.check_solve(load_scenario(str(config)), str(out))
+    assert problems == []
+    reported = {c["criterion"]: c["value"] for c in _summary(out)["criteria"]}
+    assert residual == reported[REPORTED_RESIDUAL[stem]]

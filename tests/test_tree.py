@@ -19,6 +19,10 @@ is also used elsewhere; they never flag a used one.
 Every module-level import in src/isoperturb must be used in its module:
 callers import each name from the module that defines it, so no module
 imports a name only to pass it on.
+
+A field is its array: in src/, ScalarField and VecField are built only as
+direct arguments of the measurements that take a grid-paired field
+(holder_norm, holder_norms, isometry_residual).
 """
 
 import ast
@@ -212,3 +216,35 @@ def test_the_cli_and_the_config_read_shapes_from_the_chart_table():
     found = [f"{module}:{line}" for module in ("cli.py", "config.py")
              for line in _name_comparisons((PACKAGE / module).read_text())]
     assert not found, "chart or manifold name compared as a string: " + ", ".join(found)
+
+
+# the measurements that take a grid-paired field; everywhere else a field is
+# its (nodes,) or (nodes, k) array, read on the grid its caller holds
+MEASUREMENTS = {"holder_norm", "holder_norms", "isometry_residual"}
+WRAPPERS = {"ScalarField", "VecField"}
+
+
+def _called_name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_a_field_is_paired_with_its_grid_only_to_be_measured():
+    """In src/, every ScalarField(...) or VecField(...) call is a direct
+    argument of holder_norm, holder_norms or isometry_residual, and no
+    SymTensorField is defined."""
+    misplaced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        measured = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) in MEASUREMENTS
+            for arg in [*node.args, *(k.value for k in node.keywords)]
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and _called_name(node) in WRAPPERS
+                    and id(node) not in measured):
+                misplaced.append(f"{path.name}:{node.lineno} {_called_name(node)}")
+            elif isinstance(node, ast.ClassDef) and node.name == "SymTensorField":
+                misplaced.append(f"{path.name}:{node.lineno} class SymTensorField")
+    assert not misplaced, "a field wrapped outside a measurement: " + ", ".join(misplaced)
