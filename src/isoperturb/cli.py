@@ -30,11 +30,10 @@ from .atlas import (
 from .config import (
     ScenarioError,
     Scenario,
-    check_resolution,
-    check_seed,
     check_size,
     load_family_table,
     load_scenario,
+    read_number,
     scenario_hash,
 )
 from .embeddings import CHARTS
@@ -542,9 +541,9 @@ def main(argv=None) -> int:
                 field="command",
             )
         if args.seed is not None:
-            scenario.seed = check_seed(args.seed, "--seed")
+            scenario.seed = read_number("seed", args.seed, "--seed")
         if args.resolution is not None:
-            scenario.resolution = check_resolution(args.resolution, "--resolution")
+            scenario.resolution = read_number("resolution", args.resolution, "--resolution")
             check_size(scenario)
         out_dir = args.out or scenario.out or os.path.join("runs", scenario.name)
         _check_out_dir(out_dir)

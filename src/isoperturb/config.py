@@ -11,7 +11,9 @@ arrays before anything is allocated.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -39,7 +41,6 @@ READS = {
 COMMANDS = tuple(READS)
 CHART_NAMES = tuple(CHARTS)
 MANIFOLDS = tuple(PHASES)
-MAX_RESOLUTION = 20001
 # largest array group a scenario may allocate, in bytes: a disk grid's sweep
 # lattice, or the embedding paths a run holds until it writes them
 MAX_ALLOC_BYTES = 1 << 28
@@ -95,52 +96,69 @@ def _require(cond, message, fieldname):
         raise ScenarioError(f"{fieldname}: {message}", field=fieldname)
 
 
-def _as_number(value, fieldname):
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and np.isfinite(value), f"must be a finite number, got {value!r}",
-             fieldname)
-    return float(value)
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_int(value, fieldname):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"must be an integer, got {value!r}", fieldname)
-    return int(value)
+# Each numeric scenario key's type and range: an int lies in [lo, hi], a float
+# is finite and lies in (lo, hi), and None leaves that end open.  A key under
+# family is named family.<key>.
+RANGES = {
+    "seed": (int, 0, None),
+    "resolution": (int, MIN_RESOLUTION, 20001),
+    "alpha": (float, 0.0, 1.0),
+    "halfwidth": (float, 0.0, MAX_HALFWIDTH),
+    "charts": (int, 2, None),
+    "mesh": (int, 16, None),
+    "amplitude": (float, None, None),
+    "bump_radius": (float, 0.0, 1.0),
+    "iteration_tol": (float, 0.0, None),
+    "residual_tol": (float, 0.0, None),
+    "appendix_samples": (int, 1, None),
+    "family.beta": (float, None, None),
+    "family.horizon": (float, 0.0, None),
+    "family.samples": (int, 1, None),
+    "family.bump_radius": (float, 0.0, 1.0),
+    "family.bump_power": (int, 1, None),
+}
+
+
+def read_number(key, value, fieldname=None):
+    """value as the type of key's row in RANGES, checked against its range.
+
+    A value out of type or range is an error on fieldname (default key),
+    e.g. the CLI flag that gave it.
+    """
+    kind, lo, hi = RANGES[key]
+    lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    fieldname = fieldname or key
+    if kind is int:
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"must be an integer, got {value!r}", fieldname)
+        _require(lo <= value <= hi, f"must be in [{lo}, {hi}], got {value!r}", fieldname)
+    else:
+        # abs(value) <= max also rejects NaN, inf, and an int no float holds
+        _require(_is_number(value) and abs(value) <= sys.float_info.max,
+                 f"must be a finite number, got {value!r}", fieldname)
+        _require(lo < value < hi, f"must be in ({lo}, {hi}), got {value!r}", fieldname)
+    return kind(value)
 
 
 def _as_radii(value, fieldname):
-    _require(isinstance(value, (list, tuple)) and len(value) == 2,
-             f"must be a [flat, support] pair, got {value!r}", fieldname)
-    lo = _as_number(value[0], fieldname + "[0]")
-    hi = _as_number(value[1], fieldname + "[1]")
-    _require(0.0 < lo < hi < 1.0, f"needs 0 < flat < support < 1, got {value!r}",
-             fieldname)
-    return [lo, hi]
-
-
-def check_resolution(value, fieldname):
-    """Grid nodes per axis: an integer in [MIN_RESOLUTION, MAX_RESOLUTION]."""
-    value = _as_int(value, fieldname)
-    _require(MIN_RESOLUTION <= value <= MAX_RESOLUTION,
-             f"must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {value}", fieldname)
-    return value
-
-
-def check_seed(value, fieldname):
-    """Random seed: a non-negative integer."""
-    value = _as_int(value, fieldname)
-    _require(value >= 0, f"must be non-negative, got {value}", fieldname)
-    return value
+    # 0 < flat < support < 1 holds only for finite numbers
+    _require(isinstance(value, (list, tuple)) and len(value) == 2
+             and all(map(_is_number, value)) and 0.0 < value[0] < value[1] < 1.0,
+             f"must be a [flat, support] pair with 0 < flat < support < 1, "
+             f"got {value!r}", fieldname)
+    return [float(v) for v in value]
 
 
 _SCENARIO_KEYS = _COMMON_KEYS.union(*READS.values())
-_FAMILY_KEYS = {"name", "beta", "horizon", "samples", "bump_radius",
-                "bump_power", "table"}
 
 
 def _validate_family(raw, command):
     _require(isinstance(raw, dict), f"must be a mapping, got {raw!r}", "family")
-    unknown = set(raw) - _FAMILY_KEYS
+    unknown = set(raw) - {f.name for f in fields(FamilySpec)}
     _require(not unknown, f"unknown keys {sorted(unknown)}", "family")
     spec = FamilySpec()
     if "name" in raw:
@@ -150,22 +168,10 @@ def _validate_family(raw, command):
     _require(spec.name in allowed,
              f"unknown family {spec.name!r}; expected one of {list(allowed)}",
              "family.name")
-    if "beta" in raw:
-        spec.beta = _as_number(raw["beta"], "family.beta")
-    if "horizon" in raw:
-        spec.horizon = _as_number(raw["horizon"], "family.horizon")
-        _require(spec.horizon > 0.0, "must be positive", "family.horizon")
-    if "samples" in raw:
-        spec.samples = _as_int(raw["samples"], "family.samples")
-        _require(spec.samples >= 1, "needs at least 1 sample", "family.samples")
-    if "bump_radius" in raw:
-        spec.bump_radius = _as_number(raw["bump_radius"], "family.bump_radius")
-        _require(0.0 < spec.bump_radius < 1.0, "must be in (0, 1)",
-                 "family.bump_radius")
-    if "bump_power" in raw:
-        spec.bump_power = _as_int(raw["bump_power"], "family.bump_power")
-        _require(spec.bump_power >= 1, f"must be at least 1, got {spec.bump_power}",
-                 "family.bump_power")
+    for key in RANGES:
+        name = key.removeprefix("family.")
+        if name != key and name in raw:
+            setattr(spec, name, read_number(key, raw[name]))
     if "table" in raw:
         _require(isinstance(raw["table"], str), "must be a path string",
                  "family.table")
@@ -195,44 +201,26 @@ def parse_scenario(raw) -> Scenario:
     if unread:
         raise ScenarioError(f"{unread[0]}: a {sc.command} run does not read it",
                             field=unread[0])
-    if "seed" in raw:
-        sc.seed = check_seed(raw["seed"], "seed")
-    if "resolution" in raw:
-        sc.resolution = check_resolution(raw["resolution"], "resolution")
-    if "alpha" in raw:
-        sc.alpha = _as_number(raw["alpha"], "alpha")
-        _require(0.0 < sc.alpha < 1.0, "must be in (0, 1)", "alpha")
     if "chart" in raw:
         _require(raw["chart"] in CHART_NAMES,
                  f"unknown chart {raw['chart']!r}; expected one of {list(CHART_NAMES)}",
                  "chart")
         sc.chart = raw["chart"]
-    if "halfwidth" in raw and raw["halfwidth"] is not None:
-        # only the chart of a manifold (circle or torus) has a halfwidth
-        _require(sc.chart in MANIFOLDS,
-                 f"only a circle or torus chart reads it; got chart {sc.chart!r}",
-                 "halfwidth")
-        sc.halfwidth = _as_number(raw["halfwidth"], "halfwidth")
-        _require(0.0 < sc.halfwidth < MAX_HALFWIDTH,
-                 f"must be in (0, pi), got {sc.halfwidth}", "halfwidth")
     if "manifold" in raw:
         _require(raw["manifold"] in MANIFOLDS,
                  f"unknown manifold {raw['manifold']!r}; expected one of {list(MANIFOLDS)}",
                  "manifold")
         sc.manifold = raw["manifold"]
-    if "charts" in raw:
-        sc.charts = _as_int(raw["charts"], "charts")
-        _require(sc.charts >= 2, "an atlas needs at least 2 charts", "charts")
-    if "mesh" in raw:
-        sc.mesh = _as_int(raw["mesh"], "mesh")
-        _require(sc.mesh >= 16, "must be at least 16", "mesh")
+    # only the chart of a manifold (circle or torus) has a halfwidth; a null
+    # one keeps the chart's default
+    _require(raw.get("halfwidth") is None or sc.chart in MANIFOLDS,
+             f"only a circle or torus chart reads it; got chart {sc.chart!r}",
+             "halfwidth")
+    for key in RANGES:
+        if key in raw and (raw[key] is not None or key != "halfwidth"):
+            setattr(sc, key, read_number(key, raw[key]))
     if "family" in raw:
         sc.family = _validate_family(raw["family"], sc.command)
-    if "amplitude" in raw:
-        sc.amplitude = _as_number(raw["amplitude"], "amplitude")
-    if "bump_radius" in raw:
-        sc.bump_radius = _as_number(raw["bump_radius"], "bump_radius")
-        _require(0.0 < sc.bump_radius < 1.0, "must be in (0, 1)", "bump_radius")
     if "cutoff" in raw and raw["cutoff"] is not None:
         sc.cutoff = _as_radii(raw["cutoff"], "cutoff")
         _require(sc.command != "solve-global" or sc.cutoff[0] >= PSI_SUPP,
@@ -243,15 +231,6 @@ def parse_scenario(raw) -> Scenario:
         _require(WINDOW_FLAT <= sc.window[0] and sc.window[1] <= WINDOW_SUPPORT,
                  f"must lie within [{WINDOW_FLAT}, {WINDOW_SUPPORT}], got {raw['window']!r}",
                  "window")
-    if "iteration_tol" in raw:
-        sc.iteration_tol = _as_number(raw["iteration_tol"], "iteration_tol")
-        _require(sc.iteration_tol > 0.0, "must be positive", "iteration_tol")
-    if "residual_tol" in raw:
-        sc.residual_tol = _as_number(raw["residual_tol"], "residual_tol")
-        _require(sc.residual_tol > 0.0, "must be positive", "residual_tol")
-    if "appendix_samples" in raw:
-        sc.appendix_samples = _as_int(raw["appendix_samples"], "appendix_samples")
-        _require(sc.appendix_samples >= 1, "must be positive", "appendix_samples")
     if "out" in raw and raw["out"] is not None:
         _require(isinstance(raw["out"], str), "must be a path string", "out")
         sc.out = raw["out"]

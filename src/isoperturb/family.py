@@ -346,7 +346,8 @@ def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict
             f"time_regularity_probe configuration error: need >= {2 * r_max + 1} "
             f"time samples for order {r_max}, got {K1}"
         )
-    dt = float(solution.t_grid[1] - solution.t_grid[0])
+    # a numpy float: dt**r overflows to inf where a Python float raises
+    dt = np.float64(solution.t_grid[1] - solution.t_grid[0])
     stacks = [np.stack(solution.us, axis=0)]  # (K+1, nodes, q)
     for s_idx in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
         m = grid.derivative_matrix(s_idx)

@@ -35,6 +35,7 @@ import numpy as np
 from .frame import ImmersionFrame, apply_frame
 from .grid import VecField, holder_norm, monitor_recurrence, radial_bump
 from .operators import Cutoff, load_potentials, normal_correction, tangential_correction
+from .poisson import NonFiniteLoad
 from .verify import isometry_residual
 
 MAX_ITER = 60  # steps before a run counts as stalled
@@ -104,7 +105,9 @@ class IterationTrace:
         """
         if not self.ratios or not 0.0 < self.ratios[-1] < 1.0:
             return None
-        more = math.log(self.tol / self.increments[-1]) / math.log(self.ratios[-1])
+        # a difference of logs: tol / increment can underflow to 0
+        gap = math.log(self.tol) - math.log(self.increments[-1])
+        more = gap / math.log(self.ratios[-1])
         return self.iterations + max(0, math.ceil(more))
 
     def passes_recurrence_monitor(self):
@@ -144,12 +147,12 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f, config: IterationCo
     f is the (nodes, n(n+1)/2) metric change and v a (nodes, q) array, both
     on the frame's grid.
 
-    Raises SmallnessViolation when the a-priori bound trips or the
-    increment ratio exceeds RATIO_CAP RATIO_STRIKES times in a row, and
-    StalledIteration when MAX_ITER steps run out, or earlier (fail-fast)
-    once inc * rho**(steps left) > tol with rho the smallest of the last
-    three ratios.  The smallest, because early ratios oscillate: the largest
-    would stop runs that converge.
+    Raises SmallnessViolation when the a-priori bound trips, the increment
+    ratio exceeds RATIO_CAP RATIO_STRIKES times in a row or the quadratic
+    load overflows, and StalledIteration when MAX_ITER steps run out, or
+    earlier (fail-fast) once inc * rho**(steps left) > tol with rho the
+    smallest of the last three ratios.  The smallest, because early ratios
+    oscillate: the largest would stop runs that converge.
 
     The bound check and the trace's norms read the certified U_k of the
     module docstring.  The exact |v_k| is taken only when
@@ -170,7 +173,14 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f, config: IterationCo
     v = np.zeros((g.num_nodes, frame.q))
     strikes = 0
     for _ in range(MAX_ITER):
-        potentials, pois = load_potentials(cut, v)
+        try:
+            potentials, pois = load_potentials(cut, v)
+        except NonFiniteLoad as exc:
+            # the quadratic load of a finite iterate overflowed: too large a step
+            trace.status = "diverged"
+            raise SmallnessViolation(
+                f"load overflowed at step {trace.iterations + 1}: {exc}", trace=trace
+            ) from None
         v_new = fixed_point_map(frame, cut, f, v, potentials)
         inc = holder_norm(VecField(g, v_new - v), 2, cfg.alpha)
         if trace.iterations == 0:

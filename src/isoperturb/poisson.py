@@ -28,6 +28,10 @@ _MIN_ARM = 1e-6
 _MONITOR_SUPPORT = 0.75
 
 
+class NonFiniteLoad(ValueError):
+    """A right side with a NaN or an infinite entry, e.g. a load that overflowed."""
+
+
 @dataclass
 class DirichletSolution:
     """Result of a zero-boundary Poisson solve.
@@ -100,7 +104,7 @@ class PoissonSolver:
             raise ValueError(f"solve_dirichlet: f has shape {fv.shape}, the grid needs "
                              f"({g.num_nodes},)")
         if not np.all(np.isfinite(fv)):
-            raise ValueError("solve_dirichlet: f is not finite")
+            raise NonFiniteLoad("solve_dirichlet: f is not finite")
         if g.dim == 1:
             u = self._solve_interval(fv)
             lap = g.derivative_matrix((2,)) @ u

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isoperturb.config import (
+    RANGES,
     FamilySpec,
     Scenario,
     ScenarioError,
@@ -108,6 +109,19 @@ def test_validation_names_the_field(tmp_path, doc, fieldname):
         load_scenario(_write(tmp_path, doc))
     assert exc.value.field == fieldname
     assert fieldname.split(".")[-1].strip("<>") in str(exc.value) or fieldname == "<document>"
+
+
+def test_an_int_that_no_float_holds_is_not_a_finite_number():
+    # np.isfinite raised a TypeError on it, which ended in a traceback
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({"name": "x", "command": "solve-local", "amplitude": 10**400})
+    assert exc.value.field == "amplitude"
+
+
+def test_readme_limits_name_every_ranged_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    limits = readme.split("### Limits", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in RANGES if f"`{key}`" not in limits] == []
 
 
 # each would allocate far past MAX_ALLOC_BYTES: only values the guard

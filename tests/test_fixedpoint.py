@@ -23,6 +23,7 @@ from isoperturb.embeddings import ParabolaChart
 from isoperturb.fixedpoint import (
     MAX_ITER,
     IterationConfig,
+    IterationTrace,
     SmallnessViolation,
     StalledIteration,
     bump_perturbation,
@@ -307,6 +308,13 @@ def test_borderline_contraction_stalls(borderline_setup, monkeypatch):
         solve_fixed_point(frame, cut, f)
     assert exc.value.trace.status == "stalled"
     assert exc.value.trace.iterations == 3
+
+
+def test_steps_to_tol_at_the_smallest_tol():
+    # tol / increment underflows to 0 here: the estimate was a math domain
+    # error, and a glue run whose halving recorded it exited 3
+    trace = IterationTrace(increments=[8.0, 4.0], ratios=[0.5], tol=5e-324)
+    assert trace.steps_to_tol() == 2 + 1076  # 5e-324 is 2**-1074
 
 
 def test_fail_fast_spares_an_oscillating_run_that_converges(oscillating_setup):
