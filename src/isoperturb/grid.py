@@ -27,34 +27,34 @@ one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
 multi-index as its family's per-axis tables and caches both.
 
 The seminorm sweeps the lattice offsets shortest first and skips only the
-offsets that three bounds rule out, so its result is the all-pairs maximum
+offsets that its bounds rule out, so its result is the all-pairs maximum
 bit for bit:
 
-- above, |v(x)-v(y)| <= max v - min v, so once (max v - min v) / d^alpha
-  <= best no longer offset can raise the maximum and the sweep stops;
-- above, per lag (1-d only), from cell extrema: the nodes fall into at
-  most 64 cells of b consecutive nodes, and a pair l nodes apart lies in
+- on every sweep, |v(x)-v(y)| <= max v - min v, so once
+  (max v - min v) / d^alpha <= best no longer offset can raise the maximum
+  and the sweep stops;
+- on a 1-d sweep that outlasts its first block, one bound per lag l, the
+  smaller of two.  The slope bound: |v(x+l)-v(x)| <= l*m1 with m1 the
+  largest nearest-neighbour step; it holds in exact arithmetic, and a
+  1e-12 margin covers rounding.  The cell bound: the nodes fall into at
+  most 16 cells of b consecutive nodes, and a pair l nodes apart lies in
   two cells l//b or l//b + 1 apart, so its |dv| is at most the largest
   gap, max of one cell minus min of the other, over the cell pairs that
-  far apart.  Once the largest such bound over d^alpha at every lag from
-  the current one on is <= best, the sweep stops.  Float subtraction and
-  division round monotonically, so each bound, as computed, is at least
-  every quotient the sweep computes at its lag, and it needs no margin;
-- below (1-d only), |v(x+l)-v(x)| <= l*m1 with m1 the largest
-  nearest-neighbour step, so an offset of l nodes with
-  l*m1*(1 + 1e-12) / d^alpha <= best cannot raise it either.  The bound
-  holds in exact arithmetic; the 1e-12 margin covers rounding, and a tie
-  with best does not change a maximum.
+  far apart; float subtraction rounds monotonically, so the gap as
+  computed is at least every |dv| the sweep computes at its lag.  Over
+  d^alpha, the smaller bound is at least every quotient at lag l, so the
+  sweep skips the lags whose bound is <= best and stops once the largest
+  bound from the current lag on is <= best.  A tie with best does not
+  change a maximum.
 
-The two 1-d bounds start once a sweep outlasts its first block.  Before it
-skips, such a sweep seeds best with the quotients of the pairs through
-argmax v and argmin v.  They are
-quotients of real node pairs, computed as the sweep computes them (|dv|
-first, then one division by d^alpha), so the seed is a value the sweep
-itself could return.  The slope bound holds on the disk as well: for disk
-nodes p and q one of the corners (p_x, q_y), (q_x, p_y) is a node, and both
-legs of the L-path through it are row or column segments.  But there it
-skips only about 8% of the lags, so 2-d sweeps do not use it.
+Before it bounds the lags, a 1-d sweep seeds best with the quotients of
+the pairs through argmax v and argmin v.  They are quotients of real node
+pairs, computed as the sweep computes them (|dv| first, then one division
+by d^alpha), so the seed is a value the sweep itself could return.  The
+slope bound holds on the disk as well: for disk nodes p and q one of the
+corners (p_x, q_y), (q_x, p_y) is a node, and both legs of the L-path
+through it are row or column segments.  But there it skips only about 8%
+of the lags, so 2-d sweeps do not use it.
 
 Each derivative operator D^s is a Stencil: the per-axis WindowTables
 F_1, ..., F_k of its steps (numpy only), applied in turn,
@@ -89,14 +89,13 @@ _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
 _SWEEP_BLOCK = 1 << 15  # flat lattice slots spanned per block of the lag sweep
 _SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
-# Cells of the 1-d tail bound: their (cells, 2 cells) gap table is at most
-# 64 KiB, and the whole bound costs less than one block of the sweep at
-# N = 801 (about 30 against 42 us).  The bound at a lag also counts pairs
-# up to two cells longer, so more cells tighten it, at a quadratic cost.
-_TAIL_CELLS = 64
-# A sweep builds the tail bound only if the extrema bound leaves it more
-# blocks than this: below that the bound cannot save its own cost.
-_TAIL_BLOCKS = 3
+# Cells of the 1-d cell bound, built on every sweep that outlasts its first
+# block: the (cells, 2 cells) gap table is 4 KiB and takes about 12 us at
+# N = 801 and at N = 3201 (64 cells: 62 KiB, about 25 us; x86-64, numpy
+# 2.4).  The bound at a lag also counts pairs up to two cells longer, so
+# more cells tighten it, at a quadratic cost; 64 cells swept 0.5 % fewer
+# lags on the chart family's sweeps.
+_TAIL_CELLS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +373,6 @@ class Grid:
                            strides=padded.strides * np.array([1, *steps[::-1]]), writeable=False)
         return padded, moved, slots, shifts, self.spacing * np.sqrt(dist2)
 
-    def _lag_powers(self, alpha):
-        """(d^alpha, lag/d^alpha) for the offsets of _lags(), once per alpha.
-
-        lag is an offset's length in nodes, so lag/d^alpha times the largest
-        nearest-neighbour step bounds every quotient at that offset; only
-        1-d sweeps use it, and on the disk it is None.
-        """
-        def build():
-            shifts, dist = self._lags()[3:]
-            dpow = dist**alpha
-            return dpow, shifts / dpow if self.dim == 1 else None
-
-        return self.cached(("lag_powers", alpha), build)
-
     def _lag_gaps(self, vals):
         """Per 1-d lag l = k + 1, a bound gaps[k] >= |v[i+l] - v[i]| for every i.
 
@@ -395,10 +380,11 @@ class Grid:
         (the last may hold fewer, which gives the extrema of padding it with
         v[-1]).  A pair l nodes apart lies in cells l//b or l//b + 1 apart,
         and its |dv| is at most the larger gap between the two cells, max of
-        one minus min of the other.  C[c] is the
-        largest such gap over the cell pairs c apart, and gaps[k] =
-        max(C[l//b], C[l//b + 1]).  Rounding is monotone, so each gap as
-        computed is at least every |dv| the sweep computes at that lag.
+        one minus min of the other.  C[c] is the largest such gap over the
+        cell pairs c apart, and gaps[k] = max(C[l//b], C[l//b + 1]).
+        Rounding is monotone, so each gap as computed is at least every |dv|
+        the sweep computes at that lag.  quotient_max takes the smaller of
+        it and the slope bound at each lag.
         """
         def build():
             N = self.resolution
@@ -423,22 +409,21 @@ class Grid:
 
         Writes vals into the node slots of the grid's sweep lattice (see
         _lags) and sweeps the lattice offsets shortest first, a block of
-        offsets at a time, with one d^alpha per offset.  Stops once no
-        longer offset can beat the running maximum:
+        offsets at a time, with one d^alpha per offset (cached per alpha).
+        Stops once no longer offset can beat the running maximum:
         (max v - min v) / d^alpha <= best.
 
         A 1-d sweep that goes past its first block seeds best with the
         quotients of every pair through argmax v and through argmin v, then
-        skips the short offsets the slope bound rules out:
-        lag * m1 * (1 + 1e-12) / d^alpha <= best, m1 = max |v[k+1] - v[k]|.
-        If the extrema bound would still leave it more than _TAIL_BLOCKS
-        blocks, the sweep then builds the tail bound, tail[k] = the largest
-        _lag_gaps(vals)[j] / d^alpha over the offsets j >= k, and from there
-        on stops once tail[k] <= best in its place; it is never looser.
-        The bounds hold for the values as computed and the seed is a pair
-        quotient computed as the sweep computes it, so the result is
-        bit-identical to the sweep over every offset (see the module
-        docstring).
+        bounds every lag at once:
+        bound = min(lag * m1 * (1 + 1e-12), _lag_gaps(vals)) / d^alpha, with
+        m1 = max |v[k+1] - v[k]|.  It resumes at the first lag whose bound
+        beats best, and from there on stops once the largest bound at or
+        past the current lag is <= best, in place of the extrema stop; it is
+        never looser.  The bounds hold for the values as computed and the
+        seed is a pair quotient computed as the sweep computes it, so the
+        result is bit-identical to the sweep over every offset (see the
+        module docstring).
 
         A 1-d block's shifts are consecutive, so its rows are a slice of
         moved, and their differences go into one (step, N) buffer cached on
@@ -457,8 +442,8 @@ class Grid:
         N = 33; it wins only at a size no scenario runs (88.9 ms against
         100.9 ms at N = 97).
         """
-        padded, moved, slots, shifts, _ = self._lags()
-        dpow, slope = self._lag_powers(alpha)
+        padded, moved, slots, shifts, dist = self._lags()
+        dpow = self.cached(("dpow", alpha), lambda: dist**alpha)
         osc = float(np.max(vals) - np.min(vals))
         padded[slots] = vals
         base = moved[0]
@@ -466,19 +451,16 @@ class Grid:
         if self.dim == 1:
             buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape)))
             straight = 3 * len(base) > np.getbufsize()
-        best, k, tail = 0.0, 0, None
-        while k < len(shifts) and (osc / dpow[k] if tail is None else tail[k]) > best:
-            if k == step and slope is not None:
-                # past the first block: seed, skip what the slope bound rules
-                # out, and bound the tail if the extrema leave many blocks
+        best, k, bound = 0.0, 0, None
+        while k < len(shifts) and (osc / dpow[k] if bound is None else bound[k]) > best:
+            if k == step and self.dim == 1 and bound is None:
+                # past the first block: seed, bound every lag, resume at the
+                # first lag the bound leaves open and stop on its suffix maximum
                 best = max(best, _extrema_seed(vals, dpow, slots))
-                live = slope[k:] * (m1 * _SLOPE_MARGIN) > best
+                bound = np.minimum(shifts * (m1 * _SLOPE_MARGIN), self._lag_gaps(vals)) / dpow
+                live = bound[k:] > best
                 k += int(np.argmax(live)) if live.any() else len(live)
-                far = k + _TAIL_BLOCKS * step
-                if far < len(shifts) and osc / dpow[far] > best:
-                    tail = self._lag_gaps(vals) / dpow
-                    np.maximum.accumulate(tail[::-1], out=tail[::-1])
-                slope = None  # seeded: back to the stop test at the new k
+                np.maximum.accumulate(bound[::-1], out=bound[::-1])
                 continue
             block = slice(k, k + step)
             if self.dim == 2:

@@ -101,11 +101,12 @@ def quadratic_load(cut: Cutoff, v):
     """The per-axis loads 2 da_i (Lv . v) + a (Lv . D_i v), quadratic in v (nodes, q)."""
     g = cut.grid
     lap_v = laplacian(g, v)
-    lap_dot_v = np.sum(lap_v * v, axis=1)
-    return [
-        2.0 * cut.grad[i] * lap_dot_v + cut.values * np.sum(lap_v * (_d1(g, i) @ v), axis=1)
-        for i in range(g.dim)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow: the solve refuses it as NonFiniteLoad
+        lap_dot_v = np.sum(lap_v * v, axis=1)
+        return [
+            2.0 * cut.grad[i] * lap_dot_v + cut.values * np.sum(lap_v * (_d1(g, i) @ v), axis=1)
+            for i in range(g.dim)
+        ]
 
 
 def load_potentials(cut: Cutoff, v):

@@ -223,7 +223,7 @@ def test_solve_local_that_fails_fast_exits_1_with_its_trace(tmp_path):
     assert not os.listdir(os.path.join(out, "embeddings"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a handled overflow warns nothing
 @pytest.mark.parametrize("command,doc,expected", [
     # step 2's quadratic load overflows: a divergence, so solve-local stops
     # and the glue halves its horizon until it collapses
@@ -234,13 +234,15 @@ def test_solve_local_that_fails_fast_exits_1_with_its_trace(tmp_path):
     ("solve-family", "chart: parabola\nresolution: 101\n"
      "family: {name: constant, horizon: 1.0e+300, samples: 4}\n", 0),
 ], ids=["local-load", "glue-load", "family-probe"])
-def test_overflow_is_a_recorded_outcome_not_an_error(tmp_path, command, doc, expected):
+def test_overflow_is_a_recorded_outcome_not_an_error(tmp_path, capsys, command, doc, expected):
     # each exited 3, with a ValueError from the Dirichlet solve or an
-    # OverflowError from a Python float power
+    # OverflowError from a Python float power; then each printed numpy's
+    # overflow warnings to stderr before recording its outcome
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg, "--out", out, "--quiet"]) == expected
     assert "error" not in _summary(out)
+    assert capsys.readouterr().err == ""
 
 
 def test_yaml_syntax_error_exits_2_without_artifacts(tmp_path, monkeypatch, capsys):

@@ -741,9 +741,10 @@ def test_seminorm_block_buffer_carries_nothing_between_sweeps(N):
             assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
 
 
-@pytest.mark.parametrize("N", [17, 18, 63, 64, 65, 201, 801, 3201])
+@pytest.mark.parametrize("N", [17, 18, 31, 32, 33, 47, 48, 49, 63, 64, 65, 201, 801, 3201])
 def test_lag_gaps_bound_every_lag(N):
-    # below, at and above the cell count, and N not a multiple of the cell size
+    # on both sides of each step of the cell size b = ceil(N / 16) (N = 32 | 33,
+    # 48 | 49, 64 | 65), with full, short and one-node last cells
     g = make_grid(1, N)
     fields = [_slope_field(kind, N) for kind in _SLOPE_KINDS]
     fields += [_ripple(g), np.random.default_rng(N).standard_normal(N)]

@@ -13,8 +13,13 @@ each attribute assigned as `self.x = ...`, must be loaded as an attribute
 inside an assignment target, as in `self.x[i] = ...`, is a store, not a
 load.
 
-Both matches are by identifier only, so they can miss an unused name that
-is also used elsewhere; they never flag a used one.
+Every module-level constant (an UPPER_CASE name, with or without a leading
+underscore, bound at module level) must be loaded, as a name or an
+attribute, by such a module: its own module counts, its assignment does
+not.
+
+All three matches are by identifier only, so they can miss an unused name
+that is also used elsewhere; they never flag a used one.
 
 Every module-level import in src/isoperturb must be used in its module:
 callers import each name from the module that defines it, so no module
@@ -135,6 +140,31 @@ def test_every_stored_value_is_read_outside_the_tests():
     unread = [f"{module}:{line} {name}" for (module, name), line in sorted(_stored().items())
               if name.split(".")[1] not in loads]
     assert not unread, "stored but read only by tests: " + ", ".join(unread)
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _constants():
+    """(module, line, name) of every UPPER_CASE name bound at module level."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in _targets(node):
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id):
+                        yield path.name, t.lineno, t.id
+
+
+def test_every_constant_is_read_outside_the_tests():
+    loaded = set()
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unread = [f"{module}:{line} {name}" for module, line, name in _constants() if name not in loaded]
+    assert not unread, "constant read only by tests: " + ", ".join(unread)
 
 
 # the one name imported to be read from the importing module: the benchmark
