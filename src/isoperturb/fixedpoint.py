@@ -16,15 +16,15 @@ f supported where a == 1 this is the requested perturbation f itself.
 Iterations start at v = 0, stop when the C^{2,alpha} increment drops below
 tolerance, enforce the a-priori bound |v_k| <= |E(0,f)| (1 + 1e-6) at every
 step, and abort with a smallness violation when contraction is lost.  The
-bound is checked on a certified upper bound U_k >= |v_k|: U_0 = |v_0| is the
-first increment, and U_k = (U_{k-1} + |v_k - v_{k-1}|)(1 + 1e-12) because
-the C^{2,alpha} norm is subadditive.  Only when U_k fails the tighter of the
-bound check and the recurrence monitor is the exact |v_k| taken, and U_k
-reset to it.  So every check decides as the exact norms would, and a step
-takes one norm, its increment's, unless it falls back.  A run that cannot
-reach the tolerance within MAX_ITER steps, even at the best of
-its last three increment ratios, stops early (fail-fast).  The limits of
-that rule are the module constants below.
+bound is read off the first step: at v = 0 the loads vanish, v_0 =
+-E(0, f/2), and by homogeneity 2 |v_0| is |E(0, f)| bit for bit unless a
+value is subnormal or overflows.  It is checked on a certified U_k >= |v_k|:
+U_0 = |v_0|, U_k = (U_{k-1} + |v_k - v_{k-1}|)(1 + 1e-12) by subadditivity.
+Only when U_k fails the tighter of the bound check and the recurrence
+monitor is the exact |v_k| taken, and U_k reset to it: every check decides
+as the exact norms would, and a step takes one norm, its increment's, unless
+it falls back.  A run that cannot reach tol within MAX_ITER steps, even at
+the best of its last three increment ratios, stops early (fail-fast).
 """
 
 import math
@@ -154,22 +154,18 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f, config: IterationCo
     smallest of the last three ratios.  The smallest, because early ratios
     oscillate: the largest would stop runs that converge.
 
-    The bound check and the trace's norms read the certified U_k of the
-    module docstring.  The exact |v_k| is taken only when
-    not U_k <= min(bound (1 + BOUND_SLACK), bound + 1e-12), the recurrence
-    monitor's threshold being the second term; a NaN fails that test, so it
-    still reaches the exact norm and "diverged".
+    The bound, trace.bound = 2 |v_0| = |E(0, f)|, is read off the first
+    step; its check and the trace's norms read the module docstring's
+    certified U_k.  The exact |v_k| is taken only when not U_k <= min(bound
+    (1 + BOUND_SLACK), bound + 1e-12), the recurrence monitor's threshold
+    the second term: a NaN fails that test, so it reaches "diverged".
     """
     cfg = config or IterationConfig()
     if cfg.tol <= 0:
         raise ValueError(f"solve_fixed_point: tol must be positive, got {cfg.tol}")
     _check_f_support(cut, f)
     g = frame.grid
-    zero_h = np.zeros((g.num_nodes, g.dim))
-    bound = holder_norm(VecField(g, apply_frame(frame, zero_h, f)), 2, cfg.alpha)
-    trace = IterationTrace(bound=bound, tol=cfg.tol)
-    # the tighter of the bound check and passes_recurrence_monitor
-    exact_above = min(bound * (1.0 + BOUND_SLACK), bound + 1e-12)
+    trace = IterationTrace(tol=cfg.tol)
     v = np.zeros((g.num_nodes, frame.q))
     strikes = 0
     for _ in range(MAX_ITER):
@@ -184,11 +180,13 @@ def solve_fixed_point(frame: ImmersionFrame, cut: Cutoff, f, config: IterationCo
         v_new = fixed_point_map(frame, cut, f, v, potentials)
         inc = holder_norm(VecField(g, v_new - v), 2, cfg.alpha)
         if trace.iterations == 0:
-            # the first step starts from v = 0, where v_new - v is v_new bit for bit
+            # from v = 0, v_new - v is v_new = -E(0, f/2) bit for bit
             norm, exact = inc, True
+            bound = trace.bound = 2.0 * inc  # |E(0, f)|
         else:
             norm, exact = (trace.norms[-1] + inc) * NORM_MARGIN, False
-            if not norm <= exact_above:
+            # the tighter of the bound check and passes_recurrence_monitor
+            if not norm <= min(bound * (1.0 + BOUND_SLACK), bound + 1e-12):
                 norm, exact = holder_norm(VecField(g, v_new), 2, cfg.alpha), True
         trace.poisson_residuals.append(pois)
         trace.increments.append(inc)

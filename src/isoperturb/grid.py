@@ -404,6 +404,7 @@ class Grid:
         C = np.fmax.reduce(diagonals, axis=0)  # C[n] = -inf: no cells lie n apart
         return np.fmax(C[:-1], C[1:])[lag_cells]
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing field sweeps to inf
     def quotient_max(self, vals, alpha):
         """Exact max over all node pairs of |v(x)-v(y)| / |x-y|^alpha.
 

@@ -2,8 +2,9 @@
 
 The leading-order oracle is exact: with v = 0 the quadratic corrections
 vanish identically (zero loads give zero potentials), so the first sweep
-must return exactly -E(0, f/2) and the first trace norm must be exactly
-half the a-priori bound.  The calibrated bump scenario then freezes the
+must return exactly -E(0, f/2).  The solve reads its a-priori bound off
+that step as 2 |v_0|; a separate norm of the frame response E(0, f) must
+give the same bound bit for bit, in 1-d and 2-d.  The calibrated bump scenario then freezes the
 measured residual/iteration/ratio windows, and the safeguard paths
 (divergence, fail-fast, stall, support mismatch) are driven to their
 exceptions.  The trace's norms are certified upper bounds on the iterates'
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from isoperturb import fixedpoint
 from isoperturb import grid as grid_module
-from isoperturb.embeddings import ParabolaChart
+from isoperturb.embeddings import ParabolaChart, TorusChart
 from isoperturb.fixedpoint import (
     MAX_ITER,
     IterationConfig,
@@ -77,9 +78,26 @@ def test_first_sweep_is_exact_frame_response(bump_setup):
     assert np.all(got == expected)  # Q(0) and P(0) vanish exactly
 
 
-def test_first_norm_is_half_the_bound(bump_solution):
+def _frame_bound(frame, f, alpha=0.5):
+    """|E(0, f)|, the a-priori bound, measured on its own."""
+    g = frame.grid
+    return holder_norm(VecField(g, apply_frame(frame, np.zeros((g.num_nodes, g.dim)), f)), 2, alpha)
+
+
+def test_first_norm_is_half_the_bound(bump_setup, bump_solution, oscillating_setup):
+    # the solve reads its bound off the first step, 2 |v_0|; it is |E(0, f)|
+    # bit for bit, as a separate norm of the frame's response measures it
     _, trace = bump_solution
     assert trace.norms[0] == 0.5 * trace.bound
+    assert trace.bound == _frame_bound(bump_setup[1], bump_setup[3])
+    g, frame, cut, f, cfg = oscillating_setup
+    _, trace = solve_fixed_point(frame, cut, f, cfg)
+    assert trace.norms[0] == 0.5 * trace.bound == 0.5 * _frame_bound(frame, f)
+    g = make_grid(2, 25)  # a 2-d frame: the torus chart on torus_smoke's disk grid
+    frame, f = build_frame(TorusChart(), g), bump_perturbation(g, 0.01)
+    _, trace = solve_fixed_point(frame, Cutoff(g), f)
+    assert trace.status == "converged"
+    assert trace.norms[0] == 0.5 * trace.bound == 0.5 * _frame_bound(frame, f)
 
 
 def test_zero_increment_converges_immediately(bump_setup):
@@ -138,9 +156,9 @@ def test_certified_norms_bound_the_exact_ones_where_the_fallback_runs(oscillatin
 
 
 def test_one_norm_per_step_and_one_per_fallback(bump_setup, monkeypatch):
-    # the bound, then each step's increment; the iterate's own norm only
-    # where the certified bound falls back to it (the exact check took one
-    # per step after the first: 20 for these 10 steps)
+    # one norm per step, its increment's (the first one is half the bound,
+    # which takes no norm of its own); the iterate's own norm only where the
+    # certified bound falls back to it
     g, frame, cut, f = bump_setup
     calls = []
     norms = grid_module.holder_norms
@@ -152,8 +170,8 @@ def test_one_norm_per_step_and_one_per_fallback(bump_setup, monkeypatch):
     monkeypatch.setattr(grid_module, "holder_norms", counted)
     _, trace = solve_fixed_point(frame, cut, f)
     fallbacks = sum(trace.norm_exact[1:])
-    assert len(calls) == 1 + trace.iterations + fallbacks
-    assert (trace.iterations, fallbacks, len(calls)) == (10, 0, 11)
+    assert len(calls) == trace.iterations + fallbacks
+    assert (trace.iterations, fallbacks, len(calls)) == (10, 0, 10)
 
 
 def test_halving_amplitude_halves_the_solution(bump_setup):

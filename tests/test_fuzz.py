@@ -114,7 +114,9 @@ def _scenario(draw, path):
     return command, raw, table
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+# numpy's overflow warnings, noise before a recorded outcome; the seminorm
+# (isoperturb.grid) sweeps an overflowing field without one
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "error::RuntimeWarning:isoperturb\\.grid")
 @pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

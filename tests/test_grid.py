@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from test_operator_tables import _triplets
 
+from isoperturb import grid as grid_module
 from isoperturb.grid import (
     _SWEEP_BLOCK,
     _TAIL_CELLS,
@@ -648,15 +649,35 @@ def test_disk_seminorm_is_bitwise_the_exhaustive_pair_sweep(N, alpha, kind):
     assert g.quotient_max(vals, alpha) == exhaustive_pair_sweep(g, vals, alpha)
 
 
-def _near_tie_field(g, alpha):
-    """A 1-d field whose maximum the slope bound misses without its margin.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim, N", [(1, 801), (1, 3201), (2, 25)])
+def test_seminorm_of_an_overflowing_field_is_quiet(dim, N):
+    # |dv|, max v - min v and the quotients overflow to inf inside the sweep,
+    # which ignores it: no RuntimeWarning, and the all-pairs value, inf for
+    # the +-1e308 fields and finite for the wide sine, whose stop tests overflow
+    g = make_grid(dim, N)
+    huge = np.random.default_rng(N).standard_normal(g.num_nodes)
+    huge[g.num_nodes // 3], huge[2 * g.num_nodes // 3] = 1e308, -1e308
+    wide = 0.5e308 * np.sin(3.0 * g.coords[:, 0])
+    exhaustive = exhaustive_lag_sweep if dim == 1 else exhaustive_pair_sweep
+    for vals in (huge, np.where(huge > 0, 1e308, -1e308), wide):
+        with np.errstate(over="ignore"):
+            expected = exhaustive(g, vals, 0.5)
+        assert g.quotient_max(vals, 0.5) == expected
+        assert math.isfinite(expected) == (vals is wide)
 
-    Tent A rises by m1 per node for L nodes: its quotient q at lag L meets
-    the slope bound L*m1/d^alpha in exact arithmetic.  Tent B, on a small
-    pedestal, holds argmax v; its own lag-L pair reads seed, the largest
-    quotient below q.  L and m1 are picked so that the rounded bound
-    (L/d^alpha)*m1 is <= seed: without the margin, lag L is skipped.
-    Returns (vals, q, L).
+
+def _near_tie_field(g, alpha):
+    """A 1-d field whose maximum sits on the slope bound of its lag.
+
+    Tent A rises by m1 per node for L nodes, integer steps, so L*m1 is exact
+    and its quotient q at lag L is the sweep's slope bound at lag L, also
+    without the margin.  Tent B, on a small pedestal, holds argmax v; its
+    own lag-L pair reads seed, the largest quotient below q, which rules out
+    every shorter lag.  So lag L is the first lag the bound leaves open, and
+    the sweep finds q only if it resumes there.  (The search also asks
+    (L/d^alpha)*m1 <= seed, a rounding order the sweep does not use; it
+    only narrows the choice of L and m1.)  Returns (vals, q, L).
     """
     dpow = _lag_dpow(g, alpha)
     pedestal = 2.0**-10
@@ -682,13 +703,68 @@ def _near_tie_field(g, alpha):
 @pytest.mark.parametrize("N", [801, 3201])
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
 def test_seminorm_slope_skip_keeps_a_near_tie(N, alpha):
-    # fails if the 1e-12 margin is dropped or the skip passes one lag too far
+    # fails if the skip resumes one lag past the first lag its bound leaves
+    # open; the margin is pinned by test_slope_margin_covers_rounded_steps
     g = make_grid(1, N)
     vals, q, lag = _near_tie_field(g, alpha)
     assert lag > _SWEEP_BLOCK // N  # past the first block of the sweep
     assert np.argmax(vals) > 4 * lag  # the seed goes through tent B
     assert exhaustive_lag_sweep(g, vals, alpha) == q
     assert g.quotient_max(vals, alpha) == q
+
+
+_MARGIN_LAG = 65
+_MARGIN_M1 = 1.0 + 2.0**-47  # 65 * m1 lies halfway between two floats and rounds down, to even
+
+
+def _rounded_steps_field(N):
+    """A 1-d field whose maximum the slope bound misses without its margin.
+
+    Its steepest run climbs from -X to Y in L = 65 steps that all compute to
+    m1 = 1 + 2**-47: the step across zero and the next one are m1 + 2**-53,
+    ties that round down to m1.  So the computed |Y - (-X)| is one ulp above
+    fl(L * m1), while the margin-free bound at lag L rounds L * m1 itself.
+    argmin v starts an arm of L exact m1 steps, whose lag-L pair computes to
+    fl(L * m1): the seed reaches the margin-free bound, and only the run
+    beats it.  argmax v tops a low hill; gentle ramps (steps < 0.5) join the
+    pieces, far enough apart that no other pair's quotient comes close.
+    """
+    L, m1 = _MARGIN_LAG, Fraction(_MARGIN_M1)
+    top = Fraction(round(Fraction(-0.3) * 2**47), 2**47)  # run[63]: last below zero
+    run = [top - (63 - j) * m1 for j in range(64)]
+    run += [run[-1] + m1 + Fraction(1, 2**53), run[-1] + 2 * m1 + Fraction(1, 2**52)]
+    low = run[0] - Fraction(1, 16)
+    arm = [low + j * m1 for j in range(L + 1)]
+    assert all(Fraction(float(x)) == x for x in run + arm)  # every value is a float
+    run, arm = np.array(run, dtype=float), np.array(arm, dtype=float)
+
+    def ramp(a, b, n):
+        return np.linspace(a, b, n + 1)[1:]
+
+    vals = np.concatenate([
+        np.zeros(20), ramp(0.0, arm[0], 130), arm[1:], ramp(arm[-1], 0.0, 10), np.zeros(100),
+        ramp(0.0, run[0], 130), run[1:], ramp(run[-1], 0.0, 10), np.zeros(100),
+        ramp(0.0, run[-1] + 0.25, 20), ramp(run[-1] + 0.25, 0.0, 20),
+    ])
+    return np.concatenate([vals, np.zeros(N - len(vals))])
+
+
+@pytest.mark.parametrize("N", [801, 3201])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_slope_margin_covers_rounded_steps(monkeypatch, N, alpha):
+    # the computed steps each round by up to half an ulp, so the lag-L
+    # difference can exceed L times the largest of them as computed
+    g = make_grid(1, N)
+    vals, lag = _rounded_steps_field(N), _MARGIN_LAG
+    assert lag > _SWEEP_BLOCK // N  # past the first block of the sweep
+    assert np.max(np.abs(np.diff(vals))) == _MARGIN_M1
+    rise = np.max(np.abs(vals[lag:] - vals[:-lag]))
+    assert rise > lag * _MARGIN_M1
+    q = exhaustive_lag_sweep(g, vals, alpha)
+    assert q == rise / _lag_dpow(g, alpha)[lag - 1]
+    assert g.quotient_max(vals, alpha) == q
+    monkeypatch.setattr(grid_module, "_SLOPE_MARGIN", 1.0)
+    assert g.quotient_max(vals, alpha) < q
 
 
 def test_seminorm_power_table_is_keyed_on_alpha():

@@ -6,9 +6,11 @@ keep them byte-identical is checked to; a change that means to move them
 updates the pin and names the moved files in CHANGES.md.  The benchmark's
 oracle (perfbench/oracle.py) reads the same runs back: each solve config's
 reported residual is the one it recomputes from the embedding CSV the run
-wrote.  Each config runs once per module.
+wrote.  Each config runs once per module, apart from one family run that
+counts the Hoelder norms it takes against the trace rows it writes.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import isoperturb
+from isoperturb import grid as grid_module
 from isoperturb.cli import main
 from isoperturb.config import load_scenario
 
@@ -132,3 +135,26 @@ def test_oracle_rederives_the_reported_residual(stem, shipped_run):
     assert problems == []
     reported = {c["criterion"]: c["value"] for c in _summary(out)["criteria"]}
     assert residual == reported[REPORTED_RESIDUAL[stem]]
+
+
+def test_a_family_run_takes_one_norm_per_trace_row(tmp_path, monkeypatch):
+    # a whole run of configs/breathing_chart.yaml measures each solve's
+    # increments (one per trace row) and, on the rows past the first marked
+    # norm_exact, the iterate's own norm; the bound is read off row 0
+    calls = []
+    norms = grid_module.holder_norms
+
+    def counted(fld, orders, alpha):
+        calls.append(orders)
+        return norms(fld, orders, alpha)
+
+    monkeypatch.setattr(grid_module, "holder_norms", counted)
+    config = ROOT / "configs" / "breathing_chart.yaml"
+    out = tmp_path / "out"
+    assert main(["solve-family", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    expected = 0
+    for path in sorted((out / "traces").glob("*.csv")):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected += len(rows) + sum(row["norm_exact"] == "1" for row in rows[1:])
+    assert len(calls) == expected == 45
