@@ -27,28 +27,27 @@ one-sided at its ends; verify.ORACLE_WIDTHS = (5, 6) gives the oracle's
 multi-index as its family's per-axis tables and caches both.
 
 The seminorm sweeps the lattice offsets shortest first and skips only the
-offsets that its bounds rule out, so its result is the all-pairs maximum
+node pairs that its bounds rule out, so its result is the all-pairs maximum
 bit for bit:
 
 - on every sweep, |v(x)-v(y)| <= max v - min v, so once
   (max v - min v) / d^alpha <= best no longer offset can raise the maximum
   and the sweep stops;
-- on a 1-d sweep that outlasts its first block, one bound per lag l, the
-  smaller of two.  The slope bound: |v(x+l)-v(x)| <= l*m1 with m1 the
-  largest nearest-neighbour step; it holds in exact arithmetic, and a
-  1e-12 margin covers rounding.  The cell bound: the nodes fall into at
-  most 16 cells of b consecutive nodes, and a pair l nodes apart lies in
-  two cells l//b or l//b + 1 apart, so its |dv| is at most the largest
-  gap, max of one cell minus min of the other, over the cell pairs that
-  far apart; float subtraction rounds monotonically, so the gap as
-  computed is at least every |dv| the sweep computes at its lag.  Over
-  d^alpha, the smaller bound is at least every quotient at lag l, so the
-  sweep skips the lags whose bound is <= best and stops once the largest
-  bound from the current lag on is <= best.  A tie with best does not
-  change a maximum.
+- a 1-d sweep that outlasts its first block bounds each pair of cells
+  I <= J of b consecutive nodes over its lags past that block, by the
+  smaller of two bounds.  The range bound: max(hi_J - lo_I, hi_I - lo_J),
+  hi and lo a cell's extrema, over the least d^alpha from the shortest of
+  those lags on.  The slope bound: |v(x+l)-v(x)| <= l*m1, m1 the largest
+  nearest-neighbour step, and l/d^alpha grows with l, so l*m1/d^alpha at
+  the longest lag covers the cell pair; a 1e-12 margin covers rounding.
+  Subtraction and division round monotonically, so the smaller bound is
+  at least every quotient the sweep computes in the cell pair.  The cell
+  pairs whose bound beats best are swept as dense tiles, highest bound
+  first, each dropped once its bound is <= best (a tie does not change a
+  maximum).
 
-Before it bounds the lags, a 1-d sweep seeds best with the quotients of
-the pairs through argmax v and argmin v.  They are quotients of real node
+Before it bounds the cell pairs, a 1-d sweep seeds best with the quotients
+of the pairs through argmax v and argmin v.  They are quotients of real node
 pairs, computed as the sweep computes them (|dv| first, then one division
 by d^alpha), so the seed is a value the sweep itself could return.  The
 slope bound holds on the disk as well: for disk nodes p and q one of the
@@ -72,8 +71,9 @@ a NaN's sign is bitwise scipy's on the table's nonzero triplets; a NaN or
 inf in x reaches only the rows that weigh it.
 
 Everything built from a grid alone (the tables and Stencils of every
-stencil family, the sweep lattice, the 1-d sweep's block buffer and cell
-table, the Dirichlet solver) is kept in the grid's one cache, Grid.cached.
+stencil family, the sweep lattice, the 1-d sweep's block buffer and
+cell-pair table, the Dirichlet solver) is kept in the grid's one cache,
+Grid.cached.
 """
 
 from __future__ import annotations
@@ -89,13 +89,7 @@ _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
 _SWEEP_BLOCK = 1 << 15  # flat lattice slots spanned per block of the lag sweep
 _SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
-# Cells of the 1-d cell bound, built on every sweep that outlasts its first
-# block: the (cells, 2 cells) gap table is 4 KiB and takes about 12 us at
-# N = 801 and at N = 3201 (64 cells: 62 KiB, about 25 us; x86-64, numpy
-# 2.4).  The bound at a lag also counts pairs up to two cells longer, so
-# more cells tighten it, at a quadratic cost; 64 cells swept 0.5 % fewer
-# lags on the chart family's sweeps.
-_TAIL_CELLS = 16
+_CELL = 24  # nodes per cell of the 1-d cell-pair bound; a tile holds 24 x 24 node pairs
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +331,15 @@ class Grid:
     def _lags(self):
         """The grid's sweep lattice and its offsets, shortest first.
 
-        Returns (padded, moved, slots, shifts, dist), built once per grid.
-        padded is a NaN-padded flat lattice in which the lattice offset of
-        a node pair is a constant index shift; node values go into its
-        slots, and the padding holds every shifted slot that leaves the
+        Returns (padded, moved, slots, shifts, dist, step), built once per
+        grid.  padded is a NaN-padded flat lattice in which the lattice
+        offset of a node pair is a constant index shift; node values go into
+        its slots, and the padding holds every shifted slot that leaves the
         ball, so no shift wraps onto another node.  moved is its strided
         view: moved[s] is the nodes' bounding box of lattice points (rows
         of constant y in 2-d), moved by shift s.  Only the slots are ever
         written, so the padding stays NaN.  Each pair of nodes is reached
-        by exactly one shift, of length dist.
+        by exactly one shift, of length dist.  A block sweeps step shifts.
         """
         return self.cached("lags", self._build_lags)
 
@@ -368,41 +362,76 @@ class Grid:
             dist2 = dist2[keep][order]
         slots = at @ steps
         box = at.max(axis=0) + 1
-        padded = np.full((box - 1) @ steps + 1 + shifts.max(), np.nan)
+        span = (box - 1) @ steps + 1  # slots one view spans
+        padded = np.full(span + shifts.max(), np.nan)
         moved = as_strided(padded, shape=(shifts.max() + 1, *box[::-1]),
                            strides=padded.strides * np.array([1, *steps[::-1]]), writeable=False)
-        return padded, moved, slots, shifts, self.spacing * np.sqrt(dist2)
+        return padded, moved, slots, shifts, self.spacing * np.sqrt(dist2), max(1, _SWEEP_BLOCK // span)
 
-    def _lag_gaps(self, vals):
-        """Per 1-d lag l = k + 1, a bound gaps[k] >= |v[i+l] - v[i]| for every i.
+    def _cell_pairs(self, alpha):
+        """The 1-d cell pairs I <= J with a lag past the first block, per alpha.
 
-        The nodes fall into at most _TAIL_CELLS cells of b consecutive nodes
-        (the last may hold fewer, which gives the extrema of padding it with
-        v[-1]).  A pair l nodes apart lies in cells l//b or l//b + 1 apart,
-        and its |dv| is at most the larger gap between the two cells, max of
-        one minus min of the other.  C[c] is the largest such gap over the
-        cell pairs c apart, and gaps[k] = max(C[l//b], C[l//b + 1]).
-        Rounding is monotone, so each gap as computed is at least every |dv|
-        the sweep computes at that lag.  quotient_max takes the smaller of
-        it and the slope bound at each lag.
+        Cell I holds nodes I*b .. I*b + b - 1 (b = _CELL), the last one padded
+        with the lattice's NaN.  Returns (I, J, longest, d_short, d_long,
+        powers): per pair, its longest open lag (past the first block, at
+        most N - 1), the least d^alpha from its shortest open lag on, d^alpha
+        at its longest; and powers[c, b - 1 + l], d^alpha at lag c*b + l (inf
+        outside 1..N-1), a strided view of a padded copy of the powers.
         """
         def build():
-            N = self.resolution
-            b = -(-N // _TAIL_CELLS)
-            starts = np.arange(0, N, b)
-            n = len(starts)
-            # table[I, I + c] for c = 0..n is a diagonal read; columns >= n hold -inf
-            table = np.full((n, 2 * n), -np.inf)
-            diagonals = as_strided(table, shape=(n, n + 1),
-                                   strides=(table.strides[0] + table.strides[1], table.strides[1]))
-            return starts, np.arange(1, N) // b, table, diagonals
+            N, b, dpow = self.resolution, _CELL, self.cached(("dpow", alpha), lambda: self._lags()[4] ** alpha)
+            I, J = np.triu_indices(-(-N // b))
+            shortest = np.maximum((J - I - 1) * b + 1, self._lags()[5] + 1)
+            longest = np.minimum(J * b + b, N) - 1 - I * b
+            keep = shortest <= longest
+            floor = np.minimum.accumulate(dpow[::-1])[::-1]  # d^alpha at a lag or any longer one
+            ext = np.concatenate([np.full(b, np.inf), dpow, np.full(-N % b, np.inf)])
+            powers = as_strided(ext, shape=(len(ext) // b, 2 * b - 1), strides=(b * ext.itemsize, ext.itemsize),
+                                writeable=False)
+            shortest, longest = shortest[keep], longest[keep]
+            return I[keep], J[keep], longest.astype(float), floor[shortest - 1], dpow[longest - 1], powers
 
-        starts, lag_cells, table, diagonals = self.cached("lag_cells", build)
+        return self.cached(("cell_pairs", alpha), build)
+
+    def _cell_bounds(self, vals, alpha, m1):
+        """Per cell pair of _cell_pairs, a bound on its quotients past the
+        first block (see the module docstring), computed in place: at most
+        three arrays of one value per pair are alive at once."""
+        I, J, longest, d_short, d_long, _ = self._cell_pairs(alpha)
+        starts = np.arange(0, len(vals), _CELL)
         hi, lo = np.maximum.reduceat(vals, starts), np.minimum.reduceat(vals, starts)
-        gap = hi - lo[:, None]  # gap[I, J] = max v(J) - min v(I)
-        np.fmax(gap, gap.T, out=table[:, :len(starts)])
-        C = np.fmax.reduce(diagonals, axis=0)  # C[n] = -inf: no cells lie n apart
-        return np.fmax(C[:-1], C[1:])[lag_cells]
+        gap, other = hi[J], hi[I]
+        gap -= lo[I]
+        other -= lo[J]
+        np.fmax(gap, other, out=gap)
+        gap /= d_short  # the range bound
+        np.multiply(longest, m1 * _SLOPE_MARGIN, out=other)
+        other /= d_long  # the slope bound
+        return np.minimum(gap, other, out=gap)
+
+    def _sweep_cells(self, vals, padded, alpha, m1, best, buf):
+        """The 1-d maximum from best on, over the cell pairs whose bound beats
+        best: dense b x b tiles of quotients, highest bound first, in rounds
+        of 8 tiles growing x4 to what buf holds; a tile whose bound is <= best drops."""
+        I, J, *_, powers = self._cell_pairs(alpha)
+        b, s = _CELL, powers.itemsize
+        cells = padded[:len(powers) * b].reshape(-1, b)
+        bound = self._cell_bounds(vals, alpha, m1)
+        live = np.flatnonzero(bound > best)
+        live = live[np.argsort(-bound[live], kind="stable")]
+        flat, n = buf.reshape(-1), 8
+        while len(live):
+            tiles, live = live[:n], live[n:]
+            q = flat[:len(tiles) * b * b].reshape(-1, b, b)
+            np.subtract(cells[J[tiles], None, :], cells[I[tiles], :, None], out=q)
+            np.abs(q, out=q)
+            # d[t, a, e]: d^alpha from node a of cell I to node e of cell J
+            band = powers[J[tiles] - I[tiles]]
+            d = as_strided(band[:, b - 1:], shape=q.shape, strides=(band.strides[0], -s, s), writeable=False)
+            best = float(np.fmax.reduce(np.divide(q, d, out=q), axis=None, initial=best))
+            live = live[bound[live] > best]
+            n = min(4 * n, len(flat) // (b * b))
+        return best
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing field sweeps to inf
     def quotient_max(self, vals, alpha):
@@ -415,54 +444,43 @@ class Grid:
         (max v - min v) / d^alpha <= best.
 
         A 1-d sweep that goes past its first block seeds best with the
-        quotients of every pair through argmax v and through argmin v, then
-        bounds every lag at once:
-        bound = min(lag * m1 * (1 + 1e-12), _lag_gaps(vals)) / d^alpha, with
-        m1 = max |v[k+1] - v[k]|.  It resumes at the first lag whose bound
-        beats best, and from there on stops once the largest bound at or
-        past the current lag is <= best, in place of the extrema stop; it is
-        never looser.  The bounds hold for the values as computed and the
-        seed is a pair quotient computed as the sweep computes it, so the
-        result is bit-identical to the sweep over every offset (see the
-        module docstring).
+        quotients of every pair through argmax v and argmin v, then sweeps
+        the pairs of 24-node cells whose bound beats best (_cell_bounds, with
+        m1 = max |v[k+1] - v[k]|) as dense tiles (_sweep_cells), each quotient
+        |dv| first, then one division by its lag's d^alpha, so the result is
+        bit-identical to the sweep over every offset (see the module docstring).
 
         A 1-d block's shifts are consecutive, so its rows are a slice of
         moved, and their differences go into one (step, N) buffer cached on
-        the grid: no block allocates.  A fresh block (256 KiB at N = 3201)
-        lies above malloc's mmap threshold, so each one would be mapped,
-        faulted in and unmapped again.  Both ways into the buffer give the
-        same bits: np.subtract straight from the strided rows takes one
-        pass, but once three rows fit numpy's ufunc buffer (np.getbufsize(),
-        8192 elements, so N <= 2730; read once per sweep) numpy first copies
-        them through it, and a plain copy, then the subtraction in place, is
-        cheaper there (about 0.7 against 0.8-1.1 ns per element; above, 0.66
-        against 0.5; numpy 2.4).  2-d blocks keep the fancy index
-        moved[shifts[block]]: their shifts are not consecutive, and a
-        per-shift loop into a buffer gave the same bits but took 967 us
-        against 350 us per sweep at N = 25 and 2593 us against 1131 us at
-        N = 33; it wins only at a size no scenario runs (88.9 ms against
-        100.9 ms at N = 97).
+        the grid, which later holds each round of tiles: no block allocates.
+        A fresh block (256 KiB at N = 3201) lies above malloc's mmap
+        threshold, so each one would be mapped, faulted in and unmapped
+        again.  Both ways into the buffer give the same bits: np.subtract
+        straight from the strided rows takes one pass, but once three rows
+        fit numpy's ufunc buffer (np.getbufsize(), 8192 elements, so
+        N <= 2730; read once per sweep) numpy first copies them through it,
+        and a plain copy, then the subtraction in place, is cheaper there
+        (about 0.7 against 0.8-1.1 ns per element; above, 0.66 against 0.5;
+        numpy 2.4).  2-d blocks keep the fancy index moved[shifts[block]]:
+        their shifts are not consecutive, and a per-shift loop into a buffer
+        gave the same bits but took 967 us against 350 us per sweep at
+        N = 25 and 2593 us against 1131 us at N = 33; it wins only at a size
+        no scenario runs (88.9 ms against 100.9 ms at N = 97).
         """
-        padded, moved, slots, shifts, dist = self._lags()
+        padded, moved, slots, shifts, dist, step = self._lags()
         dpow = self.cached(("dpow", alpha), lambda: dist**alpha)
         osc = float(np.max(vals) - np.min(vals))
         padded[slots] = vals
         base = moved[0]
-        step = max(1, _SWEEP_BLOCK // (padded.size - len(moved) + 1))  # slots one view spans
         if self.dim == 1:
             buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape)))
             straight = 3 * len(base) > np.getbufsize()
-        best, k, bound = 0.0, 0, None
-        while k < len(shifts) and (osc / dpow[k] if bound is None else bound[k]) > best:
-            if k == step and self.dim == 1 and bound is None:
-                # past the first block: seed, bound every lag, resume at the
-                # first lag the bound leaves open and stop on its suffix maximum
+        best, k = 0.0, 0
+        while k < len(shifts) and osc / dpow[k] > best:
+            if k == step and self.dim == 1:
+                # past the first block: seed, then sweep the cell pairs the bounds leave open
                 best = max(best, _extrema_seed(vals, dpow, slots))
-                bound = np.minimum(shifts * (m1 * _SLOPE_MARGIN), self._lag_gaps(vals)) / dpow
-                live = bound[k:] > best
-                k += int(np.argmax(live)) if live.any() else len(live)
-                np.maximum.accumulate(bound[::-1], out=bound[::-1])
-                continue
+                return self._sweep_cells(vals, padded, alpha, m1, best, buf)
             block = slice(k, k + step)
             if self.dim == 2:
                 diff = moved[shifts[block]]
@@ -507,9 +525,11 @@ def _extrema_seed(vals, dpow, nodes):
 
 
 def radial_bump(grid, radius, power):
-    """Compactly supported profile (1 - r^2/radius^2)_+^power at the nodes."""
+    """Compactly supported profile (1 - r^2/radius^2)_+^power at the nodes, 1 at r = 0."""
     r2 = (grid.coords**2).sum(axis=1)
-    return np.clip(1.0 - r2 / radius**2, 0.0, None) ** power
+    with np.errstate(divide="ignore", over="ignore"):  # radius**2 may underflow: r2 / 0 = inf clips to 0
+        ratio = np.divide(r2, radius**2, out=np.zeros_like(r2), where=r2 > 0.0)
+    return np.clip(1.0 - ratio, 0.0, None) ** power
 
 
 def make_grid(dim, resolution):

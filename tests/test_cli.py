@@ -245,6 +245,22 @@ def test_overflow_is_a_recorded_outcome_not_an_error(tmp_path, capsys, command, 
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_underflowing_bump_radius_runs_to_its_criteria(tmp_path, capsys):
+    # bump_radius 5e-324 passes validation and its square underflows to 0:
+    # the bump read NaN at the centre, numpy warned from grid.py, and the run
+    # failed on "a-priori bound violated: |v|=nan > bound nan".  Now its
+    # one-node bump runs to the criteria, and the 17-node torus misses only
+    # the residual tolerance
+    cfg = _cfg(tmp_path, "name: x\ncommand: solve-local\nchart: torus\nresolution: 17\nbump_radius: 5.0e-324\n")
+    out = str(tmp_path / "out")
+    assert main(["solve-local", "--config", cfg, "--out", out, "--quiet"]) == 1
+    summary = _summary(out)
+    assert "failure" not in summary
+    assert [c["criterion"] for c in summary["criteria"] if not c["pass"]] == ["isometry-residual"]
+    assert capsys.readouterr().err == ""
+
+
 def test_yaml_syntax_error_exits_2_without_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = _cfg(tmp_path, "name: x\ncommand: solve-local\nresolution: [oops\n")

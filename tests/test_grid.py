@@ -12,8 +12,10 @@ from test_operator_tables import _triplets
 
 from isoperturb import grid as grid_module
 from isoperturb.grid import (
+    _CELL,
+    _SLOPE_MARGIN,
     _SWEEP_BLOCK,
-    _TAIL_CELLS,
+    _extrema_seed,
     SOLVER_WIDTHS,
     ScalarField,
     VecField,
@@ -713,26 +715,30 @@ def test_seminorm_slope_skip_keeps_a_near_tie(N, alpha):
     assert g.quotient_max(vals, alpha) == q
 
 
-_MARGIN_LAG = 65
-_MARGIN_M1 = 1.0 + 2.0**-47  # 65 * m1 lies halfway between two floats and rounds down, to even
+_MARGIN_LAG = 2 * _CELL - 1  # 47, the longest lag of two adjacent cells
+# 47 * m1 is at least 64, where floats lie 2**-46 apart, and lies halfway
+# between two of them; it rounds down, to even
+_MARGIN_M1 = 191642537334915 * 2.0**-47
 
 
 def _rounded_steps_field(N):
     """A 1-d field whose maximum the slope bound misses without its margin.
 
-    Its steepest run climbs from -X to Y in L = 65 steps that all compute to
-    m1 = 1 + 2**-47: the step across zero and the next one are m1 + 2**-53,
-    ties that round down to m1.  So the computed |Y - (-X)| is one ulp above
-    fl(L * m1), while the margin-free bound at lag L rounds L * m1 itself.
-    argmin v starts an arm of L exact m1 steps, whose lag-L pair computes to
-    fl(L * m1): the seed reaches the margin-free bound, and only the run
-    beats it.  argmax v tops a low hill; gentle ramps (steps < 0.5) join the
-    pieces, far enough apart that no other pair's quotient comes close.
+    Its steepest run climbs from -X to Y in L = 47 steps that all compute to
+    m1 = 1.3617...: the step across zero is m1 + 2**-53, a tie that rounds
+    down to m1.  So the computed |Y - (-X)| is one ulp above fl(L * m1),
+    while the margin-free bound at lag L rounds L * m1 itself.  The run
+    starts at the first node of a cell and ends at the last node of the
+    next, so L is the longest lag of its cell pair and the slope bound is
+    taken at L.  argmin v starts an arm of L exact m1 steps, whose lag-L
+    pair computes to fl(L * m1): the seed reaches the margin-free bound, and
+    only the run beats it.  argmax v tops a low hill; gentle ramps (steps
+    < 0.5) join the pieces, far enough apart that no other pair's quotient
+    comes close.
     """
     L, m1 = _MARGIN_LAG, Fraction(_MARGIN_M1)
-    top = Fraction(round(Fraction(-0.3) * 2**47), 2**47)  # run[63]: last below zero
-    run = [top - (63 - j) * m1 for j in range(64)]
-    run += [run[-1] + m1 + Fraction(1, 2**53), run[-1] + 2 * m1 + Fraction(1, 2**52)]
+    top = Fraction(round(Fraction(-0.8) * 2**47), 2**47)  # run[46]: last below zero
+    run = [top - (46 - j) * m1 for j in range(47)] + [top + m1 + Fraction(1, 2**53)]
     low = run[0] - Fraction(1, 16)
     arm = [low + j * m1 for j in range(L + 1)]
     assert all(Fraction(float(x)) == x for x in run + arm)  # every value is a float
@@ -742,10 +748,11 @@ def _rounded_steps_field(N):
         return np.linspace(a, b, n + 1)[1:]
 
     vals = np.concatenate([
-        np.zeros(20), ramp(0.0, arm[0], 130), arm[1:], ramp(arm[-1], 0.0, 10), np.zeros(100),
+        np.zeros(20), ramp(0.0, arm[0], 130), arm[1:], ramp(arm[-1], 0.0, 10), np.zeros(96),
         ramp(0.0, run[0], 130), run[1:], ramp(run[-1], 0.0, 10), np.zeros(100),
         ramp(0.0, run[-1] + 0.25, 20), ramp(run[-1] + 0.25, 0.0, 20),
     ])
+    assert vals[18 * _CELL] == run[0] and vals[20 * _CELL - 1] == run[-1]
     return np.concatenate([vals, np.zeros(N - len(vals))])
 
 
@@ -817,49 +824,134 @@ def test_seminorm_block_buffer_carries_nothing_between_sweeps(N):
             assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
 
 
-@pytest.mark.parametrize("N", [17, 18, 31, 32, 33, 47, 48, 49, 63, 64, 65, 201, 801, 3201])
-def test_lag_gaps_bound_every_lag(N):
-    # on both sides of each step of the cell size b = ceil(N / 16) (N = 32 | 33,
-    # 48 | 49, 64 | 65), with full, short and one-node last cells
-    g = make_grid(1, N)
+def _quotients_past(g, vals, alpha, first):
+    """Max quotient per cell pair of g._cell_pairs over its pairs at lags
+    past `first`, by the sweep's formulas, and how many pairs it covers."""
+    N, b = g.num_nodes, _CELL
+    I, J = g._cell_pairs(alpha)[:2]
+    dpow = _lag_dpow(g, alpha)
+    a = np.arange(b)
+    out, covered = np.empty(len(I)), 0
+    for k in range(0, len(I), 256):
+        i = I[k:k + 256, None, None] * b + a[:, None]
+        j = J[k:k + 256, None, None] * b + a
+        lag = j - i
+        open_ = (lag > first) & (j < N)
+        q = np.abs(vals[np.minimum(j, N - 1)] - vals[np.minimum(i, N - 1)]) / dpow[np.clip(lag, 1, N - 1) - 1]
+        out[k:k + 256] = np.where(open_, q, 0.0).max(axis=(1, 2))
+        covered += int(open_.sum())
+    return out, covered
+
+
+@pytest.mark.parametrize("N", [17, 18, 31, 32, 33, 47, 48, 49, 63, 64, 65, 191, 192, 193, 201, 801, 3201])
+def test_lag_gaps_bound_every_lag(monkeypatch, N):
+    # the cell-pair bound: the cell pairs cover every node pair at every lag
+    # past the first block once, and each pair's bound is at least each of
+    # their quotients.  N on both sides of 48 and 192, with full, short and
+    # one-node last cells; each grid with its own first block and, below
+    # N = 3201, with a first block of one lag, so every longer lag is open
     fields = [_slope_field(kind, N) for kind in _SLOPE_KINDS]
-    fields += [_ripple(g), np.random.default_rng(N).standard_normal(N)]
-    for vals in fields:
-        gaps = g._lag_gaps(vals)
-        for lag in range(1, N):
-            assert gaps[lag - 1] >= np.max(np.abs(vals[lag:] - vals[:-lag]))
+    fields += [_ripple(make_grid(1, N)), np.random.default_rng(N).standard_normal(N)]
+    for block in (_SWEEP_BLOCK, N)[:1 if N == 3201 else 2]:
+        monkeypatch.setattr(grid_module, "_SWEEP_BLOCK", block)
+        g = make_grid(1, N)
+        first = g._lags()[5]
+        for alpha in (0.05, 0.95):
+            for vals in fields:
+                m1 = np.max(np.abs(np.diff(vals)))
+                q, covered = _quotients_past(g, vals, alpha, first)
+                assert covered == sum(N - lag for lag in range(first + 1, N))
+                assert np.all(g._cell_bounds(vals, alpha, m1) >= q)
 
 
-def _ramp_step(N, lag, cell):
-    """0, then a ramp of `lag` nodes up to 1 at the first node of cell
-    `cell`, then a slow rise to 1 + 1e-3 at the last node.  The steepest
-    pair is the ramp's own ends, `lag` nodes apart; with lag not a multiple
-    of the cell size b they lie lag//b + 1 cells apart.  argmax v is the
-    last node and argmin v the first, so the seed misses that pair."""
-    b = -(-N // _TAIL_CELLS)
-    top = cell * b
+def _ramp_step(N, lo, hi):
+    """0, then a ramp from node lo up to 1 at node hi, then a slow rise to
+    1 + 1e-3 at the last node.  The steepest pair is the ramp's own ends;
+    argmax v is the last node and argmin v the first, so the seed misses
+    that pair."""
     n = np.arange(N, dtype=float)
-    vals = np.clip((n - (top - lag)) / lag, 0.0, 1.0)
-    vals[top:] += 1e-3 * (n[top:] - top) / (N - 1 - top)
-    return vals, top - lag, top
+    vals = np.clip((n - lo) / (hi - lo), 0.0, 1.0)
+    vals[hi:] += 1e-3 * (n[hi:] - hi) / (N - 1 - hi)
+    return vals
+
+
+def _before_the_cells(g, vals, alpha):
+    """best when the 1-d sweep reaches the cell pairs: the first block's
+    maximum and the extrema seed."""
+    dpow, first = _lag_dpow(g, alpha), g._lags()[5]
+    block = max(np.max(np.abs(vals[lag:] - vals[:-lag])) / dpow[lag - 1] for lag in range(1, first + 1))
+    return max(block, _extrema_seed(vals, dpow, np.arange(g.num_nodes)))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-def test_tail_bound_reads_the_next_cell_offset(monkeypatch, alpha):
-    # fails if the tail bound leaves out the pairs lag//b + 1 cells apart
-    N, lag = 3201, 104
+def test_tail_bound_reads_the_next_cell_offset(alpha):
+    # the steepest pair straddles two cell boundaries, from the first node
+    # of cell 1 to the last node of cell 3: lag 71, the longest lag of cell
+    # offset 2.  A slope bound taken at the offset's shortest lag (25) rules
+    # that cell pair out, so the sweep finds the pair only if it takes the
+    # slope bound at the longest
+    N, b = 3201, _CELL
     g = make_grid(1, N)
-    b = -(-N // _TAIL_CELLS)
-    vals, lo, hi = _ramp_step(N, lag, 4)
-    assert lag % b and hi // b - lo // b == lag // b + 1
+    lo, hi = b, 4 * b - 1
+    vals = _ramp_step(N, lo, hi)
     dpow = _lag_dpow(g, alpha)
     q = exhaustive_lag_sweep(g, vals, alpha)
-    assert q == (vals[hi] - vals[lo]) / dpow[lag - 1]
-    built = []
-    lag_gaps = g._lag_gaps
-    monkeypatch.setattr(g, "_lag_gaps", lambda v: built.append(1) or lag_gaps(v))
+    assert q == (vals[hi] - vals[lo]) / dpow[hi - lo - 1]
+    shortest, m1 = b + 1, np.max(np.abs(np.diff(vals)))
+    assert shortest > g._lags()[5]  # past the first block
+    best = _before_the_cells(g, vals, alpha)
+    assert shortest * (m1 * _SLOPE_MARGIN) / dpow[shortest - 1] <= best < q
     assert g.quotient_max(vals, alpha) == q
-    assert built == [1]  # the sweep built the tail bound and stopped on it
+
+
+@pytest.mark.parametrize("N", [681, 801, 3201])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_seminorm_finds_a_maximum_at_the_first_open_lag(N, alpha):
+    # a ramp one lag longer than the first block; at N = 681 (48-lag blocks)
+    # it runs from the last node of cell 3 to the first node of cell 6, the
+    # shortest lag of its cell pair
+    g = make_grid(1, N)
+    lag = g._lags()[5] + 1
+    lo = 4 * _CELL - 1
+    vals = _ramp_step(N, lo, lo + lag)
+    q = exhaustive_lag_sweep(g, vals, alpha)
+    assert q == (vals[lo + lag] - vals[lo]) / _lag_dpow(g, alpha)[lag - 1]
+    assert _before_the_cells(g, vals, alpha) < q
+    assert g.quotient_max(vals, alpha) == q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    N=st.integers(182, 1200),
+    alpha=st.floats(0.05, 0.95),
+    kind=st.sampled_from(["smooth", "bump", "bump-pair", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seminorm_past_the_first_block_is_bitwise_the_exhaustive_lag_sweep(N, alpha, kind, seed):
+    # the sizes whose sweeps can outlast the first block (N - 1 > 32768 // N)
+    g = make_grid(1, N)
+    rng = np.random.default_rng(seed)
+    if kind == "bump-pair":
+        vals = _field(g, "bump", rng) - _field(g, "bump", rng)
+    else:
+        vals = _field(g, kind, rng)
+    assert g.quotient_max(vals, alpha) == exhaustive_lag_sweep(g, vals, alpha)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [5e-324, 1e-160, 0.3, 0.5, 0.9])
+def test_radial_bump_reads_one_at_the_centre(radius):
+    # at 5e-324 radius**2 underflows to 0 and the centre read 0/0 = NaN; at
+    # 1e-160 r2 / radius**2 overflows; both warned.  Where radius**2 > 0 the
+    # profile keeps every bit of (1 - r2 / radius**2)_+^power
+    for dim in (1, 2):
+        g = make_grid(dim, 17)
+        bump = radial_bump(g, radius, 4)
+        assert bump[np.argmin(g.radius())] == 1.0
+        if radius < 1e-100:
+            assert np.count_nonzero(bump) == 1
+        else:
+            assert np.array_equal(bump, np.clip(1.0 - (g.coords**2).sum(axis=1) / radius**2, 0.0, None) ** 4)
 
 
 @settings(max_examples=20, deadline=None)
