@@ -110,7 +110,8 @@ def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
             pts = _ch.to_manifold(X)
             psi = atlas.partition(pts)[_k]
             delta = family.evaluator(pts, t) - family.evaluator(pts, 0.0)
-            return (_ch.halfwidth**2) * psi[:, None] * delta
+            with np.errstate(invalid="ignore"):  # 0 * inf off the chart: the solve refuses the NaN
+                return (_ch.halfwidth**2) * psi[:, None] * delta
 
         evaluators.append(evaluator)
     return evaluators
@@ -156,28 +157,57 @@ def write_embedding_csv(path, coords, stages, t_values, coord_names):
     coords is (npts, d); stages[s][k] is the (npts, q) embedding of stage s
     at time t_values[k].  Every float is written as its repr (the shortest
     string that round-trips).  A stage leaves most rows of the one before
-    it untouched, so each point's coordinate text and each distinct F row's
-    text are formatted once per call and reused.  F rows are told apart by
-    their bits, not by float equality: 0.0 == -0.0, but their reprs differ.
+    it untouched, so each block of rows is compared bit for bit with its
+    reference block: stage s - 1 at the same t for s >= 1, and stage 0 at
+    the first t for the other stage-0 blocks.  A row whose bits equal its
+    reference's reuses that line's text; the floats of the other rows are
+    formatted once per distinct bit pattern in the block.  Bits, not float
+    equality, tell rows and values apart: 0.0 == -0.0, but their reprs
+    differ.  Line texts are held only while a later block reads them.
     """
     q = np.shape(stages[0][0])[1]
     header = ["stage", "t", *coord_names] + [f"F{j + 1}" for j in range(q)]
     point_fmt = ",".join(["%r"] * len(coord_names)) + ","
     points = [point_fmt % tuple(p) for p in np.asarray(coords, dtype=float).tolist()]
-    row_fmt = ",".join(["%r"] * q) + "\n"
-    row_text = {}  # raw bits of an F row -> its formatted text
+    first = None  # stage 0 at the first t: (bits, lines)
+    previous = []  # the previous stage's (bits, lines) per t, each dropped once read
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for stage, per_t in enumerate(stages):
-            for t, vals in zip(t_values, per_t):
-                vals = np.ascontiguousarray(vals, dtype=float)
-                keys = vals.view(f"V{8 * q}").ravel().tolist()
-                new = [p for p, key in enumerate(keys) if key not in row_text]
-                for p, row in zip(new, vals[new].tolist()):
-                    row_text[keys[p]] = row_fmt % tuple(row)
+            held = stage + 1 < len(stages)
+            current = []
+            for k, (t, vals) in enumerate(zip(t_values, per_t)):
+                bits = np.ascontiguousarray(vals, dtype=float).view(np.uint64)
+                if stage:
+                    ref, previous[k] = previous[k], None
+                else:
+                    ref = first
+                lines = _block_lines(points, bits, ref)
                 prefix = f"{stage},{float(t)!r},"
-                fh.writelines([prefix + point + row_text[key]
-                               for point, key in zip(points, keys)])
+                fh.write(prefix + ("\n" + prefix).join(lines) + "\n")
+                if stage == 0 and k == 0:
+                    first = (bits, lines)
+                if held:
+                    current.append((bits, lines))
+            previous = current
+
+
+def _block_lines(points, bits, ref):
+    """Line texts (coordinates and F values, no stage or t) of one block of
+    (npts, q) float bits, reusing the lines of ref = (bits, lines) where a
+    row's bits are unchanged."""
+    if ref is None:
+        rows, lines = np.arange(bits.shape[0]), [None] * bits.shape[0]
+    else:
+        rows = np.flatnonzero((bits != ref[0]).any(axis=1))
+        if rows.size == 0:
+            return ref[1]
+        lines = list(ref[1])
+    values, inverse = np.unique(bits[rows], return_inverse=True)
+    texts = np.array(list(map(repr, values.view(float).tolist())), dtype=object)
+    for p, row in zip(rows.tolist(), texts[inverse.reshape(rows.size, -1)].tolist()):
+        lines[p] = points[p] + ",".join(row)
+    return lines
 
 
 def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,

@@ -125,7 +125,10 @@ class MetricFamily:
 
     @property
     def t_grid(self):
-        return np.linspace(0.0, self.horizon, self.samples + 1)
+        # linspace overflows a step product near the float range on its way
+        # to finite samples
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, self.horizon, self.samples + 1)
 
     def sample(self, t):
         """g(., t) on the grid of a chart family, (nodes, n(n+1)/2)."""
@@ -143,7 +146,9 @@ class FamilySolution:
 
 
 # s(theta1, t) of the families that charts and manifolds share: g(t) is s
-# times the base metric, with theta1 the first angle of the points
+# times the base metric, with theta1 the first angle of the points; a
+# beta * t past the float range reads inf, and the run refuses that metric
+# (positivity_margin, or the solve's horizon halving)
 SCALES = {
     "constant": lambda beta, th, t: np.ones_like(th),
     "uniform-scale": lambda beta, th, t: np.full_like(th, 1.0 + beta * t),
@@ -169,6 +174,7 @@ def positivity_margin(family: MetricFamily, points) -> float:
     return margin
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads -inf or NaN: not > 0
 def _eig_min(vals):
     if vals.shape[1] == 1:
         return float(np.min(vals[:, 0]))
@@ -198,6 +204,7 @@ def build_family(name, grid: Grid, base, horizon=1.0, samples=8, beta=0.05,
         th = base.angles(grid)[:, 0]
         scale = SCALES[name]
 
+        @np.errstate(over="ignore", invalid="ignore")  # see SCALES
         def evaluator(points, t):
             return scale(beta, th, t)[:, None] * base_vals
     else:
@@ -219,6 +226,7 @@ def build_manifold_family(name, manifold, beta=0.05, horizon=1.0, samples=8) -> 
                          f"expected one of {list(SCALES)}")
     scale, base = SCALES[name], BASE_METRICS[manifold]
 
+    @np.errstate(over="ignore", invalid="ignore")  # see SCALES
     def evaluator(points, t):
         return scale(beta, np.atleast_2d(points)[:, 0], t)[:, None] * base
 
@@ -268,7 +276,8 @@ def _window_field(window, grid):
 def windowed_increment(window, family: MetricFamily, t):
     """ghat(.,t) = window * (g(.,t) - g(.,0)) on the family's grid; exactly zero at t = 0."""
     w = _window_field(window, family.grid)
-    return w[:, None] * (family.sample(t) - family.sample(0.0))
+    with np.errstate(invalid="ignore"):  # 0 * inf outside the window: the solve refuses the NaN
+        return w[:, None] * (family.sample(t) - family.sample(0.0))
 
 
 def solve_family(frame: ImmersionFrame, family: MetricFamily, window, cutoff=None,
@@ -354,7 +363,9 @@ def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict
         stacks.append(np.stack([m @ u for u in solution.us], axis=0))
     report = {"orders": {}}
     for r in range(1, r_max + 1):
-        with np.errstate(over="ignore"):  # dt**r may overflow to inf: the divided differences then read 0
+        # dt**r may overflow to inf or underflow to 0: the divided differences
+        # then read 0 or NaN, and a NaN coarse value takes the ratio's guard
+        with np.errstate(over="ignore", invalid="ignore"):
             native = max(float(np.max(np.abs(np.diff(st, r, axis=0) / dt**r))) for st in stacks)
             coarse = max(
                 float(np.max(np.abs(np.diff(st[::2], r, axis=0) / (2.0 * dt) ** r)))

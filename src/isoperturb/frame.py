@@ -123,7 +123,8 @@ def build_frame(source, grid: Grid) -> ImmersionFrame:
     svals = np.linalg.svd(a, compute_uv=False)
     node = int(np.argmin(svals[:, -1]))
     margin = float(svals[node, -1])
-    row_norms = np.linalg.norm(a, axis=2)
+    with np.errstate(over="ignore"):  # rows past 1e154 read inf: eps_free inf, not free
+        row_norms = np.linalg.norm(a, axis=2)
     eps_free = _FREE_EPS_REL * float(_median(row_norms))
     if margin <= eps_free:
         raise NotFreeError(
@@ -132,22 +133,25 @@ def build_frame(source, grid: Grid) -> ImmersionFrame:
             margin=margin,
             node=node,
         )
-    aat = a @ np.transpose(a, (0, 2, 1))
-    # A A^T has the squared singular values of A: its 2-norm condition
-    # number is (s_max / s_min)^2, so the one SVD above serves both checks
-    cond = float(np.max((svals[:, 0] / svals[:, -1]) ** 2))
-    if cond > _COND_WARN:
-        warnings.warn(
-            f"frame normal matrix condition {cond:.2e} exceeds {_COND_WARN:.0e}; "
-            "results may lose digits",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    theta = np.transpose(np.linalg.solve(aat, a), (0, 2, 1))
-    ident = a @ theta
+    # rows near the float range overflow A A^T and the condition number:
+    # the warning then reads inf, and the identity check refuses a NaN inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        aat = a @ np.transpose(a, (0, 2, 1))
+        # A A^T has the squared singular values of A: its 2-norm condition
+        # number is (s_max / s_min)^2, so the one SVD above serves both checks
+        cond = float(np.max((svals[:, 0] / svals[:, -1]) ** 2))
+        if cond > _COND_WARN:
+            warnings.warn(
+                f"frame normal matrix condition {cond:.2e} exceeds {_COND_WARN:.0e}; "
+                "results may lose digits",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        theta = np.transpose(np.linalg.solve(aat, a), (0, 2, 1))
+        ident = a @ theta
     eye = np.eye(a.shape[1])[None, :, :]
     defect = float(np.max(np.abs(ident - eye)))
-    if defect > _IDENTITY_TOL:
+    if not defect <= _IDENTITY_TOL:  # a NaN defect fails too
         raise NotFreeError(
             f"frame inverse verification failed: max |A.Theta - I| = {defect:.3e}",
             margin=margin,

@@ -38,6 +38,10 @@ import numpy as np
 _ROW_SWEEP_COLUMNS = 20
 
 
+# knots a subnormal apart, values near the float range or a t far past the
+# knots overflow the spline to inf or NaN; its callers refuse a non-finite
+# metric (family.positivity_margin, the solve's horizon halving)
+@np.errstate(over="ignore", invalid="ignore")
 def cubic_spline(x, y, bc_type="not-a-knot", axis=0):
     """The cubic spline through the knots x (strictly increasing, finite) and
     the finite values y, whose axis `axis` runs along x.
@@ -68,6 +72,7 @@ def cubic_spline(x, y, bc_type="not-a-knot", axis=0):
     c = np.stack((h / dxr, (slope - s[:-1]) / dxr - h, s[:-1], y[:-1]))
     x0, period = x[0], x[-1] - x[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(t):
         t = np.asarray(t)
         shape = t.shape

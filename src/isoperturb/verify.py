@@ -46,9 +46,10 @@ def isometry_residual(F: VecField, F0: VecField, f):
     dF = oracle_gradients(g, F.values)
     dF0 = oracle_gradients(g, F0.values)
     cols = []
-    for k, (i, j) in enumerate(sym_indices(g.dim)):
-        got = np.sum(dF[i] * dF[j], axis=1) - np.sum(dF0[i] * dF0[j], axis=1)
-        cols.append(got - f[:, k])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN: not <= tol
+        for k, (i, j) in enumerate(sym_indices(g.dim)):
+            got = np.sum(dF[i] * dF[j], axis=1) - np.sum(dF0[i] * dF0[j], axis=1)
+            cols.append(got - f[:, k])
     res = np.column_stack(cols)
     return float(np.max(np.abs(res))), res
 

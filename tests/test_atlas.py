@@ -11,6 +11,8 @@ and a deliberately mis-scaled one with a closed-form residual.
 """
 
 import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +564,103 @@ def test_embedding_csv_reuses_no_text_across_distinct_bits(tmp_path, d, q):
     text = got.decode()
     assert f",{zeros}\n" in text and ",-0.0," + ",".join(["-0.0"] * (q - 1)) in text
     assert "," + ",".join(["nan"] * q) + "\n" in text
+
+
+def _returning_row(rng):
+    # stage 1 moves row 2, stage 2 puts back its stage-0 bits
+    base = np.stack([rng.uniform(-2.0, 2.0, (5, 2))] * 3)
+    moved = base.copy()
+    moved[1:, 2] += 1e-3
+    back = moved.copy()
+    back[:, 2] = base[:, 2]
+    return [base, moved, back]
+
+
+def _signed_zero_flips(rng):
+    # float-equal rows whose bits differ from their reference's
+    base = np.zeros((3, 4, 2))
+    base[:, 3] = rng.uniform(-2.0, 2.0, 2)
+    base[1:, 0, 1] = -0.0  # stage 0 at t > t0 against stage 0 at t0
+    flipped = base.copy()
+    flipped[:, 1] = -0.0  # stage 1 against stage 0
+    flipped[:, 0, 1] = 0.0
+    return [base, flipped]
+
+
+def _nan_payloads(rng):
+    quiet, payload, negative = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64
+    ).view(float)
+    base = np.stack([rng.uniform(-2.0, 2.0, (4, 2))] * 2)
+    base[:, 0] = quiet
+    second = base.copy()
+    second[:, 0, 0] = payload
+    second[1, 1] = [negative, payload]
+    return [base, second]
+
+
+def _stage0_varies_over_t(rng):
+    base = rng.uniform(-2.0, 2.0, (4, 5, 2))
+    base[:, 0] = base[0, 0]  # one row that stays put
+    return [base, base + 1e-3]
+
+
+def _q1(rng):
+    base = np.stack([rng.uniform(-2.0, 2.0, (6, 1))] * 3)
+    moved = base.copy()
+    moved[1:, :3] -= 0.5
+    moved[2, 4] = -0.0
+    return [base, moved]
+
+
+def _q6(rng):
+    base = np.stack([rng.uniform(-2.0, 2.0, (5, 6))] * 3)
+    moved = base.copy()
+    moved[1:, 1, 4] += 1e-3  # one component of one row
+    moved[2, 3] = moved[2, 0]  # another row's bits
+    return [base, moved, moved + 0.0]
+
+
+def _one_point(rng):
+    base = np.stack([rng.uniform(-2.0, 2.0, (1, 2))] * 3)
+    return [base, base * 1.5, base * 1.5]
+
+
+@pytest.mark.parametrize("case", [_returning_row, _signed_zero_flips, _nan_payloads,
+                                  _stage0_varies_over_t, _q1, _q6, _one_point])
+def test_embedding_csv_reference_rule_matches_per_row_repr(tmp_path, case):
+    # each block is compared with its reference block (the stage before at
+    # the same t, or stage 0 at t0): a row that changed only in its bits,
+    # or changed back, is still written as its own floats' reprs
+    rng = np.random.default_rng(7)
+    stages = case(rng)
+    npts, t_values = stages[0].shape[1], np.linspace(0.0, 1.0, stages[0].shape[0])
+    coords = rng.uniform(-np.pi, np.pi, (npts, 1))
+    write_embedding_csv(tmp_path / "shared.csv", coords, stages, t_values, ("theta",))
+    _per_row_repr_csv(tmp_path / "reference.csv", coords, stages, t_values, ("theta",))
+    got = (tmp_path / "shared.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\n") == 1 + len(stages) * len(t_values) * npts
+
+
+def test_embedding_csv_holds_little_text():
+    # breathing_chart's shape: stage 0 is one array at every t, stage 1
+    # moves three quarters of the rows at t > 0.  The writer holds line
+    # texts only until the next stage has read them (the last stage's not
+    # at all): about 1.9 MB under tracemalloc, and the bound leaves headroom
+    rng = np.random.default_rng(0)
+    x = np.linspace(-1.0, 1.0, 3201)
+    t_values = np.linspace(0.0, 0.5, 9)
+    F0 = np.column_stack([x, 0.5 * x**2])
+    moved = (np.abs(x) < 0.75)[:, None]
+    stage1 = [F0 + t * moved * rng.normal(0.0, 1e-3, F0.shape) for t in t_values]
+    tracemalloc.start()
+    try:
+        write_embedding_csv(os.devnull, x[:, None], [[F0] * 9, stage1], t_values, ("x",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 # ------------------------------------------------------------- glue: torus

@@ -208,6 +208,20 @@ def test_condition_warning_reads_the_normal_matrix(monkeypatch, chart, dim, N):
         build_frame(chart, g)
 
 
+def test_frame_refuses_a_nan_inverse():
+    # three nodes whose rows overflow A A^T get a NaN inverse, and NaN > tol
+    # is False: the identity check must still refuse the frame, silently
+    g = make_grid(1, 101)
+    x = g.coords[:, 0]
+    F0 = np.column_stack([x, 0.5 * x**2])
+    F0[50:53] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "frame normal matrix condition", RuntimeWarning)
+        with pytest.raises(NotFreeError, match="inverse verification"):
+            build_frame(F0, g)
+
+
 # ---------------------------------------------------------------------------
 # frame inverse and application
 

@@ -114,9 +114,11 @@ def _scenario(draw, path):
     return command, raw, table
 
 
-# numpy's overflow warnings, noise before a recorded outcome; the seminorm
-# (isoperturb.grid) sweeps an overflowing field without one
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "error::RuntimeWarning:isoperturb\\.grid")
+# every overflow a draw reaches is handled where it happens, under
+# np.errstate; the one RuntimeWarning a run may raise is the frame's notice
+# that its normal matrix is badly conditioned
+@pytest.mark.filterwarnings("error::RuntimeWarning",
+                            "ignore:frame normal matrix condition:RuntimeWarning")
 @pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
