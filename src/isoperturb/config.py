@@ -221,6 +221,11 @@ def parse_scenario(raw) -> Scenario:
             setattr(sc, key, read_number(key, raw[key]))
     if "family" in raw:
         sc.family = _validate_family(raw["family"], sc.command)
+    if sc.command == "solve-family":
+        # the time-regularity probe divides by dt**2; halving never takes the
+        # horizon below adaptive_horizon's floor, so the first step is the least
+        step = sc.family.horizon / sc.family.samples
+        _require(step * step > 0.0, f"the sample step {step:.3e} squares to 0", "family.horizon")
     if "cutoff" in raw and raw["cutoff"] is not None:
         sc.cutoff = _as_radii(raw["cutoff"], "cutoff")
         _require(sc.command != "solve-global" or sc.cutoff[0] >= PSI_SUPP,

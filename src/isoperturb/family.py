@@ -167,7 +167,8 @@ def positivity_margin(family: MetricFamily, points) -> float:
     The minimum is taken over the points and the family's sample times;
     raises ValueError unless it is > 0 (a NaN margin fails too).
     """
-    margin = min(_eig_min(family.evaluator(points, t)) for t in family.t_grid)
+    # np.min keeps a NaN at any t; Python's min() drops one that is not first
+    margin = float(np.min([_eig_min(family.evaluator(points, t)) for t in family.t_grid]))
     if not margin > 0.0:
         raise ValueError(f"family {family.name!r} loses positive definiteness "
                          f"(smallest eigenvalue {margin:.3e})")

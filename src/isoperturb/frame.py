@@ -137,6 +137,10 @@ def build_frame(source, grid: Grid) -> ImmersionFrame:
     # the warning then reads inf, and the identity check refuses a NaN inverse
     with np.errstate(over="ignore", invalid="ignore"):
         aat = a @ np.transpose(a, (0, 2, 1))
+        try:
+            theta = np.transpose(np.linalg.solve(aat, a), (0, 2, 1))
+        except np.linalg.LinAlgError as exc:  # A A^T singular as computed: no inverse to verify
+            raise NotFreeError(f"frame normal matrix is singular ({exc})", margin=margin, node=node) from None
         # A A^T has the squared singular values of A: its 2-norm condition
         # number is (s_max / s_min)^2, so the one SVD above serves both checks
         cond = float(np.max((svals[:, 0] / svals[:, -1]) ** 2))
@@ -147,7 +151,6 @@ def build_frame(source, grid: Grid) -> ImmersionFrame:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        theta = np.transpose(np.linalg.solve(aat, a), (0, 2, 1))
         ident = a @ theta
     eye = np.eye(a.shape[1])[None, :, :]
     defect = float(np.max(np.abs(ident - eye)))

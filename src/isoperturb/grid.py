@@ -32,28 +32,33 @@ bit for bit:
 
 - on every sweep, |v(x)-v(y)| <= max v - min v, so once
   (max v - min v) / d^alpha <= best no longer offset can raise the maximum
-  and the sweep stops;
-- a 1-d sweep that outlasts its first block bounds each pair of cells
-  I <= J of b consecutive nodes over its lags past that block, by the
-  smaller of two bounds.  The range bound: max(hi_J - lo_I, hi_I - lo_J),
-  hi and lo a cell's extrema, over the least d^alpha from the shortest of
-  those lags on.  The slope bound: |v(x+l)-v(x)| <= l*m1, m1 the largest
-  nearest-neighbour step, and l/d^alpha grows with l, so l*m1/d^alpha at
-  the longest lag covers the cell pair; a 1e-12 margin covers rounding.
-  Subtraction and division round monotonically, so the smaller bound is
-  at least every quotient the sweep computes in the cell pair.  The cell
+  and the sweep stops (the range stop);
+- a sweep that outlasts its first block cuts the lattice into cells (24
+  nodes in 1-d, 3 x 3 lattice points or more on the disk, partial cells
+  at the rim) and bounds each pair of cells I, J over the offsets of their
+  node pairs that the first block left open.  The range bound:
+  max(hi_J - lo_I, hi_I - lo_J), hi and lo a cell's extrema, over the
+  least d^alpha of those offsets.  In 1-d also the slope bound:
+  |v(x+l)-v(x)| <= l*m1, m1 the largest nearest-neighbour step, and
+  l/d^alpha grows with l, so l*m1/d^alpha at the pair's longest lag covers
+  the pair; a 1e-12 margin covers rounding.  Subtraction and division
+  round monotonically, so the bound (in 1-d the smaller of the two) is at
+  least every quotient the sweep computes in the cell pair.  The cell
   pairs whose bound beats best are swept as dense tiles, highest bound
   first, each dropped once its bound is <= best (a tie does not change a
   maximum).
 
-Before it bounds the cell pairs, a 1-d sweep seeds best with the quotients
-of the pairs through argmax v and argmin v.  They are quotients of real node
+Before it bounds the cell pairs, a sweep seeds best with the quotients of
+the pairs through argmax v and argmin v.  They are quotients of real node
 pairs, computed as the sweep computes them (|dv| first, then one division
 by d^alpha), so the seed is a value the sweep itself could return.  The
-slope bound holds on the disk as well: for disk nodes p and q one of the
-corners (p_x, q_y), (q_x, p_y) is a node, and both legs of the L-path
-through it are row or column segments.  But there it skips only about 8%
-of the lags, so 2-d sweeps do not use it.
+seed and the tiles read each d^alpha from the offset image, into which the
+cached d^alpha of every offset is scattered, never recomputed: a vector **
+may round differently per lane.  The slope bound holds on the disk as
+well: for disk nodes p and q one of the corners (p_x, q_y), (q_x, p_y) is a
+node, and both legs of the L-path through it are row or column segments.
+But there it skips only about 8% of the lags, so disk cells use the range
+bound alone.
 
 Each derivative operator D^s is a Stencil: the per-axis WindowTables
 F_1, ..., F_k of its steps (numpy only), applied in turn,
@@ -71,8 +76,8 @@ a NaN's sign is bitwise scipy's on the table's nonzero triplets; a NaN or
 inf in x reaches only the rows that weigh it.
 
 Everything built from a grid alone (the tables and Stencils of every
-stencil family, the sweep lattice, the 1-d sweep's block buffer and
-cell-pair table, the Dirichlet solver) is kept in the grid's one cache,
+stencil family, the sweep lattice, its cells, cell pairs and offset images,
+the sweep buffer, the Dirichlet solver) is kept in the grid's one cache,
 Grid.cached.
 """
 
@@ -81,15 +86,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 _EDGE_TOL = 1e-12
 _MAX_ORDER = 4
-_SWEEP_BLOCK = 1 << 15  # flat lattice slots spanned per block of the lag sweep
+_SWEEP_BLOCK = 1 << 15  # flat lattice slots spanned per block of the 1-d lag sweep
+_DISK_BLOCK = 1 << 14  # the same on the disk
+_PREFIX = 48  # lags a 1-d sweep takes before it cuts the rest of its first block at the range stop
+_FAR_BLOCKS = 1  # a disk sweep enters its cells only if the seeded range stop lies past the next block
 _SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
 _CELL = 24  # nodes per cell of the 1-d cell-pair bound; a tile holds 24 x 24 node pairs
+_DISK_TILES = 96  # disk tiles the sweep buffer holds
+
+
+def _disk_cell(N):
+    """Lattice points per side of a disk cell: 3, or more from N = 96 on, so
+    that at most about 24 cells span an axis and a sweep's cell pairs stay
+    about 100k (at N = 97 3 x 3 cells give 354k pairs, and bounding them
+    took 10 MB)."""
+    return max(3, N // 24)
+
+
+class _Cells(NamedTuple):
+    """A grid's lattice cut into cells of side^dim lattice points, and the
+    cell pairs a sweep bounds past its first block (Grid._cells)."""
+
+    side: int
+    lat: np.ndarray  # slots per lattice step, rows first
+    perm: np.ndarray  # the nodes cell by cell (None in 1-d, where they are in order) ...
+    starts: np.ndarray  # ... and where each cell's nodes start
+    origin: np.ndarray  # each cell's corner slot
+    I: np.ndarray  # the pairs: cell I ...
+    J: np.ndarray  # ... and cell J, one offset on from I
+    off: np.ndarray  # ... by the number of that offset
+    first: np.ndarray  # pairs first[o] .. first[o + 1] - 1 are those of offset o
+    patch: np.ndarray  # per offset, where its window of (2 side - 1)^dim offsets starts in the image
+    longest: np.ndarray  # per offset, its longest lag (1-d; None on the disk)
+    image: tuple  # (centre, size) of the offset image (Grid._powers)
+    values: np.ndarray  # the sweep lattice's windows of side^dim slots: a cell read from its origin
+
+
+def _windows(flat, side, lat):
+    """Every window of side^dim lattice points of a flat array, by its first
+    index: a strided view, lat the index steps of the axes, rows first."""
+    s = flat.itemsize
+    return as_strided(flat, shape=(len(flat) - (side - 1) * int(lat.sum()),) + (side,) * len(lat),
+                      strides=(s, *(lat * s)), writeable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +395,7 @@ class Grid:
             steps = np.array([1])
             shifts = np.arange(1, N)
             dist2 = shifts**2
+            block = _SWEEP_BLOCK
         else:
             # rows of 2N - 1 slots: a shift that leaves a row's nodes lands in padding
             steps = np.array([1, 2 * N - 1])
@@ -360,78 +406,208 @@ class Grid:
             order = np.argsort(dist2[keep], kind="stable")
             shifts = (dj * steps[1] + di)[keep][order]
             dist2 = dist2[keep][order]
+            block = _DISK_BLOCK
         slots = at @ steps
         box = at.max(axis=0) + 1
         span = (box - 1) @ steps + 1  # slots one view spans
-        padded = np.full(span + shifts.max(), np.nan)
+        padded = np.full(span + shifts.max(), np.nan)  # also past every cell's last slot
         moved = as_strided(padded, shape=(shifts.max() + 1, *box[::-1]),
                            strides=padded.strides * np.array([1, *steps[::-1]]), writeable=False)
-        return padded, moved, slots, shifts, self.spacing * np.sqrt(dist2), max(1, _SWEEP_BLOCK // span)
+        return padded, moved, slots, shifts, self.spacing * np.sqrt(dist2), max(1, block // span)
+
+    def _powers(self, alpha):
+        """(dpow, image) per alpha: d^alpha of every shift, in sweep order,
+        and the offset image, image[centre + s] = image[centre - s] = d^alpha
+        of shift s (inf at 0 and where no shift lands; see _cells)."""
+        def build():
+            _, _, _, shifts, dist, _ = self._lags()
+            dpow = dist**alpha
+            centre, size = self._cells().image
+            image = np.full(size, np.inf)
+            image[centre + shifts] = dpow  # scattered, never recomputed: a vector ** may round per lane
+            image[centre - shifts] = dpow
+            return dpow, image
+
+        return self.cached(("powers", alpha), build)
+
+    def _cells(self):
+        """The grid's lattice cut into cells, and the cell pairs past the first block.
+
+        A cell is a cube of side^dim lattice points (side _CELL in 1-d,
+        _disk_cell(N) on the disk), numbered rows first; only cells that
+        hold a node count.  The pairs run over every cell I and the cell J
+        one cell offset on, for each offset in the half space (J in a later
+        row of cells, or in I's row and not before I) whose window still
+        holds a shift past the first block.  The offsets come in the order
+        of the least distance they leave open, so those a range bound leaves
+        open come first.  Cell geometry is kept per offset, not per pair.
+        The offset image (_powers) is wide enough that every window of every
+        offset lies inside it.
+        """
+        return self.cached("cells", self._build_cells)
+
+    def _build_cells(self):
+        padded, _, _, shifts, dist, step = self._lags()
+        N, d = self.resolution, self.dim
+        side = _CELL if d == 1 else _disk_cell(N)
+        lat = np.array([2 * N - 1, 1][2 - d:])  # slots per lattice step, rows first
+        at = (self.lattice_index - self.lattice_index.min(axis=0))[:, ::-1] // side  # each node's cell
+        count = int(at.max()) + 1  # cells per axis
+        perm = None if d == 1 else np.lexsort(at.T[::-1])  # the nodes cell by cell, rows first
+        ordered = at if perm is None else at[perm]
+        starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+        corner = ordered[starts]
+        # disk pairs are many (5253 at N = 33) and held small; a 1-d gather
+        # reads intp indices with no copy
+        small = np.int16 if d == 2 and count ** 2 <= np.iinfo(np.int16).max else np.intp
+        number = np.full((count,) * d, -1, dtype=small)  # each cell's number, -1 for a cell without nodes
+        number[tuple(corner.T)] = np.arange(len(corner))
+        # the offset image: in 2-d rows of the lattice's 2N - 1 slots; as many
+        # rows each side as the longest shift and the farthest window reach
+        rows = max(count * side, N - 1)
+        centre, size = rows * lat[0] + (N - 1) * (d - 1), (2 * rows + 1) * lat[0]
+        # the cell offsets of the half space: a later row of cells, or the same row and not before
+        offsets = np.indices((count,) + (2 * count - 1,) * (d - 1)).reshape(d, -1).T
+        offsets[:, 1:] -= count - 1
+        offsets = offsets[(offsets[:, 0] > 0) | np.all(offsets[:, 1:] >= 0, axis=1)]
+        patch = centre + (offsets * side) @ lat - (side - 1) * lat.sum()
+        # each offset's least distance past the first block; the offsets with
+        # one, in its order, so that those a range bound leaves open come first
+        reach = np.full(size, np.inf)
+        reach[centre + shifts[step:]] = reach[centre - shifts[step:]] = dist[step:]
+        reach = _windows(reach, 2 * side - 1, lat)[patch].reshape(-1, (2 * side - 1) ** d).min(axis=1)
+        order = np.argsort(reach, kind="stable")[:np.count_nonzero(reach < np.inf)]
+        offsets, patch = offsets[order], patch[order]
+        # the pairs, offset by offset: every cell with nodes, and the cell one offset on if it has nodes
+        I, J = [np.empty(0, small)], [np.empty(0, small)]
+        for o in offsets:
+            first = number[tuple(slice(max(0, -c), count - max(0, c)) for c in o)]
+            second = number[tuple(slice(max(0, c), count - max(0, -c)) for c in o)]
+            both = (first >= 0) & (second >= 0)
+            I.append(first[both])
+            J.append(second[both])
+        sizes = [len(i) for i in I[1:]]
+        longest = np.minimum(offsets[:, 0] * side + side - 1, N - 1).astype(float) if d == 1 else None
+        return _Cells(side, lat, perm, starts, (corner * side) @ lat, np.concatenate(I), np.concatenate(J),
+                      np.repeat(np.arange(len(offsets), dtype=small), sizes),
+                      np.r_[0, np.cumsum(sizes)], patch, longest, (centre, size), _windows(padded, side, lat))
 
     def _cell_pairs(self, alpha):
-        """The 1-d cell pairs I <= J with a lag past the first block, per alpha.
-
-        Cell I holds nodes I*b .. I*b + b - 1 (b = _CELL), the last one padded
-        with the lattice's NaN.  Returns (I, J, longest, d_short, d_long,
-        powers): per pair, its longest open lag (past the first block, at
-        most N - 1), the least d^alpha from its shortest open lag on, d^alpha
-        at its longest; and powers[c, b - 1 + l], d^alpha at lag c*b + l (inf
-        outside 1..N-1), a strided view of a padded copy of the powers.
-        """
+        """(I, J, off, floor, d_long, patches) per alpha: the cell pairs of
+        _cells; per cell offset the least d^alpha of a shift in its window
+        that the first block left open, and (1-d) d^alpha at its longest
+        lag; and the windows of the offset image."""
         def build():
-            N, b, dpow = self.resolution, _CELL, self.cached(("dpow", alpha), lambda: self._lags()[4] ** alpha)
-            I, J = np.triu_indices(-(-N // b))
-            shortest = np.maximum((J - I - 1) * b + 1, self._lags()[5] + 1)
-            longest = np.minimum(J * b + b, N) - 1 - I * b
-            keep = shortest <= longest
-            floor = np.minimum.accumulate(dpow[::-1])[::-1]  # d^alpha at a lag or any longer one
-            ext = np.concatenate([np.full(b, np.inf), dpow, np.full(-N % b, np.inf)])
-            powers = as_strided(ext, shape=(len(ext) // b, 2 * b - 1), strides=(b * ext.itemsize, ext.itemsize),
-                                writeable=False)
-            shortest, longest = shortest[keep], longest[keep]
-            return I[keep], J[keep], longest.astype(float), floor[shortest - 1], dpow[longest - 1], powers
+            cells, (_, _, _, shifts, _, step) = self._cells(), self._lags()
+            dpow, image = self._powers(alpha)
+            centre = cells.image[0]
+            opened = image.copy()
+            opened[centre + shifts[:step]] = opened[centre - shifts[:step]] = np.inf
+            width = 2 * cells.side - 1
+            floor = _windows(opened, width, cells.lat)[cells.patch].reshape(-1, width**self.dim).min(axis=1)
+            d_long = None if self.dim == 2 else dpow[cells.longest.astype(int) - 1]
+            return cells.I, cells.J, cells.off, floor, d_long, _windows(image, width, cells.lat)
 
         return self.cached(("cell_pairs", alpha), build)
 
-    def _cell_bounds(self, vals, alpha, m1):
-        """Per cell pair of _cell_pairs, a bound on its quotients past the
-        first block (see the module docstring), computed in place: at most
-        three arrays of one value per pair are alive at once."""
-        I, J, longest, d_short, d_long, _ = self._cell_pairs(alpha)
-        starts = np.arange(0, len(vals), _CELL)
-        hi, lo = np.maximum.reduceat(vals, starts), np.minimum.reduceat(vals, starts)
-        gap, other = hi[J], hi[I]
-        gap -= lo[I]
-        other -= lo[J]
-        np.fmax(gap, other, out=gap)
-        gap /= d_short  # the range bound
-        np.multiply(longest, m1 * _SLOPE_MARGIN, out=other)
-        other /= d_long  # the slope bound
-        return np.minimum(gap, other, out=gap)
+    def _slope_bounds(self, alpha, m1):
+        """The 1-d slope bound per cell offset: its longest lag * m1 / d^alpha there."""
+        slope = self._cells().longest * (m1 * _SLOPE_MARGIN)
+        slope /= self._cell_pairs(alpha)[4]
+        return slope
 
-    def _sweep_cells(self, vals, padded, alpha, m1, best, buf):
-        """The 1-d maximum from best on, over the cell pairs whose bound beats
-        best: dense b x b tiles of quotients, highest bound first, in rounds
-        of 8 tiles growing x4 to what buf holds; a tile whose bound is <= best drops."""
-        I, J, *_, powers = self._cell_pairs(alpha)
-        b, s = _CELL, powers.itemsize
-        cells = padded[:len(powers) * b].reshape(-1, b)
-        bound = self._cell_bounds(vals, alpha, m1)
+    def _cell_bounds(self, vals, alpha, m1=None, pairs=None):
+        """Per cell pair of _cell_pairs (or per pair of the index array
+        pairs), a bound on its quotients past the first block (see the
+        module docstring): the range bound, and in 1-d the smaller of it
+        and the slope bound of m1."""
+        cells = self._cells()
+        I, J, off, floor, *_ = self._cell_pairs(alpha)
+        if pairs is not None:
+            I, J, off = I[pairs], J[pairs], off[pairs]
+        v = vals if cells.perm is None else vals[cells.perm]
+        hi, lo = np.maximum.reduceat(v, cells.starts), np.minimum.reduceat(v, cells.starts)
+        gap, other = hi.take(J), hi.take(I)
+        gap -= lo.take(I)
+        other -= lo.take(J)
+        np.fmax(gap, other, out=gap)
+        del other  # at most three arrays of one value per pair alive at once
+        gap /= floor.take(off)  # the range bound
+        if self.dim == 2:
+            return gap
+        return np.minimum(gap, self._slope_bounds(alpha, m1).take(off), out=gap)
+
+    def _sweep_cells(self, vals, osc, alpha, best, m1=None):
+        """The maximum from best on, over the cell pairs whose bound beats
+        best: dense tiles of quotients, highest bound first, in rounds of 8
+        tiles growing x4 to what the sweep buffer holds; a tile whose bound
+        is <= best drops.  Only the pairs of the cell offsets whose own
+        bound (osc over the offset's least open d^alpha, and in 1-d the
+        slope bound) beats best are bounded one by one: in the order of
+        _cells they are one run of pairs."""
+        cells, d = self._cells(), self.dim
+        I, J, off, floor, _, patches = self._cell_pairs(alpha)
+        by_offset = osc / floor
+        if d == 1:
+            np.minimum(by_offset, self._slope_bounds(alpha, m1), out=by_offset)
+        alive = np.flatnonzero(by_offset > best)
+        if not len(alive):
+            return best
+        pairs = slice(cells.first[alive[0]], cells.first[alive[-1] + 1])
+        bound = self._cell_bounds(vals, alpha, m1, pairs)
         live = np.flatnonzero(bound > best)
         live = live[np.argsort(-bound[live], kind="stable")]
-        flat, n = buf.reshape(-1), 8
+        bound, I, J, off = bound[live], I[pairs][live], J[pairs][live], off[pairs][live]
+        k = cells.side
+        flat, size, n = self._sweep_buf().reshape(-1), k ** (2 * d), 8
+        a_shape, e_shape = (-1,) + (k,) * d + (1,) * d, (-1,) + (1,) * d + (k,) * d
+        near = (slice(None),) + (slice(k - 1, None),) * d
+        live = np.arange(len(live))
         while len(live):
             tiles, live = live[:n], live[n:]
-            q = flat[:len(tiles) * b * b].reshape(-1, b, b)
-            np.subtract(cells[J[tiles], None, :], cells[I[tiles], :, None], out=q)
+            q = flat[:len(tiles) * size].reshape((len(tiles),) + (k,) * (2 * d))
+            np.subtract(cells.values[cells.origin[J[tiles]]].reshape(e_shape),
+                        cells.values[cells.origin[I[tiles]]].reshape(a_shape), out=q)
             np.abs(q, out=q)
-            # d[t, a, e]: d^alpha from node a of cell I to node e of cell J
-            band = powers[J[tiles] - I[tiles]]
-            d = as_strided(band[:, b - 1:], shape=q.shape, strides=(band.strides[0], -s, s), writeable=False)
-            best = float(np.fmax.reduce(np.divide(q, d, out=q), axis=None, initial=best))
+            # dp[t, a, e]: d^alpha from node a of cell I to node e of cell J
+            band = patches[cells.patch[off[tiles]]]
+            dp = as_strided(band[near], shape=q.shape,
+                            strides=band.strides[:1] + tuple(-s for s in band.strides[1:]) + band.strides[1:],
+                            writeable=False)
+            best = float(np.fmax.reduce(np.divide(q, dp, out=q), axis=None, initial=best))
             live = live[bound[live] > best]
-            n = min(4 * n, len(flat) // (b * b))
+            n = min(4 * n, len(flat) // size)
         return best
+
+    def _sweep_buf(self):
+        """The grid's one sweep buffer: a 1-d block's differences, and the
+        tile rounds of either dimension."""
+        def build():
+            _, moved, _, _, _, step = self._lags()
+            if self.dim == 1:
+                return np.empty((step, *moved.shape[1:]))
+            return np.empty(_DISK_TILES * self._cells().side ** 4)
+
+        return self.cached("sweep_buf", build)
+
+    def _sweep_shifts(self, k, end, dpow, best):
+        """best raised by the shifts k .. end - 1, and their largest |dv| each."""
+        _, moved, _, shifts, _, _ = self._lags()
+        base = moved[0]
+        if self.dim == 2:
+            diff = moved[shifts[k:end]]
+            diff -= base
+        else:
+            rows, diff = moved[shifts[k]:shifts[k] + end - k], self._sweep_buf()[:end - k]
+            if 3 * len(base) > np.getbufsize():
+                np.subtract(rows, base, out=diff)
+            else:
+                np.copyto(diff, rows)
+                diff -= base
+        np.abs(diff, out=diff)
+        # NaN marks a slot off the ball; fmax skips it
+        lag_max = np.fmax.reduce(diff.reshape(len(diff), -1), axis=1)
+        return float(np.fmax.reduce(lag_max / dpow[k:k + len(diff)], initial=best)), lag_max
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing field sweeps to inf
     def quotient_max(self, vals, alpha):
@@ -443,63 +619,66 @@ class Grid:
         Stops once no longer offset can beat the running maximum:
         (max v - min v) / d^alpha <= best.
 
-        A 1-d sweep that goes past its first block seeds best with the
-        quotients of every pair through argmax v and argmin v, then sweeps
-        the pairs of 24-node cells whose bound beats best (_cell_bounds, with
-        m1 = max |v[k+1] - v[k]|) as dense tiles (_sweep_cells), each quotient
-        |dv| first, then one division by its lag's d^alpha, so the result is
-        bit-identical to the sweep over every offset (see the module docstring).
+        A 1-d sweep takes its first _PREFIX lags alone, then the rest of its
+        first block only up to the range stop of the maximum so far (when
+        the block holds at least twice _PREFIX lags; at N = 201 half the
+        norm-suite sweeps stop by lag 43 of the block's 163).  A sweep that
+        goes past its first block seeds best with the quotients of every
+        pair through argmax v and argmin v, then sweeps the cell pairs whose
+        bound beats best (_sweep_cells; in 1-d with m1 = max |v[k+1] -
+        v[k]|).  A disk sweep enters its cells only if the seeded range stop
+        lies past its next block, and sweeps on by blocks otherwise: at
+        N = 25 a cell sweep takes 80-160 us against 30 us for a 14-shift
+        block (2-vCPU Xeon, numpy 2.4).  Every quotient is |dv| first, then
+        one division by its offset's d^alpha, so the result is bit-identical
+        to the sweep over every offset (see the module docstring).
 
         A 1-d block's shifts are consecutive, so its rows are a slice of
-        moved, and their differences go into one (step, N) buffer cached on
-        the grid, which later holds each round of tiles: no block allocates.
-        A fresh block (256 KiB at N = 3201) lies above malloc's mmap
-        threshold, so each one would be mapped, faulted in and unmapped
+        moved, and their differences go into the grid's sweep buffer, which
+        later holds each round of tiles (in either dimension): no block
+        allocates.  A fresh block (256 KiB at N = 3201) lies above malloc's
+        mmap threshold, so each one would be mapped, faulted in and unmapped
         again.  Both ways into the buffer give the same bits: np.subtract
         straight from the strided rows takes one pass, but once three rows
         fit numpy's ufunc buffer (np.getbufsize(), 8192 elements, so
-        N <= 2730; read once per sweep) numpy first copies them through it,
+        N <= 2730; read once per block) numpy first copies them through it,
         and a plain copy, then the subtraction in place, is cheaper there
         (about 0.7 against 0.8-1.1 ns per element; above, 0.66 against 0.5;
-        numpy 2.4).  2-d blocks keep the fancy index moved[shifts[block]]:
-        their shifts are not consecutive, and a per-shift loop into a buffer
-        gave the same bits but took 967 us against 350 us per sweep at
-        N = 25 and 2593 us against 1131 us at N = 33; it wins only at a size
-        no scenario runs (88.9 ms against 100.9 ms at N = 97).
+        numpy 2.4).  Disk blocks fancy-index moved[shifts[block]]: their
+        shifts are not consecutive, and np.take into the buffer would first
+        copy all of moved.  They span _DISK_BLOCK slots (14 shifts at
+        N = 25, 8 at N = 33, one at N = 97); past the first, the cells take
+        over unless the stop is near.
         """
-        padded, moved, slots, shifts, dist, step = self._lags()
-        dpow = self.cached(("dpow", alpha), lambda: dist**alpha)
-        osc = float(np.max(vals) - np.min(vals))
+        padded, _, slots, shifts, _, step = self._lags()
+        dpow, image = self._powers(alpha)
+        centre, n = self._cells().image[0], len(shifts)
+        osc = float(vals.max() - vals.min())
         padded[slots] = vals
-        base = moved[0]
         if self.dim == 1:
-            buf = self.cached("sweep_buf", lambda: np.empty((step, *base.shape)))
-            straight = 3 * len(base) > np.getbufsize()
-        best, k = 0.0, 0
-        while k < len(shifts) and osc / dpow[k] > best:
-            if k == step and self.dim == 1:
+            last = min(step, n)
+            end = _PREFIX if 2 * _PREFIX <= last else last
+            best, lag_max = self._sweep_shifts(0, end, dpow, 0.0)
+            m1 = float(lag_max[0])  # the first shift is one node: max |v[k+1] - v[k]|
+            if end < last and osc / dpow[end] > best:
+                # the rest of the block, up to the range stop of best so far
+                ahead = osc / dpow[end:last] > best
+                stop = last if ahead.all() else end + int(np.argmin(ahead))
+                best = self._sweep_shifts(end, stop, dpow, best)[0]
+            if step < n and osc / dpow[step] > best:
                 # past the first block: seed, then sweep the cell pairs the bounds leave open
-                best = max(best, _extrema_seed(vals, dpow, slots))
-                return self._sweep_cells(vals, padded, alpha, m1, best, buf)
-            block = slice(k, k + step)
-            if self.dim == 2:
-                diff = moved[shifts[block]]
-                diff -= base
-            else:
-                n = len(shifts[block])  # the last block may be short
-                rows, diff = moved[shifts[k]:shifts[k] + n], buf[:n]
-                if straight:
-                    np.subtract(rows, base, out=diff)
-                else:
-                    np.copyto(diff, rows)
-                    diff -= base
-            np.abs(diff, out=diff)
-            # NaN marks a slot off the ball; fmax skips it
-            lag_max = np.fmax.reduce(diff.reshape(len(diff), -1), axis=1)
-            if k == 0:
-                m1 = float(lag_max[0])  # in 1-d the first offset is one node: max |v[k+1] - v[k]|
-            best = float(np.fmax.reduce(lag_max / dpow[block], initial=best))
+                best = max(best, _extrema_seed(vals, image[centre + 1:], slots))
+                return self._sweep_cells(vals, osc, alpha, best, m1)
+            return best
+        best, k = 0.0, 0
+        while k < n and osc / dpow[k] > best:
+            best = self._sweep_shifts(k, k + step, dpow, best)[0]
             k += step
+            if k == step < n and osc / dpow[k] > best:
+                best = max(best, _extrema_seed(vals, image[centre + 1:], slots))
+                far = k + _FAR_BLOCKS * step
+                if far < n and osc / dpow[far] > best:
+                    return self._sweep_cells(vals, osc, alpha, best)
         return best
 
     # -- misc ----------------------------------------------------------------
@@ -515,13 +694,15 @@ class Grid:
 
 
 def _extrema_seed(vals, dpow, nodes):
-    """Largest 1-d quotient over the pairs through argmax vals and argmin vals.
+    """Largest quotient over the pairs through argmax vals and argmin vals.
 
-    Each pair is |v[j] - v[i]| / dpow[|j - i| - 1], the value the sweep takes
-    for it.  The pair of a node with itself reads 0 / dpow[-1] = 0.
+    nodes are the nodes' slots in the sweep lattice, and dpow[s - 1] is
+    d^alpha of shift s, so each pair is |v[j] - v[i]| / dpow[|nodes[j] -
+    nodes[i]| - 1], the value the sweep takes for it.  The pair of a node
+    with itself reads 0 / dpow[-1] = 0.
     """
     ends = np.array([[np.argmax(vals)], [np.argmin(vals)]])
-    return float(np.max(np.abs(vals - vals[ends]) / dpow[np.abs(nodes - ends) - 1]))
+    return float(np.max(np.abs(vals - vals[ends]) / dpow[np.abs(nodes - nodes[ends]) - 1]))
 
 
 def radial_bump(grid, radius, power):

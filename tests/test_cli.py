@@ -377,12 +377,18 @@ def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypa
     ("solve-local", "mesh: 64\n", [], "mesh"),
     ("solve-global", "amplitude: 0.02\n", [], "amplitude"),
     ("verify-appendix", "family: {name: constant}\n", [], "family"),
+    ("solve-local", "chart: torus\nhalfwidth: 3.35e-155\nresolution: 17\n", [], "halfwidth"),
+    ("solve-family", "chart: parabola\nresolution: 41\n"
+     "family: {name: constant, horizon: 1.0e-200, samples: 4}\n", [], "family.horizon"),
 ])
 def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, doc,
                                                   extra, fieldname):
     # each input used to pass validation and then die in a constructor, in
     # the solver's support check (a bump wider than the cutoff's flat radius)
-    # or in the frame build (a circle chart too narrow to be free) (or, for
+    # or in the frame build (a circle chart too narrow to be free, or a
+    # torus chart so narrow that A A^T is singular: a LinAlgError traceback)
+    # (a constant family's 1e-200 horizon passed, and its probe wrote NaN
+    # to summary.json, where dt**2 underflows to 0) (or, for
     # the table, whose g reaches -2 at t = 1, to halve its way to a pass;
     # bump_power -1 gives inf/NaN metric components and 0 a bump that fills
     # the chart, both ending in exit 1; a halfwidth that no circle or torus
@@ -400,6 +406,35 @@ def test_limits_the_solver_rejects_fail_validation(tmp_path, capsys, command, do
     assert code == 2
     assert f"[{fieldname}]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_frame_fails_the_freeness_check(tmp_path):
+    # A A^T of a torus chart this narrow is singular as computed: the
+    # LinAlgError was recorded as an unexpected error, exit 3, after a
+    # condition warning
+    cfg = _cfg(tmp_path, "name: x\ncommand: check-free\nchart: torus\nresolution: 17\nhalfwidth: 6.89e-128\n")
+    out = str(tmp_path / "out")
+    assert main(["check-free", "--config", cfg, "--out", out, "--quiet"]) == 1
+    summary = _summary(out)
+    assert "error" not in summary
+    assert [(c["criterion"], c["pass"]) for c in summary["criteria"]] == [("freeness-margin", False)]
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("horizon", ["1.0e+300", "1.0e-150"])
+def test_family_summary_is_strict_json(tmp_path, horizon):
+    # the probe's dt**2 overflows at the first horizon and is tiny at the
+    # second; summary.json must hold no NaN or Infinity either way
+    cfg = _cfg(tmp_path, "name: x\ncommand: solve-family\nchart: parabola\nresolution: 41\n"
+               f"family: {{name: constant, horizon: {horizon}, samples: 4}}\n")
+    out = str(tmp_path / "out")
+    assert main(["solve-family", "--config", cfg, "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        json.load(fh, parse_constant=_strict)
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from isoperturb.family import (
     MAX_HALVINGS,
     FamilySolution,
     HorizonCollapse,
+    MetricFamily,
     adaptive_horizon,
     build_family,
     build_manifold_family,
@@ -183,6 +184,12 @@ def test_family_validation():
         with pytest.raises(ValueError, match="positive definiteness"):
             build_family("bump-breathing", g, base=ParabolaChart(), horizon=1.0,
                          samples=2, beta=0.01, bump_power=-1)
+    # a family that reads 1.0, NaN, 1.0 at t = 0, 0.5, 1: the NaN at a
+    # later t fails as well as one at t = 0 (Python's min() dropped it)
+    table = {0.0: 1.0, 0.5: np.nan, 1.0: 1.0}
+    fam = MetricFamily(lambda points, t: np.full((len(points), 1), table[float(t)]), 1.0, 2, "table")
+    with pytest.raises(ValueError, match="positive definiteness"):
+        positivity_margin(fam, g.coords)
 
 
 # ---------------------------------------------------------------- solves

@@ -26,6 +26,7 @@ from isoperturb.grid import (
     leibniz_defect,
     make_grid,
     monitor_recurrence,
+    multi_indices,
     radial_bump,
     random_waves,
     window_weights,
@@ -1010,6 +1011,161 @@ def test_leibniz_consistency_property(a0, a1, b0, b1, beta):
     assert leibniz_defect(g, u, v, beta) <= 1e-10 * max(1.0, abs(a0) + abs(a1)) * max(
         1.0, abs(b0) + abs(b1)
     )
+
+
+def _range_stop_field(g, alpha):
+    """A 1-d sine whose sweep the prefix does not stop, but whose prefix
+    maximum stops it inside the rest of the first block, with the maximum
+    past the prefix.  Returns (vals, q), q the exhaustive sweep's value."""
+    dpow, step, prefix = _lag_dpow(g, alpha), g._lags()[5], grid_module._PREFIX
+    for w in np.linspace(1.0, 30.0, 291):
+        vals = np.sin(w * g.coords[:, 0] + 0.4)
+        osc = float(vals.max() - vals.min())
+        best = max(np.max(np.abs(vals[lag:] - vals[:-lag])) / dpow[lag - 1] for lag in range(1, prefix + 1))
+        q = exhaustive_lag_sweep(g, vals, alpha)
+        if osc / dpow[prefix] > best and osc / dpow[step - 1] <= best and q > best:
+            return vals, q
+    raise AssertionError("no field found")
+
+
+@pytest.mark.parametrize("N", [201, 301])
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5])
+def test_seminorm_cut_at_the_range_stop_is_bitwise_the_exhaustive_lag_sweep(N, alpha):
+    g = make_grid(1, N)
+    assert 2 * grid_module._PREFIX <= g._lags()[5] < N - 1  # the first block is cut, and it is not the last
+    vals, q = _range_stop_field(g, alpha)
+    assert g.quotient_max(vals, alpha) == q
+
+
+def _stop_edge_field(g, alpha, lag=100):
+    """A ramp from 0 to 1 over lag nodes, and a dip of depth s at the last
+    node, s chosen so that the prefix's maximum, s / d^alpha(1), puts the
+    range stop right after the ramp's lag: the sweep finds the maximum,
+    the ramp's ends, only if it sweeps up to the stop itself."""
+    dpow, N = _lag_dpow(g, alpha), g.num_nodes
+    vals = np.ones(N)
+    vals[:20] = 0.0
+    vals[20:21 + lag] = np.arange(lag + 1) / lag
+    s = dpow[0] / dpow[lag]
+    while s / dpow[0] < 1.0 / dpow[lag]:
+        s = np.nextafter(s, 1.0)
+    assert s / dpow[0] < 1.0 / dpow[lag - 1]
+    vals[-1] = 1.0 - s
+    return vals
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_seminorm_sweeps_up_to_the_range_stop(alpha):
+    g = make_grid(1, 201)
+    vals, lag = _stop_edge_field(g, alpha), 100
+    q = exhaustive_lag_sweep(g, vals, alpha)
+    assert q == 1.0 / _lag_dpow(g, alpha)[lag - 1]
+    assert grid_module._PREFIX < lag < g._lags()[5]
+    assert g.quotient_max(vals, alpha) == q
+
+
+def _disk_cell_nodes(g):
+    """Per cell of g._cells(), the nodes it holds, by lattice point of the
+    cell (rows first), -1 where the point is off the disk or off the grid."""
+    cells, N = g._cells(), g.resolution
+    k = cells.side
+    corner = g.lattice_index.min(axis=0)
+    j0, i0 = np.divmod(cells.origin, 2 * N - 1)
+    b, a = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    i = i0[:, None, None] + a + corner[0]
+    j = j0[:, None, None] + b + corner[1]
+    inside = (i < N) & (j < N)
+    return np.where(inside, g.node_index[np.minimum(i, N - 1), np.minimum(j, N - 1)], -1).reshape(len(i0), -1)
+
+
+def _disk_quotients_past(g, vals, alpha):
+    """Max quotient per cell pair of g._cells() over its node pairs at shifts
+    past the first block, by the exhaustive sweep's formulas, and how many
+    node pairs it covers (a pair inside one cell counts once)."""
+    cells = g._cells()
+    _, _, _, shifts, _, step = g._lags()
+    # d^alpha by shift, by the exhaustive sweep's formula; -1 marks a shift
+    # of the first block, and position 0 the pair of a node with itself
+    at = g.lattice_index[:, 0] + (2 * g.resolution - 1) * g.lattice_index[:, 1]
+    dj, di = np.divmod(shifts + g.resolution - 1, 2 * g.resolution - 1)
+    di -= g.resolution - 1
+    dpow = np.full(shifts.max() + 1, -1.0)
+    dpow[shifts[step:]] = (g.spacing * np.sqrt(di * di + dj * dj)[step:]) ** alpha
+    nodes = _disk_cell_nodes(g)
+    out, covered = np.empty(len(cells.I)), 0
+    for k in range(0, len(cells.I), 512):
+        x = nodes[cells.I[k:k + 512]][:, :, None]
+        y = nodes[cells.J[k:k + 512]][:, None, :]
+        d = np.where((x >= 0) & (y >= 0), dpow[np.abs(at[y] - at[x])], -1.0)
+        open_ = d > 0.0
+        q = np.abs(vals[y] - vals[x]) / np.where(open_, d, 1.0)
+        out[k:k + 512] = np.where(open_, q, 0.0).max(axis=(1, 2))
+        same = (cells.I[k:k + 512] == cells.J[k:k + 512])[:, None, None]
+        covered += int(np.sum(open_ & (~same | (x < y))))  # a pair inside one cell once
+    return out, covered
+
+
+def _open_disk_pairs(g):
+    """Node pairs at shifts past the first block, counted shift by shift."""
+    _, _, slots, shifts, _, step = g._lags()
+    node = np.zeros(slots.max() + shifts.max() + 1, bool)
+    node[slots] = True
+    return sum(int(np.count_nonzero(node[slots + s])) for s in shifts[step:])
+
+
+@pytest.mark.parametrize("N,block", [(17, None), (17, 1), (25, None), (25, 1), (33, None), (33, 1), (97, None)])
+def test_disk_cell_bounds_cover_every_open_pair(monkeypatch, N, block):
+    # the disk's cell pairs, partial rim cells included, cover every node
+    # pair past the first block once, and each pair's bound is at least each
+    # of their quotients; each grid with its own first block and, but for
+    # N = 97, with a first block of one shift, so every longer shift is open
+    if block is not None:
+        monkeypatch.setattr(grid_module, "_DISK_BLOCK", block)
+    g = make_grid(2, N)
+    x, y = g.coords.T
+    rng = np.random.default_rng(N)
+    fields = [rng.standard_normal(g.num_nodes), x * y, np.where(np.arange(g.num_nodes) == g.num_nodes - 1, 1.0, 0.0)]
+    if N < 97:
+        fields += [_field(g, "smooth", rng), _field(g, "bump", rng)]
+    covered = None
+    for alpha in (0.05, 0.95) if N < 97 else (0.5,):
+        for vals in fields:
+            q, covered = _disk_quotients_past(g, vals, alpha)
+            assert np.all(g._cell_bounds(vals, alpha) >= q)
+    assert covered == _open_disk_pairs(g) > 0
+
+
+def _disk_corpus_fields(g):
+    """check_inequalities' scalar corpus on the disk, with its first and
+    second derivatives."""
+    rng = np.random.default_rng(7)
+    fields = []
+    for _ in range(3):
+        u = grid_module._random_scalar(g, rng)
+        fields.append(u)
+        fields += [g.derivative_matrix(s) @ u for s in multi_indices(2, 1) + multi_indices(2, 2)]
+    return fields
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_disk_corpus_is_bitwise_the_exhaustive_pair_sweep(alpha):
+    g = make_grid(2, 33)
+    for vals in _disk_corpus_fields(g):
+        assert g.quotient_max(vals, alpha) == exhaustive_pair_sweep(g, vals, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_disk_constant_and_bump_are_bitwise_the_exhaustive_pair_sweep(alpha):
+    g = make_grid(2, 25)
+    assert g.quotient_max(np.full(g.num_nodes, 1.5), alpha) == 0.0
+    bump = radial_bump(g, 0.3, 4) + 0.1 * radial_bump(g, 0.9, 2)
+    assert g.quotient_max(bump, alpha) == exhaustive_pair_sweep(g, bump, alpha)
+
+
+def test_disk_97_is_bitwise_the_exhaustive_pair_sweep():
+    g = make_grid(2, 97)
+    vals = _field(g, "smooth", np.random.default_rng(97))
+    assert g.quotient_max(vals, 0.5) == exhaustive_pair_sweep(g, vals, 0.5)
 
 
 # ---------------------------------------------------------------------------
