@@ -197,6 +197,7 @@ def build_family(name, grid: Grid, base, horizon=1.0, samples=8, beta=0.05,
     if name == "bump-breathing":
         prof = radial_bump(grid, bump_radius, bump_power)
 
+        @np.errstate(over="ignore", invalid="ignore")  # see SCALES
         def evaluator(points, t):
             out = base_vals.copy()
             out[:, 0] = out[:, 0] + beta * t * prof

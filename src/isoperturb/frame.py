@@ -116,10 +116,17 @@ def _median(values):
 def build_frame(source, grid: Grid) -> ImmersionFrame:
     """Build the frame and its verified pointwise right inverse.
 
-    Rejects embeddings whose margin falls at/below 1e-6 times the median
-    row norm; warns when any node's normal matrix is badly conditioned.
+    Rejects embeddings with a non-finite row entry (naming the first such
+    node; the SVD would not converge on a NaN) and those whose margin falls
+    at/below 1e-6 times the median row norm; warns when any node's normal
+    matrix is badly conditioned.
     """
     F0, a = frame_matrix(source, grid)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise NotFreeError(f"embedding is not free: its derivative rows are not finite at node {node}",
+                           margin=np.nan, node=node)
     svals = np.linalg.svd(a, compute_uv=False)
     node = int(np.argmin(svals[:, -1]))
     margin = float(svals[node, -1])

@@ -2,7 +2,8 @@
 
 A field is its (nodes,) or (nodes, k) array, read on the grid its caller
 already holds; ScalarField and VecField pair it with a grid only to be
-measured (holder_norm, holder_norms, verify.isometry_residual).
+measured (holder_norm, holder_norms, verify.isometry_residual).  S fields
+of one kind measured at once are a stack, (nodes, S) or (nodes, S, k).
 
 A chart is the unit ball B_1(0) in R^n (n = 1 or 2) sampled on a uniform
 Cartesian lattice of spacing h = 2/(N-1).  For n = 1 the nodes are the N
@@ -100,6 +101,7 @@ _FAR_BLOCKS = 1  # a disk sweep enters its cells only if the seeded range stop l
 _SLOPE_MARGIN = 1.0 + 1e-12  # rounding slack on the 1-d slope bound l*m1/d^alpha
 _CELL = 24  # nodes per cell of the 1-d cell-pair bound; a tile holds 24 x 24 node pairs
 _DISK_TILES = 96  # disk tiles the sweep buffer holds
+_TILED_COLUMNS = 6  # widest x a WindowTable multiplies by cached tiled weights (the solver's fields)
 
 
 def _disk_cell(N):
@@ -143,7 +145,8 @@ def _windows(flat, side, lat):
 
 @dataclass
 class ScalarField:
-    """Scalar values at the grid nodes, shape (num_nodes,), to be measured."""
+    """Scalar values at the grid nodes, shape (num_nodes,), or a stack of S
+    scalar fields, (num_nodes, S), to be measured."""
 
     grid: "Grid"
     values: np.ndarray
@@ -151,7 +154,8 @@ class ScalarField:
 
 @dataclass
 class VecField:
-    """Columns of values at the grid nodes, shape (num_nodes, k), to be measured."""
+    """Columns of values at the grid nodes, shape (num_nodes, k), or a stack
+    of S such fields, (num_nodes, S, k), to be measured."""
 
     grid: "Grid"
     values: np.ndarray
@@ -172,24 +176,38 @@ class WindowTable:
     cols and weights are (width, nodes) arrays: node i's row is
     sum_k weights[k, i] * x[cols[k, i]].  A zero weight reads column
     num_nodes, a pad slot that @ appends to x as 0.0.  A @ x sums in the
-    order the module docstring states.
+    order the module docstring states, for x of shape (nodes,), (nodes, q)
+    or a stack (nodes, S, k), whose S * k columns go side by side.  Every
+    column gets the bits it gets alone.
     """
 
     def __init__(self, cols, weights):
         self.cols = cols
         self.weights = weights
-        self._tiled = {}  # weights repeated for x of q columns, by q
+        self._tiled = {}  # weights repeated for x of q <= _TILED_COLUMNS columns, by q
 
     def __matmul__(self, x):
         x = np.asarray(x)
+        if x.ndim > 2:
+            return (self @ x.reshape(len(x), -1)).reshape(x.shape)
         weights = self.weights
+        padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+        if x.ndim == 2 and x.shape[1] > _TILED_COLUMNS:
+            # a wide stack: one term at a time, weights broadcast, so that
+            # nothing is cached per width and no gather holds every term
+            acc = np.zeros(x.shape, dtype=padded.dtype)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for cols, w in zip(self.cols, weights):
+                    term = padded.take(cols, axis=0)
+                    term *= w[:, None]
+                    acc += term
+            return acc
         if x.ndim == 2:
             # a weight per element: numpy broadcasts over a short last axis slowly
             q = x.shape[1]
             if q not in self._tiled:
                 self._tiled[q] = np.repeat(weights, q).reshape(*weights.shape, q)
             weights = self._tiled[q]
-        padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])
         with np.errstate(invalid="ignore", over="ignore"):
             terms = padded.take(self.cols, axis=0)
             terms *= weights
@@ -729,8 +747,14 @@ def laplacian(g, x):
     return g.derivative_matrix((2, 0)) @ x + g.derivative_matrix((0, 2)) @ x
 
 
-def _c0alpha(grid, vals, alpha):
-    return float(np.max(np.abs(vals))) + grid.quotient_max(vals, alpha)
+def _c0alpha(grid, cols, alpha):
+    """The C^{0,alpha} norm of each column of cols (nodes, n), as n floats."""
+    # each column made contiguous first: a max down axis 0 of a few columns
+    # runs numpy's inner loop a row at a time, and a sweep reads its field
+    # several times
+    rows = np.ascontiguousarray(cols.T)
+    sups = np.abs(rows).max(axis=1).tolist()
+    return [sup + grid.quotient_max(row, alpha) for row, sup in zip(rows, sups)]
 
 
 def multi_indices(dim, m):
@@ -751,6 +775,12 @@ def holder_norms(fld, orders, alpha):
     to all components at once.  Every order is summed as if alone:
     component by component, the C^{0,alpha} part first, then the |s| = m
     parts in multi_indices order.
+
+    A stack of S fields (a ScalarField of shape (nodes, S), a VecField of
+    shape (nodes, S, k)) gives {m: (S,) array}.  Each D^s is applied to the
+    whole stack at once (a column gets the bits it gets alone), each column
+    is swept on its own, and entry j is summed in the order above, so it is
+    bitwise holder_norms of sample j alone.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder_norm configuration error: alpha must be in (0,1), got alpha={alpha}")
@@ -758,17 +788,30 @@ def holder_norms(fld, orders, alpha):
         if int(m) != m or m < 0 or m > _MAX_ORDER:
             raise ValueError(f"holder_norm configuration error: m must be an integer in [0,{_MAX_ORDER}], got m={m}")
     g = fld.grid
-    vals = fld.values if fld.values.ndim == 2 else fld.values[:, None]
-    totals = dict.fromkeys((int(m) for m in orders), 0.0)
-    derivs = {s: g.derivative_matrix(s) @ vals for m in totals for s in multi_indices(g.dim, m) if m > 0}
-    for c in range(vals.shape[1]):
-        base = _c0alpha(g, vals[:, c], alpha)
-        for m in totals:
-            totals[m] += base
-            if m > 0:
-                for s in multi_indices(g.dim, m):
-                    totals[m] += _c0alpha(g, derivs[s][:, c], alpha)
+    vals = fld.values[..., None] if isinstance(fld, ScalarField) else fld.values
+    k = vals.shape[-1]
+    cols = vals.reshape(len(vals), -1)  # sample by sample, k components each
+    parts = {m: [()] + (multi_indices(g.dim, m) if m > 0 else []) for m in (int(m) for m in orders)}
+    # () is the C^{0,alpha} part; one norm per column for each part
+    norms = {s: _c0alpha(g, cols if s == () else g.derivative_matrix(s) @ cols, alpha)
+             for s in dict.fromkeys(s for keys in parts.values() for s in keys)}
+    totals = {}
+    for m, keys in parts.items():
+        sums = []
+        for j in range(0, cols.shape[1], k):
+            total = 0.0
+            for c in range(j, j + k):
+                for s in keys:
+                    total += norms[s][c]
+            sums.append(total)
+        totals[m] = np.array(sums) if vals.ndim == 3 else sums[0]
     return totals
+
+
+def per_sample(norms):
+    """A stack's holder_norms as {m: [float per sample]}: the witnesses are
+    Python floats, as one sample's norms are."""
+    return {m: n.tolist() for m, n in norms.items()}
 
 
 def holder_norm(fld, m, alpha):
@@ -785,68 +828,84 @@ def monitor_recurrence(a0, C, sequence):
 # ---------------------------------------------------------------------------
 # inequality suite
 
-# Three seeded corpora stay apart: _random_scalar (six terms, for
+# Three seeded corpora stay apart: _scalar_corpus (six terms, for
 # check_inequalities), random_waves (continuity_witnesses) and
 # poisson._supported_sample (elliptic_monitors).  Their bases, draw counts
 # and operation orders differ (c2*x*y is (c2*x)*y, c2*x*x is (c2*x)*x), so
-# one shared basis would move the last bits of every frozen report.
+# one shared basis would move the last bits of every frozen report.  Each
+# builds all its fields at once from an array of coefficients: a node
+# profile p times a coefficient array c broadcasts as p[:, None, ...] * c,
+# elementwise the product of one field at a time.
 
 
-def _random_scalar(grid, rng):
+def nodes_first(vals, shape):
+    """vals (nodes,) reshaped to broadcast against arrays of the given shape,
+    nodes first: (nodes, 1, ..., 1)."""
+    return vals[(slice(None),) + (None,) * len(shape)]
+
+
+def _scalar_corpus(grid, coef):
+    """check_inequalities' scalar fields sum_i coef[..., i] * basis_i, one per
+    row of coef (..., 6), as an array (nodes, ...)."""
     x = grid.coords[:, 0]
-    c = rng.uniform(-1.0, 1.0, 6)
     if grid.dim == 1:
         basis = [np.ones_like(x), x, x * x, np.sin(np.pi * x), np.cos(2.0 * x), np.sin(2.3 * x + 0.7)]
     else:
         y = grid.coords[:, 1]
         basis = [np.ones_like(x), x, y, np.sin(np.pi * x) * np.cos(y), x * y, np.cos(x + 2.0 * y)]
-    return sum(ci * bi for ci, bi in zip(c, basis))
+    return sum(c * nodes_first(b, c.shape) for c, b in zip(np.moveaxis(coef, -1, 0), basis))
 
 
-def random_waves(grid, rng, count):
-    """count seeded corpus columns c0 + c1 sin 2x + c2 x (interval) or
-    c0 + c1 sin(x + y) + c2 xy (disk), one uniform(-1, 1) triple c each."""
-    coef = rng.uniform(-1.0, 1.0, (count, 3))
-    x = grid.coords[:, 0]
+def _affine_corpus(grid, coef):
+    """Per-axis affine polynomials (Leibniz-exact corpus members) a + bx, or
+    a + bx + cy + dxy on the disk, one per row of coef (..., 2 dim)."""
+    terms = np.moveaxis(coef, -1, 0)
+    x = nodes_first(grid.coords[:, 0], coef.shape[:-1])
     if grid.dim == 1:
-        wave = np.sin(2.0 * x)
-        return np.column_stack([a + b * wave + c * x for a, b, c in coef])
-    y = grid.coords[:, 1]
-    wave = np.sin(x + y)
-    return np.column_stack([a + b * wave + c * x * y for a, b, c in coef])
-
-
-def _random_affine(grid, rng):
-    """Per-axis affine polynomial (Leibniz-exact corpus member)."""
-    x = grid.coords[:, 0]
-    if grid.dim == 1:
-        a, b = rng.uniform(-2.0, 2.0, 2)
+        a, b = terms
         return a + b * x
-    y = grid.coords[:, 1]
-    a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+    y = nodes_first(grid.coords[:, 1], coef.shape[:-1])
+    a, b, c, d = terms
     return a + b * x + c * y + d * x * y
 
 
-def _random_vec(grid, rng, q=2):
-    return np.column_stack([_random_scalar(grid, rng) for _ in range(q)])
+def random_waves(grid, rng, *shape):
+    """Seeded corpus fields c0 + c1 sin 2x + c2 x (interval) or
+    c0 + c1 sin(x + y) + c2 xy (disk), as an array (nodes, *shape): one
+    uniform(-1, 1) triple c per field, drawn in the C order of shape."""
+    a, b, c = np.moveaxis(rng.uniform(-1.0, 1.0, (*shape, 3)), -1, 0)
+    x = grid.coords[:, 0]
+    if grid.dim == 1:
+        wave, last = np.sin(2.0 * x), c * nodes_first(x, shape)
+    else:
+        y = grid.coords[:, 1]
+        wave, last = np.sin(x + y), c * nodes_first(x, shape) * nodes_first(y, shape)
+    # (a + b wave) + last, summed in place
+    out = b * nodes_first(wave, shape)
+    out += a
+    out += last
+    return out
 
 
 def leibniz_defect(grid, u, v, beta):
     """sup |D^beta(uv) - binomial expansion| over the nodes.
 
-    u and v go in as the two columns of one field, so each D^gamma
+    u and v are one field each, (nodes,), or S samples side by side,
+    (nodes, S), which give the S sups as an (S,) array, each bitwise the
+    sample's own.  u and v go in as one stack, so each D^gamma
     (gamma <= beta) is applied once.
     """
     lhs = grid.derivative_matrix(beta) @ (u * v)
-    both = np.column_stack([u, v])
+    both = np.stack([u, v], axis=-1)
     sub = list(np.ndindex(*(b + 1 for b in beta)))  # every gamma <= beta
     d = {gamma: grid.derivative_matrix(gamma) @ both for gamma in sub}
     rhs = np.zeros_like(lhs)
     for gamma in sub:
         coeff = float(prod(comb(bi, gi) for bi, gi in zip(beta, gamma)))
         rest = tuple(b - g for b, g in zip(beta, gamma))
-        rhs += coeff * d[gamma][:, 0] * d[rest][:, 1]
-    return float(np.max(np.abs(lhs - rhs)))
+        rhs += coeff * d[gamma][..., 0] * d[rest][..., 1]
+    sup = np.max(np.abs(lhs - rhs), axis=0)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
@@ -857,6 +916,13 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
     witness constants for the embedding and bilinear bounds at m in {1, 2}.
     Witnesses are empirical maxima, recorded rather than asserted against
     magic constants.
+
+    The corpus is drawn up front, sample by sample in the seeded order, and
+    measured as stacks, one field kind at a time: each stencil product,
+    norm table (holder_norms) and Leibniz defect runs once over all
+    samples, and each seminorm sweeps one column.  The report then takes
+    the samples in order, so every entry is bitwise the value of measuring
+    one sample at a time.
     """
     rng = np.random.default_rng(seed)
     report = {
@@ -871,47 +937,54 @@ def check_inequalities(grid, samples=100, alpha=0.5, seed=0):
         for key in ("scalar_bilinear", "dot_bilinear"):
             report[f"{key}_witness_m{m}"] = 0.0
 
-    for _ in range(samples):
-        u = _random_scalar(grid, rng)
-        v = _random_scalar(grid, rng)
-        ua, va = _random_affine(grid, rng), _random_affine(grid, rng)
-        _random_scalar(grid, rng)  # discarded: keeps w1 and w2 on their seeded draws
-        w1 = _random_vec(grid, rng)
-        w2 = _random_vec(grid, rng)
-        # one table of C^{0,alpha}, C^{1,alpha}, C^{2,alpha} norms per field;
-        # every witness below reads it
-        nu, nv, nuv, ndot = (
-            holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
-            for f in (u, v, u * v, (w1 * w2).sum(axis=1))
-        )
-        nw1, nw2 = (holder_norms(VecField(grid, w), (0, 1, 2), alpha) for w in (w1, w2))
+    # per sample: u and v, the affine pair, then one scalar that is drawn
+    # and discarded (it keeps w1 and w2 on their seeded draws), w1 and w2
+    scalars, affine, vectors = (np.empty((samples, 2, 6)), np.empty((samples, 2, 2 * grid.dim)),
+                                np.empty((samples, 5, 6)))
+    for k in range(samples):
+        scalars[k] = rng.uniform(-1.0, 1.0, (2, 6))
+        affine[k] = rng.uniform(-2.0, 2.0, (2, 2 * grid.dim))
+        vectors[k] = rng.uniform(-1.0, 1.0, (5, 6))
+    u, v = _scalar_corpus(grid, scalars[:, 0]), _scalar_corpus(grid, scalars[:, 1])
+    ua, va = _affine_corpus(grid, affine[:, 0]), _affine_corpus(grid, affine[:, 1])
+    w1, w2 = _scalar_corpus(grid, vectors[:, 1:3]), _scalar_corpus(grid, vectors[:, 3:])
 
+    # one table of C^{0,alpha}, C^{1,alpha}, C^{2,alpha} norms per field and
+    # sample; every witness below reads it
+    nu, nv, nuv, ndot = (
+        per_sample(holder_norms(ScalarField(grid, f), (0, 1, 2), alpha))
+        for f in (u, v, u * v, (w1 * w2).sum(axis=-1))
+    )
+    nw1, nw2 = (per_sample(holder_norms(VecField(grid, w), (0, 1, 2), alpha)) for w in (w1, w2))
+    # Leibniz on the polynomial-exact corpus, at orders <= 2 only: the
+    # composed order-3/4 stencils amplify float64 roundoff by 1/h^4,
+    # which alone exceeds the 1e-10 consistency budget
+    scales = np.max(np.abs(ua * va), axis=0).tolist()
+    defects = [leibniz_defect(grid, ua, va, beta).tolist()
+               for beta in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2)]
+
+    for j in range(samples):
         # product inequality, exact by shared-pair-set construction
-        lhs = nuv[0]
-        rhs = nu[0] * nv[0]
+        lhs = nuv[0][j]
+        rhs = nu[0][j] * nv[0][j]
         ratio = lhs / rhs if rhs > 0 else 0.0
         report["product_max_ratio"] = max(report["product_max_ratio"], ratio)
         if lhs > rhs * (1.0 + 1e-12):
             report["product_violations"] += 1
 
         # embedding witness: |u|_{1,alpha} <= C |u|_{2,alpha}
-        report["embed_witness"] = max(report["embed_witness"], nu[1] / max(nu[2], 1e-300))
+        report["embed_witness"] = max(report["embed_witness"], nu[1][j] / max(nu[2][j], 1e-300))
 
-        # Leibniz on the polynomial-exact corpus, at orders <= 2 only: the
-        # composed order-3/4 stencils amplify float64 roundoff by 1/h^4,
-        # which alone exceeds the 1e-10 consistency budget
-        for beta in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
-            scale = max(1.0, float(np.max(np.abs(ua * va))))
-            report["leibniz_max_err"] = max(
-                report["leibniz_max_err"], leibniz_defect(grid, ua, va, beta) / scale
-            )
+        scale = max(1.0, scales[j])
+        for defect in defects:
+            report["leibniz_max_err"] = max(report["leibniz_max_err"], defect[j] / scale)
 
         for m in (1, 2):
             report[f"scalar_bilinear_witness_m{m}"] = max(
-                report[f"scalar_bilinear_witness_m{m}"], nuv[m] / max(nu[m] * nv[m], 1e-300)
+                report[f"scalar_bilinear_witness_m{m}"], nuv[m][j] / max(nu[m][j] * nv[m][j], 1e-300)
             )
             report[f"dot_bilinear_witness_m{m}"] = max(
-                report[f"dot_bilinear_witness_m{m}"], ndot[m] / max(nw1[m] * nw2[m], 1e-300)
+                report[f"dot_bilinear_witness_m{m}"], ndot[m][j] / max(nw1[m][j] * nw2[m][j], 1e-300)
             )
 
     return report

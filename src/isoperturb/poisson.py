@@ -1,7 +1,8 @@
 """Dirichlet solves for the Poisson equation on the interval / unit disk.
 
-A field is its (nodes,) array, read on the solver's grid; ScalarField pairs
-it with the grid only to be measured (the elliptic monitors' norms).
+A field is its (nodes,) array, or S of them side by side, (nodes, S), read
+on the solver's grid; ScalarField pairs it with the grid only to be
+measured (the elliptic monitors' norms).
 
 The zero-boundary inverse Laplacian is the workhorse behind the correction
 operators: every potential in the pipeline is a solve against the grid's
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, WindowTable, holder_norms, radial_bump
+from .grid import Grid, ScalarField, WindowTable, holder_norms, nodes_first, per_sample, radial_bump
 
 _MIN_ARM = 1e-6
 # support radius of the elliptic monitors' right-hand sides
@@ -38,11 +39,11 @@ class DirichletSolution:
 
     Attributes
     ----------
-    u : ndarray, shape (num_nodes,)
+    u : ndarray, shape (num_nodes,), or (num_nodes, S) for S columns
         Solution.  On the interval u = 0 at the two end nodes; on the disk
         u = 0 enters through the arms that the circle cuts, and no node
         carries it.
-    residual_sup : float
+    residual_sup : float, or (S,) array for S columns
         max |L u - f| over the unknowns (nodes 1:-1 of the interval, every
         node of the disk), where L is the solver's own discrete Laplacian
         (unequal-arm stencils near the circle for n=2).
@@ -98,41 +99,54 @@ class PoissonSolver:
     # -- solving -------------------------------------------------------
 
     def solve(self, f) -> DirichletSolution:
+        """Solve for one right side f (nodes,), or for the S columns of f
+        (nodes, S) at once, each bitwise its own solve: the interval's
+        cumulative sums run down each column, and the disk solves column by
+        column (a block product of several columns may round otherwise)."""
         g = self.grid
         fv = np.asarray(f, dtype=float)
-        if fv.shape != (g.num_nodes,):
+        if fv.ndim not in (1, 2) or fv.shape[0] != g.num_nodes:
             raise ValueError(f"solve_dirichlet: f has shape {fv.shape}, the grid needs "
-                             f"({g.num_nodes},)")
+                             f"({g.num_nodes},) or ({g.num_nodes}, S)")
         if not np.all(np.isfinite(fv)):
             raise NonFiniteLoad("solve_dirichlet: f is not finite")
         if g.dim == 1:
             u = self._solve_interval(fv)
             lap = g.derivative_matrix((2,)) @ u
-            res = float(np.max(np.abs(lap[1:-1] - fv[1:-1])))
+            res = np.max(np.abs(lap[1:-1] - fv[1:-1]), axis=0)
         else:
-            u = _block_solve(self._blocks, fv)
+            if fv.ndim == 1:
+                u = _block_solve(self._blocks, fv)
+            else:
+                u = np.empty_like(fv)
+                for j, col in enumerate(fv.T.copy()):  # contiguous, as a lone right side is
+                    u[:, j] = _block_solve(self._blocks, col)
             if not np.all(np.isfinite(u)):
                 raise RuntimeError(
                     "solve_dirichlet: factorization produced non-finite values "
                     "(matrix may be near-singular)"
                 )
-            res = float(np.max(np.abs(self._matrix @ u - fv)))
-        return DirichletSolution(u, res)
+            res = np.max(np.abs(self._matrix @ u - fv), axis=0)
+        return DirichletSolution(u, float(res) if fv.ndim == 1 else res)
 
     def _solve_interval(self, fv):
         # exact inverse of the interior three-point operator with u(+-1)=0:
-        # delta_k = u_{k+1}-u_k satisfies delta_k = delta_0 + h^2 * cumsum(f)
+        # delta_k = u_{k+1}-u_k satisfies delta_k = delta_0 + h^2 * cumsum(f),
+        # down each column of fv (nodes,) or (nodes, S)
         g = self.grid
         h = np.longdouble(g.spacing)
         n = g.num_nodes
         # extended-precision accumulation keeps the roundtrip residual at
         # the 1e-12 level even on fine grids
-        s = np.cumsum(fv[1 : n - 1].astype(np.longdouble))  # s_k = sum_{m<=k} f_m
-        partial = np.cumsum(s)
+        u = np.zeros(fv.shape, dtype=np.longdouble)
+        partial = u[2:n]  # s_k = sum_{m<=k} f_m, then its partial sums, in place
+        partial[:] = fv[1 : n - 1]
+        np.cumsum(partial, axis=0, out=partial)
+        np.cumsum(partial, axis=0, out=partial)
         delta0 = -h * h * partial[-1] / (n - 1)
-        u = np.zeros(n, dtype=np.longdouble)
         u[1] = delta0
-        u[2:n] = np.arange(2, n) * delta0 + h * h * partial
+        partial *= h * h
+        partial += nodes_first(np.arange(2, n), fv.shape[1:]) * delta0
         u[n - 1] = 0.0
         return u.astype(float)
 
@@ -195,15 +209,20 @@ def solve_dirichlet(grid: Grid, f) -> DirichletSolution:
 # elliptic estimate monitors (recorded constants; never gate the solve)
 
 
-def _supported_sample(grid, rng):
-    prof = radial_bump(grid, _MONITOR_SUPPORT, 4)
+def _supported_sample(grid, rng, *shape):
+    """Seeded right sides supported in the 3/4-ball, as an array (nodes,
+    *shape): a radial bump times c0 + c1 sin 3x + c2 x^2 (interval) or
+    c0 + c1 sin(2x + y) + c2 xy (disk), one uniform(-1, 1) triple c per
+    field, drawn in the C order of shape."""
+    prof = nodes_first(radial_bump(grid, _MONITOR_SUPPORT, 4), shape)
     x = grid.coords[:, 0]
-    c = rng.uniform(-1.0, 1.0, 3)
+    xs = nodes_first(x, shape)
+    c0, c1, c2 = np.moveaxis(rng.uniform(-1.0, 1.0, (*shape, 3)), -1, 0)
     if grid.dim == 1:
-        wave = c[0] + c[1] * np.sin(3.0 * x) + c[2] * x * x
+        wave = c0 + c1 * nodes_first(np.sin(3.0 * x), shape) + c2 * xs * xs
     else:
         y = grid.coords[:, 1]
-        wave = c[0] + c[1] * np.sin(2.0 * x + y) + c[2] * x * y
+        wave = c0 + c1 * nodes_first(np.sin(2.0 * x + y), shape) + c2 * xs * nodes_first(y, shape)
     return prof * wave
 
 
@@ -214,30 +233,34 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     over a corpus of right-hand sides supported in the 3/4-ball, plus a
     linearity defect.
     These are monitors only; nothing here gates a solve.
+
+    The corpus is drawn up front in the seeded order and measured as
+    stacks: the norms of f, one solve of every kept column and the norms
+    of u each run once over the corpus (holder_norms' stacked form), and
+    the linearity check reuses the solves of its two fields.  The ratios
+    are then taken sample by sample, so each is bitwise the value of one
+    sample at a time.
     """
     rng = np.random.default_rng(seed)
     solver = _solver_for(grid)
+    f = _supported_sample(grid, rng, samples)
+    nf = holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
+    kept = ~(nf[0] < 1e-14)
+    f, nf = f[:, kept], per_sample({m: n[kept] for m, n in nf.items()})
+    u = solver.solve(f).u
+    nu = per_sample(holder_norms(ScalarField(grid, u), (2, 3, 4), alpha))
     schauder = 0.0
     higher = {1: 0.0, 2: 0.0}
-    fields = []
-    for _ in range(samples):
-        f = _supported_sample(grid, rng)
-        nf = holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
-        if nf[0] < 1e-14:
-            continue
-        sol = solver.solve(f)
-        nu = holder_norms(ScalarField(grid, sol.u), (2, 3, 4), alpha)
-        schauder = max(schauder, nu[2] / nf[0])
+    for j in range(f.shape[1]):
+        schauder = max(schauder, nu[2][j] / nf[0][j])
         for m in (1, 2):
-            higher[m] = max(higher[m], nu[m + 2] / nf[m])
-        fields.append(f)
+            higher[m] = max(higher[m], nu[m + 2][j] / nf[m][j])
     # linearity spot check on the last two corpus members
     lin = 0.0
-    if len(fields) >= 2:
-        fa, fb = fields[-2], fields[-1]
+    if f.shape[1] >= 2:
         a, b = 1.7, -0.4
-        mixed = solver.solve(a * fa + b * fb).u
-        sep = a * solver.solve(fa).u + b * solver.solve(fb).u
+        mixed = solver.solve(a * f[:, -2] + b * f[:, -1]).u
+        sep = a * u[:, -2] + b * u[:, -1]
         scale = max(1.0, float(np.max(np.abs(sep))))
         lin = float(np.max(np.abs(mixed - sep))) / scale
     return {

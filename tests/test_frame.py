@@ -222,6 +222,19 @@ def test_frame_refuses_a_nan_inverse():
             build_frame(F0, g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_refuses_non_finite_rows(bad):
+    # a NaN sample made the SVD fail to converge (numpy's LinAlgError); every
+    # non-finite row is refused before it, naming the first node it reaches
+    # (node 0, whose one-sided order-2 window spans nodes 0-5)
+    g = make_grid(1, 17)
+    F0 = CircleChart().evaluate(g)
+    F0[5, 0] = bad
+    with pytest.raises(NotFreeError, match="not finite at node 0") as exc:
+        build_frame(F0, g)
+    assert exc.value.node == 0 and np.isnan(exc.value.margin)
+
+
 # ---------------------------------------------------------------------------
 # frame inverse and application
 

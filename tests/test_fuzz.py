@@ -136,3 +136,17 @@ def test_a_drawn_scenario_never_ends_in_an_error(path, data):
         assert code in (0, 1, 2), (code, raw)
         if code == 2:
             assert not out.exists(), raw
+
+
+# a draw at the ends of the ranges, pinned: beta * t overflows the bump's
+# scale, which must read as a config error and nothing else on stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bump_breathing_overflow_is_one_config_error_line(tmp_path, capsys):
+    raw = {"name": "fuzz", "command": "solve-family", "chart": "torus", "resolution": 17,
+           "family": {"name": "bump-breathing", "beta": -1e300, "horizon": 1e300, "samples": 1}}
+    (tmp_path / "sc.yaml").write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    code = main(["solve-family", "--config", str(tmp_path / "sc.yaml"), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.splitlines() == [err.strip()] and err.startswith("config error [family]:")

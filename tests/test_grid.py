@@ -1141,7 +1141,7 @@ def _disk_corpus_fields(g):
     rng = np.random.default_rng(7)
     fields = []
     for _ in range(3):
-        u = grid_module._random_scalar(g, rng)
+        u = grid_module._scalar_corpus(g, rng.uniform(-1.0, 1.0, 6))
         fields.append(u)
         fields += [g.derivative_matrix(s) @ u for s in multi_indices(2, 1) + multi_indices(2, 2)]
     return fields

@@ -6,7 +6,9 @@ The strings are those of the one-order-at-a-time computation, with each
 D^s applied as its per-axis tables in turn (numpy 2.4, x86-64); a numpy
 whose sin/cos round differently changes them.  The counts
 pin how many lag sweeps (Grid.quotient_max) and Dirichlet solves each call
-makes per sample.
+makes per sample.  The calls measure each corpus as stacks of samples; the
+stacked forms of holder_norms, the Dirichlet solve and leibniz_defect are
+checked here against one sample at a time, bit for bit.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ import pytest
 # holder_norms is read as grid.holder_norms, so that the frozen reports can
 # also be checked against a grid module that has only holder_norm
 from isoperturb import grid
-from isoperturb.grid import Grid, VecField, check_inequalities, make_grid
+from isoperturb.grid import (
+    Grid, ScalarField, VecField, check_inequalities, leibniz_defect, make_grid, multi_indices, random_waves,
+)
 from isoperturb.operators import Cutoff, continuity_witnesses
-from isoperturb.poisson import PoissonSolver, elliptic_monitors
+from isoperturb.poisson import PoissonSolver, _supported_sample, elliptic_monitors, solve_dirichlet
 
 SEED = 7
 
@@ -112,10 +116,18 @@ def test_elliptic_monitors_takes_each_seminorm_once(monkeypatch, interval):
 
 def test_continuity_witnesses_solves_potentials_once_per_field(monkeypatch, interval):
     # one load potential per axis for each of v1 and v2; the normal and the
-    # tangential correction share them
-    calls = _counter(monkeypatch, PoissonSolver, "solve")
+    # tangential correction share them.  A solve takes a stack of right
+    # sides, so the count is of solved columns
+    columns = [0]
+    inner = PoissonSolver.solve
+
+    def counted(self, f):
+        columns[0] += np.shape(f)[1] if np.ndim(f) == 2 else 1
+        return inner(self, f)
+
+    monkeypatch.setattr(PoissonSolver, "solve", counted)
     continuity_witnesses(Cutoff(interval), samples=3, alpha=0.5, seed=SEED)
-    assert calls[0] == 3 * 2
+    assert columns[0] == 3 * 2
 
 
 def test_holder_norms_takes_each_seminorm_once(monkeypatch, interval):
@@ -127,3 +139,49 @@ def test_holder_norms_takes_each_seminorm_once(monkeypatch, interval):
         fld = VecField(interval, np.column_stack([np.sin(k * x) for k in range(q)]))
         grid.holder_norms(fld, (0, 1, 2), 0.5)
         assert calls[0] == 3 * q
+
+
+# ---------------------------------------------------------------------------
+# stacked forms, one sample at a time
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 201), (2, 33)])
+@pytest.mark.parametrize("orders", [(0, 1, 2), (2, 3, 4)])
+# 7 scalar columns take the stencils' wide-stack path, 3 two-component
+# samples (6 columns) their tiled one
+@pytest.mark.parametrize("samples,k", [(7, 1), (3, 2)])
+def test_stacked_holder_norms_are_each_fields_own(dim, resolution, orders, samples, k):
+    g = make_grid(dim, resolution)
+    stack = random_waves(g, np.random.default_rng(resolution), samples, k)
+    norms = grid.holder_norms(ScalarField(g, stack[..., 0]) if k == 1 else VecField(g, stack), orders, 0.5)
+    assert all(norms[m].shape == (samples,) for m in orders)
+    for j in range(samples):
+        field = ScalarField(g, stack[:, j, 0]) if k == 1 else VecField(g, stack[:, j])
+        alone = grid.holder_norms(field, orders, 0.5)
+        for m in orders:
+            assert norms[m][j].tobytes() == np.float64(alone[m]).tobytes(), (m, j)
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 201), (2, 25)])
+def test_stacked_solve_is_each_columns_own(dim, resolution):
+    g = make_grid(dim, resolution)
+    rng = np.random.default_rng(resolution)
+    f = np.column_stack([_supported_sample(g, rng, 5), rng.normal(size=(g.num_nodes, 4))])
+    sol = solve_dirichlet(g, f)
+    assert sol.u.shape == f.shape and sol.residual_sup.shape == (9,)
+    for j in range(f.shape[1]):
+        alone = solve_dirichlet(g, f[:, j])
+        assert sol.u[:, j].tobytes() == alone.u.tobytes(), j
+        assert sol.residual_sup[j] == alone.residual_sup, j
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 201), (2, 33)])
+def test_stacked_leibniz_defect_is_each_samples_own(dim, resolution):
+    g = make_grid(dim, resolution)
+    waves = random_waves(g, np.random.default_rng(resolution), 2, 8)
+    u, v = waves[:, 0], waves[:, 1]
+    for beta in multi_indices(dim, 1) + multi_indices(dim, 2):
+        stacked = leibniz_defect(g, u, v, beta)
+        assert stacked.shape == (8,)
+        for j in range(8):
+            assert stacked[j] == leibniz_defect(g, u[:, j], v[:, j], beta), (beta, j)

@@ -3,8 +3,8 @@
 Each per-axis grid.WindowTable's nonzero weights, read in canonical CSR
 order, are the rows, columns and data of scipy's COO -> CSR of those
 triplets, given in a shuffled order, and its zero weights read only the pad
-slot.  Its @ is csr_matvec (and csr_matvecs for x of several columns): the
-same doubles, inf and -0.0 included.  A NaN result is compared by position
+slot.  Its @ is csr_matvec (and csr_matvecs for x of several columns, or
+a stack of them): the same doubles, inf and -0.0 included.  A NaN result is compared by position
 only, as numpy's additions need not give it the sign scipy's kernels do.
 Each operator D^s is its per-axis tables applied last factor first, and is
 compared with scipy's matrices of the same axes and orders applied in that
@@ -69,6 +69,8 @@ def test_operators_and_products_are_scipys_bit_for_bit(dim, N):
     x = _inputs(n, rng)
     finite = np.random.default_rng(0).standard_normal((n, 6))
     zeros = np.full((n, 2), -0.0)  # a sum that starts from a term, not 0.0, stays -0.0
+    # a stack (nodes, S, k): its 12 columns are past the widths @ tiles weights for
+    stack = np.stack([x, finite], axis=1)
     for widths in (SOLVER_WIDTHS, ORACLE_WIDTHS):
         axis_refs = {}
 
@@ -100,6 +102,7 @@ def test_operators_and_products_are_scipys_bit_for_bit(dim, N):
                     assert _same(op @ v, _apply(refs, v)), (label, v.shape)
                     if len(pairs) == 1:
                         assert _same(pairs[0][0] @ v, refs[0] @ v), (label, v.shape)
+                assert _same(op @ stack, _apply(refs, stack.reshape(n, -1)).reshape(stack.shape)), label
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")  # inf - inf

@@ -81,12 +81,15 @@ def test_nonfinite_rhs_rejected():
 
 
 def test_grid_mismatch_rejected():
-    # a field is its array: one sampled on another grid has the wrong length
+    # a field is its array: one sampled on another grid has the wrong length,
+    # as has a stack of its columns; a stack has one axis of columns
     for g1, g2 in ((interval_grid(101), interval_grid(51)), (disk_grid(25), disk_grid(17))):
         with pytest.raises(ValueError, match="shape"):
             solve_dirichlet(g1, np.zeros(g2.num_nodes))
         with pytest.raises(ValueError, match="shape"):
-            solve_dirichlet(g1, np.zeros((g1.num_nodes, 1)))
+            solve_dirichlet(g1, np.zeros((g2.num_nodes, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            solve_dirichlet(g1, np.zeros((g1.num_nodes, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
