@@ -110,7 +110,7 @@ def decompose_metric(atlas: Atlas, family: MetricFamily) -> list:
             pts = _ch.to_manifold(X)
             psi = atlas.partition(pts)[_k]
             delta = family.evaluator(pts, t) - family.evaluator(pts, 0.0)
-            with np.errstate(invalid="ignore"):  # 0 * inf off the chart: the solve refuses the NaN
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or 0 * inf: the solve refuses it
                 return (_ch.halfwidth**2) * psi[:, None] * delta
 
         evaluators.append(evaluator)

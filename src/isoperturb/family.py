@@ -65,6 +65,14 @@ class HorizonCollapse(RuntimeError):
         self.halvings = list(halvings)
 
 
+def sample_times(horizon, samples):
+    """The samples + 1 uniform times on [0, horizon]."""
+    # linspace overflows a step product near the float range on its way
+    # to finite samples
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, horizon, samples + 1)
+
+
 def adaptive_horizon(run_pass, horizon, samples):
     """Run run_pass(ts) over samples + 1 uniform times on [0, horizon].
 
@@ -78,7 +86,7 @@ def adaptive_horizon(run_pass, horizon, samples):
     halvings = []
     for _ in range(MAX_HALVINGS):
         try:
-            result = run_pass(np.linspace(0.0, horizon, samples + 1))
+            result = run_pass(sample_times(horizon, samples))
         except SolveFailure as exc:
             halvings.append(Halving(horizon, exc.t, exc.stage, exc.trace))
             horizon *= 0.5
@@ -125,10 +133,7 @@ class MetricFamily:
 
     @property
     def t_grid(self):
-        # linspace overflows a step product near the float range on its way
-        # to finite samples
-        with np.errstate(over="ignore"):
-            return np.linspace(0.0, self.horizon, self.samples + 1)
+        return sample_times(self.horizon, self.samples)
 
     def sample(self, t):
         """g(., t) on the grid of a chart family, (nodes, n(n+1)/2)."""

@@ -111,8 +111,8 @@ def quadratic_load(cut: Cutoff, v):
     each (nodes,); (nodes, S) for a stack v (nodes, S, q)."""
     g = cut.grid
     a, da = _profiles(cut, v.shape[1:-1])
-    lap_v = laplacian(g, v)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow: the solve refuses it as NonFiniteLoad
+        lap_v = laplacian(g, v)
         lap_dot_v = np.sum(lap_v * v, axis=-1)
         return [
             2.0 * da[i] * lap_dot_v + a * np.sum(lap_v * (_d1(g, i) @ v), axis=-1)

@@ -9,6 +9,7 @@ non-uniform t, and the SCALES families.  Whatever is drawn, a run ends in
 directory): never in an exception or in 3 (an unexpected error).
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -150,3 +151,37 @@ def test_bump_breathing_overflow_is_one_config_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert err.splitlines() == [err.strip()] and err.startswith("config error [family]:")
+
+
+# draws at the ends of the ranges, pinned: each overflows on its way to a
+# recorded outcome (the glue's horizon collapses, the local load is refused,
+# the family's sample times reach the float range) and warns nothing
+OVERFLOWING_DRAWS = {
+    "decompose-increment": (
+        {"command": "solve-global", "manifold": "circle", "resolution": 17, "mesh": 16,
+         "family": {"name": "uniform-scale", "beta": 3.2381225999991927e+307, "samples": 1}},
+        1, "glue horizon collapsed"),
+    "disk-laplacian": (
+        {"command": "solve-local", "chart": "torus", "resolution": 21,
+         "amplitude": 8.089619106880424e+306, "bump_radius": 5.0e-324},
+        1, "load overflowed at step 2"),
+    "sample-times": (
+        {"command": "solve-family", "chart": "parabola", "resolution": 17,
+         "family": {"name": "constant", "horizon": 1.7976931348623157e+308, "samples": 3}},
+        0, None),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("draw", OVERFLOWING_DRAWS)
+def test_an_overflowing_draw_ends_quietly(draw, tmp_path):
+    raw, expected, failure = OVERFLOWING_DRAWS[draw]
+    raw = {"name": "fuzz", **raw}
+    (tmp_path / "sc.yaml").write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main([raw["command"], "--config", str(tmp_path / "sc.yaml"), "--out", str(out), "--quiet"]) == expected
+    summary = json.loads((out / "summary.json").read_text())
+    if failure is None:
+        assert "failure" not in summary
+    else:
+        assert summary["failure"].startswith(failure)

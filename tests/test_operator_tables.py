@@ -19,7 +19,7 @@ from isoperturb.grid import SOLVER_WIDTHS, laplacian, make_grid, multi_indices
 from isoperturb.verify import ORACLE_WIDTHS
 
 # at N = 2948, h**2 != h*h; disks of 33 and 65 nodes a side are verify-appendix's
-# and the convergence study's
+# and the disk order tests'
 CASES = [(1, 17), (1, 18), (1, 201), (1, 2948), (1, 3201), (2, 17), (2, 18), (2, 25), (2, 33), (2, 65), (2, 97)]
 
 

@@ -1,5 +1,5 @@
 """The shipped entry points pass as a user would run them: each scenario in
-configs/ through the CLI, and each script in scripts/ as a program.
+configs/ through the CLI.
 
 Each config's artifacts are pinned by one sha256, so a change that means to
 keep them byte-identical is checked to; a change that means to move them
@@ -13,14 +13,11 @@ counts the Hoelder norms it takes against the trace rows it writes.
 import csv
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import isoperturb
 from isoperturb import grid as grid_module
 from isoperturb.cli import main
 from isoperturb.config import load_scenario
@@ -31,7 +28,6 @@ if str(ROOT / "perfbench") not in sys.path:
     sys.path.insert(0, str(ROOT / "perfbench"))
 import oracle  # noqa: E402
 
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # _tree_sha256 of the output directory of each configs/<name>.yaml
 ARTIFACT_SHA256 = {
@@ -66,22 +62,6 @@ def _file_listing(root):
     """One line per file under root, "<sha256 of its bytes>  <relative path>",
     so that a moved pin names the files that moved."""
     return "\n".join(f"{hashlib.sha256(data).hexdigest()}  {rel}" for rel, data in _files(root))
-
-
-def test_scripts_found():
-    assert len(SCRIPTS) == 1
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_demo_script_passes(script):
-    env = dict(os.environ)
-    src = str(Path(isoperturb.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "[FAIL]" not in proc.stdout
-    assert "[PASS]" in proc.stdout
 
 
 @pytest.fixture(scope="module")

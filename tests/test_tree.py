@@ -1,10 +1,10 @@
 """Nothing in the package exists only for the tests.
 
 Every function, method and class defined in src/isoperturb (dunder methods
-aside) must be referred to by some module under src/, scripts/ or
-perfbench/, test files excluded.  A reference is a name or an attribute
-with that identifier, or a dotted string constant that holds it (the
-benchmark tracer names its targets as "Grid.quotient_max").  An `__all__`
+aside) must be referred to by some module under src/ or perfbench/, test
+files excluded.  A reference is a name or an attribute with that
+identifier, or a dotted string constant that holds it (the benchmark
+tracer names its targets as "Grid.quotient_max").  An `__all__`
 entry is an export, not a reference.
 
 Every stored value must be read the same way: each dataclass field, and
@@ -38,7 +38,7 @@ from isoperturb.embeddings import CHARTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "isoperturb"
-CALLER_DIRS = ("src", "scripts", "perfbench")
+CALLER_DIRS = ("src", "perfbench")
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
