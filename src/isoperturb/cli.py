@@ -28,8 +28,10 @@ from .atlas import (
     write_embedding_csv,
 )
 from .config import (
+    APPENDIX_DISK_RESOLUTION,
     ScenarioError,
     Scenario,
+    appendix_disk_samples,
     check_size,
     load_family_table,
     load_scenario,
@@ -393,10 +395,10 @@ def _run_solve_global(scenario, report, family, atlas):
 
 def _run_verify_appendix(scenario, report):
     g1 = make_grid(1, scenario.resolution)
-    g2 = make_grid(2, 33)
+    g2 = make_grid(2, APPENDIX_DISK_RESOLUTION)
     rep1 = check_inequalities(g1, samples=scenario.appendix_samples,
                               alpha=scenario.alpha, seed=scenario.seed)
-    rep2 = check_inequalities(g2, samples=max(10, scenario.appendix_samples // 5),
+    rep2 = check_inequalities(g2, samples=appendix_disk_samples(scenario.appendix_samples),
                               alpha=scenario.alpha, seed=scenario.seed)
     cut = Cutoff(g1)
     cont = continuity_witnesses(cut, samples=20, alpha=scenario.alpha,

@@ -21,7 +21,7 @@ import yaml
 from .atlas import PSI_SUPP
 from .embeddings import CHARTS, MAX_HALFWIDTH, PHASES
 from .family import CHART_FAMILIES, GLOBAL_FAMILIES, WINDOW_FLAT, WINDOW_SUPPORT
-from .grid import MIN_RESOLUTION
+from .grid import MIN_RESOLUTION, make_grid
 
 
 CHART_COMMANDS = ("check-free", "solve-local", "solve-family")  # they read `chart`
@@ -42,8 +42,18 @@ COMMANDS = tuple(READS)
 CHART_NAMES = tuple(CHARTS)
 MANIFOLDS = tuple(PHASES)
 # largest array group a scenario may allocate, in bytes: a disk grid's sweep
-# lattice, or the embedding paths a run holds until it writes them
+# lattice, the embedding paths a run holds until it writes them, or the
+# corpus stacks of verify-appendix
 MAX_ALLOC_BYTES = 1 << 28
+# verify-appendix checks the inequalities on the interval at the scenario's
+# resolution with appendix_samples samples, and on this disk with
+# appendix_disk_samples of them
+APPENDIX_DISK_RESOLUTION = 33
+
+
+def appendix_disk_samples(samples):
+    """The disk corpus size of verify-appendix for appendix_samples = samples."""
+    return max(10, samples // 5)
 
 
 class ScenarioError(ValueError):
@@ -245,24 +255,33 @@ def parse_scenario(raw) -> Scenario:
 def check_size(sc):
     """Reject a scenario whose largest arrays would pass MAX_ALLOC_BYTES.
 
-    Two estimates, in float64 bytes, made before anything is allocated:
+    Three estimates, in float64 bytes, made before anything is allocated:
     - the sweep lattice of a disk grid (a torus chart, or the charts of a
       torus glue): (2N-1)*N slots for N = resolution, more than its disk
       nodes;
     - the embedding paths a solve holds until it writes its CSV:
       points x q x stages x (samples + 1), where the points are the mesh^dim
       mesh points and the stages charts + 1 for solve-global, and the N^dim
-      chart nodes and 2 stages for solve-family.
+      chart nodes and 2 stages for solve-family;
+    - the corpus stacks of verify-appendix, each inequality corpus apart:
+      check_inequalities peaks at about 24 doubles per node and sample on
+      the interval and 31 on the disk (tracemalloc, N = 201-2001 and the
+      N = 33 disk).  Its fixed 20-sample monitors stay under 90 MB at the
+      largest resolution.
     The error names the field with the largest factor.  Returns sc.
     """
+    N = sc.resolution
     if sc.command == "solve-global":
         shape = sc.manifold
     elif sc.command in CHART_COMMANDS:
         shape = sc.chart
-    else:
-        return sc  # verify-appendix: an interval and the fixed 33-node disk
+    else:  # verify-appendix
+        _check_bytes({"resolution": N, "appendix_samples": sc.appendix_samples},
+                     "the interval corpus stacks", 24)
+        _check_bytes({"appendix_samples": appendix_disk_samples(sc.appendix_samples)},
+                     "the disk corpus stacks", 31 * make_grid(2, APPENDIX_DISK_RESOLUTION).num_nodes)
+        return sc
     dim, width = CHARTS[shape].dim, CHARTS[shape].q
-    N = sc.resolution
     if dim == 2:
         _check_bytes({"resolution": (2 * N - 1) * N}, "the disk grid's sweep lattice")
     if sc.command == "solve-global":

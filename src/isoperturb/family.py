@@ -364,18 +364,17 @@ def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict
         )
     # a numpy float: dt**r overflows to inf where a Python float raises
     dt = np.float64(solution.t_grid[1] - solution.t_grid[0])
-    stacks = [np.stack(solution.us, axis=0)]  # (K+1, nodes, q)
-    for s_idx in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2):
-        m = grid.derivative_matrix(s_idx)
-        stacks.append(np.stack([m @ u for u in solution.us], axis=0))
+    us = np.stack(solution.us, axis=1)  # (nodes, K+1, q)
+    stacks = [us] + [grid.derivative_matrix(s) @ us
+                     for s in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2)]
     report = {"orders": {}}
     for r in range(1, r_max + 1):
         # dt**r may overflow to inf or underflow to 0: the divided differences
         # then read 0 or NaN, and a NaN coarse value takes the ratio's guard
         with np.errstate(over="ignore", invalid="ignore"):
-            native = max(float(np.max(np.abs(np.diff(st, r, axis=0) / dt**r))) for st in stacks)
+            native = max(float(np.max(np.abs(np.diff(st, r, axis=1) / dt**r))) for st in stacks)
             coarse = max(
-                float(np.max(np.abs(np.diff(st[::2], r, axis=0) / (2.0 * dt) ** r)))
+                float(np.max(np.abs(np.diff(st[:, ::2], r, axis=1) / (2.0 * dt) ** r)))
                 for st in stacks
             )
         ratio = native / coarse if coarse > 1e-12 else 1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, WindowTable, holder_norms, nodes_first, per_sample, radial_bump
+from .grid import Grid, ScalarField, WindowTable, holder_norms, largest, nodes_first, radial_bump
 
 _MIN_ARM = 1e-6
 # support radius of the elliptic monitors' right-hand sides
@@ -237,24 +237,18 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
     The corpus is drawn up front in the seeded order and measured as
     stacks: the norms of f, one solve of every kept column and the norms
     of u each run once over the corpus (holder_norms' stacked form), and
-    the linearity check reuses the solves of its two fields.  The ratios
-    are then taken sample by sample, so each is bitwise the value of one
-    sample at a time.
+    the linearity check reuses the solves of its two fields.  Each ratio
+    is then the largest of its per-sample ratios over the corpus array,
+    bitwise the value of one sample at a time.
     """
     rng = np.random.default_rng(seed)
     solver = _solver_for(grid)
     f = _supported_sample(grid, rng, samples)
     nf = holder_norms(ScalarField(grid, f), (0, 1, 2), alpha)
     kept = ~(nf[0] < 1e-14)
-    f, nf = f[:, kept], per_sample({m: n[kept] for m, n in nf.items()})
+    f, nf = f[:, kept], {m: n[kept] for m, n in nf.items()}
     u = solver.solve(f).u
-    nu = per_sample(holder_norms(ScalarField(grid, u), (2, 3, 4), alpha))
-    schauder = 0.0
-    higher = {1: 0.0, 2: 0.0}
-    for j in range(f.shape[1]):
-        schauder = max(schauder, nu[2][j] / nf[0][j])
-        for m in (1, 2):
-            higher[m] = max(higher[m], nu[m + 2][j] / nf[m][j])
+    nu = holder_norms(ScalarField(grid, u), (2, 3, 4), alpha)
     # linearity spot check on the last two corpus members
     lin = 0.0
     if f.shape[1] >= 2:
@@ -264,9 +258,9 @@ def elliptic_monitors(grid, samples=50, alpha=0.5, seed=0):
         scale = max(1.0, float(np.max(np.abs(sep))))
         lin = float(np.max(np.abs(mixed - sep))) / scale
     return {
-        "schauder_ratio": schauder,
-        "higher_order_ratio_m1": higher[1],
-        "higher_order_ratio_m2": higher[2],
+        "schauder_ratio": largest(nu[2] / nf[0]),
+        "higher_order_ratio_m1": largest(nu[3] / nf[1]),
+        "higher_order_ratio_m2": largest(nu[4] / nf[2]),
         "linearity_defect": lin,
         "samples": samples,
         "alpha": alpha,

@@ -3,8 +3,8 @@
 The partition of unity and the metric decomposition have exact algebraic
 oracles (normalized bumps sum to 1 by construction; the chart pullback is
 a scalar halfwidth^2 factor).  The glue pipeline is checked on calibrated
-circle scenarios (frozen residual/horizon values), a torus smoke run, a
-refined torus run at twice its scale, a forced-halving run, and degenerate
+circle scenarios (frozen residual/horizon values), a torus run at three
+scales (25/48, 49/96, 97/192), a forced-halving run, and degenerate
 inputs (zero embedding, short horizon).
 The pullback oracle is validated separately on the exact base embeddings
 and a deliberately mis-scaled one with a closed-form residual.
@@ -666,30 +666,13 @@ def test_embedding_csv_holds_little_text():
 # ------------------------------------------------------------- glue: torus
 
 
-def test_glue_torus_smoke():
-    atlas = build_atlas("torus", 4)
-    fam = build_manifold_family("circle-breathing", "torus", beta=0.01,
-                                horizon=0.25, samples=1)
-    sol = glue_solve(fam, atlas, chart_resolution=25,
-                     mesh=48, config=IterationConfig(tol=1e-7))
-    assert sol.horizon_used == 0.25
-    F0 = base_embedding("torus", sol.mesh_points)
-    assert np.all(sol.F[0] == F0)
-    res = solution_residuals(sol)
-    assert res[0] <= 1e-4      # coarse-mesh stencil baseline
-    assert max(res) <= 5e-3    # measured 1.1e-3
-    for margins in sol.stage_margins:
-        for margin, eps in margins:
-            assert margin > eps
-
-
 # (chart resolution, mesh) -> bounds on the residual at t = 0 and on the
 # largest one; the final residual measured 1.06e-3, 1.42e-4 and 3.93e-5
 TORUS_SCALES = {(25, 48): (1e-4, 5e-3), (49, 96): (5e-6, 2e-4), (97, 192): (5e-7, 5e-5)}
 
 
 def test_glue_torus_refined():
-    # the smoke scale, and twice and four times it in chart resolution and
+    # a coarse scale, and twice and four times it in chart resolution and
     # mesh: the final residual shrinks at least 3x per refinement
     atlas = build_atlas("torus", 4)
     fam = build_manifold_family("circle-breathing", "torus", beta=0.01,

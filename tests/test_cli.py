@@ -330,6 +330,8 @@ def test_absurd_resolution_override_rejected(tmp_path, capsys):
     ("chart: torus\nresolution: 17\n", ["--resolution", "20001"], "resolution"),
     ("mesh: 1000000\n", [], "mesh"),
     ("family: {name: circle-breathing, samples: 1000000000}\n", [], "family.samples"),
+    ("resolution: 20001\nappendix_samples: 5000\n", [], "resolution"),
+    ("resolution: 17\nappendix_samples: 50000\n", [], "appendix_samples"),
 ])
 def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
                                                       doc, extra, fieldname):
@@ -337,7 +339,11 @@ def test_oversized_scenario_exits_2_before_allocating(tmp_path, capsys, monkeypa
         raise AssertionError("the size guard let an oversized scenario through")
 
     monkeypatch.setattr(cli, "_scenario_inputs", allocate)
-    command = "check-free" if "chart" in doc else "solve-global"
+    monkeypatch.setattr(cli, "check_inequalities", allocate)
+    if "appendix_samples" in doc:
+        command = "verify-appendix"
+    else:
+        command = "check-free" if "chart" in doc else "solve-global"
     cfg = _cfg(tmp_path, f"name: x\ncommand: {command}\n{doc}")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet", *extra])

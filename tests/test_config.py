@@ -135,6 +135,9 @@ OVERSIZED = [
     ("command: solve-family\nfamily: {samples: 1000000000}\n", "family.samples"),
     ("command: solve-global\nfamily: {name: circle-breathing, samples: 1000000000}\n",
      "family.samples"),
+    ("command: verify-appendix\nresolution: 20001\nappendix_samples: 5000\n", "resolution"),
+    # only the disk corpus (10000 samples of its 793 nodes) is too large here
+    ("command: verify-appendix\nresolution: 17\nappendix_samples: 50000\n", "appendix_samples"),
 ]
 
 
