@@ -19,7 +19,7 @@ import numpy as np
 from .embeddings import TWO_PI, CircleChart, TorusChart, base_embedding, make_mesh
 from .family import MetricFamily, adaptive_horizon, locate_failure
 from .family import build_manifold_family  # noqa: F401  (perfbench's oracle reads it here)
-from .fixedpoint import IterationConfig, solve_fixed_point
+from .fixedpoint import IterationConfig, SolveRecord, solve_fixed_point
 from .frame import NotFreeError, build_frame
 from .grid import make_grid, sym_indices
 from .operators import Cutoff, radial_window
@@ -136,14 +136,16 @@ class GlobalSolution:
     t_grid: np.ndarray
     mesh_points: np.ndarray  # (npts, d)
     F_stages: list  # per stage 0..m: array (K+1, npts, q)
-    stage_traces: list  # per stage 1..m: list over t of IterationTrace
-    stage_margins: list  # per stage 1..m: list over t of (margin, eps_free)
-    horizon_used: float
+    records: list  # per stage 1..m: one SolveRecord per t, on the chart grid
     halvings: list = field(default_factory=list)  # see family.adaptive_horizon
 
     @property
     def F(self):
         return self.F_stages[-1]
+
+    @property
+    def stage_traces(self):
+        return [[rec.trace for rec in recs] for recs in self.records]
 
     def write_csv(self, path):
         """Rows: stage, t, mesh angles, embedding components."""
@@ -244,8 +246,7 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
 
     def run_pass(ts):
         F_prev = np.repeat(F0_mesh[None, :, :], len(ts), axis=0)
-        F_stages = [F_prev]
-        stage_traces, stage_margins = [], []
+        F_stages, records = [F_prev], []
         for i, (ch, increment) in enumerate(zip(atlas.charts, increments), start=1):
             inside = ch.radius(pts) < cutoff_radii[1]
             # both transfers run between tensor grids: the chart lattice in
@@ -269,16 +270,17 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
                     lost = (t, exc)
                     break
             F_new = F_prev.copy()
-            traces_i = [None] * len(frames)
+            records_i = [None] * len(frames)
             # the largest t first: its increment is the largest, and the
             # likeliest to fail the pass
             for k in reversed(range(len(frames))):
                 f = increment(g_chart.coords, ts[k])
                 with locate_failure(ts[k], stage=i):
-                    v, traces_i[k] = solve_fixed_point(frames[k], cut, f, config)
-                u_chart = a2[:, None] * v
-                if np.any(u_chart):
-                    u_mesh = _spline([g_chart.axis] * d, g_chart.to_lattice(u_chart),
+                    v, trace = solve_fixed_point(frames[k], cut, f, config)
+                rec = records_i[k] = SolveRecord(i, float(ts[k]), frames[k], f, v,
+                                                 a2[:, None] * v, trace)
+                if np.any(rec.u):
+                    u_mesh = _spline([g_chart.axis] * d, g_chart.to_lattice(rec.u),
                                      mesh_x, "not-a-knot")
                     F_new[k][inside] += u_mesh.reshape(-1, q)[inside]
             if lost is not None:
@@ -286,13 +288,10 @@ def glue_solve(family: MetricFamily, atlas: Atlas, chart_resolution=801,
                 raise StageFailure(
                     f"stage {i} lost freeness at t={t}: {exc}", stage=i
                 ) from exc
-            stage_traces.append(traces_i)
-            stage_margins.append([(fr.freeness_margin, fr.eps_free) for fr in frames])
+            records.append(records_i)
             F_prev = F_new
             F_stages.append(F_prev)
-        return GlobalSolution(
-            atlas, family, ts, pts, F_stages, stage_traces, stage_margins, float(ts[-1]),
-        )
+        return GlobalSolution(atlas, family, ts, pts, F_stages, records)
 
     return adaptive_horizon(run_pass, family.horizon, family.samples)
 

@@ -189,6 +189,14 @@ def _write_trace_csv(path, trace):
             fh.write(",".join([str(i)] + cells + [str(int(trace.norm_exact[i]))]) + "\n")
 
 
+def _write_sample_traces(out_dir, records):
+    """traces/sample_KK.csv, in a glue traces/stageI_sample_KK.csv, for the
+    record of each sample K of a solution."""
+    for k, rec in enumerate(records):
+        stage = "" if rec.stage is None else f"stage{rec.stage}_"
+        _write_trace_csv(os.path.join(out_dir, "traces", f"{stage}sample_{k:02d}.csv"), rec.trace)
+
+
 def _record_halvings(report, halvings):
     """results.halvings, and the trace of each failed solve under traces/rejected/."""
     report.record(halvings=[h.summary() for h in halvings])
@@ -279,26 +287,27 @@ def _run_solve_local(scenario, report, frame, cut, f):
     cfg = _iteration_config(scenario)
     trace_path = os.path.join(report.out_dir, "traces", "iteration.csv")
     try:
-        u, rep = local_perturb(frame, f, config=cfg, cutoff=cut)
+        rec, rep = local_perturb(frame, f, config=cfg, cutoff=cut)
     except SolveFailure as exc:
         _write_trace_csv(trace_path, exc.trace)
         return report.finish(failure=str(exc))
-    _write_trace_csv(trace_path, rep["trace"])
+    tr = rec.trace
+    _write_trace_csv(trace_path, tr)
     write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "local.csv"),
-        g.coords, [[frame.F0], [frame.F0 + u]], [0.0],
+        g.coords, [[frame.F0], [frame.F0 + rec.u]], [0.0],
         ("x", "y")[: g.dim],
     )
     report.record(residual_sup=rep["residual_sup"], u_norm=rep["u_norm"],
-                  iterations=rep["iterations"], support_leak=rep["support_leak"],
-                  bound_ratio=rep["bound_ratio"], frame_bound=rep["frame_bound"])
+                  iterations=tr.iterations, support_leak=rep["support_leak"],
+                  bound_ratio=rep["bound_ratio"], frame_bound=tr.bound)
     report.check("isometry-residual", rep["residual_sup"], scenario.residual_tol)
     report.check("support-leak", rep["support_leak"], 0.0)
-    report.check("iterate-bound-monitor", 0.0 if rep["monitor_ok"] else 1.0, 0.0,
-                 ok=rep["monitor_ok"])
+    monitor_ok = tr.passes_recurrence_monitor()
+    report.check("iterate-bound-monitor", 0.0 if monitor_ok else 1.0, 0.0, ok=monitor_ok)
     f2 = bump_perturbation(g, STABILITY_LOAD * scenario.amplitude, scenario.bump_radius)
     try:
-        gap = stability_gap(frame, cut, f, rep["v"], f2, cfg)
+        _, gap = stability_gap(rec, cut, f2, cfg)
     except SolveFailure as exc:
         return report.finish(failure=f"stability solve: {exc}")
     report.record(stability_ratio=gap["ratio"], stability_gap=gap["gap"],
@@ -318,25 +327,22 @@ def _run_solve_family(scenario, report, frame, family, window, cut):
         return report.finish(failure=f"horizon collapsed at {exc.horizon}")
     _record_halvings(report, sol.halvings)
     r_max = min(2, (len(sol.t_grid) - 1) // 2)
-    probe = time_regularity_probe(sol, g, r_max=r_max) if r_max >= 1 else {"orders": {}}
+    us = [rec.u for rec in sol.records]
+    probe = (time_regularity_probe(sol.t_grid, np.stack(us, axis=1), g, r_max=r_max)
+             if r_max >= 1 else {"orders": {}})
     ratios = [probe["orders"][r]["ratio"] for r in probe["orders"]]
-    for k, tr in enumerate(sol.traces):
-        _write_trace_csv(
-            os.path.join(report.out_dir, "traces", f"sample_{k:02d}.csv"), tr
-        )
-    stages = [[frame.F0 for _ in sol.t_grid], [frame.F0 + u for u in sol.us]]
+    _write_sample_traces(report.out_dir, sol.records)
+    stages = [[frame.F0 for _ in sol.t_grid], [frame.F0 + u for u in us]]
     write_embedding_csv(
         os.path.join(report.out_dir, "embeddings", "family.csv"),
         g.coords, stages, list(sol.t_grid), ("x", "y")[: g.dim],
     )
-    report.record(
-        horizon_used=sol.horizon_used,
-        residuals=[float(r) for r in sol.residuals],
-        u0_max=float(np.max(np.abs(sol.us[0]))),
-        probe=probe,
-    )
-    report.check("initial-sample-is-zero", float(np.max(np.abs(sol.us[0]))), 0.0)
-    report.check("max-sample-residual", float(max(sol.residuals)), scenario.residual_tol)
+    residuals = [rec.residual() for rec in sol.records]
+    u0_max = float(np.max(np.abs(us[0])))
+    report.record(horizon_used=float(sol.t_grid[-1]), residuals=residuals, u0_max=u0_max,
+                  probe=probe)
+    report.check("initial-sample-is-zero", u0_max, 0.0)
+    report.check("max-sample-residual", float(max(residuals)), scenario.residual_tol)
     if ratios:
         report.check("probe-ratio", float(max(ratios)), 2.0)
     return report.finish()
@@ -356,31 +362,23 @@ def _run_solve_global(scenario, report, family, atlas):
         report.record(stage=exc.stage)
         return report.finish(failure=str(exc))
     _record_halvings(report, sol.halvings)
-    for i, traces in enumerate(sol.stage_traces, start=1):
-        for k, tr in enumerate(traces):
-            _write_trace_csv(
-                os.path.join(report.out_dir, "traces",
-                             f"stage{i}_sample_{k:02d}.csv"),
-                tr,
-            )
-    # per-stage residual table against the matching partial metric
-    res_path = os.path.join(report.out_dir, "traces", "stage_residuals.csv")
+    # each stage's sample traces, and its residuals against its partial metric
     stage_rows = []
-    with open(res_path, "w") as fh:
+    with open(os.path.join(report.out_dir, "traces", "stage_residuals.csv"), "w") as fh:
         fh.write("stage,t,residual\n")
-        for stage in range(1, len(sol.F_stages)):
-            rs = solution_residuals(sol, stage=stage)
-            stage_rows.append([float(r) for r in rs])
-            for t, r in zip(sol.t_grid, rs):
-                fh.write(f"{stage},{repr(float(t))},{repr(float(r))}\n")
+        for recs in sol.records:
+            _write_sample_traces(report.out_dir, recs)
+            stage_rows.append(solution_residuals(sol, stage=recs[0].stage))
+            for rec, r in zip(recs, stage_rows[-1]):
+                fh.write(f"{rec.stage},{rec.t!r},{r!r}\n")
     sol.write_csv(os.path.join(report.out_dir, "embeddings", "global.csv"))
     final = stage_rows[-1]
-    margins = [(m, e) for ms in sol.stage_margins for (m, e) in ms]
-    worst_margin = min(m for m, _ in margins)
-    worst_eps = max(e for _, e in margins)
+    frames = [rec.frame for recs in sol.records for rec in recs]
+    worst_margin = min(fr.freeness_margin for fr in frames)
+    worst_eps = max(fr.eps_free for fr in frames)
     t0_exact = bool(np.all(sol.F[0] == sol.F_stages[0][0]))
     report.record(
-        horizon_used=sol.horizon_used,
+        horizon_used=float(sol.t_grid[-1]),
         final_residuals=final,
         stage_residuals=stage_rows,
         min_freeness_margin=worst_margin,

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import BASE_METRICS, make_mesh
-from .fixedpoint import IterationConfig, IterationTrace, SolveFailure, solve_fixed_point
+from .fixedpoint import (IterationConfig, IterationTrace, SolveFailure, SolveRecord,
+                         solve_fixed_point)
 from .frame import ImmersionFrame, apply_frame
 from .grid import Grid, VecField, holder_norm, multi_indices, radial_bump
 from .operators import Cutoff, radial_window
 from .spline import cubic_spline
-from .verify import isometry_residual
 
 
 # a window is exactly 1 on B_WINDOW_FLAT and 0 outside B_WINDOW_SUPPORT;
@@ -143,11 +143,12 @@ class MetricFamily:
 @dataclass
 class FamilySolution:
     t_grid: np.ndarray
-    us: list  # u = a^2 v at each t, (nodes, q) arrays on the family's grid
-    traces: list
-    residuals: list
-    horizon_used: float
+    records: list  # one SolveRecord per t, on the family's grid
     halvings: list = field(default_factory=list)  # see adaptive_horizon
+
+    @property
+    def traces(self):
+        return [rec.trace for rec in self.records]
 
 
 # s(theta1, t) of the families that charts and manifolds share: g(t) is s
@@ -292,9 +293,9 @@ def solve_family(frame: ImmersionFrame, family: MetricFamily, window, cutoff=Non
     """Per-sample independent fixed-point solves with adaptive horizon.
 
     frame is the chart's frame on the family's grid, and window (see
-    chart_window) shapes the increment.  Returns a FamilySolution whose
-    residuals come from the fourth-order oracle; raises HorizonCollapse
-    when halving drops the horizon below DT_MIN times the sample count.
+    chart_window) shapes the increment.  Returns a FamilySolution with one
+    SolveRecord per sample; raises HorizonCollapse when halving drops the
+    horizon below DT_MIN times the sample count.
     """
     g = family.grid
     w = _window_field(window, g)
@@ -306,49 +307,43 @@ def solve_family(frame: ImmersionFrame, family: MetricFamily, window, cutoff=Non
     a2 = cut.values**2
 
     def run_pass(ts):
-        us, traces, residuals = [None] * len(ts), [None] * len(ts), [None] * len(ts)
+        records = [None] * len(ts)
         # the largest t first: its increment is the largest, and the likeliest
         # to fail the pass
         for k in reversed(range(len(ts))):
             f = windowed_increment(w, family, ts[k])
             with locate_failure(ts[k]):
-                v, traces[k] = solve_fixed_point(frame, cut, f, config)
-            us[k] = a2[:, None] * v
-            residuals[k], _ = isometry_residual(VecField(g, frame.F0 + us[k]),
-                                                VecField(g, frame.F0), f)
-        return FamilySolution(ts, us, traces, residuals, float(ts[-1]))
+                v, trace = solve_fixed_point(frame, cut, f, config)
+            records[k] = SolveRecord(None, float(ts[k]), frame, f, v, a2[:, None] * v, trace)
+        return FamilySolution(ts, records)
 
     return adaptive_horizon(run_pass, family.horizon, family.samples)
 
 
-def stability_gap(frame: ImmersionFrame, cut: Cutoff, f1, v1, f2,
-                  config: IterationConfig = None):
+def stability_gap(record: SolveRecord, cut: Cutoff, f2, config: IterationConfig = None):
     """Compare two solves against the frame response to their difference.
 
-    v1 is the fixed point already solved for f1 with this frame, cutoff and
-    config; only f2 is solved here.  Returns gap = |v1 - v2|_{2,alpha},
-    frame_norm = |E(0, f1 - f2)|_{2,alpha} in the solves' own alpha, their
-    ratio (0 when the frame norm vanishes) and the trace of the f2 solve.
+    record is the solve of f1 with this cutoff and config; only f2 is
+    solved here, around the record's frame.  Returns the f2 solve's record
+    and gap = |v1 - v2|_{2,alpha}, frame_norm = |E(0, f1 - f2)|_{2,alpha} in
+    the solves' own alpha and their ratio (0 when the frame norm vanishes).
     """
+    frame, g = record.frame, record.frame.grid
     v2, trace = solve_fixed_point(frame, cut, f2, config)
     alpha = (config or IterationConfig()).alpha
-    g = frame.grid
-    gap = holder_norm(VecField(g, v1 - v2), 2, alpha)
+    gap = holder_norm(VecField(g, record.v - v2), 2, alpha)
     zero_h = np.zeros((g.num_nodes, g.dim))
-    denom = holder_norm(VecField(g, apply_frame(frame, zero_h, f1 - f2)), 2, alpha)
+    denom = holder_norm(VecField(g, apply_frame(frame, zero_h, record.f - f2)), 2, alpha)
     ratio = gap / denom if denom > 1e-14 else 0.0
-    return {
-        "gap": gap,
-        "frame_norm": denom,
-        "ratio": ratio,
-        "trace": trace,
-    }
+    rec2 = SolveRecord(None, None, frame, f2, v2, cut.values[:, None]**2 * v2, trace)
+    return rec2, {"gap": gap, "frame_norm": denom, "ratio": ratio}
 
 
-def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict:
+def time_regularity_probe(t_grid, us, grid: Grid, r_max=2) -> dict:
     """Divided-difference boundedness of u (and du) across a dt refinement.
 
-    grid is the one the solution's fields live on (the family's).
+    us is the (nodes, K+1, q) stack of u on grid at the K+1 uniform times
+    t_grid.
 
     For each order r <= r_max, the sup of the r-th divided difference on
     the native grid is compared with the one on every-other-sample grid;
@@ -356,15 +351,14 @@ def time_regularity_probe(solution: FamilySolution, grid: Grid, r_max=2) -> dict
     """
     if r_max > 2:
         raise ValueError(f"time_regularity_probe configuration error: r_max <= 2, got {r_max}")
-    K1 = len(solution.t_grid)
+    K1 = len(t_grid)
     if K1 < 2 * r_max + 1:
         raise ValueError(
             f"time_regularity_probe configuration error: need >= {2 * r_max + 1} "
             f"time samples for order {r_max}, got {K1}"
         )
     # a numpy float: dt**r overflows to inf where a Python float raises
-    dt = np.float64(solution.t_grid[1] - solution.t_grid[0])
-    us = np.stack(solution.us, axis=1)  # (nodes, K+1, q)
+    dt = np.float64(t_grid[1] - t_grid[0])
     stacks = [us] + [grid.derivative_matrix(s) @ us
                      for s in multi_indices(grid.dim, 1) + multi_indices(grid.dim, 2)]
     report = {"orders": {}}

@@ -119,6 +119,30 @@ class IterationTrace:
         return monitor_recurrence(0.0, self.bound / 2.0, self.norms)
 
 
+@dataclass
+class SolveRecord:
+    """One solve_fixed_point call: where it ran, its load and its fixed point.
+
+    stage is the glue stage (None outside a glue) and t the sample time (None
+    for a lone solve); frame is the frame it solved around, f its (nodes,
+    n(n+1)/2) load, v the fixed point, u = a^2 v the update of F0 and trace
+    its steps.
+    """
+
+    stage: int
+    t: float
+    frame: ImmersionFrame
+    f: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    trace: IterationTrace
+
+    def residual(self):
+        """sup of the oracle isometry residual of F0 + u against f."""
+        g, F0 = self.frame.grid, self.frame.F0
+        return isometry_residual(VecField(g, F0 + self.u), VecField(g, F0), self.f)[0]
+
+
 def _check_f_support(cut: Cutoff, f):
     outside = cut.grid.radius() > cut.flat_radius + 1e-12
     if np.any(np.abs(f[outside]) > 0.0):
@@ -244,30 +268,22 @@ def bump_perturbation(grid, amplitude, radius=0.5):
 
 
 def local_perturb(frame: ImmersionFrame, f, config: IterationConfig = None, cutoff=None):
-    """End-to-end local solve around frame.F0: returns (u, report) with u = a^2 v.
+    """End-to-end local solve around frame.F0: returns (record, report).
 
     The report carries the oracle isometry residual of F0 + u against
-    target f, the support scan, norm bounds, the fixed point v and its
-    iteration trace.
+    target f, the support scan of u and its norm over the bound.
     """
     g = frame.grid
     cut = cutoff or Cutoff(g)
     v, trace = solve_fixed_point(frame, cut, f, config)
-    a2 = cut.values**2
-    u = a2[:, None] * v
-    residual_sup, _ = isometry_residual(VecField(g, frame.F0 + u), VecField(g, frame.F0), f)
+    rec = SolveRecord(None, None, frame, f, v, cut.values[:, None]**2 * v, trace)
     outside = g.radius() >= cut.support_radius
-    support_leak = float(np.max(np.abs(u[outside]))) if np.any(outside) else 0.0
-    u_norm = holder_norm(VecField(g, u), 2, (config or IterationConfig()).alpha)
+    support_leak = float(np.max(np.abs(rec.u[outside]))) if np.any(outside) else 0.0
+    u_norm = holder_norm(VecField(g, rec.u), 2, (config or IterationConfig()).alpha)
     report = {
-        "residual_sup": residual_sup,
+        "residual_sup": rec.residual(),
         "support_leak": support_leak,
         "u_norm": u_norm,
-        "frame_bound": trace.bound,
         "bound_ratio": u_norm / trace.bound if trace.bound > 0 else 0.0,
-        "iterations": trace.iterations,
-        "monitor_ok": trace.passes_recurrence_monitor(),
-        "v": v,
-        "trace": trace,
     }
-    return u, report
+    return rec, report

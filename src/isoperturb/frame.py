@@ -43,10 +43,9 @@ class ImmersionFrame:
     Attributes
     ----------
     grid : Grid
-    A : ndarray, shape (nodes, n(n+3)/2, q)
-        First- then second-derivative rows of the embedding.
     Theta : ndarray, shape (nodes, q, n(n+3)/2)
-        Pointwise right inverse, A . Theta = I.
+        Pointwise right inverse, A . Theta = I, of the embedding's first- then
+        second-derivative rows A (frame_matrix).
     freeness_margin : float
         Minimum over nodes of the smallest singular value of A.
     eps_free : float
@@ -61,7 +60,6 @@ class ImmersionFrame:
     """
 
     grid: Grid
-    A: np.ndarray
     Theta: np.ndarray
     freeness_margin: float
     eps_free: float
@@ -71,7 +69,7 @@ class ImmersionFrame:
 
     @property
     def rows(self):
-        return self.A.shape[1]
+        return self.Theta.shape[2]
 
 
 def _row_count(dim):
@@ -167,7 +165,7 @@ def build_frame(source, grid: Grid) -> ImmersionFrame:
             margin=margin,
             node=node,
         )
-    return ImmersionFrame(grid, a, theta, margin, eps_free, a.shape[2], defect, F0)
+    return ImmersionFrame(grid, theta, margin, eps_free, a.shape[2], defect, F0)
 
 
 def apply_frame(frame: ImmersionFrame, h, f):

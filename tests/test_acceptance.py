@@ -34,15 +34,15 @@ def local_solve():
     g = make_grid(1, 401)
     f = bump_perturbation(g, 0.01, 0.5)
     t0 = time.time()
-    u, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
-    return {"u": u, "rep": rep, "elapsed": time.time() - t0, "grid": g}
+    rec, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
+    return {"rec": rec, "rep": rep, "elapsed": time.time() - t0, "grid": g}
 
 
 @pytest.fixture(scope="module")
 def local_solve_doubled():
     g = make_grid(1, 801)
     f = bump_perturbation(g, 0.01, 0.5)
-    u, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
+    _, rep = local_perturb(build_frame(ParabolaChart(), g), f, config=IterationConfig(tol=1e-9))
     return rep
 
 
@@ -53,9 +53,9 @@ def stability_pair():
     f1 = bump_perturbation(g, 0.010, 0.5)
     f2 = bump_perturbation(g, 0.011, 0.5)
     cut, cfg = Cutoff(g), IterationConfig(tol=1e-10)
-    _, rep = local_perturb(frame, f1, config=cfg, cutoff=cut)
-    gap = stability_gap(frame, cut, f1, rep["v"], f2, cfg)
-    return {**gap, "traces": [rep["trace"], gap["trace"]]}
+    rec, _ = local_perturb(frame, f1, config=cfg, cutoff=cut)
+    rec2, gap = stability_gap(rec, cut, f2, cfg)
+    return {**gap, "traces": [rec.trace, rec2.trace]}
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_criterion_3_frame_identity():
 
 
 def test_criterion_4_contraction(local_solve):
-    tr = local_solve["rep"]["trace"]
+    tr = local_solve["rec"].trace
     elapsed = local_solve["elapsed"]
     # tr.norms are certified upper bounds on the iterates' norms, so the
     # bound held on them holds on the exact norms too
@@ -178,12 +178,13 @@ def test_criterion_6_stability(stability_pair):
 def test_criterion_7_time_family(family_solution):
     sol = family_solution["sol"]
     elapsed = family_solution["elapsed"]
-    u0 = float(np.max(np.abs(sol.us[0])))
-    worst = float(max(sol.residuals))
+    u0 = float(np.max(np.abs(sol.records[0].u)))
+    worst = float(max(rec.residual() for rec in sol.records))
     # certified upper bounds on the iterates' norms: they imply the exact check
     bound_ok = all(n <= tr.bound * (1.0 + 1e-6)
                    for tr in sol.traces[1:] for n in tr.norms)
-    probe = time_regularity_probe(sol, family_solution["grid"], r_max=2)
+    us = np.stack([rec.u for rec in sol.records], axis=1)
+    probe = time_regularity_probe(sol.t_grid, us, family_solution["grid"], r_max=2)
     ratios = [row["ratio"] for row in probe["orders"].values()]
     ok = (u0 == 0.0 and worst <= 1e-6 and bound_ok
           and all(r <= 2.0 for r in ratios) and elapsed < 120.0)
@@ -202,8 +203,8 @@ def test_criterion_8_global_gluing(glue_solution):
     finals = solution_residuals(sol)
     worst = float(max(finals))
     base_exact = bool(np.all(sol.F[0] == base_embedding("circle", sol.mesh_points)))
-    margins = [(m, e) for ms in sol.stage_margins for m, e in ms]
-    free_ok = all(m > e for m, e in margins)
+    free_ok = all(rec.frame.freeness_margin > rec.frame.eps_free
+                  for recs in sol.records for rec in recs)
     ok = (pou_defect <= 1e-10 and worst <= 1e-5 and base_exact
           and free_ok and elapsed < 300.0)
     assert _line(8, ok, f"partition defect {pou_defect:.2e} <= 1e-10, worst "
@@ -214,7 +215,7 @@ def test_criterion_8_global_gluing(glue_solution):
 
 def test_criterion_9_recurrence_monitor(local_solve, stability_pair,
                                         family_solution, glue_solution):
-    traces = [local_solve["rep"]["trace"]]
+    traces = [local_solve["rec"].trace]
     traces += stability_pair["traces"]
     traces += list(family_solution["sol"].traces)
     for stage in glue_solution["sol"].stage_traces:

@@ -321,7 +321,7 @@ def test_glue_constant_family_is_identity():
     sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     F0 = base_embedding("circle", sol.mesh_points)
-    assert sol.horizon_used == 1.0
+    assert sol.t_grid[-1] == 1.0
     for Fs in sol.F_stages:
         for k in range(len(sol.t_grid)):
             assert np.all(Fs[k] == F0)
@@ -330,7 +330,7 @@ def test_glue_constant_family_is_identity():
 def test_glue_breathing_contract(breathing_glue):
     atlas, fam, sol = breathing_glue
     # adaptive halving lands on a quarter horizon, keeping all samples
-    assert sol.horizon_used == 0.25
+    assert sol.t_grid[-1] == 0.25
     assert len(sol.t_grid) == 3
     F0 = base_embedding("circle", sol.mesh_points)
     assert np.all(sol.F[0] == F0)
@@ -338,10 +338,10 @@ def test_glue_breathing_contract(breathing_glue):
     assert res[0] <= 5e-9       # t = 0: pure mesh discretization
     assert max(res) <= 5e-6     # measured 2.1e-6 at this resolution
     # every stage/time frame stayed free with room to spare
-    for margins in sol.stage_margins:
-        for margin, eps in margins:
-            assert margin > eps
-            assert margin > 1.0
+    for recs in sol.records:
+        for rec in recs:
+            assert rec.frame.freeness_margin > rec.frame.eps_free
+            assert rec.frame.freeness_margin > 1.0
     for traces in sol.stage_traces:
         for tr in traces:
             assert tr.status == "converged"
@@ -408,7 +408,7 @@ def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
                                 horizon=0.25, samples=2)
     sol = glue_solve(fam, build_atlas("circle", 2),
                      chart_resolution=201, mesh=128, config=SMOKE_CFG)
-    assert sol.horizon_used == 0.25 and sol.halvings == []
+    assert sol.t_grid[-1] == 0.25 and sol.halvings == []
     assert len(calls) == 6
     for i, traces in enumerate(sol.stage_traces):
         stage_calls = calls[3 * i:3 * i + 3]
@@ -436,7 +436,7 @@ def test_glue_builds_the_stage_1_frame_once(monkeypatch):
     sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
     assert [(h.horizon, h.stage) for h in sol.halvings] == [(0.5, 1)]
-    assert sol.horizon_used == 0.25
+    assert sol.t_grid[-1] == 0.25
     assert len(built) == 1 + 3
     stage_1 = base_embedding("circle", atlas.charts[0].to_manifold(make_grid(1, 201).coords))
     assert [np.array_equal(vals, stage_1) for vals in built] == [True] + 3 * [False]
@@ -448,8 +448,8 @@ def test_glue_halves_horizon_for_large_families():
                                 horizon=1.0, samples=1)
     sol = glue_solve(fam, atlas, chart_resolution=201,
                      mesh=128, config=SMOKE_CFG)
-    assert sol.horizon_used < 1.0
-    assert sol.horizon_used == 0.0078125  # 7 exact halvings
+    assert sol.t_grid[-1] < 1.0
+    assert sol.t_grid[-1] == 0.0078125  # 7 exact halvings
     assert len(sol.t_grid) == 2           # sample count preserved
     assert max(solution_residuals(sol)) <= 1e-3
 
@@ -681,14 +681,14 @@ def test_glue_torus_refined():
     for (N, mesh), (start_tol, tol) in TORUS_SCALES.items():
         sol = glue_solve(fam, atlas, chart_resolution=N,
                          mesh=mesh, config=IterationConfig(tol=1e-7))
-        assert sol.horizon_used == 0.25
+        assert sol.t_grid[-1] == 0.25
         assert np.all(sol.F[0] == base_embedding("torus", sol.mesh_points))
         res = solution_residuals(sol)
         assert res[0] <= start_tol
         assert max(res) <= tol
-        for margins in sol.stage_margins:
-            for margin, eps in margins:
-                assert margin > eps
+        for recs in sol.records:
+            for rec in recs:
+                assert rec.frame.freeness_margin > rec.frame.eps_free
         finals.append(res[-1])
     factors = [r0 / r1 for r0, r1 in zip(finals, finals[1:])]
     print("torus final residual at 25/48, 49/96, 97/192:", ", ".join(f"{r:.3e}" for r in finals),

@@ -9,11 +9,13 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from isoperturb import cli
 from isoperturb.cli import main
 from isoperturb.config import load_scenario
+from isoperturb.grid import largest
 
 FREE_CFG = """
 name: free-small
@@ -523,6 +525,27 @@ def test_verify_appendix_run(tmp_path):
     a = open(os.path.join(out_a, "summary.json"), "rb").read()
     b = open(os.path.join(out_b, "summary.json"), "rb").read()
     assert a == b, "summary.json differs between identical runs"
+
+
+def test_a_nan_witness_fails_witnesses_finite(tmp_path, monkeypatch):
+    # a witness is the array maximum of grid.largest, which keeps a NaN ratio
+    # wherever it stands, where Python's max drops one that is not first
+    assert max([1.0, np.nan, 2.0]) == 2.0
+    for ratios in ([np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan]):
+        assert np.isnan(largest(np.array(ratios)))
+    check = cli.check_inequalities
+
+    def nan_witness(grid, **kwargs):
+        rep = check(grid, **kwargs)
+        return {**rep, "embed_witness": largest(np.array([rep["embed_witness"], np.nan]))}
+
+    monkeypatch.setattr(cli, "check_inequalities", nan_witness)
+    out = str(tmp_path / "out")
+    assert main(["verify-appendix", "--config", _cfg(tmp_path, APPENDIX_CFG), "--out", out,
+                 "--quiet"]) == 1
+    s = _summary(out)
+    assert s["status"] == "fail"
+    assert [c["criterion"] for c in s["criteria"] if not c["pass"]] == ["witnesses-finite"]
 
 
 def test_table_family_global(tmp_path):

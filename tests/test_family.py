@@ -15,7 +15,6 @@ from isoperturb import family as family_module
 from isoperturb.embeddings import CircleChart, ParabolaChart, TorusChart
 from isoperturb.family import (
     MAX_HALVINGS,
-    FamilySolution,
     HorizonCollapse,
     MetricFamily,
     adaptive_horizon,
@@ -29,7 +28,7 @@ from isoperturb.family import (
     windowed_increment,
 )
 from isoperturb.fixedpoint import (IterationConfig, StalledIteration, bump_perturbation,
-                                   solve_fixed_point)
+                                   local_perturb, solve_fixed_point)
 from isoperturb.frame import build_frame
 from isoperturb.grid import make_grid
 from isoperturb.operators import Cutoff
@@ -210,9 +209,9 @@ def breathing_solution():
 
 def test_breathing_solution_contract(breathing_solution):
     sol = breathing_solution
-    assert sol.horizon_used == 0.5  # no halving at this amplitude
-    assert np.all(sol.us[0] == 0.0)  # t=0 increment solves to zero
-    assert max(sol.residuals) < 1e-7  # measured 2.96e-8 at N=401
+    assert sol.t_grid[-1] == 0.5  # no halving at this amplitude
+    assert np.all(sol.records[0].u == 0.0)  # t=0 increment solves to zero
+    assert max(rec.residual() for rec in sol.records) < 1e-7  # measured 2.96e-8 at N=401
     assert all(tr.status == "converged" for tr in sol.traces)
     assert all(tr.iterations <= 10 for tr in sol.traces)  # measured max 7
     for tr in sol.traces:
@@ -221,13 +220,15 @@ def test_breathing_solution_contract(breathing_solution):
 
 
 def test_breathing_solution_residuals_grow_with_t(breathing_solution):
-    res = breathing_solution.residuals
+    res = [rec.residual() for rec in breathing_solution.records]
     assert res[0] == 0.0
     assert all(res[k] <= res[k + 1] + 1e-12 for k in range(len(res) - 1))
 
 
 def test_regularity_probe_on_solution(breathing_solution):
-    rep = time_regularity_probe(breathing_solution, BREATHING_GRID)
+    sol = breathing_solution
+    us = np.stack([rec.u for rec in sol.records], axis=1)
+    rep = time_regularity_probe(sol.t_grid, us, BREATHING_GRID)
     for r in (1, 2):
         assert rep["orders"][r]["ratio"] <= 2.0
         assert np.isfinite(rep["orders"][r]["native"])
@@ -241,12 +242,13 @@ def test_horizon_halving_recovers():
                        samples=2, beta=1.0, bump_radius=0.4)
     sol = solve_family(build_frame(ParabolaChart(), g), fam, chart_window(g),
                        cutoff=Cutoff(g, 0.8, 0.95), config=CFG)
-    assert sol.horizon_used < 0.5
-    k = np.log2(0.5 / sol.horizon_used)
+    horizon = sol.t_grid[-1]
+    assert horizon < 0.5
+    k = np.log2(0.5 / horizon)
     assert abs(k - round(k)) < 1e-12  # pure halvings
     assert all(tr.status == "converged" for tr in sol.traces)
     assert len(sol.t_grid) == 3  # sample count is preserved
-    assert sol.t_grid[-1] == sol.horizon_used
+    assert [rec.t for rec in sol.records] == list(sol.t_grid)  # one record per sample
     # one record per failed pass, in order, each naming its failed solve
     assert len(sol.halvings) == round(k)
     for j, h in enumerate(sol.halvings):
@@ -333,8 +335,8 @@ def test_stability_gap_ratio():
     frame = build_frame(ParabolaChart(), g)
     cut = Cutoff(g, 0.5, 0.9)
     f1 = bump_perturbation(g, 0.01)
-    v1, _ = solve_fixed_point(frame, cut, f1, CFG)
-    rep = stability_gap(frame, cut, f1, v1, bump_perturbation(g, 0.008), CFG)
+    rec1, _ = local_perturb(frame, f1, config=CFG, cutoff=cut)
+    _, rep = stability_gap(rec1, cut, bump_perturbation(g, 0.008), CFG)
     assert rep["ratio"] <= 1.1
     assert 0.45 <= rep["ratio"] <= 0.55  # measured 0.502
     assert rep["gap"] > 0.0
@@ -345,8 +347,8 @@ def test_stability_gap_identical_inputs_is_zero():
     frame = build_frame(ParabolaChart(), g)
     cut = Cutoff(g, 0.5, 0.9)
     f = bump_perturbation(g, 0.01)
-    v, _ = solve_fixed_point(frame, cut, f, CFG)
-    rep = stability_gap(frame, cut, f, v, f.copy(), CFG)
+    rec, _ = local_perturb(frame, f, config=CFG, cutoff=cut)
+    _, rep = stability_gap(rec, cut, f.copy(), CFG)
     assert rep["gap"] == 0.0
     assert rep["ratio"] == 0.0
 
@@ -357,9 +359,9 @@ def test_stability_gap_identical_inputs_is_zero():
 PROBE_GRID = make_grid(1, 51)
 
 
-def _fake_solution(t_grid, stack_fn, q=3):
-    us = [np.full((PROBE_GRID.num_nodes, q), stack_fn(t)) for t in t_grid]
-    return FamilySolution(np.asarray(t_grid), us, [], [], float(t_grid[-1]), None)
+def _stack(t_grid, stack_fn, q=3):
+    """The (nodes, K+1, q) stack of u(x, t) = stack_fn(t) at the times t_grid."""
+    return np.stack([np.full((PROBE_GRID.num_nodes, q), stack_fn(t)) for t in t_grid], axis=1)
 
 
 def test_probe_quadratic_hand_oracle():
@@ -367,8 +369,7 @@ def test_probe_quadratic_hand_oracle():
     # at both step sizes; the first-order sups are 2T - dt and 2T - 2dt.
     T, K = 1.0, 8
     tg = np.linspace(0.0, T, K + 1)
-    sol = _fake_solution(tg, lambda t: t * t)
-    rep = time_regularity_probe(sol, PROBE_GRID)
+    rep = time_regularity_probe(tg, _stack(tg, lambda t: t * t), PROBE_GRID)
     dt = T / K
     assert rep["orders"][2]["native"] == 2.0
     assert rep["orders"][2]["coarse"] == 2.0
@@ -380,17 +381,15 @@ def test_probe_quadratic_hand_oracle():
 
 def test_probe_zero_solution_guard():
     tg = np.linspace(0.0, 1.0, 9)
-    sol = _fake_solution(tg, lambda t: 0.0)
-    rep = time_regularity_probe(sol, PROBE_GRID)
+    rep = time_regularity_probe(tg, _stack(tg, lambda t: 0.0), PROBE_GRID)
     assert rep["orders"][1]["ratio"] == 1.0  # guarded 0/0
     assert rep["orders"][2]["ratio"] == 1.0
 
 
 def test_probe_preconditions():
     tg = np.linspace(0.0, 1.0, 9)
-    sol = _fake_solution(tg, lambda t: t)
     with pytest.raises(ValueError, match="r_max"):
-        time_regularity_probe(sol, PROBE_GRID, r_max=3)
-    short = _fake_solution(np.linspace(0.0, 1.0, 4), lambda t: t)
+        time_regularity_probe(tg, _stack(tg, lambda t: t), PROBE_GRID, r_max=3)
+    short = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="time samples"):
-        time_regularity_probe(short, PROBE_GRID)
+        time_regularity_probe(short, _stack(short, lambda t: t), PROBE_GRID)

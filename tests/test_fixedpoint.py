@@ -33,7 +33,7 @@ from isoperturb.fixedpoint import (
     local_perturb,
     solve_fixed_point,
 )
-from isoperturb.frame import apply_frame, build_frame
+from isoperturb.frame import apply_frame, build_frame, frame_matrix
 from isoperturb.grid import VecField, holder_norm, make_grid, sym_indices
 from isoperturb.operators import (
     Cutoff,
@@ -185,16 +185,16 @@ def test_halving_amplitude_halves_the_solution(bump_setup):
 
 def test_local_perturb_report(bump_setup):
     g, frame, cut, f = bump_setup
-    u, report = local_perturb(frame, f, cutoff=cut)
+    rec, report = local_perturb(frame, f, cutoff=cut)
     assert report["residual_sup"] < 1e-6  # measured 5.09e-8
     assert 2e-8 <= report["residual_sup"] <= 1e-7
     assert report["support_leak"] == 0.0
     assert 0.45 <= report["bound_ratio"] <= 0.55  # measured 0.50
-    assert report["iterations"] <= 12
-    assert report["monitor_ok"]
-    assert u.shape == (g.num_nodes, 2)
+    assert rec.trace.iterations <= 12
+    assert rec.trace.passes_recurrence_monitor()
+    assert rec.u.shape == (g.num_nodes, 2)
     # u vanishes identically outside the cutoff support
-    assert np.all(u[g.radius() >= 0.9] == 0.0)
+    assert np.all(rec.u[g.radius() >= 0.9] == 0.0)
 
 
 def test_local_residual_decays_under_doubling():
@@ -217,20 +217,24 @@ def verify_identity(frame, cut, v, f):
     tangential_constraint : sup |dF0 . v + P(v)|       per axis
     normal_constraint     : sup |d2F0 . v + f/2 - Q/2| per index pair
     isometry              : sup |dF.dF - dF0.dF0 - a^2 f|, module stencils
+
+    dF0 and d2F0 are the rows of the parabola, which bump_setup's frame is
+    built from.
     """
     g = frame.grid
+    _, A = frame_matrix(ParabolaChart(), g)
     potentials, _ = load_potentials(cut, v)
     p = tangential_correction(cut, potentials)
     q = normal_correction(cut, v, potentials)
     n = g.dim
     r1 = 0.0
     for i in range(n):
-        got = np.sum(frame.A[:, i, :] * v, axis=1) + p[:, i]
+        got = np.sum(A[:, i, :] * v, axis=1) + p[:, i]
         r1 = max(r1, float(np.max(np.abs(got))))
     r2 = 0.0
     for k in range(frame.rows - n):
         got = (
-            np.sum(frame.A[:, n + k, :] * v, axis=1)
+            np.sum(A[:, n + k, :] * v, axis=1)
             + 0.5 * f[:, k]
             - 0.5 * q[:, k]
         )
