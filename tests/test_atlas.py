@@ -416,6 +416,9 @@ def test_glue_solves_each_stage_from_the_largest_t(monkeypatch):
         assert sizes == sorted(set(sizes), reverse=True) and sizes[-1] == 0.0
         # the results come back in ascending t
         assert all(a is b for a, (_, b) in zip(traces, reversed(stage_calls)))
+    # one record per stage and t, each naming where it was solved
+    assert [[(rec.stage, rec.t) for rec in recs] for recs in sol.records] == [
+        [(i, t) for t in sol.t_grid] for i in (1, 2)]
 
 
 def test_glue_builds_the_stage_1_frame_once(monkeypatch):
@@ -440,6 +443,10 @@ def test_glue_builds_the_stage_1_frame_once(monkeypatch):
     assert len(built) == 1 + 3
     stage_1 = base_embedding("circle", atlas.charts[0].to_manifold(make_grid(1, 201).coords))
     assert [np.array_equal(vals, stage_1) for vals in built] == [True] + 3 * [False]
+    # the records keep that one stage-1 frame, and stage 2's own frame per t
+    stage1, stage2 = sol.records
+    assert all(rec.frame is stage1[0].frame for rec in stage1)
+    assert len({id(rec.frame) for rec in stage2}) == len(stage2) == 3
 
 
 def test_glue_halves_horizon_for_large_families():
